@@ -118,6 +118,18 @@ def _check_components(field: FieldTag, comp: np.ndarray) -> None:
         raise InvalidElement(f"{field.value} matrix has nonzero components beyond index {nc - 1}")
 
 
+def check_skew(field: FieldTag, comp: np.ndarray) -> None:
+    """Raise InvalidElement unless every matrix of the stack (..., n, n, 4) lies in the algebra.
+
+    Each matrix is tested on its own scale, max(1, largest component).
+    """
+    _check_components(field, comp)
+    axes = (-3, -2, -1)
+    scale = np.abs(comp).max(axis=axes, initial=1.0)
+    if (np.abs(comp + conj_transpose(comp)).max(axis=axes, initial=0.0) > _SKEW_TOL * scale).any():
+        raise InvalidElement("matrix is not skew-Hermitian")
+
+
 @dataclass(frozen=True)
 class AlgElement:
     """A skew-Hermitian n x n matrix over the given field: a tangent vector at e.
@@ -133,10 +145,7 @@ class AlgElement:
         comp = _freeze(self.comp)
         if comp.shape != (self.n, self.n, 4):
             raise InvalidElement(f"expected shape {(self.n, self.n, 4)}, got {comp.shape}")
-        _check_components(self.field, comp)
-        scale = max(1.0, float(np.abs(comp).max()))
-        if np.abs(comp + conj_transpose(comp)).max() > _SKEW_TOL * scale:
-            raise InvalidElement("matrix is not skew-Hermitian")
+        check_skew(self.field, comp)
         object.__setattr__(self, "comp", comp)
 
     @property

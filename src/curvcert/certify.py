@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgElement, GroupElement, adjoint, bracket, from_flat, group_exp
+from .algebra import AlgElement, GroupElement, adjoint, bracket, comp_bracket, from_flat, group_exp
 from .flatness import FlatPairWitness
 from .triple import (
     Part,
@@ -121,7 +121,8 @@ def report_to_json(report: CertReport) -> str:
 
 def _ad_matrix_on_m(triple: Triple, a: AlgElement) -> np.ndarray:
     """Rows: [m_i, A] flattened; coefficients of unit m-vectors map through it."""
-    return np.array([bracket(e, a).flat for e in triple.m_basis.elements()])
+    m = triple.m_basis
+    return comp_bracket(m.comps(), a.comp).reshape(m.dim, -1)
 
 
 def min_ad_singular(triple: Triple, a: AlgElement) -> float:
@@ -155,13 +156,10 @@ def certify_part3(triple: Triple, a: AlgElement, tol: float = DEFAULT_TOL) -> Ce
         notes.append("precondition failed: A does not lie in p")
     if triple.m_basis.dim == 0:
         notes.append("dim m = 0: condition holds vacuously")
-        return CertReport(
-            triple.label, Method.PART3, Verdict.CERTIFIED, float("inf"), tol, notes=tuple(notes)
-        )
-
-    mat = _ad_matrix_on_m(triple, a)
-    u, s, _ = np.linalg.svd(mat)
-    sigma_min = float(s[-1])
+        sigma_min = float("inf")
+    else:
+        u, s, _ = np.linalg.svd(_ad_matrix_on_m(triple, a))
+        sigma_min = float(s[-1])
     if not (symmetric and a_in_p):
         verdict = Verdict.INCONCLUSIVE
         witness = None

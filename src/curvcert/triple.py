@@ -19,7 +19,8 @@ from .algebra import (
     AlgElement,
     FieldTag,
     N_COMPONENTS,
-    bracket,
+    check_skew,
+    comp_bracket,
     from_flat,
 )
 
@@ -42,24 +43,24 @@ class Part(Enum):
 
 
 def _orthonormalize(mat: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
+    """Gram-Schmidt with one re-orthogonalization pass.
 
-    Rows spanning the same subspace come out orthonormal; near-dependent rows
-    are dropped.
+    Each row is projected off the basis accumulated so far by one matrix
+    product, twice.  Rows spanning the same subspace come out orthonormal;
+    near-dependent rows are dropped.
     """
-    basis: list[np.ndarray] = []
+    mat = np.asarray(mat, dtype=np.float64)
+    basis = np.empty_like(mat)
+    rank = 0
     for v in mat:
-        v = np.array(v, dtype=np.float64)
         scale = max(1.0, float(np.linalg.norm(v)))
         for _ in range(2):
-            for b in basis:
-                v = v - np.dot(v, b) * b
+            v = v - (basis[:rank] @ v) @ basis[:rank]
         nrm = float(np.linalg.norm(v))
         if nrm > drop_tol * scale:
-            basis.append(v / nrm)
-    if not basis:
-        return np.zeros((0, mat.shape[1]))
-    return np.array(basis)
+            basis[rank] = v / nrm
+            rank += 1
+    return basis[:rank].copy()
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,12 @@ class Subspace:
 
     def elements(self) -> list[AlgElement]:
         return [from_flat(self.field, self.n, row) for row in self.mat]
+
+    def comps(self) -> np.ndarray:
+        """The basis as a validated stack of component matrices, shape (dim, n, n, 4)."""
+        comp = self.mat.reshape(self.dim, self.n, self.n, 4)
+        check_skew(self.field, comp)
+        return comp
 
     def project_flat(self, v: np.ndarray) -> np.ndarray:
         if self.dim == 0:
@@ -179,16 +186,24 @@ def make_triple(
     field, n = g.field, g.n
     h = Subspace.from_spanning(h_span) if h_span else _empty_subspace(field, n)
     k = Subspace.from_spanning(k_span) if k_span else _empty_subspace(field, n)
+    return _nested_triple(g, h, k, label, base_point)
+
+
+def _nested_triple(
+    g: Subspace, h: Subspace, k: Subspace, label: str, base_point: Optional[AlgElement]
+) -> Triple:
+    """Check k < h < g on orthonormal bases and derive the complements m and p."""
     for name, sub, sup in (("h", h, g), ("k", k, h)):
-        for row in sub.mat:
-            resid = float(np.linalg.norm(row - sup.project_flat(row)))
-            if resid > _ORTHO_TOL:
-                raise NotInSpan(f"{name}-basis vector leaves its ambient span (residual {resid:.2e})")
+        resid = np.linalg.norm(sub.mat - sup.project_flat(sub.mat), axis=1)
+        if resid.size and resid.max() > _ORTHO_TOL:
+            raise NotInSpan(
+                f"{name}-basis vector leaves its ambient span (residual {resid.max():.2e})"
+            )
     m = _complement(h, k)
     p = _complement(g, h)
     if m.dim != h.dim - k.dim or p.dim != g.dim - h.dim:
         raise ValueError("derived complement dimensions are inconsistent")
-    return Triple(field, n, g, h, k, m, p, label=label, base_point=base_point)
+    return Triple(g.field, g.n, g, h, k, m, p, label=label, base_point=base_point)
 
 
 def project(triple: Triple, x: AlgElement, part: Part) -> AlgElement:
@@ -235,18 +250,20 @@ def _check_in_g(triple: Triple, x: AlgElement) -> None:
 
 
 def is_symmetric_pair(triple: Triple, tol: float = 1e-10) -> bool:
-    """Check [p,p] < h and [p,h] < p over all basis pairs."""
-    p_elems = triple.p_basis.elements()
-    h_elems = triple.h_basis.elements()
-    for i, pi in enumerate(p_elems):
-        for pj in p_elems[i + 1 :]:
-            v = bracket(pi, pj).flat
-            if np.linalg.norm(triple.p_basis.project_flat(v)) > tol:
-                return False
-        for hj in h_elems:
-            v = bracket(pi, hj).flat
-            if np.linalg.norm(triple.h_basis.project_flat(v)) > tol:
-                return False
+    """Check [p,p] < h and [p,h] < p over all basis pairs.
+
+    Each p-basis vector is bracketed with all later p vectors, then with all
+    of h, one batched bracket each; the first pair whose bracket has a
+    component above tol in the wrong subspace ends the check.
+    """
+    p, h = triple.p_basis, triple.h_basis
+    p_comp, h_comp = p.comps(), h.comps()
+    for i, pi in enumerate(p_comp):
+        for others, wrong in ((p_comp[i + 1 :], p), (h_comp, h)):
+            if len(others):
+                v = comp_bracket(pi, others).reshape(len(others), -1)
+                if np.linalg.norm(wrong.project_flat(v), axis=1).max() > tol:
+                    return False
     return True
 
 
@@ -265,7 +282,7 @@ def stabilizer_subalgebra(
     """
     if h_basis.dim == 0:
         return h_basis
-    rows = np.array([bracket(e, a).flat for e in h_basis.elements()])
+    rows = comp_bracket(h_basis.comps(), a.comp).reshape(h_basis.dim, -1)
     u, s, _ = np.linalg.svd(rows, full_matrices=True)
     null_mask = s < null_tol
     rank = int(np.count_nonzero(~null_mask))
@@ -318,6 +335,7 @@ def randomly_rebased(triple: Triple, rng: np.random.Generator) -> Triple:
 #    "base_point": matrix | null}
 # where each matrix is a row-major flat list of n*n*c floats, c scalar
 # components per entry (1, 2 or 4 by field).  Round trips are bit-faithful.
+# Loading rejects any other schema, re-checks k < h < g and recomputes m, p.
 
 SCHEMA_TRIPLE = "curvcert-triple/1"
 
@@ -338,8 +356,10 @@ def matrix_from_components(field: FieldTag, n: int, values: Sequence[float]) -> 
 
 
 def triple_to_dict(triple: Triple) -> dict:
+    n, nc = triple.n, N_COMPONENTS[triple.field]
+
     def encode(sub: Subspace) -> list[list[float]]:
-        return [matrix_to_components(e) for e in sub.elements()]
+        return sub.mat.reshape(sub.dim, n, n, 4)[..., :nc].reshape(sub.dim, n * n * nc).tolist()
 
     return {
         "schema": SCHEMA_TRIPLE,
@@ -356,30 +376,30 @@ def triple_to_dict(triple: Triple) -> dict:
 
 
 def triple_from_dict(doc: dict) -> Triple:
+    if doc.get("schema") != SCHEMA_TRIPLE:
+        raise ValueError(f"unknown triple schema {doc.get('schema')!r}, expected {SCHEMA_TRIPLE!r}")
     field = FieldTag(doc["field"])
     n = int(doc["n"])
+    nc = N_COMPONENTS[field]
 
     def decode(rows) -> Subspace:
         if not rows:
             return _empty_subspace(field, n)
+        arr = np.asarray(rows, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != n * n * nc:
+            raise ValueError(f"expected rows of {n * n * nc} scalars, got shape {arr.shape}")
+        comp = np.zeros((len(arr), n, n, 4))
+        comp[..., :nc] = arr.reshape(len(arr), n, n, nc)
+        check_skew(field, comp)
         # stored bases are already orthonormal; build directly to stay bit-faithful
-        return Subspace(field, n, np.array([matrix_from_components(field, n, r).flat for r in rows]))
+        return Subspace(field, n, comp.reshape(len(arr), -1))
 
-    g = decode(doc["bases"]["g"])
-    h = decode(doc["bases"]["h"])
-    k = decode(doc["bases"]["k"])
+    bases = doc["bases"]
     base = doc.get("base_point")
     base_point = matrix_from_components(field, n, base) if base else None
-    return Triple(
-        field,
-        n,
-        g,
-        h,
-        k,
-        _complement(h, k),
-        _complement(g, h),
-        label=doc.get("label", ""),
-        base_point=base_point,
+    return _nested_triple(
+        decode(bases["g"]), decode(bases["h"]), decode(bases["k"]),
+        doc.get("label", ""), base_point,
     )
 
 

@@ -8,8 +8,8 @@ from curvcert.algebra import (
     AlgElement,
     FieldTag,
     N_COMPONENTS,
+    basis_element,
     comp_bracket,
-    comp_norm,
     conj_transpose,
     from_flat,
 )
@@ -34,11 +34,13 @@ def random_block_diag_sp1_batch(count: int, rng: np.random.Generator) -> np.ndar
 def sampled_min_ad(triple: Triple, a: AlgElement, n_samples: int, seed: int = 0) -> float:
     """Brute-force minimum of |[X, A]| over random unit vectors in m.
 
-    Independent of the SVD route: each sample is assembled as a matrix and
-    bracketed with A through batched quaternion arithmetic.
+    Independent of the SVD route: the rows [m_i, A] come from quaternion
+    arithmetic on the basis matrices, and by linearity of the bracket each
+    batch of unit coefficient vectors maps through them to its samples [X, A].
     """
-    basis = np.array([e.comp for e in triple.m_basis.elements()])
+    basis = triple.m_basis.mat.reshape(-1, triple.n, triple.n, 4)
     dm = len(basis)
+    rows = comp_bracket(basis, a.comp).reshape(dm, -1)
     rng = np.random.default_rng(seed)
     best = np.inf
     done = 0
@@ -46,8 +48,7 @@ def sampled_min_ad(triple: Triple, a: AlgElement, n_samples: int, seed: int = 0)
         batch = min(100_000, n_samples - done)
         coeff = rng.standard_normal((batch, dm))
         coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-        x = np.tensordot(coeff, basis, axes=(1, 0))
-        best = min(best, float(comp_norm(comp_bracket(x, a.comp[None])).min()))
+        best = min(best, float(np.linalg.norm(coeff @ rows, axis=1).min()))
         done += batch
     return best
 
@@ -65,6 +66,21 @@ def random_admissible_pair(triple: Triple, rng: np.random.Generator, z_domain=No
         from_flat(triple.field, triple.n, z_flat),
         from_flat(triple.field, triple.n, w_flat),
     )
+
+
+def su3_su2_spans():
+    """Spanning sets of su(3) and of its su(2) block, a pair that is not symmetric."""
+
+    def diag_i(a, b, c):
+        comp = np.zeros((3, 3, 4))
+        comp[0, 0, 1], comp[1, 1, 1], comp[2, 2, 1] = a, b, c
+        return AlgElement(FieldTag.COMPLEX, 3, comp)
+
+    off = [basis_element(FieldTag.COMPLEX, 3, i, j, c)
+           for i in range(3) for j in range(i + 1, 3) for c in (0, 1)]
+    g = off + [diag_i(1, -1, 0), diag_i(0, 1, -1)]
+    h = off[:2] + [diag_i(1, -1, 0)]
+    return g, h
 
 
 def sp1_pair(a_components: np.ndarray, sign: float) -> AlgElement:

@@ -22,9 +22,15 @@ from curvcert.certify import (
     report_to_json,
     scan_along_A,
 )
-from curvcert.triple import Part, project
+from curvcert.triple import Part, make_triple, project
 
-from helpers import random_admissible_pair, sampled_min_ad, sp1_pair, t1s3_commuting_pair
+from helpers import (
+    random_admissible_pair,
+    sampled_min_ad,
+    sp1_pair,
+    su3_su2_spans,
+    t1s3_commuting_pair,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -70,6 +76,17 @@ class TestPart3:
         entry = t1_sphere(3)
         report = certify_part3(entry.triple, entry.base_point_A)
         assert report.verdict is Verdict.CERTIFIED
+
+    def test_failed_precondition_gates_vacuous_m(self):
+        # h = k gives dim m = 0, and su(3) > su(2) is not a symmetric pair:
+        # the vacuous commutation condition must not turn into CERTIFIED
+        g, h = su3_su2_spans()
+        triple = make_triple(g, h, h, label="su3/su2, k = h")
+        assert triple.m_basis.dim == 0
+        a = triple.p_basis.elements()[0]
+        report = certify_part3(triple, a)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert "precondition failed: (g, h) is not a symmetric pair" in report.notes
 
     def test_point_in_h_is_inconclusive(self, t1s3):
         a_in_h = (1.0 / SQ2) * sp1_pair(np.array([0.0, 1.0, 0.0]), 1.0)

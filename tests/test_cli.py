@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -119,6 +120,29 @@ class TestExportRoundTrip:
         assert code == 0
         assert json.loads(out)["verdict"] == "CERTIFIED"
 
+    def test_invalid_file_is_error(self, capsys, tmp_path):
+        path = tmp_path / "triple.json"
+        run(capsys, "export", "--entry", "t1s3_product", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["schema"] = "bogus/9"
+        doc["bases"]["h"], doc["bases"]["k"] = doc["bases"]["k"], doc["bases"]["h"]
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", "--file", str(path), "--method", "part3")
+        assert code == 3
+        assert "schema" in err
+        doc["schema"] = "curvcert-triple/1"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", "--file", str(path), "--method", "part3")
+        assert code == 3
+        assert "leaves its ambient span" in err
+
+    def test_exported_file_reloads_bit_faithfully(self, capsys, tmp_path):
+        path = tmp_path / "triple.json"
+        run(capsys, "export", "--entry", "sp_example", "--n", "3", "--out", str(path))
+        code, out, _ = run(capsys, "export", "--file", str(path))
+        assert code == 0
+        assert out == path.read_text() + "\n"
+
     def test_export_is_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "export", "--entry", "t1_sphere", "--n", "3", "--out", str(a))
@@ -193,3 +217,30 @@ class TestInlineA:
         code, _, err = run(capsys, "check", "--file", str(path), "--method", "part3")
         assert code == 3
         assert "A" in err
+
+
+# sha256 of the stdout of `export` and `check --method part3`, taken before the
+# structural layer moved to batched brackets; bytes must not change.
+PINNED_DIGESTS = {
+    ("t1s3_product",): (
+        "0cf3c78e15f9bea425f5d1a752a36e8f97773a7792a1d39b150f48f7802106ef",
+        "ca0fdf854a1348364c85c0f3f01a3beb5a53de6069f6c7c0f02cf57ebf7c3632",
+    ),
+    ("t1_sphere", "--n", "4"): (
+        "033d5cdd7846b93f4a371aa6ce61aeeb567fb711462544249a5e0c98e7bd0e74",
+        "ec073a980fcb88b1ffeed6c12345957faed760afe262562afe7c89d9a06a2a54",
+    ),
+    ("sp_example", "--n", "3"): (
+        "20d6270465e012560ce89bd3894ca712f3315b361485cfe51ee45e90b0402a5c",
+        "06263904c3d8a334d4e1e2929a16d08cef8226e73b5ae6ab3113b6eed7acc221",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PINNED_DIGESTS))
+def test_pinned_output_digests(capsys, entry):
+    export_sha, part3_sha = PINNED_DIGESTS[entry]
+    for argv, want in ((["export"], export_sha), (["check", "--method", "part3"], part3_sha)):
+        code, out, _ = run(capsys, *argv, "--entry", *entry)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want

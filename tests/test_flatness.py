@@ -24,7 +24,7 @@ from curvcert.flatness import (
 )
 from curvcert.triple import DeformParam, Part, project
 
-from helpers import sp1_pair, t1s3_commuting_pair
+from helpers import sp1_pair, su3_su2_spans, t1s3_commuting_pair
 
 SQ2 = math.sqrt(2.0)
 
@@ -167,14 +167,7 @@ class TestSymmetricSpecialization:
         from curvcert.algebra import identity
         from curvcert.triple import is_symmetric_pair, make_triple
 
-        def diag_i(a, b, c):
-            comp = np.zeros((3, 3, 4))
-            comp[0, 0, 1], comp[1, 1, 1], comp[2, 2, 1] = a, b, c
-            return AlgElement(FieldTag.COMPLEX, 3, comp)
-
-        g = [basis_element(FieldTag.COMPLEX, 3, i, j, c) for i in range(3)
-             for j in range(i + 1, 3) for c in (0, 1)] + [diag_i(1, -1, 0), diag_i(0, 1, -1)]
-        h = [basis_element(FieldTag.COMPLEX, 3, 0, 1, c) for c in (0, 1)] + [diag_i(1, -1, 0)]
+        g, h = su3_su2_spans()
         triple = make_triple(g, h, [])
         assert not is_symmetric_pair(triple)
         z = triple.m_basis.elements()[0]

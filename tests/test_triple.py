@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from curvcert.algebra import (
-    AlgElement,
     FieldTag,
+    InvalidElement,
     basis_element,
     block_basis,
     bracket,
@@ -15,12 +16,14 @@ from curvcert.algebra import (
     inner,
     random_skew,
 )
-from curvcert.catalog import m_kl, sp_example, t1_sphere, t1s3_product
+from curvcert.catalog import m_kl, pt_projective, sp_example, t1_sphere, t1s3_product
 from curvcert.triple import (
+    SCHEMA_TRIPLE,
     DeformParam,
     NotInSpan,
     Part,
     Subspace,
+    _orthonormalize,
     deformed_inner,
     is_symmetric_pair,
     make_triple,
@@ -33,7 +36,7 @@ from curvcert.triple import (
     triple_to_dict,
 )
 
-from helpers import sp1_pair
+from helpers import sp1_pair, su3_su2_spans
 
 
 @pytest.fixture(scope="module")
@@ -154,18 +157,83 @@ class TestSymmetricPair:
         assert is_symmetric_pair(mkl)
 
     def test_su3_with_su2_is_not_symmetric(self):
-        field = FieldTag.COMPLEX
-
-        def diag_i(a, b, c):
-            comp = np.zeros((3, 3, 4))
-            comp[0, 0, 1], comp[1, 1, 1], comp[2, 2, 1] = a, b, c
-            return AlgElement(field, 3, comp)
-
-        g = [basis_element(field, 3, i, j, c) for i in range(3) for j in range(i + 1, 3)
-             for c in (0, 1)] + [diag_i(1, -1, 0), diag_i(0, 1, -1)]
-        h = [basis_element(field, 3, 0, 1, c) for c in (0, 1)] + [diag_i(1, -1, 0)]
+        g, h = su3_su2_spans()
         triple = make_triple(g, h, [], label="su3/su2")
         assert not is_symmetric_pair(triple)
+
+    def test_late_p_h_violation_detected(self):
+        # so(4) > so(3) on slots 0..3 is a symmetric pair; on slots 4..6, h
+        # holds e45 and e46 but not their bracket, so [e56, e45] has an h-part.
+        # e56 is the last p vector, so every earlier pair is clean.
+        field, n = FieldTag.REAL, 7
+        g = block_basis(field, n, range(4)) + block_basis(field, n, range(4, 7))
+        h = block_basis(field, n, range(1, 4)) + block_basis(field, n, [4, 5, 6])[:2]
+        triple = make_triple(g, h, [], label="so4/so3 + broken so3")
+        p, hs = triple.p_basis.elements(), triple.h_basis.elements()
+        e56 = basis_element(field, n, 5, 6, 0)
+        assert abs(abs(inner(p[-1], e56)) - e56.norm()) < 1e-12
+
+        def leaks(x, y, wrong):
+            v = bracket(x, y).flat
+            return np.linalg.norm(wrong.project_flat(v)) > 1e-10
+
+        bad = [(i, "p", j) for i in range(len(p)) for j in range(i + 1, len(p))
+               if leaks(p[i], p[j], triple.p_basis)]
+        bad += [(i, "h", j) for i in range(len(p)) for j in range(len(hs))
+                if leaks(p[i], hs[j], triple.h_basis)]
+        assert bad and all(i == len(p) - 1 and kind == "h" for i, kind, _ in bad)
+        assert not is_symmetric_pair(triple)
+
+    def test_rejects_non_skew_basis(self, t1s3):
+        mat = np.array(t1s3.p_basis.mat)
+        mat[0, 0] = 1.0  # a real diagonal entry: no longer skew-Hermitian
+        mat[0] /= np.linalg.norm(mat[0])
+        bad = dataclasses.replace(t1s3, p_basis=Subspace(t1s3.field, t1s3.n, mat))
+        with pytest.raises(InvalidElement):
+            is_symmetric_pair(bad)
+
+
+def _reference_gram_schmidt(mat, drop_tol=1e-10):
+    """Row-by-row modified Gram-Schmidt with one re-orthogonalization pass."""
+    basis = []
+    for v in mat:
+        v = np.array(v, dtype=np.float64)
+        scale = max(1.0, float(np.linalg.norm(v)))
+        for _ in range(2):
+            for b in basis:
+                v = v - np.dot(v, b) * b
+        nrm = float(np.linalg.norm(v))
+        if nrm > drop_tol * scale:
+            basis.append(v / nrm)
+    return np.array(basis).reshape(len(basis), mat.shape[1])
+
+
+class TestOrthonormalize:
+    def test_drops_dependent_row(self):
+        rng = np.random.default_rng(10)
+        rows = rng.standard_normal((3, 12))
+        mat = np.vstack([rows, 2.0 * rows[0] - rows[2], rng.standard_normal(12)])
+        out = _orthonormalize(mat)
+        assert out.shape == (4, 12)
+        assert np.abs(out @ out.T - np.eye(4)).max() < 1e-12
+        assert np.abs(mat - (mat @ out.T) @ out).max() < 1e-12
+
+    def test_all_zero_rows_give_empty_basis(self):
+        assert _orthonormalize(np.zeros((3, 8))).shape == (0, 8)
+
+    @pytest.mark.parametrize("build", [t1s3_product, lambda: t1_sphere(4), lambda: m_kl(3, 1, 1),
+                                       lambda: pt_projective(FieldTag.QUATERNION, 2),
+                                       lambda: sp_example(3)])
+    def test_matches_reference_on_catalog_spans(self, build):
+        triple = build().triple
+        spans = [full_basis(triple.field, triple.n), triple.h_basis.elements()]
+        mats = [np.array([e.flat for e in span]) for span in spans]
+        for big, small in ((triple.g_basis, triple.h_basis), (triple.h_basis, triple.k_basis)):
+            mats.append(big.mat - (big.mat @ small.mat.T) @ small.mat)
+        for mat in mats:
+            got, want = _orthonormalize(mat), _reference_gram_schmidt(mat)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-12
 
 
 class TestStabilizer:
@@ -219,6 +287,40 @@ class TestSerialization:
         loaded = triple_from_dict(triple_to_dict(entry.triple))
         assert loaded.base_point is not None
         assert (loaded.base_point - entry.base_point_A).norm() == 0.0
+
+    def test_unknown_schema_rejected(self, t1s3):
+        doc = triple_to_dict(t1s3)
+        for schema in ("bogus/9", None):
+            doc["schema"] = schema
+            with pytest.raises(ValueError, match="schema"):
+                triple_from_dict(doc)
+        del doc["schema"]
+        with pytest.raises(ValueError, match="schema"):
+            triple_from_dict(doc)
+
+    def test_swapped_h_and_k_rejected(self, t1s3):
+        doc = triple_to_dict(t1s3)
+        assert doc["schema"] == SCHEMA_TRIPLE
+        bases = doc["bases"]
+        bases["h"], bases["k"] = bases["k"], bases["h"]
+        with pytest.raises(NotInSpan):
+            triple_from_dict(doc)
+
+    def test_h_outside_g_rejected(self, t1s3):
+        doc = triple_to_dict(t1s3)
+        doc["bases"]["g"] = doc["bases"]["g"][1:]
+        with pytest.raises(NotInSpan):
+            triple_from_dict(doc)
+
+    def test_malformed_rows_rejected(self, t1s3):
+        doc = triple_to_dict(t1s3)
+        doc["bases"]["g"][0] = doc["bases"]["g"][0][:-1]
+        with pytest.raises(ValueError):
+            triple_from_dict(doc)
+        doc = triple_to_dict(t1s3)
+        doc["bases"]["h"][0][0] = 1.0  # real diagonal component: not skew
+        with pytest.raises(InvalidElement):
+            triple_from_dict(doc)
 
 
 class TestRebasing:
