@@ -67,6 +67,11 @@ def comp_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return qmul(a, b) - qmul(b, a)
 
 
+def comp_adjoint(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Adjoint action g x g^{-1} of a unitary g on raw component arrays (batched over x)."""
+    return qmul(qmul(g, x), conj_transpose(g))
+
+
 def comp_norm(a: np.ndarray) -> np.ndarray:
     """Frobenius norm sqrt(Re tr(A conj(A)^T)) of component arrays (batched)."""
     return np.sqrt(np.sum(a * a, axis=(-3, -2, -1)))
@@ -157,11 +162,11 @@ class AlgElement:
         return float(np.linalg.norm(self.flat))
 
     def __add__(self, other: "AlgElement") -> "AlgElement":
-        _require_same(self, other)
+        require_same(self, other)
         return AlgElement(self.field, self.n, self.comp + other.comp)
 
     def __sub__(self, other: "AlgElement") -> "AlgElement":
-        _require_same(self, other)
+        require_same(self, other)
         return AlgElement(self.field, self.n, self.comp - other.comp)
 
     def __neg__(self) -> "AlgElement":
@@ -193,11 +198,12 @@ class GroupElement:
         return GroupElement(self.field, self.n, conj_transpose(self.comp))
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        _require_same(self, other)
+        require_same(self, other)
         return GroupElement(self.field, self.n, qmul(self.comp, other.comp))
 
 
-def _require_same(a, b) -> None:
+def require_same(a, b) -> None:
+    """Raise DimensionMismatch unless a and b share field and size (anything with .field, .n)."""
     if a.field is not b.field or a.n != b.n:
         raise DimensionMismatch(
             f"mismatched operands: {a.field.value}({a.n}) vs {b.field.value}({b.n})"
@@ -224,13 +230,13 @@ def from_flat(field: FieldTag, n: int, v: np.ndarray) -> AlgElement:
 
 def bracket(x: AlgElement, y: AlgElement) -> AlgElement:
     """Commutator [X, Y] = XY - YX."""
-    _require_same(x, y)
+    require_same(x, y)
     return AlgElement(x.field, x.n, comp_bracket(x.comp, y.comp))
 
 
 def inner(x: AlgElement, y: AlgElement) -> float:
     """Bi-invariant inner product Re tr(X * conj(Y)^T)."""
-    _require_same(x, y)
+    require_same(x, y)
     return float(np.dot(x.flat, y.flat))
 
 
@@ -258,11 +264,8 @@ def group_exp(x: AlgElement, s: float = 1.0) -> GroupElement:
 
 def adjoint(g: GroupElement, x: AlgElement) -> AlgElement:
     """Adjoint action Ad_g X = g X g^{-1} (inverse = conjugate transpose)."""
-    if g.field is not x.field or g.n != x.n:
-        raise DimensionMismatch(
-            f"mismatched operands: {g.field.value}({g.n}) vs {x.field.value}({x.n})"
-        )
-    return AlgElement(x.field, x.n, qmul(qmul(g.comp, x.comp), conj_transpose(g.comp)))
+    require_same(g, x)
+    return AlgElement(x.field, x.n, comp_adjoint(g.comp, x.comp))
 
 
 def basis_element(field: FieldTag, n: int, i: int, j: int, c: int) -> AlgElement:

@@ -8,21 +8,32 @@ records the start count and seed that produced it.
 
 The bilinear searches exploit that each residual term is linear in Z for
 fixed W and vice versa: block updates are exact smallest-eigenvector steps
-on the unit sphere, which keeps the whole procedure deterministic.
+on the unit sphere, which keeps the whole procedure deterministic.  All
+starts of a search descend in lockstep, with batched eigensolves.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgElement, GroupElement, adjoint, bracket, comp_bracket, from_flat, group_exp
+from .algebra import (
+    AlgElement,
+    GroupElement,
+    adjoint,
+    bracket,
+    comp_adjoint,
+    comp_bracket,
+    from_flat,
+    full_basis,
+    group_exp,
+    require_same,
+)
 from .flatness import FlatPairWitness
 from .triple import (
     Part,
@@ -31,12 +42,17 @@ from .triple import (
     is_symmetric_pair,
     matrix_to_components,
     project,
+    project_comps,
 )
 
 DEFAULT_TOL = 1e-6
 DEFAULT_REFUTE_TOL = 1e-12
 _FEASIBLE_TOL = 1e-10
 _PENALTY_SCHEDULE = (1e1, 1e3, 1e5)
+# Starts descend together in blocks whose stacked per-start arrays (the
+# contracted tensors and the quadratic forms) hold about this many floats
+# each, so memory stays bounded as the algebra grows.
+_BLOCK_FLOATS = 1 << 15
 
 
 class Verdict(Enum):
@@ -59,7 +75,6 @@ class StartBudget:
     starts: int = 64
     seed: int = 0
     max_iters: int = 200
-    workers: int = 1
 
     def __post_init__(self):
         if self.starts < 1:
@@ -121,6 +136,7 @@ def report_to_json(report: CertReport) -> str:
 
 def _ad_matrix_on_m(triple: Triple, a: AlgElement) -> np.ndarray:
     """Rows: [m_i, A] flattened; coefficients of unit m-vectors map through it."""
+    require_same(triple, a)
     m = triple.m_basis
     return comp_bracket(m.comps(), a.comp).reshape(m.dim, -1)
 
@@ -186,63 +202,116 @@ def certify_part3(triple: Triple, a: AlgElement, tol: float = DEFAULT_TOL) -> Ce
 # --- bilinear multi-start searches --------------------------------------------
 
 
-def _pair_tensor(z_elems: Sequence[AlgElement], w_elems: Sequence[AlgElement], fn) -> np.ndarray:
-    """3-tensor T[i, k, :] = flat(fn(z_i, w_k)) of a bilinear vector-valued map."""
-    if not z_elems or not w_elems:
-        return np.zeros((len(z_elems), len(w_elems), 0))
-    return np.array([[fn(z, w).flat for w in w_elems] for z in z_elems])
+def _bracket_tensor(z_comps: np.ndarray, w_comps: np.ndarray) -> np.ndarray:
+    """T[i, k, :] = flat [z_i, w_k] for component stacks (dz, n, n, 4) and (dw, n, n, 4)."""
+    return comp_bracket(z_comps[:, None], w_comps[None, :]).reshape(len(z_comps), len(w_comps), -1)
 
 
-def _term_values(tensors, weights, z, w) -> list[float]:
-    return [float(mu * np.sum(np.einsum("ikd,i,k->d", t, z, w) ** 2)) for mu, t in zip(weights, tensors)]
+def _objective(triple: Triple, tensors, weights) -> np.ndarray:
+    """One pair tensor whose |T(z, w)|^2 is the weighted sum of the terms' |T_j(z, w)|^2.
+
+    The terms' values are skew-Hermitian, so the result holds their
+    orthonormal coordinates: dim so(n), u(n) or sp(n) numbers per pair
+    instead of n*n*4 components.
+    """
+    rows = np.array([e.flat for e in full_basis(triple.field, triple.n)])
+    coords = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).T
+    return np.concatenate([np.sqrt(mu) * (t @ coords) for mu, t in zip(weights, tensors)], axis=2)
 
 
-def _min_eig_vector(q: np.ndarray, u: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """Unit minimizer of v^T q v on the sphere, orthogonal to u when given."""
-    if u is not None:
-        nrm = np.linalg.norm(u)
-        if nrm > 1e-12:
-            uu = (u / nrm)[None, :]
-            _, _, vh = np.linalg.svd(uu, full_matrices=True)
-            basis = vh[1:].T  # orthonormal complement of u
-            if basis.shape[1] == 0:
-                return None
-            vals, vecs = np.linalg.eigh(basis.T @ q @ basis)
-            return basis @ vecs[:, 0]
-    vals, vecs = np.linalg.eigh(q)
-    return vecs[:, 0]
+def _pair_values(t: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|T(z_s, w_s)|^2 for each row pair of z (S, dz) and w (S, dw)."""
+    dz, dw, d = t.shape
+    a = (z @ t.reshape(dz, dw * d)).reshape(len(z), dw, d)
+    v = np.einsum("sk,skd->sd", w, a)
+    return np.sum(v * v, axis=1)
 
 
-def _alternating_min(tensors, weights, gmat, z0, w0, max_iters):
-    """Exact block-coordinate descent; returns the best (value, z, w) seen."""
-    z, w = z0, w0
-    best_val = sum(_term_values(tensors, weights, z, w))
-    best = (best_val, z, w)
-    prev = best_val
+def _min_eig_vectors(q: np.ndarray, u: Optional[np.ndarray]):
+    """Unit minimizers of v^T q_s v on the sphere, orthogonal to u_s when u_s != 0.
+
+    q is an (S, d, d) stack of quadratic forms, u an (S, d) stack or None.
+    Returns the minimizers (S, d) and a mask (S,) that is False where the
+    complement of u_s is empty (those rows of the minimizers are unset).
+    """
+    vecs = np.empty(q.shape[:2])
+    ok = np.ones(len(q), dtype=bool)
+    nrm = np.zeros(len(q)) if u is None else np.linalg.norm(u, axis=1)
+    free = nrm <= 1e-12
+    if free.any():
+        f = _rows(free)
+        vecs[f] = np.linalg.eigh(q[f])[1][:, :, 0]
+    if not free.all():
+        c = _rows(~free)
+        _, _, vh = np.linalg.svd((u[c] / nrm[c, None])[:, None, :], full_matrices=True)
+        basis = vh[:, 1:].swapaxes(1, 2)  # orthonormal complements of the u_s
+        if basis.shape[2] == 0:
+            ok[c] = False
+        else:
+            sub = np.linalg.eigh(basis.swapaxes(1, 2) @ q[c] @ basis)[1][:, :, :1]
+            vecs[c] = (basis @ sub)[:, :, 0]
+    return vecs, ok
+
+
+def _rows(mask: np.ndarray):
+    """Index of the rows where mask holds: a slice when it holds for all, which copies nothing."""
+    return slice(None) if mask.all() else mask
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """The quadratic forms a_s a_s^T of an (S, d, D) stack."""
+    return a @ a.swapaxes(1, 2)
+
+
+def _descend(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, max_iters: int):
+    """Exact block-coordinate descent on |T(z, w)|^2 from every start.
+
+    z0 (S, dz) and w0 (S, dw) hold one start per row.  Each start takes the
+    iteration a lone descent would: an exact smallest-eigenvector step in z
+    (orthogonal to gmat w), then one in w (orthogonal to gmat^T z), keeping
+    the best value seen, until its value settles to 1e-16 relative or an
+    orthogonal complement is empty.  The starts run in lockstep, in blocks
+    sized by _BLOCK_FLOATS.  Returns the best values (S,) and the rows of z
+    and w that reached them.
+    """
+    dz, dw, d = t.shape
+    size = max(1, _BLOCK_FLOATS // (max(dz, dw) * max(dz, dw, d)))
+    blocks = [_lockstep(t, gmat, z0[i:i + size], w0[i:i + size], max_iters)
+              for i in range(0, len(z0), size)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _lockstep(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, max_iters: int):
+    """`_descend` for one block of starts, all iterated together; a start leaves when it stops."""
+    dz, dw, d = t.shape
+    t_z = t.transpose(1, 0, 2).reshape(dw, dz * d)  # contracts with w
+    t_w = t.reshape(dz, dw * d)  # contracts with z
+    w = w0.copy()
+    best, best_z, best_w = _pair_values(t, z0, w0), z0.copy(), w0.copy()
+    prev = best.copy()
+    act = np.arange(len(z0))
     for _ in range(max_iters):
-        qz = np.zeros((len(z), len(z)))
-        for mu, t in zip(weights, tensors):
-            a = np.einsum("ikd,k->id", t, w)
-            qz += mu * (a @ a.T)
-        z_new = _min_eig_vector(qz, gmat @ w if gmat is not None else None)
-        if z_new is None:
+        if not act.size:
             break
-        z = z_new
-        qw = np.zeros((len(w), len(w)))
-        for mu, t in zip(weights, tensors):
-            a = np.einsum("ikd,i->kd", t, z)
-            qw += mu * (a @ a.T)
-        w_new = _min_eig_vector(qw, gmat.T @ z if gmat is not None else None)
-        if w_new is None:
-            break
-        w = w_new
-        val = sum(_term_values(tensors, weights, z, w))
-        if val < best[0]:
-            best = (val, z, w)
-        if abs(prev - val) < 1e-16 * max(1.0, val):
-            break
-        prev = val
-    return best
+        wa = w[act]
+        z, ok = _min_eig_vectors(_gram((wa @ t_z).reshape(len(act), dz, d)),
+                                 None if gmat is None else wa @ gmat.T)
+        k = _rows(ok)
+        act, z = act[k], z[k]
+        a = (z @ t_w).reshape(len(act), dw, d)
+        w_new, ok = _min_eig_vectors(_gram(a), None if gmat is None else z @ gmat)
+        k = _rows(ok)
+        act, z, a, w_new = act[k], z[k], a[k], w_new[k]
+        w[act] = w_new
+        v = np.einsum("sk,skd->sd", w_new, a)
+        val = np.sum(v * v, axis=1)
+        better = val < best[act]
+        won = act[better]
+        best[won], best_z[won], best_w[won] = val[better], z[better], w_new[better]
+        settled = np.abs(prev[act] - val) < 1e-16 * np.maximum(1.0, val)
+        prev[act] = val
+        act = act[~settled]
+    return best, best_z, best_w
 
 
 def _draw_starts(dz: int, dw: int, gmat, budget: StartBudget):
@@ -263,22 +332,18 @@ def _draw_starts(dz: int, dw: int, gmat, budget: StartBudget):
     return starts
 
 
-def _multistart(tensors, weights, gmat, dz, dw, budget: StartBudget):
-    """Run all starts; returns (sorted-best (value, index, z, w), list of final values)."""
-    starts = _draw_starts(dz, dw, gmat, budget)
+def _starts(z_dom: Subspace, w_dom: Subspace, gmat, budget: StartBudget):
+    """The drawn starts as row stacks z0 (S, dz) and w0 (S, dw)."""
+    starts = _draw_starts(z_dom.dim, w_dom.dim, gmat, budget)
+    return np.array([z for z, _ in starts]), np.array([w for _, w in starts])
 
-    def run(idx_pair):
-        idx, (z0, w0) = idx_pair
-        val, z, w = _alternating_min(tensors, weights, gmat, z0, w0, budget.max_iters)
-        return val, idx, z, w
 
-    if budget.workers > 1:
-        with ThreadPoolExecutor(max_workers=budget.workers) as pool:
-            results = list(pool.map(run, enumerate(starts)))
-    else:
-        results = [run(p) for p in enumerate(starts)]
-    best = min(results, key=lambda r: (r[0], r[1]))
-    return best, [r[0] for r in results]
+def _best_start(t: np.ndarray, z_dom: Subspace, w_dom: Subspace, budget: StartBudget):
+    """Descend from every drawn start; returns the best (value, z, w) over all starts."""
+    gmat = _ortho_constraint(z_dom, w_dom)
+    vals, zs, ws = _descend(t, gmat, *_starts(z_dom, w_dom, gmat, budget), budget.max_iters)
+    i = int(np.argmin(vals))  # ties resolve to the lowest start index
+    return float(vals[i]), zs[i], ws[i]
 
 
 def _ortho_constraint(z_dom: Subspace, w_dom: Subspace) -> Optional[np.ndarray]:
@@ -302,10 +367,8 @@ def check_fatness(
             starts=budget.starts, seed=budget.seed,
             notes=("degenerate triple (empty search domain): vacuously fat",),
         )
-    z_elems, w_elems = z_dom.elements(), w_dom.elements()
-    tensors = [_pair_tensor(z_elems, w_elems, bracket)]
-    gmat = _ortho_constraint(z_dom, w_dom)
-    (val, _, z, w), finals = _multistart(tensors, [1.0], gmat, z_dom.dim, w_dom.dim, budget)
+    t = _objective(triple, [_bracket_tensor(z_dom.comps(), w_dom.comps())], [1.0])
+    val, z, w = _best_start(t, z_dom, w_dom, budget)
     witness = None
     if val < refute_tol:
         witness = FlatPairWitness(
@@ -315,7 +378,7 @@ def check_fatness(
         )
         verdict = Verdict.REFUTED
         notes = ("commuting pair found: bundle is not fat",)
-    elif min(finals) > tol:
+    elif val > tol:
         verdict = Verdict.CERTIFIED
         notes = ("heuristic certificate: all starts stayed above tolerance",)
     else:
@@ -336,72 +399,58 @@ def certify_part2(
     Minimizes |[Z^h, [A, W]^h]|^2 subject to [Z, W] = 0 via mu-continuation
     over the penalized objective, multi-start.  Feasible minima below
     tol * 1e-2 refute; all feasible minima above tol certify (heuristically);
-    absence of feasible pairs certifies vacuously.
+    absence of feasible pairs certifies vacuously.  Like part3, any verdict
+    is INCONCLUSIVE unless A lies in p.
     """
+    verdict, score, witness, notes = _part2_search(triple, a, budget, tol)
+    if not triple.p_basis.contains(a, tol=max(tol, 1e-8)):
+        verdict, witness = Verdict.INCONCLUSIVE, None
+        notes = ("precondition failed: A does not lie in p",)
+    return CertReport(
+        triple.label, Method.PART2, verdict, score, tol,
+        witness=witness, starts=budget.starts, seed=budget.seed, notes=notes,
+    )
+
+
+def _part2_search(triple: Triple, a: AlgElement, budget: StartBudget, tol: float):
+    """(verdict, score, witness, notes) of the derivative criterion's search."""
     z_dom, w_dom = triple.gk_basis(), triple.p_basis
     if z_dom.dim == 0 or w_dom.dim == 0:
-        return CertReport(
-            triple.label, Method.PART2, Verdict.CERTIFIED, float("inf"), tol,
-            starts=budget.starts, seed=budget.seed,
-            notes=("degenerate triple (empty search domain): vacuous",),
-        )
-    z_elems, w_elems = z_dom.elements(), w_dom.elements()
-
-    def objective_map(z, w):
-        return bracket(project(triple, z, Part.H), project(triple, bracket(a, w), Part.H))
-
-    tensors = [
-        _pair_tensor(z_elems, w_elems, objective_map),
-        _pair_tensor(z_elems, w_elems, bracket),
-    ]
-    gmat = _ortho_constraint(z_dom, w_dom)
-    starts = _draw_starts(z_dom.dim, w_dom.dim, gmat, budget)
-
-    def run(idx_pair):
-        idx, (z, w) = idx_pair
-        for mu in _PENALTY_SCHEDULE:
-            _, z, w = _alternating_min(tensors, [1.0, mu], gmat, z, w, budget.max_iters)
-        obj, feas = _term_values(tensors, [1.0, 1.0], z, w)
-        return obj, feas, idx, z, w
-
-    if budget.workers > 1:
-        with ThreadPoolExecutor(max_workers=budget.workers) as pool:
-            results = list(pool.map(run, enumerate(starts)))
-    else:
-        results = [run(p) for p in enumerate(starts)]
-
-    feasible = [r for r in results if r[1] < _FEASIBLE_TOL]
-    if feasible:
-        obj, feas, _, z, w = min(feasible, key=lambda r: (r[0], r[2]))
-        score = obj
-        if obj < tol * 1e-2:
-            witness = FlatPairWitness(
-                Z=from_flat(triple.field, triple.n, z @ z_dom.mat),
-                W=from_flat(triple.field, triple.n, w @ w_dom.mat),
-                commutator_residual=feas,
-                horizontal_residual=obj,
-            )
-            return CertReport(
-                triple.label, Method.PART2, Verdict.REFUTED, score, tol,
-                witness=witness, starts=budget.starts, seed=budget.seed,
-                notes=("feasible commuting pair with vanishing derivative objective",),
-            )
-        if all(r[0] > tol for r in feasible):
-            verdict = Verdict.CERTIFIED
-            notes = ("heuristic certificate: all feasible minima above tolerance",)
-        else:
-            verdict = Verdict.INCONCLUSIVE
-            notes = ()
-        return CertReport(
-            triple.label, Method.PART2, verdict, score, tol,
-            starts=budget.starts, seed=budget.seed, notes=notes,
-        )
-    score = min(r[0] for r in results)
-    return CertReport(
-        triple.label, Method.PART2, Verdict.CERTIFIED, score, tol,
-        starts=budget.starts, seed=budget.seed,
-        notes=("no commuting pairs found: condition holds vacuously (heuristic)",),
+        notes = ("degenerate triple (empty search domain): vacuous",)
+        return Verdict.CERTIFIED, float("inf"), None, notes
+    require_same(triple, a)
+    z_comps, w_comps = z_dom.comps(), w_dom.comps()
+    objective = _bracket_tensor(
+        project_comps(triple, z_comps, Part.H),
+        project_comps(triple, comp_bracket(a.comp, w_comps), Part.H),
     )
+    commutator = _bracket_tensor(z_comps, w_comps)
+    gmat = _ortho_constraint(z_dom, w_dom)
+    z, w = _starts(z_dom, w_dom, gmat, budget)
+    for mu in _PENALTY_SCHEDULE:
+        t = _objective(triple, [objective, commutator], [1.0, mu])
+        _, z, w = _descend(t, gmat, z, w, budget.max_iters)
+    obj, feas = _pair_values(objective, z, w), _pair_values(commutator, z, w)
+
+    feasible = np.flatnonzero(feas < _FEASIBLE_TOL)
+    if not feasible.size:
+        notes = ("no commuting pairs found: condition holds vacuously (heuristic)",)
+        return Verdict.CERTIFIED, float(obj.min()), None, notes
+    i = feasible[np.argmin(obj[feasible])]  # ties resolve to the lowest start index
+    score = float(obj[i])
+    if score < tol * 1e-2:
+        witness = FlatPairWitness(
+            Z=from_flat(triple.field, triple.n, z[i] @ z_dom.mat),
+            W=from_flat(triple.field, triple.n, w[i] @ w_dom.mat),
+            commutator_residual=float(feas[i]),
+            horizontal_residual=score,
+        )
+        notes = ("feasible commuting pair with vanishing derivative objective",)
+        return Verdict.REFUTED, score, witness, notes
+    if score > tol:
+        notes = ("heuristic certificate: all feasible minima above tolerance",)
+        return Verdict.CERTIFIED, score, None, notes
+    return Verdict.INCONCLUSIVE, score, None, ()
 
 
 # --- derivative test along exp(-sA) -------------------------------------------
@@ -478,8 +527,18 @@ def point_positivity(
     Minimizes |[Z, W]|^2 + |[(Ad_g Z)^h, (Ad_g W)^h]|^2 over admissible
     orthonormal pairs; for symmetric pairs the Z-domain shrinks to m.
     """
-    symmetric = is_symmetric_pair(triple, tol=1e-8)
-    z_dom = triple.m_basis if symmetric else triple.gk_basis()
+    return _point_search(triple, _scan_z_domain(triple), g, budget, tol, refute_tol, s)
+
+
+def _scan_z_domain(triple: Triple) -> Subspace:
+    """Z-domain of the point searches: m for symmetric pairs, g minus k otherwise."""
+    return triple.m_basis if is_symmetric_pair(triple, tol=1e-8) else triple.gk_basis()
+
+
+def _point_search(
+    triple: Triple, z_dom: Subspace, g: GroupElement, budget: StartBudget,
+    tol: float, refute_tol: float, s: Optional[float],
+) -> CertReport:
     w_dom = triple.p_basis
     notes: tuple[str, ...]
     if z_dom.dim == 0 or w_dom.dim == 0:
@@ -488,23 +547,20 @@ def point_positivity(
             starts=budget.starts, seed=budget.seed, s=s,
             notes=("degenerate triple (empty search domain): vacuously positive",),
         )
-    z_elems, w_elems = z_dom.elements(), w_dom.elements()
-
-    def horizontal_map(z, w):
-        azh = project(triple, adjoint(g, z), Part.H)
-        awh = project(triple, adjoint(g, w), Part.H)
-        return bracket(azh, awh)
-
-    tensors = [
-        _pair_tensor(z_elems, w_elems, bracket),
-        _pair_tensor(z_elems, w_elems, horizontal_map),
-    ]
-    gmat = _ortho_constraint(z_dom, w_dom)
-    (val, _, z, w), finals = _multistart(tensors, [1.0, 1.0], gmat, z_dom.dim, w_dom.dim, budget)
+    require_same(triple, g)
+    z_comps, w_comps = z_dom.comps(), w_dom.comps()
+    commutator = _bracket_tensor(z_comps, w_comps)
+    horizontal = _bracket_tensor(
+        project_comps(triple, comp_adjoint(g.comp, z_comps), Part.H),
+        project_comps(triple, comp_adjoint(g.comp, w_comps), Part.H),
+    )
+    t = _objective(triple, [commutator, horizontal], [1.0, 1.0])
+    val, z, w = _best_start(t, z_dom, w_dom, budget)
     if val < refute_tol:
         zel = from_flat(triple.field, triple.n, z @ z_dom.mat)
         wel = from_flat(triple.field, triple.n, w @ w_dom.mat)
-        comm, horiz = _term_values(tensors, [1.0, 1.0], z, w)
+        comm, horiz = (float(_pair_values(t, z[None], w[None])[0])
+                       for t in (commutator, horizontal))
         witness = FlatPairWitness(
             Z=zel, W=wel, commutator_residual=comm, horizontal_residual=horiz, point_s=s
         )
@@ -513,7 +569,7 @@ def point_positivity(
             witness=witness, starts=budget.starts, seed=budget.seed, s=s,
             notes=("horizontal zero-curvature plane found at this point",),
         )
-    if min(finals) > tol:
+    if val > tol:
         verdict = Verdict.CERTIFIED
         notes = ("heuristic certificate: all starts stayed above tolerance",)
     else:
@@ -530,11 +586,13 @@ def scan_along_A(
     budget: StartBudget = StartBudget(), tol: float = DEFAULT_TOL,
     refute_tol: float = DEFAULT_REFUTE_TOL,
 ) -> list[CertReport]:
-    """Run point_positivity at exp(-s*A) for each s, preserving order."""
-    reports = []
-    for s in s_values:
-        g = group_exp(a, -float(s))
-        reports.append(
-            point_positivity(triple, g, budget=budget, tol=tol, refute_tol=refute_tol, s=float(s))
-        )
-    return reports
+    """Run the point search at exp(-s*A) for each s, preserving order.
+
+    The reports equal point_positivity's at each point; the Z-domain is
+    chosen once for the whole scan.
+    """
+    z_dom = _scan_z_domain(triple)
+    return [
+        _point_search(triple, z_dom, group_exp(a, -float(s)), budget, tol, refute_tol, float(s))
+        for s in s_values
+    ]

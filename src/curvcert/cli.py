@@ -218,7 +218,7 @@ def cmd_check(args) -> int:
     triple, a = _resolve(args)
     if args.A:
         a = _parse_inline_a(args.A, triple)
-    budget = StartBudget(starts=config.starts, seed=config.seed, workers=config.workers)
+    budget = StartBudget(starts=config.starts, seed=config.seed)
     DeformParam(config.t)  # validate range; the residual criteria do not depend on t
     started = time.monotonic()
     if args.method == "part3":
@@ -248,7 +248,7 @@ def cmd_scan(args) -> int:
         a = _parse_inline_a(args.A, triple)
     if a is None:
         raise ValueError("scan requires a base point A (--A or entry default)")
-    budget = StartBudget(starts=config.starts, seed=config.seed, workers=config.workers)
+    budget = StartBudget(starts=config.starts, seed=config.seed)
     started = time.monotonic()
     reports = scan_along_A(triple, a, config.s_values, budget=budget,
                            tol=config.tol, refute_tol=config.refute_tol)

@@ -209,16 +209,21 @@ def _nested_triple(
 def project(triple: Triple, x: AlgElement, part: Part) -> AlgElement:
     """Orthogonal projection of x onto the named subspace; x must lie in span(g)."""
     v = x.flat
-    resid = float(np.linalg.norm(v - triple.g_basis.project_flat(v)))
-    if resid > 1e-8 * max(1.0, x.norm()):
-        raise NotInSpan(f"element leaves span(g) with residual {resid:.2e}")
+    _check_in_g(triple, v)
     return from_flat(triple.field, triple.n, triple.part(part).project_flat(v))
+
+
+def project_comps(triple: Triple, comps: np.ndarray, part: Part) -> np.ndarray:
+    """`project` for a stack (r, n, n, 4) of component matrices, in the same layout."""
+    v = comps.reshape(len(comps), -1)
+    _check_in_g(triple, v)
+    return triple.part(part).project_flat(v).reshape(comps.shape)
 
 
 def phi(triple: Triple, x: AlgElement, d: DeformParam) -> AlgElement:
     """The self-adjoint operator t*X^h + X^p relating g0 to the deformed metric."""
     v = x.flat
-    _check_in_g(triple, x)
+    _check_in_g(triple, v)
     out = d.t * triple.h_basis.project_flat(v) + triple.p_basis.project_flat(v)
     return from_flat(triple.field, triple.n, out)
 
@@ -226,15 +231,15 @@ def phi(triple: Triple, x: AlgElement, d: DeformParam) -> AlgElement:
 def phi_inv(triple: Triple, x: AlgElement, d: DeformParam) -> AlgElement:
     """Inverse of phi: scales the h-part by 1/t."""
     v = x.flat
-    _check_in_g(triple, x)
+    _check_in_g(triple, v)
     out = triple.h_basis.project_flat(v) / d.t + triple.p_basis.project_flat(v)
     return from_flat(triple.field, triple.n, out)
 
 
 def deformed_inner(triple: Triple, x: AlgElement, y: AlgElement, d: DeformParam) -> float:
     """Deformed metric <X^p, Y^p> + t * <X^h, Y^h>."""
-    _check_in_g(triple, x)
-    _check_in_g(triple, y)
+    _check_in_g(triple, x.flat)
+    _check_in_g(triple, y.flat)
     xh = triple.h_basis.project_flat(x.flat)
     yh = triple.h_basis.project_flat(y.flat)
     xp = triple.p_basis.project_flat(x.flat)
@@ -242,11 +247,11 @@ def deformed_inner(triple: Triple, x: AlgElement, y: AlgElement, d: DeformParam)
     return float(np.dot(xp, yp) + d.t * np.dot(xh, yh))
 
 
-def _check_in_g(triple: Triple, x: AlgElement) -> None:
-    v = x.flat
-    resid = float(np.linalg.norm(v - triple.g_basis.project_flat(v)))
-    if resid > 1e-8 * max(1.0, x.norm()):
-        raise NotInSpan(f"element leaves span(g) with residual {resid:.2e}")
+def _check_in_g(triple: Triple, v: np.ndarray) -> None:
+    """Raise NotInSpan unless the flat vector v, or each row of a stack of them, lies in span(g)."""
+    resid = np.linalg.norm(v - triple.g_basis.project_flat(v), axis=-1)
+    if (resid > 1e-8 * np.maximum(1.0, np.linalg.norm(v, axis=-1))).any():
+        raise NotInSpan(f"element leaves span(g) with residual {resid.max():.2e}")
 
 
 def is_symmetric_pair(triple: Triple, tol: float = 1e-10) -> bool:

@@ -99,3 +99,70 @@ def t1s3_commuting_pair(rng: np.random.Generator):
     z = (1.0 / np.sqrt(2.0)) * sp1_pair(a, 1.0)
     w = (1.0 / np.sqrt(2.0)) * sp1_pair(a, -1.0)
     return z, w
+
+
+def pair_tensor(z_elems, w_elems, fn) -> np.ndarray:
+    """T[i, k, :] = flat(fn(z_i, w_k)) of a bilinear map, one call per basis pair."""
+    return np.array([[fn(z, w).flat for w in w_elems] for z in z_elems])
+
+
+def _term_values(tensors, weights, z, w) -> list[float]:
+    return [float(mu * np.sum(np.einsum("ikd,i,k->d", t, z, w) ** 2))
+            for mu, t in zip(weights, tensors)]
+
+
+def _min_eig_vector(q, u):
+    """Unit minimizer of v^T q v on the sphere, orthogonal to u when given."""
+    if u is not None:
+        nrm = np.linalg.norm(u)
+        if nrm > 1e-12:
+            uu = (u / nrm)[None, :]
+            _, _, vh = np.linalg.svd(uu, full_matrices=True)
+            basis = vh[1:].T  # orthonormal complement of u
+            if basis.shape[1] == 0:
+                return None
+            vals, vecs = np.linalg.eigh(basis.T @ q @ basis)
+            return basis @ vecs[:, 0]
+    vals, vecs = np.linalg.eigh(q)
+    return vecs[:, 0]
+
+
+def alternating_min(tensors, weights, gmat, z0, w0, max_iters):
+    """Reference one-start exact block-coordinate descent; returns the best (value, z, w).
+
+    The search of `curvcert.certify` runs this iteration for all starts in
+    lockstep; this is the one-start loop it must agree with.
+    """
+    z, w = z0, w0
+    best_val = sum(_term_values(tensors, weights, z, w))
+    best = (best_val, z, w)
+    prev = best_val
+    for _ in range(max_iters):
+        qz = np.zeros((len(z), len(z)))
+        for mu, t in zip(weights, tensors):
+            a = np.einsum("ikd,k->id", t, w)
+            qz += mu * (a @ a.T)
+        z_new = _min_eig_vector(qz, gmat @ w if gmat is not None else None)
+        if z_new is None:
+            break
+        z = z_new
+        qw = np.zeros((len(w), len(w)))
+        for mu, t in zip(weights, tensors):
+            a = np.einsum("ikd,i->kd", t, z)
+            qw += mu * (a @ a.T)
+        w_new = _min_eig_vector(qw, gmat.T @ z if gmat is not None else None)
+        if w_new is None:
+            break
+        w = w_new
+        val = sum(_term_values(tensors, weights, z, w))
+        if val < best[0]:
+            best = (val, z, w)
+        if abs(prev - val) < 1e-16 * max(1.0, val):
+            break
+        prev = val
+    return best
+
+
+def term_values(tensors, z, w) -> list[float]:
+    """Unweighted |T_j(z, w)|^2 of each term."""
+    return _term_values(tensors, [1.0] * len(tensors), z, w)

@@ -4,7 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from curvcert.algebra import FieldTag, bracket, group_exp, identity, inner, zero
+import curvcert.certify as certify
+from curvcert.algebra import (
+    FieldTag,
+    adjoint,
+    bracket,
+    comp_adjoint,
+    comp_bracket,
+    group_exp,
+    identity,
+    inner,
+    zero,
+)
 from curvcert.catalog import m_kl, sp_example, t1_sphere, t1s3_product
 from curvcert.certify import (
     CertReport,
@@ -22,14 +33,17 @@ from curvcert.certify import (
     report_to_json,
     scan_along_A,
 )
-from curvcert.triple import Part, make_triple, project
+from curvcert.triple import Part, make_triple, project, project_comps
 
 from helpers import (
+    alternating_min,
+    pair_tensor,
     random_admissible_pair,
     sampled_min_ad,
     sp1_pair,
     su3_su2_spans,
     t1s3_commuting_pair,
+    term_values,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -127,13 +141,21 @@ class TestPart2:
     def test_t1s3_certified(self, t1s3):
         report = certify_part2(t1s3.triple, t1s3.base_point_A, StartBudget(starts=16, seed=0))
         assert report.verdict is Verdict.CERTIFIED
-        assert report.score > 1e-6
+        assert math.isclose(report.score, 4.0, rel_tol=1e-12)
 
     def test_zero_point_refuted(self, t1s3):
         report = certify_part2(
             t1s3.triple, zero(FieldTag.QUATERNION, 2), StartBudget(starts=16, seed=0)
         )
         assert report.verdict is Verdict.REFUTED
+
+    def test_point_in_h_is_inconclusive(self, t1s3):
+        # A = (i, i)/sqrt(2) lies in h (indeed in k), so the criterion does not apply
+        a_in_h = (1.0 / SQ2) * sp1_pair(np.array([1.0, 0.0, 0.0]), 1.0)
+        report = certify_part2(t1s3.triple, a_in_h, StartBudget(starts=8, seed=0))
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.witness is None
+        assert report.notes == ("precondition failed: A does not lie in p",)
 
     def test_vacuous_when_no_commuting_pair(self):
         # on the fat example every admissible pair has |[Z, W]| bounded below
@@ -223,6 +245,18 @@ class TestPointPositivity:
             report = point_positivity(entry.triple, g, StartBudget(starts=16, seed=0))
             assert report.verdict is Verdict.CERTIFIED
 
+    def test_scan_checks_symmetry_once_and_matches_point_calls(self, t1s3, monkeypatch):
+        calls = []
+        real = certify.is_symmetric_pair
+        monkeypatch.setattr(certify, "is_symmetric_pair",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        a, budget, s_values = t1s3.base_point_A, StartBudget(starts=8, seed=2), [0.0, 0.1, 0.3]
+        reports = scan_along_A(t1s3.triple, a, s_values, budget)
+        assert len(calls) == 1
+        for s, report in zip(s_values, reports):
+            single = point_positivity(t1s3.triple, group_exp(a, -s), budget, s=s)
+            assert report_to_json(report) == report_to_json(single)
+
     def test_scan_preserves_order_and_values(self, t1s3):
         s_values = [0.0, 0.1, 0.2]
         reports = scan_along_A(
@@ -244,11 +278,6 @@ class TestDeterminism:
                                             budget, s=0.1))
         assert a == b
 
-    def test_workers_do_not_change_result(self, t1s3):
-        r1 = check_fatness(t1s3.triple, StartBudget(starts=16, seed=3, workers=1))
-        r2 = check_fatness(t1s3.triple, StartBudget(starts=16, seed=3, workers=4))
-        assert report_to_json(r1) == report_to_json(r2)
-
     def test_report_dict_schema(self, t1s3):
         report = certify_part3(t1s3.triple, t1s3.base_point_A)
         doc = report_to_dict(report)
@@ -256,3 +285,153 @@ class TestDeterminism:
         for key in ("triple", "method", "verdict", "score", "tolerance", "starts", "seed"):
             assert key in doc
         json.dumps(doc)  # serializable
+
+
+# Squared residuals below this are rounding noise of a zero residual (|T| near
+# 1e-16 squared, or a stalled descent far below refute_tol); there the start
+# values of two summation orders agree only absolutely.
+NOISE = 1e-20
+
+
+def assert_same_search(got, ref):
+    """Per-start values agree to 1e-9 relative; the chosen start is optimal for both."""
+    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=NOISE)
+    tied = np.flatnonzero(ref <= ref.min() * (1 + 1e-9) + NOISE)
+    assert np.argmin(got) in tied  # same argmin, up to starts tied at rounding level
+
+
+ENTRIES = {
+    "t1s3_product": t1s3_product,
+    "t1_sphere(2)": lambda: t1_sphere(2),
+    "t1_sphere(3)": lambda: t1_sphere(3),
+    "m_kl(2,1,1)": lambda: m_kl(2, 1, 1),
+    "sp_example(2)": lambda: sp_example(2),
+    "sp_example(3)": lambda: sp_example(3),
+}
+
+
+def _lockstep_vs_oracle(tensors, weights, gmat, z0, w0, triple=None, max_iters=200):
+    """Lockstep values (on the search's own objective tensor when a triple is given) and oracle's."""
+    t = tensors[0] if triple is None else certify._objective(triple, tensors, weights)
+    got, _, _ = certify._descend(t, gmat, z0, w0, max_iters)
+    ref = np.array([alternating_min(tensors, weights, gmat, z, w, max_iters)[0]
+                    for z, w in zip(z0, w0)])
+    return got, ref
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("name", ["t1s3_product", "t1_sphere(2)", "t1_sphere(3)",
+                                      "m_kl(2,1,1)", "sp_example(2)", "sp_example(3)"])
+    def test_fat_matches_one_start_oracle(self, name):
+        triple = ENTRIES[name]().triple
+        z_dom, w_dom = triple.gk_basis(), triple.p_basis
+        tensor = pair_tensor(z_dom.elements(), w_dom.elements(), bracket)
+        gmat = certify._ortho_constraint(z_dom, w_dom)
+        z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=0))
+        assert_same_search(*_lockstep_vs_oracle([tensor], [1.0], gmat, z0, w0, triple))
+
+    def test_part2_stages_match_one_start_oracle(self, t1s3):
+        triple, a = t1s3.triple, t1s3.base_point_A
+        z_dom, w_dom = triple.gk_basis(), triple.p_basis
+
+        def objective_map(z, w):
+            return bracket(project(triple, z, Part.H), project(triple, bracket(a, w), Part.H))
+
+        tensors = [pair_tensor(z_dom.elements(), w_dom.elements(), fn)
+                   for fn in (objective_map, bracket)]
+        gmat = certify._ortho_constraint(z_dom, w_dom)
+        z, w = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=0))
+        ref = []
+        for zr, wr in zip(z, w):
+            for mu in certify._PENALTY_SCHEDULE:
+                _, zr, wr = alternating_min(tensors, [1.0, mu], gmat, zr, wr, 200)
+            ref.append(term_values(tensors, zr, wr))
+        for mu in certify._PENALTY_SCHEDULE:
+            t = certify._objective(triple, tensors, [1.0, mu])
+            _, z, w = certify._descend(t, gmat, z, w, 200)
+        ref = np.array(ref)
+        assert_same_search(certify._pair_values(tensors[0], z, w), ref[:, 0])
+        np.testing.assert_allclose(certify._pair_values(tensors[1], z, w), ref[:, 1], atol=NOISE)
+
+    def test_point_search_matches_one_start_oracle(self):
+        entry = sp_example(2)
+        triple, g = entry.triple, group_exp(entry.base_point_A, -0.2)
+        z_dom, w_dom = triple.m_basis, triple.p_basis
+
+        def horizontal_map(z, w):
+            return bracket(project(triple, adjoint(g, z), Part.H),
+                           project(triple, adjoint(g, w), Part.H))
+
+        tensors = [pair_tensor(z_dom.elements(), w_dom.elements(), fn)
+                   for fn in (bracket, horizontal_map)]
+        gmat = certify._ortho_constraint(z_dom, w_dom)
+        assert gmat is None  # m is orthogonal to p: no orthogonality constraint
+        z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=0))
+        assert_same_search(*_lockstep_vs_oracle(tensors, [1.0, 1.0], gmat, z0, w0, triple))
+
+    def test_blocks_of_starts_match_one_block(self, monkeypatch):
+        triple = sp_example(2).triple
+        z_dom, w_dom = triple.gk_basis(), triple.p_basis
+        t = certify._objective(triple, [certify._bracket_tensor(z_dom.comps(), w_dom.comps())],
+                               [1.0])
+        gmat = certify._ortho_constraint(z_dom, w_dom)
+        z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=1))
+        whole, _, _ = certify._descend(t, gmat, z0, w0, 200)
+        monkeypatch.setattr(certify, "_BLOCK_FLOATS", 1)  # one start per block
+        single, _, _ = certify._descend(t, gmat, z0, w0, 200)
+        assert_same_search(single, whole)
+
+    def test_mixed_batch_of_constrained_and_free_first_steps(self):
+        rng = np.random.default_rng(5)
+        tensor = rng.standard_normal((4, 3, 6))
+        gmat = np.zeros((4, 3))
+        gmat[0, 0] = gmat[1, 1] = 1.0  # gmat w = 0 exactly when w = +-e_2
+        w0 = rng.standard_normal((8, 3))
+        w0[::2] = [0.0, 0.0, 1.0]
+        w0 /= np.linalg.norm(w0, axis=1, keepdims=True)
+        z0 = rng.standard_normal((8, 4))
+        z0 /= np.linalg.norm(z0, axis=1, keepdims=True)
+        u = np.linalg.norm(w0 @ gmat.T, axis=1)
+        assert (u[::2] <= 1e-12).all() and (u[1::2] > 1e-12).all()
+        assert_same_search(*_lockstep_vs_oracle([tensor], [1.0], gmat, z0, w0))
+
+    def test_one_dimensional_z_domain_breaks_on_empty_complement(self):
+        rng = np.random.default_rng(6)
+        tensor = rng.standard_normal((1, 3, 5))
+        gmat = np.array([[1.0, 0.0, 0.0]])
+        w0 = rng.standard_normal((6, 3))
+        w0[:3, 0] = 0.0  # gmat w = 0: a free first z-step; the others stop at once
+        w0 /= np.linalg.norm(w0, axis=1, keepdims=True)
+        z0 = np.ones((6, 1))
+        got, ref = _lockstep_vs_oracle([tensor], [1.0], gmat, z0, w0)
+        assert_same_search(got, ref)
+        best, z, w = certify._descend(tensor, gmat, z0, w0, 200)
+        start = certify._pair_values(tensor, z0, w0)
+        assert np.array_equal(best[3:], start[3:])
+        assert np.array_equal(w[3:], w0[3:]) and np.array_equal(z[3:], z0[3:])
+
+    @pytest.mark.parametrize("name", ["t1s3_product", "t1_sphere(3)", "m_kl(2,1,1)",
+                                      "sp_example(3)"])
+    def test_broadcast_tensors_match_per_pair_maps(self, name):
+        e = ENTRIES[name]()
+        triple, a = e.triple, e.base_point_A
+        g = group_exp(a, -0.3)
+        z_dom, w_dom = triple.gk_basis(), triple.p_basis
+        z_el, w_el = z_dom.elements(), w_dom.elements()
+        zc, wc = z_dom.comps(), w_dom.comps()
+        assert np.array_equal(certify._bracket_tensor(zc, wc), pair_tensor(z_el, w_el, bracket))
+
+        def part2_map(z, w):
+            return bracket(project(triple, z, Part.H), project(triple, bracket(a, w), Part.H))
+
+        def scan_map(z, w):
+            return bracket(project(triple, adjoint(g, z), Part.H),
+                           project(triple, adjoint(g, w), Part.H))
+
+        def h(comps):
+            return project_comps(triple, comps, Part.H)
+
+        part2 = certify._bracket_tensor(h(zc), h(comp_bracket(a.comp, wc)))
+        scan = certify._bracket_tensor(h(comp_adjoint(g.comp, zc)), h(comp_adjoint(g.comp, wc)))
+        np.testing.assert_allclose(part2, pair_tensor(z_el, w_el, part2_map), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(scan, pair_tensor(z_el, w_el, scan_map), rtol=0, atol=1e-14)

@@ -195,6 +195,42 @@ class TestConfigAndOutput:
         assert "wall_time_ms" not in json.loads(out)
 
 
+class TestPreconditions:
+    def test_part2_with_base_point_in_h_is_inconclusive(self, capsys, tmp_path):
+        path = tmp_path / "triple.json"
+        run(capsys, "export", "--entry", "t1s3_product", "--out", str(path))
+        doc = json.loads(path.read_text())
+        v = 1.0 / SQ2  # A = (i, i)/sqrt(2) lies in h
+        doc["base_point"] = [0.0, v, 0.0, 0.0] + [0.0] * 8 + [0.0, v, 0.0, 0.0]
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "check", "--file", str(path), "--method", "part2",
+                           "--starts", "8")
+        assert code == 2
+        report = json.loads(out)
+        assert report["witness"] is None
+        assert report["notes"] == ["precondition failed: A does not lie in p"]
+
+    @pytest.mark.parametrize("argv", [["check", "--method", "part3"], ["check", "--method", "part2"],
+                                      ["scan", "--s-values", "0.1"]])
+    def test_base_point_from_another_algebra_is_error(self, capsys, argv):
+        # a complex 2x2 A on the quaternion triple t1s3_product
+        v = 1.0 / SQ2
+        a = json.dumps({"field": "complex", "n": 2, "matrix": [0, v, 0, 0, 0, 0, 0, -v]})
+        code, _, err = run(capsys, *argv, "--entry", "t1s3_product", "--starts", "4", "--A", a)
+        assert code == 3
+        assert "mismatched operands: quaternion(2) vs complex(2)" in err
+
+    def test_workers_flag_is_accepted_and_echoed_only(self, capsys):
+        argv = ["check", "--entry", "t1s3_product", "--method", "fat", "--starts", "8"]
+        _, one, _ = run(capsys, *argv)
+        code, four, _ = run(capsys, *argv, "--workers", "4")
+        assert code == 1
+        one, four = json.loads(one), json.loads(four)
+        assert four["config"].pop("workers") == 4
+        assert one["config"].pop("workers") == 1
+        assert one == four
+
+
 class TestInlineA:
     def test_inline_component_list(self, capsys):
         # A = (i, -i)/sqrt(2) for the sp(1)+sp(1) model as a bare component list
