@@ -7,13 +7,16 @@ bilinear problems; their CERTIFIED verdicts are heuristic and every report
 records the start count and seed that produced it.
 
 The bilinear searches exploit that each residual term is linear in Z for
-fixed W and vice versa: block updates are exact smallest-eigenvector steps
-on the unit sphere, which keeps the whole procedure deterministic.  All
-starts of a search descend in lockstep, with batched eigensolves.
+fixed W and vice versa.  Every start takes two exact smallest-eigenvector
+sweeps (one in Z, then one in W), then Levenberg-Marquardt steps on the
+joint residual, which converge where the sweeps alone stall in the
+non-isolated minima.  All starts of a search descend in lockstep, with
+batched eigensolves and linear solves; the procedure is deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -34,7 +37,7 @@ from .algebra import (
     group_exp,
     require_same,
 )
-from .flatness import FlatPairWitness
+from .flatness import FlatPairWitness, _check_pair
 from .triple import (
     Part,
     Subspace,
@@ -49,10 +52,15 @@ DEFAULT_TOL = 1e-6
 DEFAULT_REFUTE_TOL = 1e-12
 _FEASIBLE_TOL = 1e-10
 _PENALTY_SCHEDULE = (1e1, 1e3, 1e5)
-# Starts descend together in blocks whose stacked per-start arrays (the
-# contracted tensors and the quadratic forms) hold about this many floats
-# each, so memory stays bounded as the algebra grows.
+# Starts descend together in blocks whose stacked Jacobians hold about this
+# many floats each, so memory stays bounded as the algebra grows.
 _BLOCK_FLOATS = 1 << 15
+# Exact alternating sweeps that warm-start the Levenberg-Marquardt phase, and
+# that phase's first damping relative to tr H / n.
+_ALS_SWEEPS = 2
+_DAMP_START = 1e-3
+# Status of a start at the end of `_descend`.
+CONVERGED, CAPPED, NO_COMPLEMENT = 0, 1, 2
 
 
 class Verdict(Enum):
@@ -74,7 +82,7 @@ class StartBudget:
 
     starts: int = 64
     seed: int = 0
-    max_iters: int = 200
+    max_iters: int = 200  # Levenberg-Marquardt steps tried per start
 
     def __post_init__(self):
         if self.starts < 1:
@@ -207,16 +215,30 @@ def _bracket_tensor(z_comps: np.ndarray, w_comps: np.ndarray) -> np.ndarray:
     return comp_bracket(z_comps[:, None], w_comps[None, :]).reshape(len(z_comps), len(w_comps), -1)
 
 
-def _objective(triple: Triple, tensors, weights) -> np.ndarray:
-    """One pair tensor whose |T(z, w)|^2 is the weighted sum of the terms' |T_j(z, w)|^2.
+@functools.lru_cache(maxsize=None)  # one entry per algebra a process searches in
+def _coordinate_matrix(field, n: int) -> np.ndarray:
+    """(n*n*4, dim) map from flat components of so(n), u(n) or sp(n) to orthonormal coordinates.
 
-    The terms' values are skew-Hermitian, so the result holds their
-    orthonormal coordinates: dim so(n), u(n) or sp(n) numbers per pair
+    Read-only, since every caller shares the cached array.
+    """
+    rows = np.array([e.flat for e in full_basis(field, n)])
+    coords = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).T
+    coords.flags.writeable = False
+    return coords
+
+
+def _coordinates(triple: Triple, tensor: np.ndarray) -> np.ndarray:
+    """A pair tensor with skew-Hermitian values in orthonormal coordinates.
+
+    Same |T(z, w)|^2, with dim so(n), u(n) or sp(n) numbers per pair
     instead of n*n*4 components.
     """
-    rows = np.array([e.flat for e in full_basis(triple.field, triple.n)])
-    coords = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).T
-    return np.concatenate([np.sqrt(mu) * (t @ coords) for mu, t in zip(weights, tensors)], axis=2)
+    return tensor @ _coordinate_matrix(triple.field, triple.n)
+
+
+def _weighted(terms, weights) -> np.ndarray:
+    """One pair tensor whose |T(z, w)|^2 is the weighted sum of the terms' |T_j(z, w)|^2."""
+    return np.concatenate([np.sqrt(mu) * t for mu, t in zip(weights, terms)], axis=2)
 
 
 def _pair_values(t: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -264,54 +286,142 @@ def _gram(a: np.ndarray) -> np.ndarray:
 
 
 def _descend(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, max_iters: int):
-    """Exact block-coordinate descent on |T(z, w)|^2 from every start.
+    """Minimize |T(z, w)|^2 over unit z, w with z^T gmat w = 0, from every start.
 
-    z0 (S, dz) and w0 (S, dw) hold one start per row.  Each start takes the
-    iteration a lone descent would: an exact smallest-eigenvector step in z
-    (orthogonal to gmat w), then one in w (orthogonal to gmat^T z), keeping
-    the best value seen, until its value settles to 1e-16 relative or an
-    orthogonal complement is empty.  The starts run in lockstep, in blocks
-    sized by _BLOCK_FLOATS.  Returns the best values (S,) and the rows of z
-    and w that reached them.
+    z0 (S, dz) and w0 (S, dw) hold one start per row.  Each start takes
+    _ALS_SWEEPS exact smallest-eigenvector sweeps (z orthogonal to gmat w,
+    then w orthogonal to gmat^T z) and then Levenberg-Marquardt steps until
+    one of the stop rules of `_levenberg_marquardt` holds or max_iters steps
+    were tried.  The starts run in lockstep, in blocks sized by
+    _BLOCK_FLOATS.  Returns the final values (S,), the rows of z and w that
+    reached them, and each start's status (S,): CONVERGED, CAPPED (hit
+    max_iters) or NO_COMPLEMENT (a sweep found an empty orthogonal
+    complement; the start is returned as the last full sweep left it).
     """
     dz, dw, d = t.shape
-    size = max(1, _BLOCK_FLOATS // (max(dz, dw) * max(dz, dw, d)))
-    blocks = [_lockstep(t, gmat, z0[i:i + size], w0[i:i + size], max_iters)
-              for i in range(0, len(z0), size)]
+    n = dz + dw
+    size = max(1, _BLOCK_FLOATS // (d * n))  # floats of one start's Jacobian
+    blocks = []
+    for i in range(0, len(z0), size):
+        z, w, alive = _sweeps(t, gmat, z0[i:i + size], w0[i:i + size])
+        blocks.append(_levenberg_marquardt(t, gmat, z, w, alive, max_iters))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _lockstep(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, max_iters: int):
-    """`_descend` for one block of starts, all iterated together; a start leaves when it stops."""
+def _sweeps(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray):
+    """_ALS_SWEEPS exact block steps from each start of a block, in lockstep.
+
+    Returns z, w and a mask of the starts whose orthogonal complements never
+    ran empty; a start leaves at its first empty complement.
+    """
     dz, dw, d = t.shape
     t_z = t.transpose(1, 0, 2).reshape(dw, dz * d)  # contracts with w
     t_w = t.reshape(dz, dw * d)  # contracts with z
-    w = w0.copy()
-    best, best_z, best_w = _pair_values(t, z0, w0), z0.copy(), w0.copy()
-    prev = best.copy()
+    z, w = z0.copy(), w0.copy()
     act = np.arange(len(z0))
+    for _ in range(_ALS_SWEEPS):
+        wa = w[act]
+        zn, ok = _min_eig_vectors(_gram((wa @ t_z).reshape(len(act), dz, d)),
+                                  None if gmat is None else wa @ gmat.T)
+        k = _rows(ok)
+        act, zn = act[k], zn[k]
+        wn, ok = _min_eig_vectors(_gram((zn @ t_w).reshape(len(act), dw, d)),
+                                  None if gmat is None else zn @ gmat)
+        k = _rows(ok)
+        act = act[k]
+        z[act], w[act] = zn[k], wn[k]
+    alive = np.zeros(len(z0), dtype=bool)
+    alive[act] = True
+    return z, w, alive
+
+
+def _levenberg_marquardt(t: np.ndarray, gmat, z: np.ndarray, w: np.ndarray,
+                         alive: np.ndarray, max_iters: int):
+    """Damped Gauss-Newton steps on r(z, w) = sum_ik z_i w_k T[i, k, :] for the live starts.
+
+    Steps lie in the tangent space of {|z| = |w| = 1, z^T gmat w = 0}; after
+    a step w is normalized, z is made orthogonal to gmat w and normalized.
+    Only decreasing steps are accepted; the damping, relative to tr H / n
+    (H the Gram matrix of the tangent Jacobian, n = dz + dw), goes x1/3 on
+    an accepted step (down to 1e-12) and x4 on a rejected one.  A start stops
+    at the rounding floor (16 eps)^2 |T|^2 of the residual, when stationary
+    (|P J^T r|^2 <= 1e-20 (tr H / n) f), after an accepted step that lowered
+    f by at most 1e-12 relative, or when the damping exceeds 1e12.  Updates
+    z and w in place; returns the values, z, w and the status of each start.
+    """
+    dz, dw, d = t.shape
+    n = dz + dw
+    t_z = t.transpose(1, 0, 2).reshape(dw, dz * d)
+    t_w = t.reshape(dz, dw * d)
+    val = _pair_values(t, z, w)
+    floor = (16 * np.finfo(float).eps) ** 2 * np.sum(t * t)
+    done = alive & (val <= floor)
+    status = np.where(alive, CAPPED, NO_COMPLEMENT)
+    status[done] = CONVERGED
+    damp = np.full(len(z), _DAMP_START)
+    act = np.flatnonzero(alive & ~done)
+    diag = np.arange(n)
     for _ in range(max_iters):
         if not act.size:
             break
-        wa = w[act]
-        z, ok = _min_eig_vectors(_gram((wa @ t_z).reshape(len(act), dz, d)),
-                                 None if gmat is None else wa @ gmat.T)
-        k = _rows(ok)
-        act, z = act[k], z[k]
-        a = (z @ t_w).reshape(len(act), dw, d)
-        w_new, ok = _min_eig_vectors(_gram(a), None if gmat is None else z @ gmat)
-        k = _rows(ok)
-        act, z, a, w_new = act[k], z[k], a[k], w_new[k]
-        w[act] = w_new
-        v = np.einsum("sk,skd->sd", w_new, a)
-        val = np.sum(v * v, axis=1)
-        better = val < best[act]
-        won = act[better]
-        best[won], best_z[won], best_w[won] = val[better], z[better], w_new[better]
-        settled = np.abs(prev[act] - val) < 1e-16 * np.maximum(1.0, val)
-        prev[act] = val
-        act = act[~settled]
-    return best, best_z, best_w
+        za, wa, f = z[act], w[act], val[act]
+        jw = (za @ t_w).reshape(len(act), dw, d)
+        jac = np.concatenate([(wa @ t_z).reshape(len(act), dz, d), jw], axis=1)
+        r = np.einsum("sk,skd->sd", wa, jw)
+        normals = _normals(za, wa, gmat)
+        jac -= normals.swapaxes(1, 2) @ (normals @ jac)  # the tangent Jacobian, rows P dr/dx
+        grad = (jac @ r[..., None])[..., 0]
+        scale = np.einsum("sid,sid->s", jac, jac) / n  # tr H / n
+        stationary = np.sum(grad * grad, axis=1) <= 1e-20 * scale * f
+        # The normal directions get eigenvalue `scale`, so the system stays
+        # well conditioned and its solution stays tangent.
+        lhs = normals.swapaxes(1, 2) @ normals
+        lhs *= scale[:, None, None]
+        lhs += _gram(jac)
+        lhs[:, diag, diag] += damp[act, None] * scale[:, None]
+        lhs[stationary] = np.eye(n)  # these stop below; keeps the batched solve regular
+        step = np.linalg.solve(lhs, -grad[..., None])[..., 0]
+        zc, wc = _retract(za + step[:, :dz], wa + step[:, dz:], gmat)
+        fc = _pair_values(t, zc, wc)
+        acc = (fc < f) & ~stationary
+        won = act[acc]
+        z[won], w[won], val[won] = zc[acc], wc[acc], fc[acc]
+        damp[won] = np.maximum(damp[won] / 3.0, 1e-12)
+        damp[act[~acc]] *= 4.0
+        stop = (stationary | (acc & ((f - fc <= 1e-12 * f) | (fc <= floor)))
+                | (damp[act] > 1e12))
+        status[act[stop]] = CONVERGED
+        act = act[~stop]
+    return val, z, w, status
+
+
+def _normals(z: np.ndarray, w: np.ndarray, gmat) -> np.ndarray:
+    """Unit normals (S, 3, dz + dw) of the constraint set {|z| = |w| = 1, z^T gmat w = 0}.
+
+    They are (z, 0), (0, w) and (gmat w, gmat^T z) normalized, orthogonal
+    where z^T gmat w = 0; the last is zero where it vanishes or gmat is None.
+    """
+    dz = z.shape[1]
+    normals = np.zeros((len(z), 3, dz + w.shape[1]))
+    normals[:, 0, :dz], normals[:, 1, dz:] = z, w
+    if gmat is not None:
+        normals[:, 2] = _unit_rows(np.concatenate([w @ gmat.T, z @ gmat], axis=1))
+    return normals
+
+
+def _retract(z: np.ndarray, w: np.ndarray, gmat):
+    """Back onto the constraint set: normalize w, remove from z its part along gmat w, normalize z."""
+    w = w / np.linalg.norm(w, axis=1, keepdims=True)
+    if gmat is not None:
+        u = _unit_rows(w @ gmat.T)
+        z = z - np.sum(z * u, axis=1, keepdims=True) * u
+    return z / np.linalg.norm(z, axis=1, keepdims=True), w
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """The rows of x scaled to unit length; rows of length at most 1e-12 become zero."""
+    nrm = np.linalg.norm(x, axis=1, keepdims=True)
+    return np.divide(x, nrm, out=np.zeros_like(x), where=nrm > 1e-12)
 
 
 def _draw_starts(dz: int, dw: int, gmat, budget: StartBudget):
@@ -338,12 +448,17 @@ def _starts(z_dom: Subspace, w_dom: Subspace, gmat, budget: StartBudget):
     return np.array([z for z, _ in starts]), np.array([w for _, w in starts])
 
 
-def _best_start(t: np.ndarray, z_dom: Subspace, w_dom: Subspace, budget: StartBudget):
-    """Descend from every drawn start; returns the best (value, z, w) over all starts."""
-    gmat = _ortho_constraint(z_dom, w_dom)
-    vals, zs, ws = _descend(t, gmat, *_starts(z_dom, w_dom, gmat, budget), budget.max_iters)
+def _best_start(t: np.ndarray, gmat, starts, max_iters: int):
+    """Descend from every start; returns the best (value, z, w) and the convergence note."""
+    vals, zs, ws, status = _descend(t, gmat, *starts, max_iters)
     i = int(np.argmin(vals))  # ties resolve to the lowest start index
-    return float(vals[i]), zs[i], ws[i]
+    return float(vals[i]), zs[i], ws[i], _convergence_note(status)
+
+
+def _convergence_note(status: np.ndarray) -> str:
+    """How many starts of a search converged and how many stopped at max_iters."""
+    converged, capped = int(np.sum(status == CONVERGED)), int(np.sum(status == CAPPED))
+    return f"{converged} of {len(status)} starts converged; {capped} hit max_iters"
 
 
 def _ortho_constraint(z_dom: Subspace, w_dom: Subspace) -> Optional[np.ndarray]:
@@ -367,8 +482,9 @@ def check_fatness(
             starts=budget.starts, seed=budget.seed,
             notes=("degenerate triple (empty search domain): vacuously fat",),
         )
-    t = _objective(triple, [_bracket_tensor(z_dom.comps(), w_dom.comps())], [1.0])
-    val, z, w = _best_start(t, z_dom, w_dom, budget)
+    t = _coordinates(triple, _bracket_tensor(z_dom.comps(), w_dom.comps()))
+    gmat = _ortho_constraint(z_dom, w_dom)
+    val, z, w, note = _best_start(t, gmat, _starts(z_dom, w_dom, gmat, budget), budget.max_iters)
     witness = None
     if val < refute_tol:
         witness = FlatPairWitness(
@@ -386,7 +502,7 @@ def check_fatness(
         notes = ()
     return CertReport(
         triple.label, Method.FAT, verdict, val, tol,
-        witness=witness, starts=budget.starts, seed=budget.seed, notes=notes,
+        witness=witness, starts=budget.starts, seed=budget.seed, notes=notes + (note,),
     )
 
 
@@ -420,21 +536,24 @@ def _part2_search(triple: Triple, a: AlgElement, budget: StartBudget, tol: float
         return Verdict.CERTIFIED, float("inf"), None, notes
     require_same(triple, a)
     z_comps, w_comps = z_dom.comps(), w_dom.comps()
-    objective = _bracket_tensor(
+    objective = _coordinates(triple, _bracket_tensor(
         project_comps(triple, z_comps, Part.H),
         project_comps(triple, comp_bracket(a.comp, w_comps), Part.H),
-    )
-    commutator = _bracket_tensor(z_comps, w_comps)
+    ))
+    commutator = _coordinates(triple, _bracket_tensor(z_comps, w_comps))
     gmat = _ortho_constraint(z_dom, w_dom)
     z, w = _starts(z_dom, w_dom, gmat, budget)
+    status = np.full(len(z), CONVERGED)
     for mu in _PENALTY_SCHEDULE:
-        t = _objective(triple, [objective, commutator], [1.0, mu])
-        _, z, w = _descend(t, gmat, z, w, budget.max_iters)
+        t = _weighted([objective, commutator], [1.0, mu])
+        _, z, w, stage = _descend(t, gmat, z, w, budget.max_iters)
+        status = np.maximum(status, stage)  # a start's worst stage counts
     obj, feas = _pair_values(objective, z, w), _pair_values(commutator, z, w)
+    note = _convergence_note(status)
 
     feasible = np.flatnonzero(feas < _FEASIBLE_TOL)
     if not feasible.size:
-        notes = ("no commuting pairs found: condition holds vacuously (heuristic)",)
+        notes = ("no commuting pairs found: condition holds vacuously (heuristic)", note)
         return Verdict.CERTIFIED, float(obj.min()), None, notes
     i = feasible[np.argmin(obj[feasible])]  # ties resolve to the lowest start index
     score = float(obj[i])
@@ -445,27 +564,15 @@ def _part2_search(triple: Triple, a: AlgElement, budget: StartBudget, tol: float
             commutator_residual=float(feas[i]),
             horizontal_residual=score,
         )
-        notes = ("feasible commuting pair with vanishing derivative objective",)
+        notes = ("feasible commuting pair with vanishing derivative objective", note)
         return Verdict.REFUTED, score, witness, notes
     if score > tol:
-        notes = ("heuristic certificate: all feasible minima above tolerance",)
+        notes = ("heuristic certificate: all feasible minima above tolerance", note)
         return Verdict.CERTIFIED, score, None, notes
-    return Verdict.INCONCLUSIVE, score, None, ()
+    return Verdict.INCONCLUSIVE, score, None, (note,)
 
 
 # --- derivative test along exp(-sA) -------------------------------------------
-
-
-def _check_scan_pair(triple: Triple, z: AlgElement, w: AlgElement) -> None:
-    tol = 1e-8
-    from .algebra import inner as _inner
-
-    if abs(z.norm() - 1.0) > tol or abs(w.norm() - 1.0) > tol or abs(_inner(z, w)) > tol:
-        raise ValueError("pair (Z, W) is not orthonormal")
-    if np.linalg.norm(triple.k_basis.project_flat(z.flat)) > tol:
-        raise ValueError("Z is not orthogonal to k")
-    if not triple.p_basis.contains(w, tol):
-        raise ValueError("W does not lie in p")
 
 
 def f_of_s(
@@ -478,7 +585,7 @@ def f_of_s(
     [Z, W] = 0 matters for the flat-plane interpretation, not for evaluating
     the function, so it is checked only on request.
     """
-    _check_scan_pair(triple, z, w)
+    _check_pair(triple, z, w, z_part=None)
     if check_commuting and bracket(z, w).norm() > 1e-10:
         raise ValueError("[Z, W] != 0 beyond tolerance 1e-10")
     g = group_exp(a, s)
@@ -527,7 +634,9 @@ def point_positivity(
     Minimizes |[Z, W]|^2 + |[(Ad_g Z)^h, (Ad_g W)^h]|^2 over admissible
     orthonormal pairs; for symmetric pairs the Z-domain shrinks to m.
     """
-    return _point_search(triple, _scan_z_domain(triple), g, budget, tol, refute_tol, s)
+    z_dom = _scan_z_domain(triple)
+    terms = _point_terms(triple, z_dom, budget)
+    return _point_search(triple, z_dom, terms, g, budget, tol, refute_tol, s)
 
 
 def _scan_z_domain(triple: Triple) -> Subspace:
@@ -535,30 +644,44 @@ def _scan_z_domain(triple: Triple) -> Subspace:
     return triple.m_basis if is_symmetric_pair(triple, tol=1e-8) else triple.gk_basis()
 
 
+def _point_terms(triple: Triple, z_dom: Subspace, budget: StartBudget):
+    """The parts of a point search that do not depend on the point, built once per scan.
+
+    Returns the component stacks of the Z- and W-domains, the commutator
+    tensor [z_i, w_k] in coordinates, the orthogonality constraint and the
+    starts; None when a domain is empty.
+    """
+    w_dom = triple.p_basis
+    if z_dom.dim == 0 or w_dom.dim == 0:
+        return None
+    z_comps, w_comps = z_dom.comps(), w_dom.comps()
+    gmat = _ortho_constraint(z_dom, w_dom)
+    commutator = _coordinates(triple, _bracket_tensor(z_comps, w_comps))
+    return z_comps, w_comps, commutator, gmat, _starts(z_dom, w_dom, gmat, budget)
+
+
 def _point_search(
-    triple: Triple, z_dom: Subspace, g: GroupElement, budget: StartBudget,
+    triple: Triple, z_dom: Subspace, terms, g: GroupElement, budget: StartBudget,
     tol: float, refute_tol: float, s: Optional[float],
 ) -> CertReport:
-    w_dom = triple.p_basis
     notes: tuple[str, ...]
-    if z_dom.dim == 0 or w_dom.dim == 0:
+    if terms is None:
         return CertReport(
             triple.label, Method.POINT_SCAN, Verdict.CERTIFIED, float("inf"), tol,
             starts=budget.starts, seed=budget.seed, s=s,
             notes=("degenerate triple (empty search domain): vacuously positive",),
         )
     require_same(triple, g)
-    z_comps, w_comps = z_dom.comps(), w_dom.comps()
-    commutator = _bracket_tensor(z_comps, w_comps)
-    horizontal = _bracket_tensor(
+    z_comps, w_comps, commutator, gmat, starts = terms
+    horizontal = _coordinates(triple, _bracket_tensor(
         project_comps(triple, comp_adjoint(g.comp, z_comps), Part.H),
         project_comps(triple, comp_adjoint(g.comp, w_comps), Part.H),
-    )
-    t = _objective(triple, [commutator, horizontal], [1.0, 1.0])
-    val, z, w = _best_start(t, z_dom, w_dom, budget)
+    ))
+    t = _weighted([commutator, horizontal], [1.0, 1.0])
+    val, z, w, note = _best_start(t, gmat, starts, budget.max_iters)
     if val < refute_tol:
         zel = from_flat(triple.field, triple.n, z @ z_dom.mat)
-        wel = from_flat(triple.field, triple.n, w @ w_dom.mat)
+        wel = from_flat(triple.field, triple.n, w @ triple.p_basis.mat)
         comm, horiz = (float(_pair_values(t, z[None], w[None])[0])
                        for t in (commutator, horizontal))
         witness = FlatPairWitness(
@@ -567,14 +690,14 @@ def _point_search(
         return CertReport(
             triple.label, Method.POINT_SCAN, Verdict.REFUTED, val, tol,
             witness=witness, starts=budget.starts, seed=budget.seed, s=s,
-            notes=("horizontal zero-curvature plane found at this point",),
+            notes=("horizontal zero-curvature plane found at this point", note),
         )
     if val > tol:
         verdict = Verdict.CERTIFIED
-        notes = ("heuristic certificate: all starts stayed above tolerance",)
+        notes = ("heuristic certificate: all starts stayed above tolerance", note)
     else:
         verdict = Verdict.INCONCLUSIVE
-        notes = ()
+        notes = (note,)
     return CertReport(
         triple.label, Method.POINT_SCAN, verdict, val, tol,
         starts=budget.starts, seed=budget.seed, s=s, notes=notes,
@@ -588,11 +711,13 @@ def scan_along_A(
 ) -> list[CertReport]:
     """Run the point search at exp(-s*A) for each s, preserving order.
 
-    The reports equal point_positivity's at each point; the Z-domain is
-    chosen once for the whole scan.
+    The reports equal point_positivity's at each point; the Z-domain and
+    the parts of the search that do not depend on s are built once.
     """
     z_dom = _scan_z_domain(triple)
+    terms = _point_terms(triple, z_dom, budget)
     return [
-        _point_search(triple, z_dom, group_exp(a, -float(s)), budget, tol, refute_tol, float(s))
+        _point_search(triple, z_dom, terms, group_exp(a, -float(s)), budget, tol, refute_tol,
+                      float(s))
         for s in s_values
     ]

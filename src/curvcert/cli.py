@@ -34,17 +34,6 @@ from .triple import (
 
 EXIT_ERROR = 3
 
-_DEFAULTS = {
-    "seed": 0,
-    "starts": 64,
-    "tol": 1e-6,
-    "refute_tol": 1e-12,
-    "t": 0.5,
-    "workers": 1,
-    "format": "json",
-}
-
-
 @dataclass
 class RunConfig:
     seed: int = 0
@@ -112,9 +101,7 @@ def _coerce(key: str, value: str):
 
 
 def _build_config(args) -> RunConfig:
-    settings = dict(_DEFAULTS)
-    settings["s_values"] = []
-    settings["output_path"] = ""
+    settings = {}  # keys left unset take RunConfig's defaults
     if getattr(args, "config", None):
         for key, value in _parse_config_file(args.config).items():
             if key not in RunConfig.__dataclass_fields__:

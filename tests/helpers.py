@@ -127,40 +127,74 @@ def _min_eig_vector(q, u):
     return vecs[:, 0]
 
 
-def alternating_min(tensors, weights, gmat, z0, w0, max_iters):
-    """Reference one-start exact block-coordinate descent; returns the best (value, z, w).
+def descend_one(tensors, weights, gmat, z0, w0, max_iters):
+    """Reference one-start search of `curvcert.certify`; returns (value, z, w, status).
 
-    The search of `curvcert.certify` runs this iteration for all starts in
-    lockstep; this is the one-start loop it must agree with.
+    Two exact block-coordinate sweeps, then Levenberg-Marquardt steps on the
+    stacked residual r = (sqrt(mu_j) T_j(z, w))_j with the search's damping
+    and stop rules.  The tangent space of {|z| = |w| = 1, z^T gmat w = 0} is
+    an explicit null-space basis from an SVD of the constraint rows, where
+    the lockstep search projects instead.  The status codes are those of
+    `curvcert.certify`: 0 converged, 1 hit max_iters, 2 empty complement.
     """
     z, w = z0, w0
-    best_val = sum(_term_values(tensors, weights, z, w))
-    best = (best_val, z, w)
-    prev = best_val
-    for _ in range(max_iters):
+    for _ in range(2):
         qz = np.zeros((len(z), len(z)))
         for mu, t in zip(weights, tensors):
             a = np.einsum("ikd,k->id", t, w)
             qz += mu * (a @ a.T)
         z_new = _min_eig_vector(qz, gmat @ w if gmat is not None else None)
         if z_new is None:
-            break
-        z = z_new
+            return sum(_term_values(tensors, weights, z, w)), z, w, 2
         qw = np.zeros((len(w), len(w)))
         for mu, t in zip(weights, tensors):
-            a = np.einsum("ikd,i->kd", t, z)
+            a = np.einsum("ikd,i->kd", t, z_new)
             qw += mu * (a @ a.T)
-        w_new = _min_eig_vector(qw, gmat.T @ z if gmat is not None else None)
+        w_new = _min_eig_vector(qw, gmat.T @ z_new if gmat is not None else None)
         if w_new is None:
-            break
-        w = w_new
-        val = sum(_term_values(tensors, weights, z, w))
-        if val < best[0]:
-            best = (val, z, w)
-        if abs(prev - val) < 1e-16 * max(1.0, val):
-            break
-        prev = val
-    return best
+            return sum(_term_values(tensors, weights, z, w)), z, w, 2
+        z, w = z_new, w_new
+
+    dz, n = len(z), len(z) + len(w)
+    floor = (16 * np.finfo(float).eps) ** 2 * sum(mu * np.sum(t * t) for mu, t in zip(weights, tensors))
+    val = sum(_term_values(tensors, weights, z, w))
+    if val <= floor:
+        return val, z, w, 0
+    damp = 1e-3
+    for _ in range(max_iters):
+        jac = np.concatenate([np.hstack([np.sqrt(mu) * np.einsum("ikd,k->di", t, w),
+                                         np.sqrt(mu) * np.einsum("ikd,i->dk", t, z)])
+                              for mu, t in zip(weights, tensors)])
+        r = np.concatenate([np.sqrt(mu) * np.einsum("ikd,i,k->d", t, z, w)
+                            for mu, t in zip(weights, tensors)])
+        rows = [np.concatenate([z, np.zeros(len(w))]), np.concatenate([np.zeros(dz), w])]
+        if gmat is not None:
+            rows.append(np.concatenate([gmat @ w, gmat.T @ z]))
+        _, sv, vh = np.linalg.svd(np.array(rows))
+        tangent = vh[int(np.sum(sv > 1e-12)):].T
+        jt = jac @ tangent
+        grad, hess = jt.T @ r, jt.T @ jt
+        scale = np.trace(hess) / n
+        if grad @ grad <= 1e-20 * scale * val:
+            return val, z, w, 0
+        step = tangent @ np.linalg.solve(hess + damp * scale * np.eye(len(hess)), -grad)
+        zc, wc = z + step[:dz], w + step[dz:]
+        wc = wc / np.linalg.norm(wc)
+        if gmat is not None and np.linalg.norm(gmat @ wc) > 1e-12:
+            u = gmat @ wc / np.linalg.norm(gmat @ wc)
+            zc = zc - (zc @ u) * u
+        zc = zc / np.linalg.norm(zc)
+        fc = sum(_term_values(tensors, weights, zc, wc))
+        if fc < val:
+            small = val - fc <= 1e-12 * val
+            z, w, val, damp = zc, wc, fc, max(damp / 3.0, 1e-12)
+            if small or fc <= floor:
+                return val, z, w, 0
+        else:
+            damp *= 4.0
+            if damp > 1e12:
+                return val, z, w, 0
+    return val, z, w, 1
 
 
 def term_values(tensors, z, w) -> list[float]:

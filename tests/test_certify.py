@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,10 +34,11 @@ from curvcert.certify import (
     report_to_json,
     scan_along_A,
 )
+from curvcert.flatness import horizontal_flat_residual
 from curvcert.triple import Part, make_triple, project, project_comps
 
 from helpers import (
-    alternating_min,
+    descend_one,
     pair_tensor,
     random_admissible_pair,
     sampled_min_ad,
@@ -135,6 +137,68 @@ class TestFatness:
         assert abs(inner(w.Z, w.W)) < 1e-8
         assert np.linalg.norm(triple.k_basis.project_flat(w.Z.flat)) < 1e-8
         assert triple.p_basis.contains(w.W, 1e-8)
+
+
+def assert_flat_pair(triple, w, refute_tol=1e-12):
+    """The C6 witness checks: orthonormal, Z orthogonal to k, W in p, |[Z, W]|^2 <= refute_tol."""
+    assert w is not None
+    assert bracket(w.Z, w.W).norm() ** 2 <= refute_tol
+    assert abs(w.Z.norm() - 1.0) < 1e-8
+    assert abs(w.W.norm() - 1.0) < 1e-8
+    assert abs(inner(w.Z, w.W)) < 1e-8
+    assert np.linalg.norm(triple.k_basis.project_flat(w.Z.flat)) < 1e-8
+    assert triple.p_basis.contains(w.W, 1e-8)
+
+
+class TestStalledSearches:
+    """Searches the alternating descent alone left stalled above the refutation tolerance."""
+
+    def test_sp_example2_not_fat(self):
+        # The descent used to stop at max_iters near 1.56e-6, a false CERTIFIED
+        # above tol 1e-6; Z = i at (1, 1), W = (E_02 - E_20)/sqrt(2) commute.
+        triple = sp_example(2).triple
+        report = check_fatness(triple)
+        assert report.verdict is Verdict.REFUTED
+        assert report.score <= 1e-12
+        assert_flat_pair(triple, report.witness)
+
+    def test_sp_example2_flat_plane_at_identity(self):
+        entry = sp_example(2)
+        reports = scan_along_A(entry.triple, entry.base_point_A, [0.0, 0.1],
+                               StartBudget(starts=4, seed=0))
+        assert [r.verdict for r in reports] == [Verdict.REFUTED, Verdict.CERTIFIED]
+        assert_flat_pair(entry.triple, reports[0].witness)
+
+    def test_m_kl_k0_flat_planes_along_the_scan(self):
+        # k = 0 lies outside the certified family: flat planes persist at s > 0
+        # (the stalled descent reported INCONCLUSIVE at 1e-9..1e-12 there)
+        entry = m_kl(2, 0, 1)
+        s_values = [0.05, 0.1, 0.2, 0.4, 0.8]
+        reports = scan_along_A(entry.triple, entry.base_point_A, s_values,
+                               StartBudget(starts=16, seed=0))
+        for s, report in zip(s_values, reports):
+            assert report.verdict is Verdict.REFUTED
+            w = report.witness
+            assert_flat_pair(entry.triple, w)
+            comm, horiz = horizontal_flat_residual(
+                entry.triple, group_exp(entry.base_point_A, -s), w.Z, w.W)
+            assert comm <= 1e-12 and horiz <= 1e-12
+
+    def test_no_start_hits_max_iters(self, t1s3):
+        fat = check_fatness(sp_example(2).triple, StartBudget(starts=64, seed=0))
+        part2 = certify_part2(t1s3.triple, t1s3.base_point_A, StartBudget(starts=64, seed=0))
+        for report in (fat, part2):
+            assert report.notes[-1] == "64 of 64 starts converged; 0 hit max_iters"
+
+    def test_every_search_report_counts_its_starts(self, t1s3):
+        budget = StartBudget(starts=8, seed=3)
+        reports = [check_fatness(t1_sphere(2).triple, budget),
+                   certify_part2(t1s3.triple, t1s3.base_point_A, budget)]
+        reports += scan_along_A(t1s3.triple, t1s3.base_point_A, [0.0, 0.2], budget)
+        for report in reports:
+            match = re.fullmatch(r"(\d+) of 8 starts converged; (\d+) hit max_iters",
+                                 report.notes[-1])
+            assert match and int(match[1]) + int(match[2]) == 8
 
 
 class TestPart2:
@@ -310,13 +374,18 @@ ENTRIES = {
 }
 
 
+def objective(triple, tensors, weights):
+    """The search's own tensor for the weighted terms: coordinates, weighted and stacked."""
+    return certify._weighted([certify._coordinates(triple, t) for t in tensors], weights)
+
+
 def _lockstep_vs_oracle(tensors, weights, gmat, z0, w0, triple=None, max_iters=200):
     """Lockstep values (on the search's own objective tensor when a triple is given) and oracle's."""
-    t = tensors[0] if triple is None else certify._objective(triple, tensors, weights)
-    got, _, _ = certify._descend(t, gmat, z0, w0, max_iters)
-    ref = np.array([alternating_min(tensors, weights, gmat, z, w, max_iters)[0]
-                    for z, w in zip(z0, w0)])
-    return got, ref
+    t = tensors[0] if triple is None else objective(triple, tensors, weights)
+    got, _, _, status = certify._descend(t, gmat, z0, w0, max_iters)
+    ref = [descend_one(tensors, weights, gmat, z, w, max_iters) for z, w in zip(z0, w0)]
+    assert list(status) == [r[3] for r in ref]
+    return got, np.array([r[0] for r in ref])
 
 
 class TestLockstepSearch:
@@ -329,6 +398,20 @@ class TestLockstepSearch:
         gmat = certify._ortho_constraint(z_dom, w_dom)
         z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=0))
         assert_same_search(*_lockstep_vs_oracle([tensor], [1.0], gmat, z0, w0, triple))
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 4])
+    @pytest.mark.parametrize("name", ["m_kl(2,1,1)", "sp_example(2)"])
+    def test_truncated_descent_matches_one_start_oracle(self, name, max_iters):
+        # cut short, the values still fall: they pin the sweeps and each step
+        triple = ENTRIES[name]().triple
+        z_dom, w_dom = triple.gk_basis(), triple.p_basis
+        tensor = pair_tensor(z_dom.elements(), w_dom.elements(), bracket)
+        gmat = certify._ortho_constraint(z_dom, w_dom)
+        z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=0))
+        got, ref = _lockstep_vs_oracle([tensor], [1.0], gmat, z0, w0, triple, max_iters)
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=NOISE)
+        if name == "sp_example(2)":
+            assert ref.min() > 1e-12  # still descending: no start at a zero yet
 
     def test_part2_stages_match_one_start_oracle(self, t1s3):
         triple, a = t1s3.triple, t1s3.base_point_A
@@ -344,11 +427,11 @@ class TestLockstepSearch:
         ref = []
         for zr, wr in zip(z, w):
             for mu in certify._PENALTY_SCHEDULE:
-                _, zr, wr = alternating_min(tensors, [1.0, mu], gmat, zr, wr, 200)
+                _, zr, wr, _ = descend_one(tensors, [1.0, mu], gmat, zr, wr, 200)
             ref.append(term_values(tensors, zr, wr))
         for mu in certify._PENALTY_SCHEDULE:
-            t = certify._objective(triple, tensors, [1.0, mu])
-            _, z, w = certify._descend(t, gmat, z, w, 200)
+            t = objective(triple, tensors, [1.0, mu])
+            _, z, w, _ = certify._descend(t, gmat, z, w, 200)
         ref = np.array(ref)
         assert_same_search(certify._pair_values(tensors[0], z, w), ref[:, 0])
         np.testing.assert_allclose(certify._pair_values(tensors[1], z, w), ref[:, 1], atol=NOISE)
@@ -372,14 +455,14 @@ class TestLockstepSearch:
     def test_blocks_of_starts_match_one_block(self, monkeypatch):
         triple = sp_example(2).triple
         z_dom, w_dom = triple.gk_basis(), triple.p_basis
-        t = certify._objective(triple, [certify._bracket_tensor(z_dom.comps(), w_dom.comps())],
-                               [1.0])
+        t = certify._coordinates(triple, certify._bracket_tensor(z_dom.comps(), w_dom.comps()))
         gmat = certify._ortho_constraint(z_dom, w_dom)
         z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=1))
-        whole, _, _ = certify._descend(t, gmat, z0, w0, 200)
+        whole, _, _, whole_status = certify._descend(t, gmat, z0, w0, 200)
         monkeypatch.setattr(certify, "_BLOCK_FLOATS", 1)  # one start per block
-        single, _, _ = certify._descend(t, gmat, z0, w0, 200)
+        single, _, _, single_status = certify._descend(t, gmat, z0, w0, 200)
         assert_same_search(single, whole)
+        assert np.array_equal(single_status, whole_status)
 
     def test_mixed_batch_of_constrained_and_free_first_steps(self):
         rng = np.random.default_rng(5)
@@ -405,8 +488,9 @@ class TestLockstepSearch:
         z0 = np.ones((6, 1))
         got, ref = _lockstep_vs_oracle([tensor], [1.0], gmat, z0, w0)
         assert_same_search(got, ref)
-        best, z, w = certify._descend(tensor, gmat, z0, w0, 200)
+        best, z, w, status = certify._descend(tensor, gmat, z0, w0, 200)
         start = certify._pair_values(tensor, z0, w0)
+        assert (status[3:] == certify.NO_COMPLEMENT).all()
         assert np.array_equal(best[3:], start[3:])
         assert np.array_equal(w[3:], w0[3:]) and np.array_equal(z[3:], z0[3:])
 
