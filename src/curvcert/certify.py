@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,7 +29,6 @@ import numpy as np
 from .algebra import (
     AlgElement,
     GroupElement,
-    adjoint,
     bracket,
     comp_adjoint,
     comp_bracket,
@@ -37,7 +37,7 @@ from .algebra import (
     group_exp,
     require_same,
 )
-from .flatness import FlatPairWitness, _check_pair
+from .flatness import FlatPairWitness, horizontal_flat_residual
 from .triple import (
     Part,
     Subspace,
@@ -104,12 +104,13 @@ class CertReport:
 
 
 def report_to_dict(report: CertReport) -> dict:
+    """The report as a JSON document; a score that is not finite is written as null."""
     doc = {
-        "schema": "curvcert-report/1",
+        "schema": "curvcert-report/2",
         "triple": report.triple_label,
         "method": report.method.value,
         "verdict": report.verdict.value,
-        "score": report.score,
+        "score": report.score if math.isfinite(report.score) else None,
         "tolerance": report.tolerance,
         "witness": _witness_to_dict(report.witness),
         "starts": report.starts,
@@ -136,7 +137,7 @@ def _witness_to_dict(w: Optional[FlatPairWitness]) -> Optional[dict]:
 
 
 def report_to_json(report: CertReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
+    return json.dumps(report_to_dict(report), indent=2, allow_nan=False)
 
 
 # --- deterministic part-3 certificate ----------------------------------------
@@ -424,35 +425,25 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return np.divide(x, nrm, out=np.zeros_like(x), where=nrm > 1e-12)
 
 
-def _draw_starts(dz: int, dw: int, gmat, budget: StartBudget):
+def _starts(z_dom: Subspace, w_dom: Subspace, gmat, budget: StartBudget):
+    """Unit starts as row stacks z0 (S, dz) and w0 (S, dw), each z orthogonal to gmat w.
+
+    Drawn one start at a time, w before z, from the budget's seed.
+    """
     rng = np.random.default_rng(budget.seed)
-    starts = []
-    for _ in range(budget.starts):
-        w = rng.standard_normal(dw)
+    z0, w0 = np.empty((budget.starts, z_dom.dim)), np.empty((budget.starts, w_dom.dim))
+    for z, w in zip(z0, w0):
+        w[:] = rng.standard_normal(w_dom.dim)
         w /= np.linalg.norm(w)
-        z = rng.standard_normal(dz)
+        z[:] = rng.standard_normal(z_dom.dim)
         if gmat is not None:
             u = gmat @ w
             nrm = np.linalg.norm(u)
             if nrm > 1e-12:
                 u = u / nrm
-                z = z - np.dot(z, u) * u
+                z -= np.dot(z, u) * u
         z /= np.linalg.norm(z)
-        starts.append((z, w))
-    return starts
-
-
-def _starts(z_dom: Subspace, w_dom: Subspace, gmat, budget: StartBudget):
-    """The drawn starts as row stacks z0 (S, dz) and w0 (S, dw)."""
-    starts = _draw_starts(z_dom.dim, w_dom.dim, gmat, budget)
-    return np.array([z for z, _ in starts]), np.array([w for _, w in starts])
-
-
-def _best_start(t: np.ndarray, gmat, starts, max_iters: int):
-    """Descend from every start; returns the best (value, z, w) and the convergence note."""
-    vals, zs, ws, status = _descend(t, gmat, *starts, max_iters)
-    i = int(np.argmin(vals))  # ties resolve to the lowest start index
-    return float(vals[i]), zs[i], ws[i], _convergence_note(status)
+    return z0, w0
 
 
 def _convergence_note(status: np.ndarray) -> str:
@@ -466,6 +457,82 @@ def _ortho_constraint(z_dom: Subspace, w_dom: Subspace) -> Optional[np.ndarray]:
     return gmat if np.abs(gmat).max() > 1e-12 else None
 
 
+def _search_terms(triple: Triple, z_dom: Subspace, budget: StartBudget):
+    """The parts of a search over Z in z_dom, W in p that do not depend on the objective.
+
+    Returns the component stacks of the Z- and W-domains, the commutator
+    tensor [z_i, w_k] in coordinates, the orthogonality constraint and the
+    starts; None when a domain is empty.
+    """
+    w_dom = triple.p_basis
+    if z_dom.dim == 0 or w_dom.dim == 0:
+        return None
+    z_comps, w_comps = z_dom.comps(), w_dom.comps()
+    gmat = _ortho_constraint(z_dom, w_dom)
+    commutator = _coordinates(triple, _bracket_tensor(z_comps, w_comps))
+    return z_comps, w_comps, commutator, gmat, _starts(z_dom, w_dom, gmat, budget)
+
+
+# What a flat-plane search reports on an empty domain and when it refutes.
+_SEARCH_NOTES = {
+    Method.FAT: ("degenerate triple (empty search domain): vacuously fat",
+                 "commuting pair found: bundle is not fat"),
+    Method.POINT_SCAN: ("degenerate triple (empty search domain): vacuously positive",
+                        "horizontal zero-curvature plane found at this point"),
+}
+
+
+def _flat_plane_search(
+    triple: Triple, method: Method, z_dom: Subspace, terms, g: Optional[GroupElement],
+    budget: StartBudget, tol: float, refute_tol: float, s: Optional[float] = None,
+) -> CertReport:
+    """The search of fatness (g None) and of the point scans (g the point reached).
+
+    Minimizes |[Z, W]|^2, plus |[(Ad_g Z)^h, (Ad_g W)^h]|^2 when g is given,
+    from the starts in terms (see `_search_terms`).  A minimum below
+    refute_tol refutes with the pair as witness; all starts
+    bottoming out above tol give a heuristic CERTIFIED; an empty domain
+    (terms None) is vacuously CERTIFIED.
+    """
+    vacuous, refuted = _SEARCH_NOTES[method]
+    if terms is None:
+        return CertReport(triple.label, method, Verdict.CERTIFIED, float("inf"), tol,
+                          starts=budget.starts, seed=budget.seed, s=s, notes=(vacuous,))
+    z_comps, w_comps, commutator, gmat, starts = terms
+    t = commutator
+    if g is not None:
+        require_same(triple, g)
+        horizontal = _coordinates(triple, _bracket_tensor(
+            project_comps(triple, comp_adjoint(g.comp, z_comps), Part.H),
+            project_comps(triple, comp_adjoint(g.comp, w_comps), Part.H),
+        ))
+        t = _weighted([commutator, horizontal], [1.0, 1.0])
+    vals, zs, ws, status = _descend(t, gmat, *starts, budget.max_iters)
+    i = int(np.argmin(vals))  # ties resolve to the lowest start index
+    val, z, w = float(vals[i]), zs[i], ws[i]
+    witness = None
+    if val < refute_tol:
+        comm, horiz = val, None
+        if g is not None:
+            comm, horiz = (float(_pair_values(x, z[None], w[None])[0])
+                           for x in (commutator, horizontal))
+        witness = FlatPairWitness(
+            Z=from_flat(triple.field, triple.n, z @ z_dom.mat),
+            W=from_flat(triple.field, triple.n, w @ triple.p_basis.mat),
+            commutator_residual=comm, horizontal_residual=horiz, point_s=s,
+        )
+        verdict, notes = Verdict.REFUTED, (refuted,)
+    elif val > tol:
+        verdict = Verdict.CERTIFIED
+        notes = ("heuristic certificate: all starts stayed above tolerance",)
+    else:
+        verdict, notes = Verdict.INCONCLUSIVE, ()
+    return CertReport(
+        triple.label, method, verdict, val, tol, witness=witness,
+        starts=budget.starts, seed=budget.seed, s=s, notes=notes + (_convergence_note(status),),
+    )
+
+
 def check_fatness(
     triple: Triple, budget: StartBudget = StartBudget(), tol: float = DEFAULT_TOL,
     refute_tol: float = DEFAULT_REFUTE_TOL,
@@ -475,35 +542,9 @@ def check_fatness(
     A pair with |[Z, W]|^2 below the refutation tolerance refutes fatness;
     all starts bottoming out above tol yields a heuristic CERTIFIED.
     """
-    z_dom, w_dom = triple.gk_basis(), triple.p_basis
-    if z_dom.dim == 0 or w_dom.dim == 0:
-        return CertReport(
-            triple.label, Method.FAT, Verdict.CERTIFIED, float("inf"), tol,
-            starts=budget.starts, seed=budget.seed,
-            notes=("degenerate triple (empty search domain): vacuously fat",),
-        )
-    t = _coordinates(triple, _bracket_tensor(z_dom.comps(), w_dom.comps()))
-    gmat = _ortho_constraint(z_dom, w_dom)
-    val, z, w, note = _best_start(t, gmat, _starts(z_dom, w_dom, gmat, budget), budget.max_iters)
-    witness = None
-    if val < refute_tol:
-        witness = FlatPairWitness(
-            Z=from_flat(triple.field, triple.n, z @ z_dom.mat),
-            W=from_flat(triple.field, triple.n, w @ w_dom.mat),
-            commutator_residual=val,
-        )
-        verdict = Verdict.REFUTED
-        notes = ("commuting pair found: bundle is not fat",)
-    elif val > tol:
-        verdict = Verdict.CERTIFIED
-        notes = ("heuristic certificate: all starts stayed above tolerance",)
-    else:
-        verdict = Verdict.INCONCLUSIVE
-        notes = ()
-    return CertReport(
-        triple.label, Method.FAT, verdict, val, tol,
-        witness=witness, starts=budget.starts, seed=budget.seed, notes=notes + (note,),
-    )
+    z_dom = triple.gk_basis()
+    return _flat_plane_search(triple, Method.FAT, z_dom, _search_terms(triple, z_dom, budget),
+                              None, budget, tol, refute_tol)
 
 
 def certify_part2(
@@ -530,19 +571,17 @@ def certify_part2(
 
 def _part2_search(triple: Triple, a: AlgElement, budget: StartBudget, tol: float):
     """(verdict, score, witness, notes) of the derivative criterion's search."""
-    z_dom, w_dom = triple.gk_basis(), triple.p_basis
-    if z_dom.dim == 0 or w_dom.dim == 0:
+    z_dom = triple.gk_basis()
+    terms = _search_terms(triple, z_dom, budget)
+    if terms is None:
         notes = ("degenerate triple (empty search domain): vacuous",)
         return Verdict.CERTIFIED, float("inf"), None, notes
     require_same(triple, a)
-    z_comps, w_comps = z_dom.comps(), w_dom.comps()
+    z_comps, w_comps, commutator, gmat, (z, w) = terms
     objective = _coordinates(triple, _bracket_tensor(
         project_comps(triple, z_comps, Part.H),
         project_comps(triple, comp_bracket(a.comp, w_comps), Part.H),
     ))
-    commutator = _coordinates(triple, _bracket_tensor(z_comps, w_comps))
-    gmat = _ortho_constraint(z_dom, w_dom)
-    z, w = _starts(z_dom, w_dom, gmat, budget)
     status = np.full(len(z), CONVERGED)
     for mu in _PENALTY_SCHEDULE:
         t = _weighted([objective, commutator], [1.0, mu])
@@ -560,7 +599,7 @@ def _part2_search(triple: Triple, a: AlgElement, budget: StartBudget, tol: float
     if score < tol * 1e-2:
         witness = FlatPairWitness(
             Z=from_flat(triple.field, triple.n, z[i] @ z_dom.mat),
-            W=from_flat(triple.field, triple.n, w[i] @ w_dom.mat),
+            W=from_flat(triple.field, triple.n, w[i] @ triple.p_basis.mat),
             commutator_residual=float(feas[i]),
             horizontal_residual=score,
         )
@@ -585,13 +624,10 @@ def f_of_s(
     [Z, W] = 0 matters for the flat-plane interpretation, not for evaluating
     the function, so it is checked only on request.
     """
-    _check_pair(triple, z, w, z_part=None)
-    if check_commuting and bracket(z, w).norm() > 1e-10:
+    comm, horiz = horizontal_flat_residual(triple, group_exp(a, s), z, w)
+    if check_commuting and comm > 1e-20:
         raise ValueError("[Z, W] != 0 beyond tolerance 1e-10")
-    g = group_exp(a, s)
-    azh = project(triple, adjoint(g, z), Part.H)
-    awh = project(triple, adjoint(g, w), Part.H)
-    return bracket(azh, awh).norm() ** 2
+    return horiz
 
 
 def derivative_test(
@@ -635,73 +671,13 @@ def point_positivity(
     orthonormal pairs; for symmetric pairs the Z-domain shrinks to m.
     """
     z_dom = _scan_z_domain(triple)
-    terms = _point_terms(triple, z_dom, budget)
-    return _point_search(triple, z_dom, terms, g, budget, tol, refute_tol, s)
+    return _flat_plane_search(triple, Method.POINT_SCAN, z_dom,
+                              _search_terms(triple, z_dom, budget), g, budget, tol, refute_tol, s)
 
 
 def _scan_z_domain(triple: Triple) -> Subspace:
     """Z-domain of the point searches: m for symmetric pairs, g minus k otherwise."""
     return triple.m_basis if is_symmetric_pair(triple, tol=1e-8) else triple.gk_basis()
-
-
-def _point_terms(triple: Triple, z_dom: Subspace, budget: StartBudget):
-    """The parts of a point search that do not depend on the point, built once per scan.
-
-    Returns the component stacks of the Z- and W-domains, the commutator
-    tensor [z_i, w_k] in coordinates, the orthogonality constraint and the
-    starts; None when a domain is empty.
-    """
-    w_dom = triple.p_basis
-    if z_dom.dim == 0 or w_dom.dim == 0:
-        return None
-    z_comps, w_comps = z_dom.comps(), w_dom.comps()
-    gmat = _ortho_constraint(z_dom, w_dom)
-    commutator = _coordinates(triple, _bracket_tensor(z_comps, w_comps))
-    return z_comps, w_comps, commutator, gmat, _starts(z_dom, w_dom, gmat, budget)
-
-
-def _point_search(
-    triple: Triple, z_dom: Subspace, terms, g: GroupElement, budget: StartBudget,
-    tol: float, refute_tol: float, s: Optional[float],
-) -> CertReport:
-    notes: tuple[str, ...]
-    if terms is None:
-        return CertReport(
-            triple.label, Method.POINT_SCAN, Verdict.CERTIFIED, float("inf"), tol,
-            starts=budget.starts, seed=budget.seed, s=s,
-            notes=("degenerate triple (empty search domain): vacuously positive",),
-        )
-    require_same(triple, g)
-    z_comps, w_comps, commutator, gmat, starts = terms
-    horizontal = _coordinates(triple, _bracket_tensor(
-        project_comps(triple, comp_adjoint(g.comp, z_comps), Part.H),
-        project_comps(triple, comp_adjoint(g.comp, w_comps), Part.H),
-    ))
-    t = _weighted([commutator, horizontal], [1.0, 1.0])
-    val, z, w, note = _best_start(t, gmat, starts, budget.max_iters)
-    if val < refute_tol:
-        zel = from_flat(triple.field, triple.n, z @ z_dom.mat)
-        wel = from_flat(triple.field, triple.n, w @ triple.p_basis.mat)
-        comm, horiz = (float(_pair_values(t, z[None], w[None])[0])
-                       for t in (commutator, horizontal))
-        witness = FlatPairWitness(
-            Z=zel, W=wel, commutator_residual=comm, horizontal_residual=horiz, point_s=s
-        )
-        return CertReport(
-            triple.label, Method.POINT_SCAN, Verdict.REFUTED, val, tol,
-            witness=witness, starts=budget.starts, seed=budget.seed, s=s,
-            notes=("horizontal zero-curvature plane found at this point", note),
-        )
-    if val > tol:
-        verdict = Verdict.CERTIFIED
-        notes = ("heuristic certificate: all starts stayed above tolerance", note)
-    else:
-        verdict = Verdict.INCONCLUSIVE
-        notes = (note,)
-    return CertReport(
-        triple.label, Method.POINT_SCAN, verdict, val, tol,
-        starts=budget.starts, seed=budget.seed, s=s, notes=notes,
-    )
 
 
 def scan_along_A(
@@ -715,9 +691,9 @@ def scan_along_A(
     the parts of the search that do not depend on s are built once.
     """
     z_dom = _scan_z_domain(triple)
-    terms = _point_terms(triple, z_dom, budget)
+    terms = _search_terms(triple, z_dom, budget)
     return [
-        _point_search(triple, z_dom, terms, group_exp(a, -float(s)), budget, tol, refute_tol,
-                      float(s))
+        _flat_plane_search(triple, Method.POINT_SCAN, z_dom, terms, group_exp(a, -float(s)),
+                           budget, tol, refute_tol, float(s))
         for s in s_values
     ]

@@ -7,10 +7,11 @@ Configuration precedence: command-line flags > config file > built-in defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .algebra import FieldTag
 from .catalog import CATALOG_IDS, build_entry, list_catalog
@@ -25,7 +26,6 @@ from .certify import (
     scan_along_A,
 )
 from .triple import (
-    DeformParam,
     Triple,
     load_triple,
     matrix_from_components,
@@ -34,36 +34,32 @@ from .triple import (
 
 EXIT_ERROR = 3
 
-@dataclass
+
+@dataclasses.dataclass
 class RunConfig:
     seed: int = 0
     starts: int = 64
     tol: float = 1e-6
     refute_tol: float = 1e-12
-    t: float = 0.5
-    workers: int = 1
-    s_values: list = field(default_factory=list)
+    s_values: list = dataclasses.field(default_factory=list)
     output_path: str = ""
     format: str = "json"
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
-        if not (0.0 < self.refute_tol < self.tol):
-            raise ValueError("need 0 < refute_tol < tol")
+        if not (0.0 < self.refute_tol < self.tol < math.inf):
+            raise ValueError("need 0 < refute_tol < tol < inf")
+        if not all(math.isfinite(s) for s in self.s_values):
+            raise ValueError("s_values must be finite")
+        if self.format not in ("json", "csv"):
+            raise ValueError(f"unknown format: {self.format}")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "starts": self.starts,
-            "tol": self.tol,
-            "refute_tol": self.refute_tol,
-            "t": self.t,
-            "workers": self.workers,
-            "s_values": list(self.s_values),
-            "output_path": self.output_path,
-            "format": self.format,
-        }
+        """The report's config block: every field but output_path, so --out changes no byte."""
+        doc = dataclasses.asdict(self)
+        del doc["output_path"]
+        return doc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,9 +87,9 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, value: str):
-    if key in ("seed", "starts", "workers"):
+    if key in ("seed", "starts"):
         return int(value)
-    if key in ("tol", "refute_tol", "t"):
+    if key in ("tol", "refute_tol"):
         return float(value)
     if key == "s_values":
         return [float(v) for v in value.split(",") if v.strip()]
@@ -112,8 +108,6 @@ def _build_config(args) -> RunConfig:
         "starts": args.starts,
         "tol": args.tol,
         "refute_tol": args.refute_tol,
-        "t": getattr(args, "t", None),
-        "workers": getattr(args, "workers", None),
         "s_values": getattr(args, "s_values", None),
         "output_path": getattr(args, "out", None),
         "format": getattr(args, "format", None),
@@ -124,7 +118,8 @@ def _build_config(args) -> RunConfig:
     return RunConfig(**settings)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_triple(parser: argparse.ArgumentParser) -> None:
+    """The flags that select a triple, and --out."""
     parser.add_argument("--entry", help="catalog entry id (see `list`)")
     parser.add_argument("--file", help="triple JSON file")
     parser.add_argument("--n", type=int, help="size parameter for parametric entries")
@@ -132,16 +127,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--l", type=int, help="integer l for m_kl")
     parser.add_argument("--field", choices=["real", "complex", "quaternion", "R", "C", "H"],
                         help="scalar field for projective entries")
+    parser.add_argument("--out", help="output path (default: stdout)")
+
+
+def _add_run(parser: argparse.ArgumentParser) -> None:
+    """The flags of a certification run: triple selection, base point, budget, tolerances."""
+    _add_triple(parser)
     parser.add_argument("--A", help="inline JSON base point: "
                         '{"field": ..., "n": ..., "matrix": [...]} or a bare component list')
-    parser.add_argument("--t", type=float, help="deformation parameter in (0,1), default 0.5")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--starts", type=int)
     parser.add_argument("--tol", type=float)
     parser.add_argument("--refute-tol", dest="refute_tol", type=float)
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--format", choices=["json", "csv"])
-    parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--timing", action="store_true",
                         help="include wall_time_ms in reports (breaks byte-reproducibility)")
@@ -179,9 +176,7 @@ def _emit(text: str, out_path: str) -> None:
 
 def _report_doc(report: CertReport, config: RunConfig, wall_ms=None) -> dict:
     doc = report_to_dict(report)
-    cfg = config.to_dict()
-    del cfg["output_path"]  # identical runs must produce identical bytes
-    doc["config"] = cfg
+    doc["config"] = config.to_dict()
     if wall_ms is not None:
         doc["wall_time_ms"] = wall_ms
     return doc
@@ -202,11 +197,14 @@ def cmd_list(args) -> int:
 
 def cmd_check(args) -> int:
     config = _build_config(args)
+    if config.format != "json":
+        raise ValueError(f"check writes JSON only, not format {config.format!r}")
+    if config.s_values:
+        raise ValueError("s_values applies to scan only")
     triple, a = _resolve(args)
     if args.A:
         a = _parse_inline_a(args.A, triple)
     budget = StartBudget(starts=config.starts, seed=config.seed)
-    DeformParam(config.t)  # validate range; the residual criteria do not depend on t
     started = time.monotonic()
     if args.method == "part3":
         if a is None:
@@ -222,7 +220,8 @@ def cmd_check(args) -> int:
     else:
         raise ValueError(f"unknown method: {args.method}")
     wall_ms = int((time.monotonic() - started) * 1000) if args.timing else None
-    _emit(json.dumps(_report_doc(report, config, wall_ms), indent=2), config.output_path)
+    doc = _report_doc(report, config, wall_ms)
+    _emit(json.dumps(doc, indent=2, allow_nan=False), config.output_path)
     return _exit_code(report.verdict)
 
 
@@ -247,7 +246,7 @@ def cmd_scan(args) -> int:
         _emit("\n".join(lines) + "\n", config.output_path)
     else:
         docs = [_report_doc(rep, config, wall_ms) for rep in reports]
-        _emit(json.dumps(docs, indent=2), config.output_path)
+        _emit(json.dumps(docs, indent=2, allow_nan=False), config.output_path)
     worst = max(reports, key=lambda r: _exit_code(r.verdict))
     return _exit_code(worst.verdict)
 
@@ -276,19 +275,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(fn=cmd_list)
 
     p_check = sub.add_parser("check", help="run a certification method on a triple")
-    _add_common(p_check)
+    _add_run(p_check)
     p_check.add_argument("--method", choices=["fat", "part2", "part3"], required=True)
     p_check.set_defaults(fn=cmd_check)
 
     p_scan = sub.add_parser("scan", help="scan point positivity along exp(-sA)")
-    _add_common(p_scan)
+    _add_run(p_scan)
+    p_scan.add_argument("--format", choices=["json", "csv"])
     p_scan.add_argument("--s-values", dest="s_values",
                         type=lambda v: [float(x) for x in v.split(",") if x.strip()],
                         help="comma-separated scan positions, e.g. 0,0.1,0.2")
     p_scan.set_defaults(fn=cmd_scan)
 
     p_export = sub.add_parser("export", help="export a triple in the JSON schema")
-    _add_common(p_export)
+    _add_triple(p_export)
     p_export.set_defaults(fn=cmd_export)
 
     return parser

@@ -73,9 +73,7 @@ def symmetric_horizontal_residual(
     if not is_symmetric_pair(triple, tol=1e-8):
         raise PlaneInputError("triple is not a symmetric pair")
     _check_pair(triple, x, w, z_part=Part.M)
-    axh = project(triple, adjoint(g, x), Part.H)
-    awh = project(triple, adjoint(g, w), Part.H)
-    return bracket(x, w).norm() ** 2, bracket(axh, awh).norm() ** 2
+    return horizontal_flat_residual(triple, g, x, w)
 
 
 def _check_pair(triple: Triple, z: AlgElement, w: AlgElement, z_part) -> None:

@@ -333,6 +333,47 @@ class TestPointPositivity:
         assert reports[1].score < reports[2].score
 
 
+def h_equals_g():
+    """t1_sphere(3) with h = g: p = 0, so every search over W in p has an empty domain."""
+    t = t1_sphere(3).triple
+    g = t.g_basis.elements()
+    return make_triple(g, g, t.k_basis.elements(), label="t1_sphere(3), h = g")
+
+
+class TestEmptyDomains:
+    def test_fat_is_vacuously_fat(self):
+        triple = h_equals_g()
+        assert triple.p_basis.dim == 0
+        report = check_fatness(triple, StartBudget(starts=4, seed=0))
+        assert report.verdict is Verdict.CERTIFIED
+        assert report.score == math.inf and report.witness is None and report.s is None
+        assert report.notes == ("degenerate triple (empty search domain): vacuously fat",)
+
+    def test_point_search_and_scan_are_vacuously_positive(self):
+        triple, a = h_equals_g(), t1_sphere(3).base_point_A
+        budget = StartBudget(starts=4, seed=0)
+        point = point_positivity(triple, group_exp(a, -0.3), budget, s=0.3)
+        scan = scan_along_A(triple, a, [0.0, 0.3], budget)
+        assert [r.s for r in scan] == [0.0, 0.3]
+        for report in (point, *scan):
+            assert report.method is Method.POINT_SCAN
+            assert report.verdict is Verdict.CERTIFIED
+            assert report.score == math.inf and report.witness is None
+            assert report.notes == (
+                "degenerate triple (empty search domain): vacuously positive",)
+        assert report_to_json(point) == report_to_json(scan[1])
+
+    def test_part2_is_vacuous_but_gated_on_a_in_p(self):
+        triple, a = h_equals_g(), t1_sphere(3).base_point_A
+        budget = StartBudget(starts=4, seed=0)
+        report = certify_part2(triple, zero(FieldTag.REAL, 4), budget)
+        assert report.verdict is Verdict.CERTIFIED and report.score == math.inf
+        assert report.notes == ("degenerate triple (empty search domain): vacuous",)
+        report = certify_part2(triple, a, budget)  # p = 0 cannot hold A
+        assert report.verdict is Verdict.INCONCLUSIVE and report.score == math.inf
+        assert report.notes == ("precondition failed: A does not lie in p",)
+
+
 class TestDeterminism:
     def test_identical_seed_identical_json(self, t1s3):
         budget = StartBudget(starts=16, seed=7)
@@ -345,7 +386,7 @@ class TestDeterminism:
     def test_report_dict_schema(self, t1s3):
         report = certify_part3(t1s3.triple, t1s3.base_point_A)
         doc = report_to_dict(report)
-        assert doc["schema"] == "curvcert-report/1"
+        assert doc["schema"] == "curvcert-report/2"
         for key in ("triple", "method", "verdict", "score", "tolerance", "starts", "seed"):
             assert key in doc
         json.dumps(doc)  # serializable

@@ -1,10 +1,14 @@
+import argparse
 import hashlib
 import json
 import math
 
 import pytest
 
-from curvcert.cli import main
+from curvcert.catalog import t1_sphere
+from curvcert.certify import StartBudget, check_fatness, report_to_json
+from curvcert.cli import build_parser, main
+from curvcert.triple import load_triple, make_triple, save_triple
 
 
 SQ2 = math.sqrt(2.0)
@@ -220,15 +224,124 @@ class TestPreconditions:
         assert code == 3
         assert "mismatched operands: quaternion(2) vs complex(2)" in err
 
-    def test_workers_flag_is_accepted_and_echoed_only(self, capsys):
-        argv = ["check", "--entry", "t1s3_product", "--method", "fat", "--starts", "8"]
-        _, one, _ = run(capsys, *argv)
-        code, four, _ = run(capsys, *argv, "--workers", "4")
-        assert code == 1
-        one, four = json.loads(one), json.loads(four)
-        assert four["config"].pop("workers") == 4
-        assert one["config"].pop("workers") == 1
-        assert one == four
+
+def strict_json(text):
+    """Parse text, refusing the non-standard constants Infinity and NaN."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestDegenerateReports:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        # t1_sphere(3) with h = g (p = 0, empty search domains) and with k = h (dim m = 0)
+        t = t1_sphere(3)
+        g, h = t.triple.g_basis.elements(), t.triple.h_basis.elements()
+        k = t.triple.k_basis.elements()
+        out = {}
+        for name, (hs, ks) in {"p0": (g, k), "m0": (h, h)}.items():
+            out[name] = str(tmp_path_factory.mktemp("triples") / f"{name}.json")
+            save_triple(make_triple(g, hs, ks, label=name, base_point=t.base_point_A), out[name])
+        return out
+
+    @pytest.mark.parametrize("name,argv,code", [
+        ("p0", ["check", "--method", "fat"], 0),
+        ("p0", ["check", "--method", "part2"], 2),  # vacuous, but A in h is not in p = 0
+        ("p0", ["scan", "--s-values", "0,0.2"], 0),
+        ("m0", ["check", "--method", "part3"], 0),
+    ])
+    def test_infinite_score_is_written_as_null(self, capsys, files, name, argv, code):
+        got, out, _ = run(capsys, *argv, "--file", files[name], "--starts", "4")
+        assert got == code
+        docs = strict_json(out)
+        for doc in docs if isinstance(docs, list) else [docs]:
+            assert doc["schema"] == "curvcert-report/2"
+            assert doc["score"] is None
+
+    def test_library_report_is_strict_json(self, files):
+        report = check_fatness(load_triple(files["p0"]), StartBudget(starts=4))
+        assert report.score == math.inf  # the report object keeps inf
+        assert strict_json(report_to_json(report))["score"] is None
+
+
+def usage_exit_code(*argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    return info.value.code
+
+
+class TestFlagSets:
+    TRIPLE = {"--entry", "--file", "--n", "--k", "--l", "--field", "--out"}
+    RUN = TRIPLE | {"--A", "--seed", "--starts", "--tol", "--refute-tol", "--config", "--timing"}
+
+    def test_each_subcommand_takes_only_flags_that_act(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {opt for action in parser._actions for opt in action.option_strings}
+                 - {"-h", "--help"} for name, parser in sub.choices.items()}
+        assert flags == {
+            "list": {"--format", "--out"},
+            "check": self.RUN | {"--method"},
+            "scan": self.RUN | {"--format", "--s-values"},
+            "export": self.TRIPLE,
+        }
+
+    @pytest.mark.parametrize("flag", [["--t", "0.5"], ["--workers", "2"]])
+    @pytest.mark.parametrize("command", [["check", "--method", "fat"],
+                                         ["scan", "--s-values", "0.1"]])
+    def test_removed_flags_exit_3(self, command, flag):
+        assert usage_exit_code(*command, "--entry", "t1s3_product", "--starts", "4", *flag) == 3
+
+    @pytest.mark.parametrize("flag", [["--A", "[]"], ["--seed", "1"], ["--starts", "4"],
+                                      ["--tol", "1e-6"], ["--refute-tol", "1e-12"],
+                                      ["--format", "json"], ["--config", "run.cfg"], ["--timing"],
+                                      ["--t", "0.5"], ["--workers", "2"]])
+    def test_export_rejects_run_flags(self, flag):
+        assert usage_exit_code("export", "--entry", "t1s3_product", *flag) == 3
+
+    @pytest.mark.parametrize("key", ["t = 0.5", "workers = 2"])
+    def test_removed_config_keys_exit_3(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(key + "\n")
+        code, out, err = run(capsys, "check", "--entry", "t1s3_product", "--method", "fat",
+                             "--starts", "4", "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert "unknown config key" in err
+
+    def test_check_format_flag_exits_3(self):
+        assert usage_exit_code("check", "--entry", "t1s3_product", "--method", "part3",
+                               "--format", "csv") == 3
+
+    def test_check_format_config_key_other_than_json_exits_3(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = csv\n")
+        argv = ["check", "--entry", "t1s3_product", "--method", "part3", "--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "JSON only" in err
+        cfg.write_text("format = json\n")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["config"]["format"] == "json"
+
+    def test_check_rejects_s_values_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("s_values = 0.1, 0.2\n")
+        code, out, err = run(capsys, "check", "--entry", "t1s3_product", "--method", "part3",
+                             "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert "scan only" in err
+
+    @pytest.mark.parametrize("argv,text", [(["check", "--method", "fat"], "tol = inf"),
+                                           (["scan"], "s_values = 0, inf"),
+                                           (["scan"], "s_values = 0.1\nformat = xml")])
+    def test_settings_that_cannot_run_exit_3(self, capsys, tmp_path, argv, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        code, out, _ = run(capsys, *argv, "--entry", "t1s3_product", "--starts", "4",
+                           "--config", str(cfg))
+        assert code == 3 and out == ""
 
 
 class TestInlineA:
@@ -256,19 +369,21 @@ class TestInlineA:
 
 
 # sha256 of the stdout of `export` and `check --method part3`, taken before the
-# structural layer moved to batched brackets; bytes must not change.
+# structural layer moved to batched brackets; bytes must not change.  The part3
+# digests were re-taken for the report schema curvcert-report/2, which dropped
+# the no-op `t` and `workers` keys from the config block.
 PINNED_DIGESTS = {
     ("t1s3_product",): (
         "0cf3c78e15f9bea425f5d1a752a36e8f97773a7792a1d39b150f48f7802106ef",
-        "ca0fdf854a1348364c85c0f3f01a3beb5a53de6069f6c7c0f02cf57ebf7c3632",
+        "7fe2600819776952ec9dd2ceddcbf037911c7b51940efa2f1e2421b86f27ec20",
     ),
     ("t1_sphere", "--n", "4"): (
         "033d5cdd7846b93f4a371aa6ce61aeeb567fb711462544249a5e0c98e7bd0e74",
-        "ec073a980fcb88b1ffeed6c12345957faed760afe262562afe7c89d9a06a2a54",
+        "e34c21a41f2dce8351589a8a107358b6b96ce44d01c0d304fe22bd452cc9ed5d",
     ),
     ("sp_example", "--n", "3"): (
         "20d6270465e012560ce89bd3894ca712f3315b361485cfe51ee45e90b0402a5c",
-        "06263904c3d8a334d4e1e2929a16d08cef8226e73b5ae6ab3113b6eed7acc221",
+        "4600b42170cfc14fb3b46a10cec5e24160d5b9236171cb5d4e3a74f45d3c5fcf",
     ),
 }
 
