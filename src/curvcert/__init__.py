@@ -59,6 +59,7 @@ from .triple import (
     stabilizer_subalgebra,
     triple_from_dict,
     triple_to_dict,
+    triple_to_json,
 )
 
 __version__ = "0.1.0"

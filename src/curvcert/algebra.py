@@ -67,6 +67,42 @@ def comp_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return qmul(a, b) - qmul(b, a)
 
 
+def _pair_brackets(field: FieldTag, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a_p, b_q] for every pair of skew-Hermitian stacks a (P, n, n, 4) and b (Q, n, n, 4).
+
+    Returns the field's active components, shape (P, Q, n, n, nc).  For
+    skew-Hermitian operands b a = (a b)^*, so each bracket is a b - (a b)^*
+    and all P*Q products come from one matrix product: real over R, complex
+    over C, and over H the complex one of the first block row of the 2n x 2n
+    embedding, with the entry w + xi + yj + zk written as u + v j,
+    u = w + xi, v = y + zi.
+    """
+    p, q, n = len(a), len(b), a.shape[1]
+    if field is FieldTag.REAL:
+        x, y = a[..., 0], b[..., 0]
+    elif field is FieldTag.COMPLEX:
+        x, y = a[..., 0] + 1j * a[..., 1], b[..., 0] + 1j * b[..., 1]
+    else:
+        u1, v1 = a[..., 0] + 1j * a[..., 1], a[..., 2] + 1j * a[..., 3]
+        u2, v2 = b[..., 0] + 1j * b[..., 1], b[..., 2] + 1j * b[..., 3]
+        x = np.concatenate([u1, v1], axis=2)
+        y = np.concatenate([np.concatenate([u2, v2], axis=2),
+                            np.concatenate([-v2.conj(), u2.conj()], axis=2)], axis=1)
+    k, m = y.shape[1], y.shape[2]
+    prod = x.reshape(p * n, k) @ y.transpose(1, 0, 2).reshape(k, q * m)
+    prod = prod.reshape(p, n, q, m).transpose(0, 2, 1, 3)
+    quaternion = field is FieldTag.QUATERNION
+    # written in place: the strided transposes are the costly part
+    out = np.empty((p, q, n, n, 2 if quaternion else 1), prod.dtype)
+    u, mu = out[..., 0], prod[..., :n]
+    np.conjugate(np.swapaxes(mu, -1, -2), out=u)
+    np.subtract(mu, u, out=u)
+    if quaternion:  # (U + V j)^* = U^H - V^T j
+        v, mv = out[..., 1], prod[..., n:]
+        np.add(mv, np.swapaxes(mv, -1, -2), out=v)
+    return out if field is FieldTag.REAL else out.view(np.float64)
+
+
 def comp_adjoint(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Adjoint action g x g^{-1} of a unitary g on raw component arrays (batched over x)."""
     return qmul(qmul(g, x), conj_transpose(g))

@@ -20,7 +20,7 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -183,7 +183,7 @@ def certify_part3(triple: Triple, a: AlgElement, tol: float = DEFAULT_TOL) -> Ce
         notes.append("dim m = 0: condition holds vacuously")
         sigma_min = float("inf")
     else:
-        u, s, _ = np.linalg.svd(_ad_matrix_on_m(triple, a))
+        u, s, _ = np.linalg.svd(_ad_matrix_on_m(triple, a), full_matrices=False)
         sigma_min = float(s[-1])
     if not (symmetric and a_in_p):
         verdict = Verdict.INCONCLUSIVE
@@ -688,12 +688,19 @@ def scan_along_A(
     """Run the point search at exp(-s*A) for each s, preserving order.
 
     The reports equal point_positivity's at each point; the Z-domain and
-    the parts of the search that do not depend on s are built once.
+    the parts of the search that do not depend on s are built once.  Like
+    part2 and part3, every point is INCONCLUSIVE unless A lies in p, except
+    on an empty search domain, which has no plane at any point.
     """
     z_dom = _scan_z_domain(triple)
     terms = _search_terms(triple, z_dom, budget)
-    return [
+    reports = [
         _flat_plane_search(triple, Method.POINT_SCAN, z_dom, terms, group_exp(a, -float(s)),
                            budget, tol, refute_tol, float(s))
         for s in s_values
     ]
+    if terms is None or triple.p_basis.contains(a, tol=max(tol, 1e-8)):
+        return reports
+    return [replace(rep, verdict=Verdict.INCONCLUSIVE, witness=None,
+                    notes=("precondition failed: A does not lie in p",))
+            for rep in reports]

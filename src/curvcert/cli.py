@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from .triple import (
     Triple,
     load_triple,
     matrix_from_components,
-    triple_to_dict,
+    triple_to_json,
 )
 
 EXIT_ERROR = 3
@@ -195,7 +196,15 @@ def cmd_list(args) -> int:
     return 0
 
 
+#: run flags that a check method accepts through the shared parser but never reads
+_UNUSED_FLAGS = {"part2": ("refute_tol",), "part3": ("refute_tol", "seed", "starts")}
+
+
 def cmd_check(args) -> int:
+    for key in _UNUSED_FLAGS.get(args.method, ()):
+        if getattr(args, key) is not None:
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to check --method {args.method}")
     config = _build_config(args)
     if config.format != "json":
         raise ValueError(f"check writes JSON only, not format {config.format!r}")
@@ -253,7 +262,7 @@ def cmd_scan(args) -> int:
 
 def cmd_export(args) -> int:
     triple, _ = _resolve(args)
-    _emit(json.dumps(triple_to_dict(triple), indent=2), args.out or "")
+    _emit(triple_to_json(triple), args.out or "")
     return 0
 
 
@@ -294,9 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every main() call
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except SystemExit:

@@ -19,12 +19,14 @@ from .algebra import (
     AlgElement,
     FieldTag,
     N_COMPONENTS,
+    _pair_brackets,
     check_skew,
     comp_bracket,
     from_flat,
 )
 
 _ORTHO_TOL = 1e-10
+_PAIR_BLOCK_FLOATS = 1 << 18  # bracket components held at once by is_symmetric_pair
 
 
 class NotInSpan(ValueError):
@@ -102,6 +104,11 @@ class Subspace:
         comp = self.mat.reshape(self.dim, self.n, self.n, 4)
         check_skew(self.field, comp)
         return comp
+
+    def active(self) -> np.ndarray:
+        """The basis rows restricted to the field's active components, shape (dim, n*n*nc)."""
+        nc, n = N_COMPONENTS[self.field], self.n
+        return self.mat.reshape(self.dim, n, n, 4)[..., :nc].reshape(self.dim, n * n * nc)
 
     def project_flat(self, v: np.ndarray) -> np.ndarray:
         if self.dim == 0:
@@ -257,17 +264,23 @@ def _check_in_g(triple: Triple, v: np.ndarray) -> None:
 def is_symmetric_pair(triple: Triple, tol: float = 1e-10) -> bool:
     """Check [p,p] < h and [p,h] < p over all basis pairs.
 
-    Each p-basis vector is bracketed with all later p vectors, then with all
-    of h, one batched bracket each; the first pair whose bracket has a
-    component above tol in the wrong subspace ends the check.
+    The p-basis is taken in blocks of rows.  Each block is bracketed with the
+    p vectors from its first row on and with all of h, one all-pairs product
+    each, sized so that a block's brackets hold about 2^18 floats (at least
+    one row), so memory stays bounded whatever the dimensions.  A bracket
+    whose coordinates in the wrong subspace have norm above tol ends the
+    check at the end of its block.
     """
     p, h = triple.p_basis, triple.h_basis
     p_comp, h_comp = p.comps(), h.comps()
-    for i, pi in enumerate(p_comp):
-        for others, wrong in ((p_comp[i + 1 :], p), (h_comp, h)):
+    p_wrong, h_wrong = p.active(), h.active()
+    rows = max(1, _PAIR_BLOCK_FLOATS // (max(1, p.dim, h.dim) * p_wrong.shape[1]))
+    for lo in range(0, p.dim, rows):
+        block = p_comp[lo:lo + rows]
+        for others, wrong in ((p_comp[lo:], p_wrong), (h_comp, h_wrong)):
             if len(others):
-                v = comp_bracket(pi, others).reshape(len(others), -1)
-                if np.linalg.norm(wrong.project_flat(v), axis=1).max() > tol:
+                v = _pair_brackets(triple.field, block, others).reshape(-1, wrong.shape[1])
+                if np.linalg.norm(v @ wrong.T, axis=1).max() > tol:
                     return False
     return True
 
@@ -288,7 +301,7 @@ def stabilizer_subalgebra(
     if h_basis.dim == 0:
         return h_basis
     rows = comp_bracket(h_basis.comps(), a.comp).reshape(h_basis.dim, -1)
-    u, s, _ = np.linalg.svd(rows, full_matrices=True)
+    u, s, _ = np.linalg.svd(rows, full_matrices=False)  # u is square: dim h <= n*n*4
     null_mask = s < null_tol
     rank = int(np.count_nonzero(~null_mask))
     if 0 < rank < len(s):
@@ -361,20 +374,15 @@ def matrix_from_components(field: FieldTag, n: int, values: Sequence[float]) -> 
 
 
 def triple_to_dict(triple: Triple) -> dict:
-    n, nc = triple.n, N_COMPONENTS[triple.field]
-
-    def encode(sub: Subspace) -> list[list[float]]:
-        return sub.mat.reshape(sub.dim, n, n, 4)[..., :nc].reshape(sub.dim, n * n * nc).tolist()
-
     return {
         "schema": SCHEMA_TRIPLE,
         "field": triple.field.value,
         "n": triple.n,
         "label": triple.label,
         "bases": {
-            "g": encode(triple.g_basis),
-            "h": encode(triple.h_basis),
-            "k": encode(triple.k_basis),
+            "g": triple.g_basis.active().tolist(),
+            "h": triple.h_basis.active().tolist(),
+            "k": triple.k_basis.active().tolist(),
         },
         "base_point": matrix_to_components(triple.base_point) if triple.base_point else None,
     }
@@ -408,10 +416,39 @@ def triple_from_dict(doc: dict) -> Triple:
     )
 
 
+_NUMBERS = frozenset({int, float})
+
+
+def _indented_json(obj, depth: int = 0) -> str:
+    """json.dumps(obj, indent=2) byte for byte, for dicts with string keys, lists and scalars.
+
+    The pure-Python encoder that indent selects is slow on the long rows of
+    numbers in a triple, so each such row goes through the C encoder, with
+    the line break and indentation as its item separator.
+    """
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(obj, list) and obj and set(map(type, obj)) <= _NUMBERS:
+        body = json.dumps(obj, separators=("," + pad, ": "))[1:-1]
+    elif isinstance(obj, list) and obj:
+        body = ("," + pad).join(_indented_json(v, depth + 1) for v in obj)
+    elif isinstance(obj, dict) and obj:
+        body = ("," + pad).join(
+            f"{json.dumps(k)}: {_indented_json(v, depth + 1)}" for k, v in obj.items()
+        )
+    else:
+        return json.dumps(obj)
+    opening, closing = ("[", "]") if isinstance(obj, list) else ("{", "}")
+    return opening + pad + body + pad[:-2] + closing
+
+
+def triple_to_json(triple: Triple) -> str:
+    """The triple's document as text, laid out as json.dumps(..., indent=2) lays it out."""
+    return _indented_json(triple_to_dict(triple))
+
+
 def save_triple(triple: Triple, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(triple_to_dict(triple), fh, indent=2)
-        fh.write("\n")
+        fh.write(triple_to_json(triple) + "\n")
 
 
 def load_triple(path: str) -> Triple:

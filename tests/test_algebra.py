@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from curvcert.algebra import (
+    N_COMPONENTS,
     AlgElement,
     DimensionMismatch,
     FieldTag,
     InvalidElement,
     Quaternion,
     adjoint,
+    _pair_brackets,
     basis_element,
     bracket,
+    comp_bracket,
     from_flat,
     full_basis,
     group_exp,
@@ -21,7 +24,7 @@ from curvcert.algebra import (
     zero,
 )
 
-from helpers import sp1_pair
+from helpers import random_skew_batch, sp1_pair
 
 
 def quat_unit(n, slot, c):
@@ -101,6 +104,20 @@ class TestBracket:
                 jac = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
                 assert jac.norm() < 1e-10 * scale
                 assert abs(inner(bracket(x, y), z) + inner(y, bracket(x, z))) < 1e-10 * scale
+
+
+class TestPairBrackets:
+    @pytest.mark.parametrize("field", list(FieldTag), ids=lambda f: f.value)
+    @pytest.mark.parametrize("p,q", [(1, 1), (1, 5), (4, 1), (3, 6)])
+    def test_matches_broadcast_bracket(self, field, p, q):
+        rng = np.random.default_rng(10 * p + q)
+        nc = N_COMPONENTS[field]
+        a, b = random_skew_batch(field, 3, p, rng), random_skew_batch(field, 3, q, rng)
+        want = comp_bracket(a[:, None], b[None, :])
+        got = _pair_brackets(field, a, b)
+        assert got.shape == (p, q, 3, 3, nc)
+        assert np.abs(got - want[..., :nc]).max() < 1e-12
+        assert not want[..., nc:].any()
 
 
 class TestInner:

@@ -214,15 +214,40 @@ class TestPreconditions:
         assert report["witness"] is None
         assert report["notes"] == ["precondition failed: A does not lie in p"]
 
-    @pytest.mark.parametrize("argv", [["check", "--method", "part3"], ["check", "--method", "part2"],
-                                      ["scan", "--s-values", "0.1"]])
+    @pytest.mark.parametrize("argv", [["check", "--method", "part3"],
+                                      ["check", "--method", "part2", "--starts", "4"],
+                                      ["scan", "--s-values", "0.1", "--starts", "4"]])
     def test_base_point_from_another_algebra_is_error(self, capsys, argv):
         # a complex 2x2 A on the quaternion triple t1s3_product
         v = 1.0 / SQ2
         a = json.dumps({"field": "complex", "n": 2, "matrix": [0, v, 0, 0, 0, 0, 0, -v]})
-        code, _, err = run(capsys, *argv, "--entry", "t1s3_product", "--starts", "4", "--A", a)
+        code, _, err = run(capsys, *argv, "--entry", "t1s3_product", "--A", a)
         assert code == 3
         assert "mismatched operands: quaternion(2) vs complex(2)" in err
+
+    def test_scan_with_base_point_in_h_is_inconclusive(self, capsys):
+        v = 1.0 / SQ2  # A = (i, i)/sqrt(2) lies in h
+        a = json.dumps([0.0, v, 0.0, 0.0] + [0.0] * 8 + [0.0, v, 0.0, 0.0])
+        argv = ["scan", "--entry", "t1s3_product", "--s-values", "0,0.1", "--starts", "4"]
+        code, out, _ = run(capsys, *argv, "--A", a)
+        assert code == 2
+        for doc in json.loads(out):
+            assert doc["verdict"] == "INCONCLUSIVE" and doc["witness"] is None
+            assert doc["notes"] == ["precondition failed: A does not lie in p"]
+        code, out, _ = run(capsys, *argv)  # the entry's A lies in p: no note
+        assert code == 1
+        assert not any("precondition" in note for doc in json.loads(out) for note in doc["notes"])
+
+    @pytest.mark.parametrize("method,flag", [
+        ("part2", ["--refute-tol", "1e-12"]),
+        ("part3", ["--refute-tol", "1e-12"]),
+        ("part3", ["--seed", "0"]),
+        ("part3", ["--starts", "64"]),
+    ])
+    def test_check_rejects_flags_its_method_ignores(self, capsys, method, flag):
+        code, out, err = run(capsys, "check", "--entry", "t1s3_product", "--method", method, *flag)
+        assert code == 3 and out == ""
+        assert f"{flag[0]} does not apply to check --method {method}" in err
 
 
 def strict_json(text):
@@ -246,13 +271,14 @@ class TestDegenerateReports:
         return out
 
     @pytest.mark.parametrize("name,argv,code", [
-        ("p0", ["check", "--method", "fat"], 0),
-        ("p0", ["check", "--method", "part2"], 2),  # vacuous, but A in h is not in p = 0
-        ("p0", ["scan", "--s-values", "0,0.2"], 0),
+        ("p0", ["check", "--method", "fat", "--starts", "4"], 0),
+        # vacuous, but A in h is not in p = 0
+        ("p0", ["check", "--method", "part2", "--starts", "4"], 2),
+        ("p0", ["scan", "--s-values", "0,0.2", "--starts", "4"], 0),
         ("m0", ["check", "--method", "part3"], 0),
     ])
     def test_infinite_score_is_written_as_null(self, capsys, files, name, argv, code):
-        got, out, _ = run(capsys, *argv, "--file", files[name], "--starts", "4")
+        got, out, _ = run(capsys, *argv, "--file", files[name])
         assert got == code
         docs = strict_json(out)
         for doc in docs if isinstance(docs, list) else [docs]:
@@ -342,6 +368,26 @@ class TestFlagSets:
         code, out, _ = run(capsys, *argv, "--entry", "t1s3_product", "--starts", "4",
                            "--config", str(cfg))
         assert code == 3 and out == ""
+
+
+class TestRepeatedMain:
+    """main() parses with one parser per process; no call may see another's flags."""
+
+    def test_check_without_A_after_check_with_A_uses_the_entry_default(self, capsys):
+        argv = ["check", "--entry", "t1_sphere", "--n", "3", "--method", "part3"]
+        _, default, _ = run(capsys, *argv)
+        other = [0.0] * 16  # 2 * E_{0,1}: in p, but not the entry's A
+        other[1], other[4] = 2.0, -2.0
+        _, inline, _ = run(capsys, *argv, "--A", json.dumps(other))
+        assert json.loads(inline)["score"] != json.loads(default)["score"]
+        assert run(capsys, *argv)[1] == default
+
+    def test_scan_after_csv_scan_writes_json(self, capsys):
+        argv = ["scan", "--entry", "t1s3_product", "--s-values", "0.1", "--starts", "4"]
+        _, csv, _ = run(capsys, *argv, "--format", "csv")
+        assert csv.startswith("s,verdict,score")
+        _, out, _ = run(capsys, *argv)
+        assert json.loads(out)[0]["config"]["format"] == "json"
 
 
 class TestInlineA:

@@ -16,7 +16,15 @@ from curvcert.algebra import (
     inner,
     random_skew,
 )
-from curvcert.catalog import m_kl, pt_projective, sp_example, t1_sphere, t1s3_product
+import curvcert.triple as triple_module
+from curvcert.catalog import (
+    m_kl,
+    pt_projective,
+    sp_example,
+    t1_projective,
+    t1_sphere,
+    t1s3_product,
+)
 from curvcert.triple import (
     SCHEMA_TRIPLE,
     DeformParam,
@@ -34,9 +42,24 @@ from curvcert.triple import (
     stabilizer_subalgebra,
     triple_from_dict,
     triple_to_dict,
+    triple_to_json,
 )
 
 from helpers import sp1_pair, su3_su2_spans
+
+# one small entry of every catalog family, over each field the family offers
+FAMILIES = [
+    t1s3_product,
+    lambda: t1_sphere(3),
+    lambda: t1_projective(FieldTag.COMPLEX, 2),
+    lambda: t1_projective(FieldTag.QUATERNION, 2),
+    lambda: pt_projective(FieldTag.REAL, 3),
+    lambda: pt_projective(FieldTag.COMPLEX, 2),
+    lambda: pt_projective(FieldTag.QUATERNION, 2),
+    lambda: m_kl(2, 1, 1),
+    lambda: m_kl(2, 0, 1),
+    lambda: sp_example(2),
+]
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +207,31 @@ class TestSymmetricPair:
         assert bad and all(i == len(p) - 1 and kind == "h" for i, kind, _ in bad)
         assert not is_symmetric_pair(triple)
 
+    @pytest.mark.parametrize("build", FAMILIES)
+    def test_one_row_blocks_agree_on_catalog(self, build, monkeypatch):
+        triple = build().triple
+        want = is_symmetric_pair(triple)
+        monkeypatch.setattr(triple_module, "_PAIR_BLOCK_FLOATS", 1)
+        assert is_symmetric_pair(triple) == want
+
+    def test_one_row_blocks_reach_a_violation_in_the_last_block(self, monkeypatch):
+        field, n = FieldTag.REAL, 7  # as in test_late_p_h_violation_detected
+        g = block_basis(field, n, range(4)) + block_basis(field, n, range(4, 7))
+        h = block_basis(field, n, range(1, 4)) + block_basis(field, n, [4, 5, 6])[:2]
+        triple = make_triple(g, h, [], label="so4/so3 + broken so3")
+        blocks = []
+        kernel = triple_module._pair_brackets
+
+        def recording(field, a, b):
+            blocks.append(len(a))
+            return kernel(field, a, b)
+
+        monkeypatch.setattr(triple_module, "_PAIR_BLOCK_FLOATS", 1)
+        monkeypatch.setattr(triple_module, "_pair_brackets", recording)
+        assert not is_symmetric_pair(triple)
+        assert set(blocks) == {1}
+        assert len(blocks) == 2 * triple.p_basis.dim  # every block ran, the last one failed
+
     def test_rejects_non_skew_basis(self, t1s3):
         mat = np.array(t1s3.p_basis.mat)
         mat[0, 0] = 1.0  # a real diagonal entry: no longer skew-Hermitian
@@ -271,6 +319,22 @@ class TestSerialization:
             text = json.dumps(doc)
             again = triple_to_dict(triple_from_dict(json.loads(text)))
             assert json.dumps(again) == text
+
+    @pytest.mark.parametrize("build", FAMILIES)
+    def test_writer_matches_json_dumps_on_catalog(self, build):
+        triple = build().triple
+        assert triple_to_json(triple) == json.dumps(triple_to_dict(triple), indent=2)
+
+    def test_writer_matches_json_dumps_on_edge_documents(self):
+        # empty k, no base point, non-ASCII label
+        g, h = su3_su2_spans()
+        triple = make_triple(g, h, [], label="SU(3)/SU(2) \u2192 S\u2075, \u00fc")
+        doc = triple_to_dict(triple)
+        assert doc["bases"]["k"] == [] and doc["base_point"] is None
+        assert triple_to_json(triple) == json.dumps(doc, indent=2)
+        odd = {"a": [], "b": {}, "c": [1, 2.5, -0.0, True, None], "d": ["x, y", "z"],
+               "e": [[], [float("nan"), float("inf")]]}
+        assert triple_module._indented_json(odd) == json.dumps(odd, indent=2)
 
     def test_round_trip_preserves_projections(self):
         entry = m_kl(2, 1, 1)
