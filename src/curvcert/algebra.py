@@ -154,6 +154,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _check_components(field: FieldTag, comp: np.ndarray) -> None:
+    # every later `> tol` test is False on NaN, so a non-finite matrix would pass them all
+    if not np.isfinite(comp).all():
+        raise InvalidElement("matrix has non-finite components")
     nc = N_COMPONENTS[field]
     if nc < 4 and np.any(comp[..., nc:] != 0.0):
         raise InvalidElement(f"{field.value} matrix has nonzero components beyond index {nc - 1}")
@@ -331,16 +334,32 @@ def full_basis(field: FieldTag, n: int) -> list[AlgElement]:
 
 def block_basis(field: FieldTag, n: int, indices) -> list[AlgElement]:
     """Basis of the subalgebra supported on the given row/column index set."""
-    idx = list(indices)
+    return [AlgElement(field, n, comp) for comp in block_stack(field, n, indices)]
+
+
+def block_stack(field: FieldTag, n: int, indices) -> np.ndarray:
+    """The generators of `block_basis` as one validated stack, shape (r, n, n, 4).
+
+    Generator order: for each index i in turn, the imaginary units at (i, i),
+    then for each later index j the units at (i, j), component by component;
+    each equals the matching `basis_element`.
+    """
+    idx = np.asarray(list(indices), dtype=np.intp)
     nc = N_COMPONENTS[field]
-    out = []
-    for a, i in enumerate(idx):
-        for c in range(1, nc):
-            out.append(basis_element(field, n, i, i, c))
-        for j in idx[a + 1 :]:
-            for c in range(nc):
-                out.append(basis_element(field, n, i, j, c))
-    return out
+    a, b = np.triu_indices(len(idx))  # (i, i) first, then (i, j) for later j
+    diag = a == b
+    counts = np.where(diag, nc - 1, nc)
+    pair = np.repeat(np.arange(len(a)), counts)
+    first = np.cumsum(counts) - counts
+    c = np.arange(len(pair)) - first[pair] + diag[pair]  # from 1 (imaginary) on the diagonal
+    i, j = idx[a[pair]], idx[b[pair]]
+    r = np.arange(len(pair))
+    comp = np.zeros((len(pair), n, n, 4))
+    comp[r, i, j, c] = 1.0
+    off = i != j
+    comp[r[off], j[off], i[off], c[off]] = np.where(c[off] == 0, -1.0, 1.0)
+    check_skew(field, comp)
+    return comp
 
 
 def random_skew(field: FieldTag, n: int, rng: np.random.Generator) -> AlgElement:

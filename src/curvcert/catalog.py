@@ -2,7 +2,9 @@
 
 Every builder returns a fully populated Triple (with the chain k < h < g),
 the designated vector A in p, and metadata recording known structural facts
-(symmetric pair, rank one) that the certifiers rely on but do not recompute.
+(symmetric pair, rank one).  The metadata is descriptive: part3 and scan
+recompute the symmetric pair with `is_symmetric_pair`.  Each span is built
+as one stack (r, n, n, 4) of generators and handed to `make_triple`.
 
 Conventions: H and K occupy lower-right diagonal blocks, p is the first
 row/column band, so the explicit matrices of the worked examples transcribe
@@ -17,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import AlgElement, FieldTag, basis_element, block_basis, full_basis
+from .algebra import AlgElement, FieldTag, block_stack
 from .triple import Subspace, Triple, make_triple, stabilizer_subalgebra
 
 
@@ -30,12 +32,9 @@ class CatalogEntry:
     metadata: dict = dc_field(default_factory=dict)
 
 
-def _diag_pair(n: int, c: int, sign0: float, sign1: float, slots=(0, 1)) -> AlgElement:
-    """Imaginary unit c placed on two diagonal slots with the given signs."""
-    comp = np.zeros((n, n, 4))
-    comp[slots[0], slots[0], c] = sign0
-    comp[slots[1], slots[1], c] = sign1
-    return AlgElement(FieldTag.QUATERNION, n, comp)
+def _blocks(field: FieldTag, n: int, *index_sets) -> np.ndarray:
+    """Generators of the block subalgebras on the given index sets, stacked in order."""
+    return np.concatenate([block_stack(field, n, idx) for idx in index_sets])
 
 
 def _first_row_vector(field: FieldTag, n_total: int, entries: dict[int, float]) -> AlgElement:
@@ -53,16 +52,13 @@ def t1s3_product() -> CatalogEntry:
 
     k = span{(i, i)}, base point A = (i, -i)/sqrt(2).
     """
-    n = 2
-    g_span = [
-        basis_element(FieldTag.QUATERNION, n, slot, slot, c)
-        for slot in (0, 1)
-        for c in (1, 2, 3)
-    ]
-    h_span = [_diag_pair(n, c, 1.0, 1.0) for c in (1, 2, 3)]
-    k_span = [_diag_pair(n, 1, 1.0, 1.0)]
-    a = (1.0 / math.sqrt(2.0)) * _diag_pair(n, 1, 1.0, -1.0)
-    triple = make_triple(g_span, h_span, k_span, label="t1s3_product", base_point=a)
+    field = FieldTag.QUATERNION
+    g_span = _blocks(field, 2, [0], [1])  # i, j, k at slot 0, then at slot 1
+    h_span = g_span[:3] + g_span[3:]  # (z, z)
+    k_span = h_span[:1]
+    a = AlgElement(field, 2, (1.0 / math.sqrt(2.0)) * (g_span[0] - g_span[3]))
+    triple = make_triple(g_span, h_span, k_span, label="t1s3_product", base_point=a,
+                         field=field)
     return CatalogEntry(
         id="t1s3_product",
         params={},
@@ -81,14 +77,13 @@ def t1_sphere(n: int) -> CatalogEntry:
     if n < 2:
         raise ValueError("t1_sphere requires n >= 2")
     size = n + 1
-    g_span = full_basis(FieldTag.REAL, size)
-    h_span = block_basis(FieldTag.REAL, size, range(1, size))
-    a = _first_row_vector(FieldTag.REAL, size, {1: 1.0})
-    h_sub = Subspace.from_spanning(h_span)
-    k_sub = stabilizer_subalgebra(h_sub, a)
-    triple = make_triple(
-        g_span, h_span, k_sub.elements(), label=f"t1_sphere(n={n})", base_point=a
-    )
+    field = FieldTag.REAL
+    g_span = block_stack(field, size, range(size))
+    h_span = block_stack(field, size, range(1, size))
+    a = _first_row_vector(field, size, {1: 1.0})
+    k_sub = stabilizer_subalgebra(Subspace.from_spanning(h_span, field), a)
+    triple = make_triple(g_span, h_span, k_sub.comps(), label=f"t1_sphere(n={n})",
+                         base_point=a, field=field)
     return CatalogEntry(
         id="t1_sphere",
         params={"n": n},
@@ -112,27 +107,19 @@ _PROJ_FIELDS = {
 
 def _projective_entry(field: FieldTag, n: int, projective: bool) -> CatalogEntry:
     size = n + 1
-    g_span = full_basis(field, size)
-    h_span = block_basis(field, size, [0]) + block_basis(field, size, range(1, size))
-    k_span = list(block_basis(field, size, range(2, size)))
-    from .algebra import N_COMPONENTS
-
-    imag = range(1, N_COMPONENTS[field])
+    g_span = block_stack(field, size, range(size))
+    h_span = _blocks(field, size, [0], range(1, size))
     if projective:
         # {diag(z1, z2, B)}: independent scalar blocks at slots 0 and 1
-        k_span += [basis_element(field, size, 0, 0, c) for c in imag]
-        k_span += [basis_element(field, size, 1, 1, c) for c in imag]
+        k_span = _blocks(field, size, range(2, size), [0], [1])
     else:
         # {diag(z, z, B)}: tied scalar blocks
-        for c in imag:
-            comp = np.zeros((size, size, 4))
-            comp[0, 0, c] = 1.0
-            comp[1, 1, c] = 1.0
-            k_span.append(AlgElement(field, size, comp))
+        tied = block_stack(field, size, [0]) + block_stack(field, size, [1])
+        k_span = np.concatenate([block_stack(field, size, range(2, size)), tied])
     a = _first_row_vector(field, size, {1: 1.0})
     kind = "pt" if projective else "t1"
     label = f"{kind}_projective({_PROJ_FIELDS[field]},n={n})"
-    triple = make_triple(g_span, h_span, k_span, label=label, base_point=a)
+    triple = make_triple(g_span, h_span, k_span, label=label, base_point=a, field=field)
     meta = {
         "symmetric_pair": True,
         "rank_one": True,
@@ -180,16 +167,15 @@ def m_kl(n: int, k: int, l: int) -> CatalogEntry:
         raise ValueError("m_kl requires n >= 2")
     size = n + 1
     field = FieldTag.COMPLEX
-    g_span = full_basis(field, size)
-    h_span = block_basis(field, size, [0]) + block_basis(field, size, range(1, size))
-    comp = np.zeros((size, size, 4))
-    comp[0, 0, 1] = float(k)
-    comp[1, 1, 1] = float(l)
-    k_span = [AlgElement(field, size, comp)] + block_basis(field, size, range(2, size))
+    g_span = block_stack(field, size, range(size))
+    h_span = _blocks(field, size, [0], range(1, size))
+    kl = np.zeros((1, size, size, 4))
+    kl[0, 0, 0, 1] = float(k)
+    kl[0, 1, 1, 1] = float(l)
+    k_span = np.concatenate([kl, block_stack(field, size, range(2, size))])
     a = _first_row_vector(field, size, {1: 1.0, 2: 1.0})
-    triple = make_triple(
-        g_span, h_span, k_span, label=f"m_kl(n={n},k={k},l={l})", base_point=a
-    )
+    triple = make_triple(g_span, h_span, k_span, label=f"m_kl(n={n},k={k},l={l})",
+                         base_point=a, field=field)
     meta = {
         "symmetric_pair": True,
         "rank_one": True,
@@ -216,11 +202,12 @@ def sp_example(n: int) -> CatalogEntry:
         raise ValueError("sp_example requires n >= 2")
     size = n + 1
     field = FieldTag.QUATERNION
-    g_span = full_basis(field, size)
-    h_span = block_basis(field, size, [0]) + block_basis(field, size, range(1, size))
-    k_span = block_basis(field, size, [0]) + block_basis(field, size, range(2, size))
+    g_span = block_stack(field, size, range(size))
+    h_span = _blocks(field, size, [0], range(1, size))
+    k_span = _blocks(field, size, [0], range(2, size))
     a = _first_row_vector(field, size, {1: 1.0})
-    triple = make_triple(g_span, h_span, k_span, label=f"sp_example(n={n})", base_point=a)
+    triple = make_triple(g_span, h_span, k_span, label=f"sp_example(n={n})", base_point=a,
+                         field=field)
     return CatalogEntry(
         id="sp_example",
         params={"n": n},

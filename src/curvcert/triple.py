@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .algebra import (
     comp_bracket,
     from_flat,
 )
+
+#: a spanning set: AlgElements, or a stack (r, n, n, 4) of component matrices
+Span = Union[np.ndarray, Sequence[AlgElement]]
 
 _ORTHO_TOL = 1e-10
 _PAIR_BLOCK_FLOATS = 1 << 18  # bracket components held at once by is_symmetric_pair
@@ -49,9 +52,12 @@ def _orthonormalize(mat: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
 
     Each row is projected off the basis accumulated so far by one matrix
     product, twice.  Rows spanning the same subspace come out orthonormal;
-    near-dependent rows are dropped.
+    near-dependent rows are dropped.  Rows with disjoint supports take the
+    closed form of `_disjoint_rows`, which gives the same bits.
     """
     mat = np.asarray(mat, dtype=np.float64)
+    if _disjoint_rows(mat):
+        return _normalized_rows(mat, drop_tol)
     basis = np.empty_like(mat)
     rank = 0
     for v in mat:
@@ -63,6 +69,31 @@ def _orthonormalize(mat: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
             basis[rank] = v / nrm
             rank += 1
     return basis[:rank].copy()
+
+
+def _disjoint_rows(mat: np.ndarray) -> bool:
+    """True when each column has at most one nonzero, every entry is finite and no zero is -0.0.
+
+    Then every projection coefficient of the Gram-Schmidt loop is an exact
+    zero and subtracting its products leaves each row's bits as they are.
+    A -0.0 could turn into +0.0 there, depending on the sign of a zero sum,
+    and inf * 0 is NaN, so such inputs keep the loop.
+    """
+    nonzero = mat != 0.0
+    return bool(
+        (nonzero.sum(axis=0) <= 1).all()
+        and np.isfinite(mat).all()
+        and not (np.signbit(mat) & ~nonzero).any()
+    )
+
+
+def _normalized_rows(mat: np.ndarray, drop_tol: float) -> np.ndarray:
+    """The Gram-Schmidt loop on rows with disjoint supports: keep each row above the drop rule, unit length."""
+    norms = np.zeros(len(mat))
+    for r in np.flatnonzero(mat.any(axis=1)):  # an all-zero row has norm +0.0 either way
+        norms[r] = np.linalg.norm(mat[r])  # the loop's norm, of one 1-D row
+    keep = norms > drop_tol * np.maximum(1.0, norms)
+    return mat[keep] / norms[keep, None]
 
 
 @dataclass(frozen=True)
@@ -85,12 +116,22 @@ class Subspace:
         object.__setattr__(self, "mat", mat)
 
     @classmethod
-    def from_spanning(cls, elems: Sequence[AlgElement]) -> "Subspace":
-        if not elems:
-            raise ValueError("cannot infer field/size from an empty spanning set")
-        field, n = elems[0].field, elems[0].n
-        mat = _orthonormalize(np.array([e.flat for e in elems]))
-        return cls(field, n, mat)
+    def from_spanning(cls, span: Span, field: Optional[FieldTag] = None) -> "Subspace":
+        """Orthonormal basis of the span of AlgElements, or of a stack (r, n, n, 4) over `field`.
+
+        An element list is stacked, taking its field from the elements; a
+        stack is validated by one `check_skew`.
+        """
+        if not isinstance(span, np.ndarray):
+            if not span:
+                raise ValueError("cannot infer field/size from an empty spanning set")
+            field, span = span[0].field, np.array([e.comp for e in span])
+        if field is None:
+            raise ValueError("a stack of component matrices needs its field")
+        if span.ndim != 4 or span.shape[1] != span.shape[2] or span.shape[3] != 4:
+            raise ValueError(f"expected a stack of shape (r, n, n, 4), got {span.shape}")
+        check_skew(field, span)
+        return cls(field, span.shape[1], _orthonormalize(span.reshape(len(span), -1)))
 
     @property
     def dim(self) -> int:
@@ -182,18 +223,24 @@ class Triple:
 
 
 def make_triple(
-    g_span: Sequence[AlgElement],
-    h_span: Sequence[AlgElement],
-    k_span: Sequence[AlgElement],
+    g_span: Span,
+    h_span: Span,
+    k_span: Span,
     label: str = "",
     base_point: Optional[AlgElement] = None,
+    field: Optional[FieldTag] = None,
 ) -> Triple:
-    """Build a Triple from spanning sets, orthonormalizing and validating nesting."""
-    g = Subspace.from_spanning(g_span)
-    field, n = g.field, g.n
-    h = Subspace.from_spanning(h_span) if h_span else _empty_subspace(field, n)
-    k = Subspace.from_spanning(k_span) if k_span else _empty_subspace(field, n)
-    return _nested_triple(g, h, k, label, base_point)
+    """Build a Triple from spanning sets, orthonormalizing and validating nesting.
+
+    Each span is a list of AlgElements or a stack (r, n, n, 4) of component
+    matrices; stacks need `field`.
+    """
+    g = Subspace.from_spanning(g_span, field)
+
+    def sub(span: Span) -> Subspace:
+        return Subspace.from_spanning(span, g.field) if len(span) else _empty_subspace(g.field, g.n)
+
+    return _nested_triple(g, sub(h_span), sub(k_span), label, base_point)
 
 
 def _nested_triple(
@@ -389,6 +436,8 @@ def triple_to_dict(triple: Triple) -> dict:
 
 
 def triple_from_dict(doc: dict) -> Triple:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a triple document is a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != SCHEMA_TRIPLE:
         raise ValueError(f"unknown triple schema {doc.get('schema')!r}, expected {SCHEMA_TRIPLE!r}")
     field = FieldTag(doc["field"])
@@ -408,6 +457,8 @@ def triple_from_dict(doc: dict) -> Triple:
         return Subspace(field, n, comp.reshape(len(arr), -1))
 
     bases = doc["bases"]
+    if not isinstance(bases, dict):
+        raise ValueError(f"\"bases\" is a JSON object, not {type(bases).__name__}")
     base = doc.get("base_point")
     base_point = matrix_from_components(field, n, base) if base else None
     return _nested_triple(

@@ -16,6 +16,43 @@ from curvcert.algebra import (
 from curvcert.triple import Triple
 
 
+def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape and the same float64 bits in every entry (so -0.0 differs from 0.0)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def reference_orthonormalize(mat: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
+    """The Gram-Schmidt row loop of `curvcert.triple._orthonormalize`, without its closed form.
+
+    Each row is projected off the basis accumulated so far by one matrix
+    product, twice; rows whose remaining norm is at most drop_tol times
+    max(1, original norm) are dropped.
+    """
+    mat = np.asarray(mat, dtype=np.float64)
+    basis = np.empty_like(mat)
+    rank = 0
+    for v in mat:
+        scale = max(1.0, float(np.linalg.norm(v)))
+        for _ in range(2):
+            v = v - (basis[:rank] @ v) @ basis[:rank]
+        nrm = float(np.linalg.norm(v))
+        if nrm > drop_tol * scale:
+            basis[rank] = v / nrm
+            rank += 1
+    return basis[:rank].copy()
+
+
+def reference_block_stack(field: FieldTag, n: int, indices) -> np.ndarray:
+    """One `basis_element` per generator, in the generator order of `block_basis`, stacked."""
+    idx = list(indices)
+    elems = []
+    for a, i in enumerate(idx):
+        elems += [basis_element(field, n, i, i, c) for c in range(1, N_COMPONENTS[field])]
+        for j in idx[a + 1:]:
+            elems += [basis_element(field, n, i, j, c) for c in range(N_COMPONENTS[field])]
+    return np.array([e.comp for e in elems]).reshape(len(elems), n, n, 4)
+
+
 def random_skew_batch(field: FieldTag, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Batch of random skew-Hermitian component arrays, shape (count, n, n, 4)."""
     raw = rng.standard_normal((count, n, n, 4))

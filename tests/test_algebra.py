@@ -13,7 +13,10 @@ from curvcert.algebra import (
     adjoint,
     _pair_brackets,
     basis_element,
+    block_basis,
+    block_stack,
     bracket,
+    check_skew,
     comp_bracket,
     from_flat,
     full_basis,
@@ -24,7 +27,7 @@ from curvcert.algebra import (
     zero,
 )
 
-from helpers import random_skew_batch, sp1_pair
+from helpers import bit_equal, random_skew_batch, reference_block_stack, sp1_pair
 
 
 def quat_unit(n, slot, c):
@@ -219,3 +222,28 @@ class TestValidation:
         assert len(full_basis(FieldTag.COMPLEX, 3)) == 9
         assert len(full_basis(FieldTag.QUATERNION, 2)) == 10
         assert zero(FieldTag.REAL, 3).norm() == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_components(self, bad):
+        comp = np.zeros((2, 2, 4))
+        comp[0, 1, 0], comp[1, 0, 0] = bad, -bad
+        with pytest.raises(InvalidElement, match="non-finite"):
+            check_skew(FieldTag.REAL, comp)
+        with pytest.raises(InvalidElement, match="non-finite"):
+            AlgElement(FieldTag.REAL, 2, comp)
+
+
+class TestBlockStack:
+    @pytest.mark.parametrize("field", list(FieldTag))
+    @pytest.mark.parametrize("n, indices", [(4, range(4)), (4, []), (3, [2]), (1, [0]),
+                                            (6, range(2, 6)), (7, [1, 3, 4, 6])])
+    def test_matches_basis_elements_bit_for_bit(self, field, n, indices):
+        got = block_stack(field, n, indices)
+        assert bit_equal(got, reference_block_stack(field, n, indices))
+        assert got.shape[1:] == (n, n, 4)
+
+    def test_block_basis_wraps_the_stack(self):
+        stack = block_stack(FieldTag.QUATERNION, 4, [0, 2, 3])
+        elems = block_basis(FieldTag.QUATERNION, 4, [0, 2, 3])
+        assert all(isinstance(e, AlgElement) for e in elems)
+        assert bit_equal(np.array([e.comp for e in elems]), stack)

@@ -140,6 +140,31 @@ class TestExportRoundTrip:
         assert code == 3
         assert "leaves its ambient span" in err
 
+    @pytest.mark.parametrize("method", ["part3", "fat", "part2"])
+    def test_non_finite_component_is_error(self, capsys, tmp_path, method):
+        # every `> tol` test is False on NaN: an all-NaN k row once left m empty and
+        # each method CERTIFIED the file vacuously
+        path = tmp_path / "triple.json"
+        run(capsys, "export", "--entry", "t1_sphere", "--n", "2", "--out", str(path))
+        doc = json.loads(path.read_text())
+        assert doc["bases"]["k"] == []  # so(1) = 0
+        doc["bases"]["k"] = [[math.nan] * len(doc["bases"]["h"][0])]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "--file", str(path), "--method", method)
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '{"schema": "curvcert-triple/1", '
+                                      '"field": "real", "n": 2, "bases": [1, 2]}'])
+    def test_document_that_is_not_an_object_is_error(self, capsys, tmp_path, text):
+        path = tmp_path / "triple.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", "--file", str(path), "--method", "part3")
+        assert code == 3
+        assert out == ""
+        assert "is a JSON object, not" in err
+
     def test_exported_file_reloads_bit_faithfully(self, capsys, tmp_path):
         path = tmp_path / "triple.json"
         run(capsys, "export", "--entry", "sp_example", "--n", "3", "--out", str(path))
@@ -431,13 +456,55 @@ PINNED_DIGESTS = {
         "20d6270465e012560ce89bd3894ca712f3315b361485cfe51ee45e90b0402a5c",
         "4600b42170cfc14fb3b46a10cec5e24160d5b9236171cb5d4e3a74f45d3c5fcf",
     ),
+    # one pin per family and field, taken before the catalog spans were built as
+    # generator stacks with closed-form orthonormalization of disjoint rows
+    ("t1_projective", "--field", "C", "--n", "2"): (
+        "54a8c33351115105bc72043975a5555b66706dad16747546271806c94ede633a",
+        "f7958e6473a09e90aa35312822846fc57ee64bf63c6b4d4a92fe4bd69699802c",
+    ),
+    ("t1_projective", "--field", "H", "--n", "3"): (
+        "a74c0820a1c7f914b9270f290031aefd2fc118563caafb8347849e24096212d2",
+        "e87105df3b8ba465b513e5d8df7a82babccce1106493da425e0a405f8531e43c",
+    ),
+    ("pt_projective", "--field", "R", "--n", "2"): (
+        "85aa73a80eac13b16744626be10b5e7d3b036482704854ca180b26e1dd8dd3a2",
+        "c782870f9f9dd17b67163d98fcc83f2c74395ac5695bc4bd8593579acf6f00a8",
+    ),
+    ("pt_projective", "--field", "C", "--n", "2"): (
+        "86140a172129930d52fa19252179f488e8ba8043d5797b23a2239066526f65d5",
+        "a55d46d006e6bb1b1f9b0bb56eb0dc12c7ed82f703c232c5f3eef8879e5c097f",
+    ),
+    ("pt_projective", "--field", "H", "--n", "2"): (
+        "ee2d748c19b3c5522e0decd72306f87d09a14f8418ed7804dca8fdb4eb259154",
+        "11169477898813db3fec953d77eb085ff9736d0392fa0d8b4f65ada22db172fc",
+    ),
+    ("m_kl", "--n", "2", "--k", "1", "--l", "1"): (
+        "d7d71be702bf50bcbeaa6fc0cfbd1db5fbf741340cae4c828d40e4142fd1d871",
+        "6015ef44255f4d00f5a5fd31bf4f70138aeb70bad77b648aa3da29f5d1d47997",
+    ),
+    ("m_kl", "--n", "2", "--k", "0", "--l", "1"): (
+        "91aabf31bba83e4fd4150af77b188f3f9cd7252fbee61dfa3e2e50fa7617aa00",
+        "61e24615c0581cdc981823830059f6539161c89eca13025ac5f02e2f64f299bb",
+    ),
+    ("t1_sphere", "--n", "10"): (
+        "dc5b1fc00022d6510334f8114528d8ebbf78919add34c5d40f878df7c5615870",
+        "1044928af226a117f1d8577bf77332d9b80523596fd17caf5e32c260d9940d5e",
+    ),
+    ("sp_example", "--n", "8"): (
+        "dbe9b4dd36a643701d7c2cb91b44cce57e4a363b690a0b08fd0354a5f7d61874",
+        "ae11ee4991184e129eae599efd2245645b10d3d12be67d040320c88bb273eced",
+    ),
 }
+# part3 exit codes other than 0 (CERTIFIED): k = 0 lies outside the certified family
+PINNED_PART3_CODES = {("m_kl", "--n", "2", "--k", "0", "--l", "1"): 1}
 
 
 @pytest.mark.parametrize("entry", sorted(PINNED_DIGESTS))
 def test_pinned_output_digests(capsys, entry):
     export_sha, part3_sha = PINNED_DIGESTS[entry]
-    for argv, want in ((["export"], export_sha), (["check", "--method", "part3"], part3_sha)):
+    part3_code = PINNED_PART3_CODES.get(entry, 0)
+    for argv, want, want_code in ((["export"], export_sha, 0),
+                                  (["check", "--method", "part3"], part3_sha, part3_code)):
         code, out, _ = run(capsys, *argv, "--entry", *entry)
-        assert code == 0
+        assert code == want_code
         assert hashlib.sha256(out.encode()).hexdigest() == want

@@ -10,6 +10,7 @@ from curvcert.algebra import (
     InvalidElement,
     basis_element,
     block_basis,
+    block_stack,
     bracket,
     from_flat,
     full_basis,
@@ -45,7 +46,7 @@ from curvcert.triple import (
     triple_to_json,
 )
 
-from helpers import sp1_pair, su3_su2_spans
+from helpers import bit_equal, reference_orthonormalize, sp1_pair, su3_su2_spans
 
 # one small entry of every catalog family, over each field the family offers
 FAMILIES = [
@@ -99,6 +100,25 @@ class TestConstruction:
         bad_k = [basis_element(FieldTag.REAL, 3, 0, 1, 0)]  # not inside h
         with pytest.raises(NotInSpan):
             make_triple(g, h, bad_k)
+
+    def test_stacks_and_element_lists_give_the_same_bits(self):
+        field = FieldTag.COMPLEX
+        spans = [block_stack(field, 4, range(4)), block_stack(field, 4, range(1, 4)),
+                 block_stack(field, 4, [2, 3])]
+        from_stacks = make_triple(*spans, field=field)
+        from_lists = make_triple(*[[from_flat(field, 4, c.ravel()) for c in s] for s in spans])
+        for name in ("g_basis", "h_basis", "k_basis", "m_basis", "p_basis"):
+            assert bit_equal(getattr(from_stacks, name).mat, getattr(from_lists, name).mat)
+
+    def test_stack_needs_its_field(self):
+        with pytest.raises(ValueError, match="needs its field"):
+            Subspace.from_spanning(block_stack(FieldTag.REAL, 3, range(3)))
+
+    def test_stack_is_validated(self):
+        bad = block_stack(FieldTag.REAL, 3, range(3))
+        bad[0, 0, 0, 0] = 1.0  # a real diagonal entry is not skew
+        with pytest.raises(InvalidElement):
+            make_triple(bad, bad[:1], [], field=FieldTag.REAL)
 
     def test_gk_basis_spans_m_plus_p(self, t1s3):
         gk = t1s3.gk_basis()
@@ -282,6 +302,77 @@ class TestOrthonormalize:
             got, want = _orthonormalize(mat), _reference_gram_schmidt(mat)
             assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-12
+
+
+class TestClosedForm:
+    """Rows with disjoint supports are normalized in closed form, bit for bit as the loop."""
+
+    @pytest.mark.parametrize("build", FAMILIES + [lambda: t1_sphere(7), lambda: sp_example(4)])
+    def test_every_catalog_span_and_complement(self, monkeypatch, build):
+        inputs = []
+        orthonormalize = triple_module._orthonormalize
+
+        def record(mat, *args):
+            inputs.append(np.array(mat, dtype=np.float64))
+            return orthonormalize(mat, *args)
+
+        monkeypatch.setattr(triple_module, "_orthonormalize", record)
+        build()
+        assert any(triple_module._disjoint_rows(mat) for mat in inputs)
+        for mat in inputs:
+            assert bit_equal(orthonormalize(mat), reference_orthonormalize(mat))
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_generator_stacks_take_the_closed_form(self, field):
+        mat = block_stack(field, 5, range(5)).reshape(-1, 100)
+        assert triple_module._disjoint_rows(mat)
+        assert bit_equal(_orthonormalize(mat), reference_orthonormalize(mat))
+
+    def test_wide_rows_use_the_loops_norm(self):
+        # with 50 nonzeros a row, the order of summation shows in the last bits
+        rng = np.random.default_rng(12)
+        mat = np.zeros((8, 400))
+        for r in range(8):
+            mat[r, r::8] = rng.standard_normal(50)
+        assert triple_module._disjoint_rows(mat)
+        assert bit_equal(_orthonormalize(mat), reference_orthonormalize(mat))
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_negative_zero(self, row):
+        mat = np.zeros((4, 8))
+        mat[0, :2] = 3.0, -4.0
+        mat[2, 3] = 0.5
+        mat[3, 5:] = 1.0, 2.0, 2.0
+        mat[row, 7 if row else 4] = -0.0
+        got = _orthonormalize(mat)
+        assert bit_equal(got, reference_orthonormalize(mat))
+        assert got.shape == (3, 8)  # the all-zero row 1 is dropped
+
+    def test_all_zero_and_tiny_rows_are_dropped(self):
+        mat = np.zeros((4, 6))
+        mat[0, 0], mat[2, 1], mat[3, 2] = 1e-12, 2.0, 1e-300
+        got = _orthonormalize(mat)
+        assert triple_module._disjoint_rows(mat)
+        assert bit_equal(got, reference_orthonormalize(mat))
+        assert bit_equal(got, np.eye(6)[1:2])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the loop
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_keeps_the_loop(self, bad):
+        mat = np.eye(5)[:4].copy()
+        mat[2, 4] = bad
+        assert not triple_module._disjoint_rows(mat)
+        assert bit_equal(_orthonormalize(mat), reference_orthonormalize(mat))
+
+    def test_overlapping_rows_keep_the_loop(self):
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((4, 12))
+        mat = np.vstack([rows, rows[0] - 3.0 * rows[1], np.eye(12)[:3]])
+        assert not triple_module._disjoint_rows(mat)
+        assert bit_equal(_orthonormalize(mat), reference_orthonormalize(mat))
+        tied = np.zeros((2, 4))
+        tied[0, :2] = tied[1, 1:3] = 1.0
+        assert bit_equal(_orthonormalize(tied), reference_orthonormalize(tied))
 
 
 class TestStabilizer:
