@@ -4,7 +4,8 @@ Elements are skew-Hermitian square matrices stored with explicit scalar
 components: every entry carries four reals (w, x, y, z), of which the real
 field uses one and the complex field two.  Keeping quaternion entries native
 makes the inner product Re tr(A * conj(B)^T) a literal componentwise dot
-product and avoids complex-embedding bookkeeping.
+product; only the all-pairs bracket kernel `pair_brackets` works in a
+complex embedding.
 """
 
 from __future__ import annotations
@@ -67,15 +68,16 @@ def comp_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return qmul(a, b) - qmul(b, a)
 
 
-def _pair_brackets(field: FieldTag, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def pair_brackets(field: FieldTag, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a_p, b_q] for every pair of skew-Hermitian stacks a (P, n, n, 4) and b (Q, n, n, 4).
 
-    Returns the field's active components, shape (P, Q, n, n, nc).  For
-    skew-Hermitian operands b a = (a b)^*, so each bracket is a b - (a b)^*
-    and all P*Q products come from one matrix product: real over R, complex
-    over C, and over H the complex one of the first block row of the 2n x 2n
-    embedding, with the entry w + xi + yj + zk written as u + v j,
-    u = w + xi, v = y + zi.
+    The library's kernel for brackets of basis stacks; returns the field's
+    active components, shape (P, Q, n, n, nc).  For skew-Hermitian operands
+    b a = (a b)^* (other operands get wrong brackets), so each bracket is
+    a b - (a b)^* and all P*Q products come from one matrix product: real
+    over R, complex over C, and over H the complex one of the first block row
+    of the 2n x 2n embedding, with the entry w + xi + yj + zk written as
+    u + v j, u = w + xi, v = y + zi.
     """
     p, q, n = len(a), len(b), a.shape[1]
     if field is FieldTag.REAL:
@@ -327,22 +329,12 @@ def basis_element(field: FieldTag, n: int, i: int, j: int, c: int) -> AlgElement
     return AlgElement(field, n, comp)
 
 
-def full_basis(field: FieldTag, n: int) -> list[AlgElement]:
-    """Basis of so(n), u(n) or sp(n) as skew-Hermitian matrices."""
-    return block_basis(field, n, range(n))
-
-
-def block_basis(field: FieldTag, n: int, indices) -> list[AlgElement]:
-    """Basis of the subalgebra supported on the given row/column index set."""
-    return [AlgElement(field, n, comp) for comp in block_stack(field, n, indices)]
-
-
 def block_stack(field: FieldTag, n: int, indices) -> np.ndarray:
-    """The generators of `block_basis` as one validated stack, shape (r, n, n, 4).
+    """The generators of the subalgebra on an index set (all of so(n), u(n), sp(n) for range(n)).
 
-    Generator order: for each index i in turn, the imaginary units at (i, i),
-    then for each later index j the units at (i, j), component by component;
-    each equals the matching `basis_element`.
+    A validated stack (r, n, n, 4).  Order: for each index i in turn, the
+    imaginary units at (i, i), then for each later index j the units at
+    (i, j), component by component; each equals the matching `basis_element`.
     """
     idx = np.asarray(list(indices), dtype=np.intp)
     nc = N_COMPONENTS[field]

@@ -27,14 +27,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import (
+    N_COMPONENTS,
     AlgElement,
     GroupElement,
+    block_stack,
     bracket,
     comp_adjoint,
-    comp_bracket,
     from_flat,
-    full_basis,
     group_exp,
+    pair_brackets,
     require_same,
 )
 from .flatness import FlatPairWitness, horizontal_flat_residual
@@ -143,11 +144,11 @@ def report_to_json(report: CertReport) -> str:
 # --- deterministic part-3 certificate ----------------------------------------
 
 
-def _ad_matrix_on_m(triple: Triple, a: AlgElement) -> np.ndarray:
-    """Rows: [m_i, A] flattened; coefficients of unit m-vectors map through it."""
-    require_same(triple, a)
-    m = triple.m_basis
-    return comp_bracket(m.comps(), a.comp).reshape(m.dim, -1)
+def _a_not_in_p(triple: Triple, a: AlgElement, tol: float) -> tuple[str, ...]:
+    """The note of part2, part3 and the scans when their precondition, A in p, fails; else ()."""
+    if triple.p_basis.contains(a, tol=max(tol, 1e-8)):
+        return ()
+    return ("precondition failed: A does not lie in p",)
 
 
 def min_ad_singular(triple: Triple, a: AlgElement) -> float:
@@ -160,7 +161,7 @@ def min_ad_singular(triple: Triple, a: AlgElement) -> float:
     if triple.m_basis.dim == 0:
         warnings.warn("dim m = 0: vacuous commutation condition, returning +inf")
         return float("inf")
-    s = np.linalg.svd(_ad_matrix_on_m(triple, a), compute_uv=False)
+    s = np.linalg.svd(triple.m_basis.brackets_with(a), compute_uv=False)
     return float(s[-1])
 
 
@@ -174,18 +175,17 @@ def certify_part3(triple: Triple, a: AlgElement, tol: float = DEFAULT_TOL) -> Ce
     """
     notes = ["rank-one property taken from catalog metadata, not verified"]
     symmetric = is_symmetric_pair(triple, tol=1e-8)
-    a_in_p = triple.p_basis.contains(a, tol=max(tol, 1e-8))
+    a_not_in_p = _a_not_in_p(triple, a, tol)
     if not symmetric:
         notes.append("precondition failed: (g, h) is not a symmetric pair")
-    if not a_in_p:
-        notes.append("precondition failed: A does not lie in p")
+    notes.extend(a_not_in_p)
     if triple.m_basis.dim == 0:
         notes.append("dim m = 0: condition holds vacuously")
         sigma_min = float("inf")
     else:
-        u, s, _ = np.linalg.svd(_ad_matrix_on_m(triple, a), full_matrices=False)
+        u, s, _ = np.linalg.svd(triple.m_basis.brackets_with(a), full_matrices=False)
         sigma_min = float(s[-1])
-    if not (symmetric and a_in_p):
+    if not symmetric or a_not_in_p:
         verdict = Verdict.INCONCLUSIVE
         witness = None
     elif sigma_min > tol:
@@ -211,30 +211,24 @@ def certify_part3(triple: Triple, a: AlgElement, tol: float = DEFAULT_TOL) -> Ce
 # --- bilinear multi-start searches --------------------------------------------
 
 
-def _bracket_tensor(z_comps: np.ndarray, w_comps: np.ndarray) -> np.ndarray:
-    """T[i, k, :] = flat [z_i, w_k] for component stacks (dz, n, n, 4) and (dw, n, n, 4)."""
-    return comp_bracket(z_comps[:, None], w_comps[None, :]).reshape(len(z_comps), len(w_comps), -1)
-
-
 @functools.lru_cache(maxsize=None)  # one entry per algebra a process searches in
 def _coordinate_matrix(field, n: int) -> np.ndarray:
-    """(n*n*4, dim) map from flat components of so(n), u(n) or sp(n) to orthonormal coordinates.
+    """(n*n*nc, dim) map from active components to orthonormal coordinates of so(n), u(n), sp(n).
 
     Read-only, since every caller shares the cached array.
     """
-    rows = np.array([e.flat for e in full_basis(field, n)])
-    coords = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).T
+    coords = Subspace.from_spanning(block_stack(field, n, range(n)), field).active().T
     coords.flags.writeable = False
     return coords
 
 
-def _coordinates(triple: Triple, tensor: np.ndarray) -> np.ndarray:
-    """A pair tensor with skew-Hermitian values in orthonormal coordinates.
+def _bracket_coordinates(triple: Triple, z_comps: np.ndarray, w_comps: np.ndarray) -> np.ndarray:
+    """T[i, k, :] = [z_i, w_k] in orthonormal coordinates, for skew-Hermitian stacks z and w.
 
-    Same |T(z, w)|^2, with dim so(n), u(n) or sp(n) numbers per pair
-    instead of n*n*4 components.
+    Same |T(z, w)|^2 as the components, dim so(n), u(n) or sp(n) numbers per pair.
     """
-    return tensor @ _coordinate_matrix(triple.field, triple.n)
+    t = pair_brackets(triple.field, z_comps, w_comps).reshape(len(z_comps), len(w_comps), -1)
+    return t @ _coordinate_matrix(triple.field, triple.n)
 
 
 def _weighted(terms, weights) -> np.ndarray:
@@ -469,7 +463,7 @@ def _search_terms(triple: Triple, z_dom: Subspace, budget: StartBudget):
         return None
     z_comps, w_comps = z_dom.comps(), w_dom.comps()
     gmat = _ortho_constraint(z_dom, w_dom)
-    commutator = _coordinates(triple, _bracket_tensor(z_comps, w_comps))
+    commutator = _bracket_coordinates(triple, z_comps, w_comps)
     return z_comps, w_comps, commutator, gmat, _starts(z_dom, w_dom, gmat, budget)
 
 
@@ -502,10 +496,8 @@ def _flat_plane_search(
     t = commutator
     if g is not None:
         require_same(triple, g)
-        horizontal = _coordinates(triple, _bracket_tensor(
-            project_comps(triple, comp_adjoint(g.comp, z_comps), Part.H),
-            project_comps(triple, comp_adjoint(g.comp, w_comps), Part.H),
-        ))
+        horizontal = _bracket_coordinates(triple, *(
+            project_comps(triple, comp_adjoint(g.comp, c), Part.H) for c in (z_comps, w_comps)))
         t = _weighted([commutator, horizontal], [1.0, 1.0])
     vals, zs, ws, status = _descend(t, gmat, *starts, budget.max_iters)
     i = int(np.argmin(vals))  # ties resolve to the lowest start index
@@ -560,9 +552,8 @@ def certify_part2(
     is INCONCLUSIVE unless A lies in p.
     """
     verdict, score, witness, notes = _part2_search(triple, a, budget, tol)
-    if not triple.p_basis.contains(a, tol=max(tol, 1e-8)):
-        verdict, witness = Verdict.INCONCLUSIVE, None
-        notes = ("precondition failed: A does not lie in p",)
+    if failed := _a_not_in_p(triple, a, tol):
+        verdict, witness, notes = Verdict.INCONCLUSIVE, None, failed
     return CertReport(
         triple.label, Method.PART2, verdict, score, tol,
         witness=witness, starts=budget.starts, seed=budget.seed, notes=notes,
@@ -578,10 +569,10 @@ def _part2_search(triple: Triple, a: AlgElement, budget: StartBudget, tol: float
         return Verdict.CERTIFIED, float("inf"), None, notes
     require_same(triple, a)
     z_comps, w_comps, commutator, gmat, (z, w) = terms
-    objective = _coordinates(triple, _bracket_tensor(
-        project_comps(triple, z_comps, Part.H),
-        project_comps(triple, comp_bracket(a.comp, w_comps), Part.H),
-    ))
+    aw = np.zeros_like(w_comps)  # [A, w_k], padded back to 4 components
+    aw[..., :N_COMPONENTS[triple.field]] = pair_brackets(triple.field, a.comp[None], w_comps)[0]
+    objective = _bracket_coordinates(
+        triple, project_comps(triple, z_comps, Part.H), project_comps(triple, aw, Part.H))
     status = np.full(len(z), CONVERGED)
     for mu in _PENALTY_SCHEDULE:
         t = _weighted([objective, commutator], [1.0, mu])
@@ -699,8 +690,8 @@ def scan_along_A(
                            budget, tol, refute_tol, float(s))
         for s in s_values
     ]
-    if terms is None or triple.p_basis.contains(a, tol=max(tol, 1e-8)):
+    failed = _a_not_in_p(triple, a, tol)
+    if terms is None or not failed:
         return reports
-    return [replace(rep, verdict=Verdict.INCONCLUSIVE, witness=None,
-                    notes=("precondition failed: A does not lie in p",))
+    return [replace(rep, verdict=Verdict.INCONCLUSIVE, witness=None, notes=failed)
             for rep in reports]

@@ -15,7 +15,7 @@ import sys
 import time
 
 from .algebra import FieldTag
-from .catalog import CATALOG_IDS, build_entry, list_catalog
+from .catalog import build_entry, list_catalog
 from .certify import (
     CertReport,
     StartBudget,
@@ -150,8 +150,6 @@ def _resolve(args) -> tuple[Triple, object]:
     if bool(args.entry) == bool(args.file):
         raise ValueError("exactly one of --entry or --file is required")
     if args.entry:
-        if args.entry not in CATALOG_IDS:
-            raise KeyError(f"unknown catalog entry: {args.entry}")
         entry = build_entry(args.entry, n=args.n, k=args.k, l=args.l, field=args.field)
         return entry.triple, entry.base_point_A
     triple = load_triple(args.file)
@@ -162,8 +160,7 @@ def _parse_inline_a(raw: str, triple: Triple):
     doc = json.loads(raw)
     if isinstance(doc, dict):
         field_tag = FieldTag(doc.get("field", triple.field.value))
-        n = int(doc.get("n", triple.n))
-        return matrix_from_components(field_tag, n, doc["matrix"])
+        return matrix_from_components(field_tag, doc.get("n", triple.n), doc["matrix"])
     return matrix_from_components(triple.field, triple.n, doc)
 
 

@@ -19,10 +19,10 @@ from .algebra import (
     AlgElement,
     FieldTag,
     N_COMPONENTS,
-    _pair_brackets,
     check_skew,
-    comp_bracket,
     from_flat,
+    pair_brackets,
+    require_same,
 )
 
 #: a spanning set: AlgElements, or a stack (r, n, n, 4) of component matrices
@@ -145,6 +145,11 @@ class Subspace:
         comp = self.mat.reshape(self.dim, self.n, self.n, 4)
         check_skew(self.field, comp)
         return comp
+
+    def brackets_with(self, a: AlgElement) -> np.ndarray:
+        """Row i: the active components of [b_i, A] for basis vector b_i, shape (dim, n*n*nc)."""
+        require_same(self, a)
+        return pair_brackets(self.field, self.comps(), a.comp[None]).reshape(self.dim, -1)
 
     def active(self) -> np.ndarray:
         """The basis rows restricted to the field's active components, shape (dim, n*n*nc)."""
@@ -326,7 +331,7 @@ def is_symmetric_pair(triple: Triple, tol: float = 1e-10) -> bool:
         block = p_comp[lo:lo + rows]
         for others, wrong in ((p_comp[lo:], p_wrong), (h_comp, h_wrong)):
             if len(others):
-                v = _pair_brackets(triple.field, block, others).reshape(-1, wrong.shape[1])
+                v = pair_brackets(triple.field, block, others).reshape(-1, wrong.shape[1])
                 if np.linalg.norm(v @ wrong.T, axis=1).max() > tol:
                     return False
     return True
@@ -347,8 +352,8 @@ def stabilizer_subalgebra(
     """
     if h_basis.dim == 0:
         return h_basis
-    rows = comp_bracket(h_basis.comps(), a.comp).reshape(h_basis.dim, -1)
-    u, s, _ = np.linalg.svd(rows, full_matrices=False)  # u is square: dim h <= n*n*4
+    # u is square: dim h <= n*n*nc
+    u, s, _ = np.linalg.svd(h_basis.brackets_with(a), full_matrices=False)
     null_mask = s < null_tol
     rank = int(np.count_nonzero(~null_mask))
     if 0 < rank < len(s):
@@ -410,9 +415,24 @@ def matrix_to_components(x: AlgElement) -> list[float]:
     return [float(v) for v in x.comp[:, :, :nc].ravel()]
 
 
+def _size(n) -> int:
+    """A matrix size read from a document; ValueError unless it is a positive integer."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be a positive integer, not {n!r}")
+    return n
+
+
+def _numbers(values, what: str) -> np.ndarray:
+    """A list of numbers from a document as float64; ValueError on anything else, strings too."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must hold numbers only, not {arr.dtype}")
+    return arr.astype(np.float64)
+
+
 def matrix_from_components(field: FieldTag, n: int, values: Sequence[float]) -> AlgElement:
-    nc = N_COMPONENTS[field]
-    arr = np.asarray(values, dtype=np.float64)
+    n, nc = _size(n), N_COMPONENTS[field]
+    arr = _numbers(values, "a matrix")
     if arr.size != n * n * nc:
         raise ValueError(f"expected {n * n * nc} scalars, got {arr.size}")
     comp = np.zeros((n, n, 4))
@@ -441,13 +461,12 @@ def triple_from_dict(doc: dict) -> Triple:
     if doc.get("schema") != SCHEMA_TRIPLE:
         raise ValueError(f"unknown triple schema {doc.get('schema')!r}, expected {SCHEMA_TRIPLE!r}")
     field = FieldTag(doc["field"])
-    n = int(doc["n"])
-    nc = N_COMPONENTS[field]
+    n, nc = _size(doc["n"]), N_COMPONENTS[field]
 
     def decode(rows) -> Subspace:
         if not rows:
             return _empty_subspace(field, n)
-        arr = np.asarray(rows, dtype=np.float64)
+        arr = _numbers(rows, "a basis")
         if arr.ndim != 2 or arr.shape[1] != n * n * nc:
             raise ValueError(f"expected rows of {n * n * nc} scalars, got shape {arr.shape}")
         comp = np.zeros((len(arr), n, n, 4))

@@ -43,7 +43,7 @@ def reference_orthonormalize(mat: np.ndarray, drop_tol: float = 1e-10) -> np.nda
 
 
 def reference_block_stack(field: FieldTag, n: int, indices) -> np.ndarray:
-    """One `basis_element` per generator, in the generator order of `block_basis`, stacked."""
+    """One `basis_element` per generator, in the generator order of `block_stack`, stacked."""
     idx = list(indices)
     elems = []
     for a, i in enumerate(idx):

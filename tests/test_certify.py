@@ -7,6 +7,7 @@ import pytest
 
 import curvcert.certify as certify
 from curvcert.algebra import (
+    N_COMPONENTS,
     FieldTag,
     adjoint,
     bracket,
@@ -415,9 +416,16 @@ ENTRIES = {
 }
 
 
+def coordinates(triple, tensor):
+    """A pair tensor of flat (n, n, 4) values in the search's orthonormal coordinates."""
+    dz, dw, _ = tensor.shape
+    active = tensor.reshape(dz, dw, triple.n, triple.n, 4)[..., :N_COMPONENTS[triple.field]]
+    return active.reshape(dz, dw, -1) @ certify._coordinate_matrix(triple.field, triple.n)
+
+
 def objective(triple, tensors, weights):
     """The search's own tensor for the weighted terms: coordinates, weighted and stacked."""
-    return certify._weighted([certify._coordinates(triple, t) for t in tensors], weights)
+    return certify._weighted([coordinates(triple, t) for t in tensors], weights)
 
 
 def _lockstep_vs_oracle(tensors, weights, gmat, z0, w0, triple=None, max_iters=200):
@@ -496,7 +504,7 @@ class TestLockstepSearch:
     def test_blocks_of_starts_match_one_block(self, monkeypatch):
         triple = sp_example(2).triple
         z_dom, w_dom = triple.gk_basis(), triple.p_basis
-        t = certify._coordinates(triple, certify._bracket_tensor(z_dom.comps(), w_dom.comps()))
+        t = certify._bracket_coordinates(triple, z_dom.comps(), w_dom.comps())
         gmat = certify._ortho_constraint(z_dom, w_dom)
         z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=1))
         whole, _, _, whole_status = certify._descend(t, gmat, z0, w0, 200)
@@ -544,7 +552,8 @@ class TestLockstepSearch:
         z_dom, w_dom = triple.gk_basis(), triple.p_basis
         z_el, w_el = z_dom.elements(), w_dom.elements()
         zc, wc = z_dom.comps(), w_dom.comps()
-        assert np.array_equal(certify._bracket_tensor(zc, wc), pair_tensor(z_el, w_el, bracket))
+        assert np.array_equal(certify._bracket_coordinates(triple, zc, wc),
+                              coordinates(triple, pair_tensor(z_el, w_el, bracket)))
 
         def part2_map(z, w):
             return bracket(project(triple, z, Part.H), project(triple, bracket(a, w), Part.H))
@@ -556,7 +565,9 @@ class TestLockstepSearch:
         def h(comps):
             return project_comps(triple, comps, Part.H)
 
-        part2 = certify._bracket_tensor(h(zc), h(comp_bracket(a.comp, wc)))
-        scan = certify._bracket_tensor(h(comp_adjoint(g.comp, zc)), h(comp_adjoint(g.comp, wc)))
-        np.testing.assert_allclose(part2, pair_tensor(z_el, w_el, part2_map), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(scan, pair_tensor(z_el, w_el, scan_map), rtol=0, atol=1e-14)
+        part2 = certify._bracket_coordinates(triple, h(zc), h(comp_bracket(a.comp, wc)))
+        scan = certify._bracket_coordinates(triple, h(comp_adjoint(g.comp, zc)),
+                                            h(comp_adjoint(g.comp, wc)))
+        for got, fn in ((part2, part2_map), (scan, scan_map)):
+            want = coordinates(triple, pair_tensor(z_el, w_el, fn))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)

@@ -68,8 +68,9 @@ class TestCheckExitCodes:
         assert "error" in err
 
     def test_unknown_entry_is_error(self, capsys):
-        code, _, _ = run(capsys, "check", "--entry", "nope", "--method", "fat")
+        code, _, err = run(capsys, "check", "--entry", "nope", "--method", "fat")
         assert code == 3
+        assert "unknown catalog entry: nope" in err
 
     def test_entry_and_file_together_is_error(self, capsys, tmp_path):
         path = tmp_path / "x.json"
@@ -164,6 +165,34 @@ class TestExportRoundTrip:
         assert code == 3
         assert out == ""
         assert "is a JSON object, not" in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(n=[2]), "n must be a positive integer, not [2]"),
+        (lambda doc: doc["bases"].update(g=[[{"a": 1}]]), "a basis must hold numbers only"),
+        (lambda doc: doc["bases"].update(g=[[str(v) for v in row] for row in doc["bases"]["g"]]),
+         "a basis must hold numbers only"),
+    ], ids=["n-is-a-list", "row-holds-an-object", "numbers-as-strings"])
+    def test_malformed_document_is_error(self, capsys, tmp_path, edit, message):
+        # the first two once ended in a TypeError traceback instead of exit 3;
+        # numbers written as strings were parsed and the file was certified
+        path = tmp_path / "triple.json"
+        run(capsys, "export", "--entry", "t1_sphere", "--n", "2", "--out", str(path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "--file", str(path), "--method", "part3")
+        assert code == 3 and out == ""
+        assert f"curvcert: error: {message}" in err
+
+    @pytest.mark.parametrize("a,message", [
+        ('{"n": [2], "matrix": [0]}', "n must be a positive integer, not [2]"),
+        ('{"matrix": {"a": 1}}', "a matrix must hold numbers only"),
+    ], ids=["n-is-a-list", "matrix-is-an-object"])
+    def test_malformed_inline_base_point_is_error(self, capsys, a, message):
+        code, out, err = run(capsys, "check", "--entry", "t1_sphere", "--n", "2",
+                             "--method", "part3", "--A", a)
+        assert code == 3 and out == ""
+        assert f"curvcert: error: {message}" in err
 
     def test_exported_file_reloads_bit_faithfully(self, capsys, tmp_path):
         path = tmp_path / "triple.json"
@@ -498,6 +527,32 @@ PINNED_DIGESTS = {
 # part3 exit codes other than 0 (CERTIFIED): k = 0 lies outside the certified family
 PINNED_PART3_CODES = {("m_kl", "--n", "2", "--k", "0", "--l", "1"): 1}
 
+# sha256 of the stdout of the three searches, taken before every search tensor
+# went through the all-pairs bracket kernel; bytes must not change.  Fat and
+# the scan refute (a scan refutes at s = 0), part2 certifies.
+SEARCH_RUNS = {
+    "fat": (["check", "--method", "fat", "--starts", "16"], 1),
+    "part2": (["check", "--method", "part2", "--starts", "8"], 0),
+    "scan": (["scan", "--s-values", "0,0.05,0.1,0.2,0.4,0.8", "--starts", "4"], 1),
+}
+PINNED_SEARCH_DIGESTS = {
+    ("t1_sphere", "--n", "3"): {
+        "fat": "cac6bb56a741b4db7b7882d30d71effc3a914c09c9f4135dbd0847cf056eaf41",
+        "part2": "3c530f957b92f0b39eb274df0444a6144d12d93ab3046cdaf876c5a06e1edc96",
+        "scan": "0c45084b1821d63497d6e13a8949ac5f559df42ecce309cf6a80d5dfb957ece4",
+    },
+    ("m_kl", "--n", "2", "--k", "1", "--l", "1"): {
+        "fat": "5d8985ed27306ef2159c866ef1376ec8631eed701111d8deb7f90c2567437358",
+        "part2": "76db46406cf36c37aba9cf73fec85344a22539a1b152499422ab622c0ec35c5f",
+        "scan": "c4d07c225e809091fe0132260111b900e1753f05b6b90b311e684b0aee8454f9",
+    },
+    ("sp_example", "--n", "2"): {
+        "fat": "44f241fdc67efdde8aeb9e304ef6fb21fa479a8f761d174711a0f657b2d607cf",
+        "part2": "bd805fa3bea5df56591eecf8b44b9d27dbf48d22e05116ddbcec07b792a55baa",
+        "scan": "0976673beb5b704fc7d95698527e25891e38d62057f0891de7aefa9ee11681e8",
+    },
+}
+
 
 @pytest.mark.parametrize("entry", sorted(PINNED_DIGESTS))
 def test_pinned_output_digests(capsys, entry):
@@ -508,3 +563,13 @@ def test_pinned_output_digests(capsys, entry):
         code, out, _ = run(capsys, *argv, "--entry", *entry)
         assert code == want_code
         assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("method", sorted(SEARCH_RUNS))
+@pytest.mark.parametrize("entry", sorted(PINNED_SEARCH_DIGESTS))
+def test_pinned_search_digests(capsys, entry, method):
+    argv, want_code = SEARCH_RUNS[method]
+    code, out, _ = run(capsys, *argv, "--entry", *entry)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SEARCH_DIGESTS[entry][method]
+

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from curvcert.algebra import (
+    DimensionMismatch,
     FieldTag,
     InvalidElement,
     basis_element,
-    block_basis,
     block_stack,
     bracket,
     from_flat,
-    full_basis,
     inner,
     random_skew,
 )
@@ -78,6 +77,14 @@ def random_in_span(sub, rng):
     return from_flat(sub.field, sub.n, v)
 
 
+def broken_so3_triple():
+    """so(4) > so(3) on slots 0..3, and so(3) on slots 4..6 over h = span(e45, e46)."""
+    field, n = FieldTag.REAL, 7
+    g = np.concatenate([block_stack(field, n, range(4)), block_stack(field, n, range(4, 7))])
+    h = np.concatenate([block_stack(field, n, range(1, 4)), block_stack(field, n, [4, 5, 6])[:2]])
+    return make_triple(g, h, [], label="so4/so3 + broken so3", field=field)
+
+
 class TestConstruction:
     def test_derived_bases_orthonormal_and_orthogonal(self, t1s3):
         for sub in (t1s3.m_basis, t1s3.p_basis):
@@ -95,11 +102,11 @@ class TestConstruction:
             assert resid < 1e-10 * max(1.0, x.norm())
 
     def test_nesting_violation_raises(self):
-        g = full_basis(FieldTag.REAL, 3)
-        h = block_basis(FieldTag.REAL, 3, [1, 2])
+        g = block_stack(FieldTag.REAL, 3, range(3))
+        h = block_stack(FieldTag.REAL, 3, [1, 2])
         bad_k = [basis_element(FieldTag.REAL, 3, 0, 1, 0)]  # not inside h
         with pytest.raises(NotInSpan):
-            make_triple(g, h, bad_k)
+            make_triple(g, h, bad_k, field=FieldTag.REAL)
 
     def test_stacks_and_element_lists_give_the_same_bits(self):
         field = FieldTag.COMPLEX
@@ -208,12 +215,9 @@ class TestSymmetricPair:
         # so(4) > so(3) on slots 0..3 is a symmetric pair; on slots 4..6, h
         # holds e45 and e46 but not their bracket, so [e56, e45] has an h-part.
         # e56 is the last p vector, so every earlier pair is clean.
-        field, n = FieldTag.REAL, 7
-        g = block_basis(field, n, range(4)) + block_basis(field, n, range(4, 7))
-        h = block_basis(field, n, range(1, 4)) + block_basis(field, n, [4, 5, 6])[:2]
-        triple = make_triple(g, h, [], label="so4/so3 + broken so3")
+        triple = broken_so3_triple()
         p, hs = triple.p_basis.elements(), triple.h_basis.elements()
-        e56 = basis_element(field, n, 5, 6, 0)
+        e56 = basis_element(FieldTag.REAL, 7, 5, 6, 0)
         assert abs(abs(inner(p[-1], e56)) - e56.norm()) < 1e-12
 
         def leaks(x, y, wrong):
@@ -235,19 +239,16 @@ class TestSymmetricPair:
         assert is_symmetric_pair(triple) == want
 
     def test_one_row_blocks_reach_a_violation_in_the_last_block(self, monkeypatch):
-        field, n = FieldTag.REAL, 7  # as in test_late_p_h_violation_detected
-        g = block_basis(field, n, range(4)) + block_basis(field, n, range(4, 7))
-        h = block_basis(field, n, range(1, 4)) + block_basis(field, n, [4, 5, 6])[:2]
-        triple = make_triple(g, h, [], label="so4/so3 + broken so3")
+        triple = broken_so3_triple()  # as in test_late_p_h_violation_detected
         blocks = []
-        kernel = triple_module._pair_brackets
+        kernel = triple_module.pair_brackets
 
         def recording(field, a, b):
             blocks.append(len(a))
             return kernel(field, a, b)
 
         monkeypatch.setattr(triple_module, "_PAIR_BLOCK_FLOATS", 1)
-        monkeypatch.setattr(triple_module, "_pair_brackets", recording)
+        monkeypatch.setattr(triple_module, "pair_brackets", recording)
         assert not is_symmetric_pair(triple)
         assert set(blocks) == {1}
         assert len(blocks) == 2 * triple.p_basis.dim  # every block ran, the last one failed
@@ -294,8 +295,8 @@ class TestOrthonormalize:
                                        lambda: sp_example(3)])
     def test_matches_reference_on_catalog_spans(self, build):
         triple = build().triple
-        spans = [full_basis(triple.field, triple.n), triple.h_basis.elements()]
-        mats = [np.array([e.flat for e in span]) for span in spans]
+        g = block_stack(triple.field, triple.n, range(triple.n))
+        mats = [g.reshape(len(g), -1), np.array(triple.h_basis.mat)]
         for big, small in ((triple.g_basis, triple.h_basis), (triple.h_basis, triple.k_basis)):
             mats.append(big.mat - (big.mat @ small.mat.T) @ small.mat)
         for mat in mats:
@@ -382,8 +383,13 @@ class TestStabilizer:
         out = stabilizer_subalgebra(t1s3.h_basis, zero(FieldTag.QUATERNION, 2))
         assert out.dim == t1s3.h_basis.dim
 
+    def test_base_point_from_another_algebra_is_rejected(self, t1s3):
+        # as for `bracket`: the kernel reads only the components of h's field
+        with pytest.raises(DimensionMismatch):
+            stabilizer_subalgebra(t1s3.h_basis, basis_element(FieldTag.COMPLEX, 2, 0, 0, 1))
+
     def test_so4_stabilizer_dimension(self):
-        h = Subspace.from_spanning(block_basis(FieldTag.REAL, 4, [1, 2, 3]))
+        h = Subspace.from_spanning(block_stack(FieldTag.REAL, 4, [1, 2, 3]), FieldTag.REAL)
         a = basis_element(FieldTag.REAL, 4, 0, 1, 0)
         out = stabilizer_subalgebra(h, a)
         assert out.dim == 1  # rotations of the (e2, e3) plane
