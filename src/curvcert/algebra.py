@@ -110,6 +110,17 @@ def comp_adjoint(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return qmul(qmul(g, x), conj_transpose(g))
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with the same row of b, shapes (r, d), bit for bit as np.dot of two contiguous rows.
+
+    The stacked product takes one BLAS dot per row, as np.dot does, and as
+    np.linalg.norm does after copying a row to contiguous memory; a
+    reduction along an axis, or BLAS on strided rows, sums in another order.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def comp_norm(a: np.ndarray) -> np.ndarray:
     """Frobenius norm sqrt(Re tr(A conj(A)^T)) of component arrays (batched)."""
     return np.sqrt(np.sum(a * a, axis=(-3, -2, -1)))
@@ -235,9 +246,6 @@ class GroupElement:
             raise InvalidElement("matrix is not unitary to 1e-10")
         object.__setattr__(self, "comp", comp)
 
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.field, self.n, conj_transpose(self.comp))
-
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         require_same(self, other)
         return GroupElement(self.field, self.n, qmul(self.comp, other.comp))
@@ -332,9 +340,11 @@ def basis_element(field: FieldTag, n: int, i: int, j: int, c: int) -> AlgElement
 def block_stack(field: FieldTag, n: int, indices) -> np.ndarray:
     """The generators of the subalgebra on an index set (all of so(n), u(n), sp(n) for range(n)).
 
-    A validated stack (r, n, n, 4).  Order: for each index i in turn, the
-    imaginary units at (i, i), then for each later index j the units at
-    (i, j), component by component; each equals the matching `basis_element`.
+    A stack (r, n, n, 4), skew-Hermitian by construction; it is validated
+    where it enters a subspace (`Subspace.from_spanning`).  Order: for each
+    index i in turn, the imaginary units at (i, i), then for each later index
+    j the units at (i, j), component by component; each equals the matching
+    `basis_element`.
     """
     idx = np.asarray(list(indices), dtype=np.intp)
     nc = N_COMPONENTS[field]
@@ -350,7 +360,6 @@ def block_stack(field: FieldTag, n: int, indices) -> np.ndarray:
     comp[r, i, j, c] = 1.0
     off = i != j
     comp[r[off], j[off], i[off], c[off]] = np.where(c[off] == 0, -1.0, 1.0)
-    check_skew(field, comp)
     return comp
 
 

@@ -37,6 +37,7 @@ from .algebra import (
     group_exp,
     pair_brackets,
     require_same,
+    row_dots,
 )
 from .flatness import FlatPairWitness, horizontal_flat_residual
 from .triple import (
@@ -422,22 +423,22 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
 def _starts(z_dom: Subspace, w_dom: Subspace, gmat, budget: StartBudget):
     """Unit starts as row stacks z0 (S, dz) and w0 (S, dw), each z orthogonal to gmat w.
 
-    Drawn one start at a time, w before z, from the budget's seed.
+    One draw from the budget's seed, each row split into w, then z: the
+    stream of drawing one start at a time.  The norms, dots and gmat w are
+    stacked products, one BLAS call per row as for a single start, so every
+    start has the bits of the one-at-a-time loop.
     """
     rng = np.random.default_rng(budget.seed)
-    z0, w0 = np.empty((budget.starts, z_dom.dim)), np.empty((budget.starts, w_dom.dim))
-    for z, w in zip(z0, w0):
-        w[:] = rng.standard_normal(w_dom.dim)
-        w /= np.linalg.norm(w)
-        z[:] = rng.standard_normal(z_dom.dim)
-        if gmat is not None:
-            u = gmat @ w
-            nrm = np.linalg.norm(u)
-            if nrm > 1e-12:
-                u = u / nrm
-                z -= np.dot(z, u) * u
-        z /= np.linalg.norm(z)
-    return z0, w0
+    draws = rng.standard_normal((budget.starts, w_dom.dim + z_dom.dim))
+    w0, z0 = draws[:, :w_dom.dim], draws[:, w_dom.dim:]
+    w0 = w0 / np.sqrt(row_dots(w0, w0))[:, None]
+    if gmat is not None:
+        u = (gmat @ w0[:, :, None])[:, :, 0]
+        nrm = np.sqrt(row_dots(u, u))
+        keep = nrm > 1e-12
+        u = u[keep] / nrm[keep, None]
+        z0[keep] -= row_dots(z0[keep], u)[:, None] * u
+    return z0 / np.sqrt(row_dots(z0, z0))[:, None], w0
 
 
 def _convergence_note(status: np.ndarray) -> str:

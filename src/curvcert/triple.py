@@ -8,6 +8,7 @@ and stabilizer computations.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -23,6 +24,7 @@ from .algebra import (
     from_flat,
     pair_brackets,
     require_same,
+    row_dots,
 )
 
 #: a spanning set: AlgElements, or a stack (r, n, n, 4) of component matrices
@@ -89,9 +91,7 @@ def _disjoint_rows(mat: np.ndarray) -> bool:
 
 def _normalized_rows(mat: np.ndarray, drop_tol: float) -> np.ndarray:
     """The Gram-Schmidt loop on rows with disjoint supports: keep each row above the drop rule, unit length."""
-    norms = np.zeros(len(mat))
-    for r in np.flatnonzero(mat.any(axis=1)):  # an all-zero row has norm +0.0 either way
-        norms[r] = np.linalg.norm(mat[r])  # the loop's norm, of one 1-D row
+    norms = np.sqrt(row_dots(mat, mat))  # the loop's norm of each 1-D row
     keep = norms > drop_tol * np.maximum(1.0, norms)
     return mat[keep] / norms[keep, None]
 
@@ -440,19 +440,26 @@ def matrix_from_components(field: FieldTag, n: int, values: Sequence[float]) -> 
     return AlgElement(field, n, comp)
 
 
-def triple_to_dict(triple: Triple) -> dict:
+def _document(triple: Triple) -> dict:
+    """The triple's document, with the basis rows of g, h and k as 2-D arrays."""
     return {
         "schema": SCHEMA_TRIPLE,
         "field": triple.field.value,
         "n": triple.n,
         "label": triple.label,
         "bases": {
-            "g": triple.g_basis.active().tolist(),
-            "h": triple.h_basis.active().tolist(),
-            "k": triple.k_basis.active().tolist(),
+            "g": triple.g_basis.active(),
+            "h": triple.h_basis.active(),
+            "k": triple.k_basis.active(),
         },
         "base_point": matrix_to_components(triple.base_point) if triple.base_point else None,
     }
+
+
+def triple_to_dict(triple: Triple) -> dict:
+    doc = _document(triple)
+    doc["bases"] = {name: rows.tolist() for name, rows in doc["bases"].items()}
+    return doc
 
 
 def triple_from_dict(doc: dict) -> Triple:
@@ -489,31 +496,81 @@ def triple_from_dict(doc: dict) -> Triple:
 _NUMBERS = frozenset({int, float})
 
 
-def _indented_json(obj, depth: int = 0) -> str:
-    """json.dumps(obj, indent=2) byte for byte, for dicts with string keys, lists and scalars.
+def _indented_json(obj) -> str:
+    """json.dumps(obj, indent=2) byte for byte, for dicts with string keys, lists, scalars and 2-D float arrays.
 
     The pure-Python encoder that indent selects is slow on the long rows of
     numbers in a triple, so each such row goes through the C encoder, with
-    the line break and indentation as its item separator.
+    the line break and indentation as its item separator.  An array is
+    written as the nested list of its rows.  The text is collected in pieces
+    and joined once: every concatenation of a megabyte-long string is a copy
+    into a fresh allocation.
     """
-    pad = "\n" + "  " * (depth + 1)
-    if isinstance(obj, list) and obj and set(map(type, obj)) <= _NUMBERS:
-        body = json.dumps(obj, separators=("," + pad, ": "))[1:-1]
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(obj, pad: str, out: list) -> None:
+    """Append the text of obj to out; pad is the line break and indentation of obj's first line."""
+    inner = pad + "  "
+    if isinstance(obj, np.ndarray):
+        _write_rows(obj, pad, out)
+    elif isinstance(obj, list) and obj and set(map(type, obj)) <= _NUMBERS:
+        out += ("[", inner, json.dumps(obj, separators=("," + inner, ": "))[1:-1], pad, "]")
     elif isinstance(obj, list) and obj:
-        body = ("," + pad).join(_indented_json(v, depth + 1) for v in obj)
+        out.append("[")
+        for i, v in enumerate(obj):
+            out.append("," + inner if i else inner)
+            _write_json(v, inner, out)
+        out += (pad, "]")
     elif isinstance(obj, dict) and obj:
-        body = ("," + pad).join(
-            f"{json.dumps(k)}: {_indented_json(v, depth + 1)}" for k, v in obj.items()
-        )
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            out.append(f"{',' if i else ''}{inner}{json.dumps(k)}: ")
+            _write_json(v, inner, out)
+        out += (pad, "}")
     else:
-        return json.dumps(obj)
-    opening, closing = ("[", "]") if isinstance(obj, list) else ("{", "}")
-    return opening + pad + body + pad[:-2] + closing
+        out.append(json.dumps(obj))
+
+
+def _write_rows(rows: np.ndarray, pad: str, out: list) -> None:
+    """`_write_json` of a 2-D float array: the nested list of its rows.
+
+    All values (the entries that are not +0.0, told by their bits, so -0.0
+    is a value) go through the C encoder in one call.  Each row is split
+    into runs of values and runs of +0.0 entries: a run of values is joined
+    from the encoder's output, a run of zeros is one repeated string, so a
+    row costs about one string operation per run, not one per number.
+    """
+    if not rows.size:
+        _write_json(rows.tolist(), pad, out)
+        return
+    row_pad = pad + "  "
+    value_pad = row_pad + "  "
+    sep = "," + value_pad
+    row_break = f"{row_pad}],{row_pad}[{value_pad}"
+    zero = rows.view(np.uint64) == 0
+    values = iter(json.dumps(rows[~zero].tolist())[1:-1].split(", "))
+    starts = np.ones(rows.shape, dtype=bool)  # where a run of zeros or of values begins
+    np.not_equal(zero[:, 1:], zero[:, :-1], out=starts[:, 1:])
+    first = np.flatnonzero(starts)
+    kinds = zero.ravel()[first].tolist()
+    first = first.tolist()
+    width = rows.shape[1]
+    out.append(f"[{row_pad}[{value_pad}")
+    for begin, end, is_zero in zip(first, first[1:] + [rows.size], kinds):
+        if begin % width:
+            out.append(sep)
+        elif begin:  # a new row
+            out.append(row_break)
+        out.append(sep.join(["0.0"] * (end - begin) if is_zero else itertools.islice(values, end - begin)))
+    out += (row_pad, "]", pad, "]")
 
 
 def triple_to_json(triple: Triple) -> str:
     """The triple's document as text, laid out as json.dumps(..., indent=2) lays it out."""
-    return _indented_json(triple_to_dict(triple))
+    return _indented_json(_document(triple))
 
 
 def save_triple(triple: Triple, path: str) -> None:

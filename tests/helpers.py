@@ -42,6 +42,29 @@ def reference_orthonormalize(mat: np.ndarray, drop_tol: float = 1e-10) -> np.nda
     return basis[:rank].copy()
 
 
+def reference_starts(z_dom, w_dom, gmat, budget):
+    """The start loop of `curvcert.certify._starts`: one start at a time, w drawn before z.
+
+    Each w is a normalized standard-normal draw; each z is drawn next, loses
+    its part along the unit vector gmat w (when gmat is given and |gmat w| >
+    1e-12) and is normalized.
+    """
+    rng = np.random.default_rng(budget.seed)
+    z0, w0 = np.empty((budget.starts, z_dom.dim)), np.empty((budget.starts, w_dom.dim))
+    for z, w in zip(z0, w0):
+        w[:] = rng.standard_normal(w_dom.dim)
+        w /= np.linalg.norm(w)
+        z[:] = rng.standard_normal(z_dom.dim)
+        if gmat is not None:
+            u = gmat @ w
+            nrm = np.linalg.norm(u)
+            if nrm > 1e-12:
+                u = u / nrm
+                z -= np.dot(z, u) * u
+        z /= np.linalg.norm(z)
+    return z0, w0
+
+
 def reference_block_stack(field: FieldTag, n: int, indices) -> np.ndarray:
     """One `basis_element` per generator, in the generator order of `block_stack`, stacked."""
     idx = list(indices)

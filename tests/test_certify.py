@@ -39,9 +39,11 @@ from curvcert.flatness import horizontal_flat_residual
 from curvcert.triple import Part, make_triple, project, project_comps
 
 from helpers import (
+    bit_equal,
     descend_one,
     pair_tensor,
     random_admissible_pair,
+    reference_starts,
     sampled_min_ad,
     sp1_pair,
     su3_su2_spans,
@@ -426,6 +428,40 @@ def coordinates(triple, tensor):
 def objective(triple, tensors, weights):
     """The search's own tensor for the weighted terms: coordinates, weighted and stacked."""
     return certify._weighted([coordinates(triple, t) for t in tensors], weights)
+
+
+class TestStarts:
+    """The stacked start draw gives the bits of the one-start-at-a-time loop."""
+
+    @pytest.mark.parametrize("name", ["t1s3_product", "t1_sphere(3)", "m_kl(2,1,1)",
+                                      "sp_example(3)"])
+    def test_matches_the_loop_on_every_search_domain(self, name):
+        triple = ENTRIES[name]().triple
+        constrained = 0
+        for z_dom in (triple.gk_basis(), certify._scan_z_domain(triple)):  # fat and part2, scan
+            gmat = certify._ortho_constraint(z_dom, triple.p_basis)
+            constrained += gmat is not None
+            for g in (gmat, None):
+                for budget in (StartBudget(starts=16, seed=0), StartBudget(starts=64, seed=5)):
+                    got = certify._starts(z_dom, triple.p_basis, g, budget)
+                    want = reference_starts(z_dom, triple.p_basis, g, budget)
+                    assert bit_equal(got[0], want[0]) and bit_equal(got[1], want[1])
+        assert constrained >= 1  # g minus k meets p: fat and part2 carry the constraint
+
+    @pytest.mark.parametrize("scale", [0.0, 2e-13, 1.0])
+    def test_matches_the_loop_on_random_constraints(self, scale):
+        # at scale 2e-13, |gmat w| falls on both sides of the 1e-12 cutoff
+        class Domain:
+            def __init__(self, dim):
+                self.dim = dim
+
+        gmat = scale * np.random.default_rng(13).standard_normal((31, 16))
+        budget = StartBudget(starts=64, seed=2)
+        got = certify._starts(Domain(31), Domain(16), gmat, budget)
+        want = reference_starts(Domain(31), Domain(16), gmat, budget)
+        assert bit_equal(got[0], want[0]) and bit_equal(got[1], want[1])
+        projected = np.linalg.norm(want[1] @ gmat.T, axis=1) > 1e-12
+        assert projected.any() == (scale > 0) and projected.all() == (scale == 1.0)
 
 
 def _lockstep_vs_oracle(tensors, weights, gmat, z0, w0, triple=None, max_iters=200):

@@ -338,6 +338,17 @@ class TestClosedForm:
         assert triple_module._disjoint_rows(mat)
         assert bit_equal(_orthonormalize(mat), reference_orthonormalize(mat))
 
+    @pytest.mark.parametrize("layout", ["strided", "F"])
+    def test_wide_rows_in_other_layouts_use_the_loops_norm(self, layout):
+        # BLAS sums a strided row in another order than a contiguous one
+        rng = np.random.default_rng(12)
+        wide = np.zeros((8, 800))
+        for r in range(8):
+            wide[r, 2 * r::16] = rng.standard_normal(50)
+        mat = wide[:, ::2] if layout == "strided" else np.asfortranarray(wide[:, ::2])
+        assert not mat.flags.c_contiguous and triple_module._disjoint_rows(mat)
+        assert bit_equal(_orthonormalize(mat), reference_orthonormalize(mat))
+
     @pytest.mark.parametrize("row", [0, 2])
     def test_negative_zero(self, row):
         mat = np.zeros((4, 8))
@@ -409,6 +420,16 @@ class TestStabilizer:
             assert bracket(e, entry.base_point_A).norm() < 1e-9
 
 
+def _unchecked_subspace(active: np.ndarray) -> Subspace:
+    """A real 3 x 3 Subspace whose rows are the given active components, with no orthonormality check."""
+    mat = np.zeros((len(active), 3, 3, 4))
+    mat[..., 0] = active.reshape(-1, 3, 3)
+    sub = object.__new__(Subspace)
+    for name, value in (("field", FieldTag.REAL), ("n", 3), ("mat", mat.reshape(len(active), 36))):
+        object.__setattr__(sub, name, value)
+    return sub
+
+
 class TestSerialization:
     def test_round_trip_bit_faithful(self):
         for entry in (t1s3_product(), t1_sphere(3), m_kl(2, 1, -1)):
@@ -432,6 +453,37 @@ class TestSerialization:
         odd = {"a": [], "b": {}, "c": [1, 2.5, -0.0, True, None], "d": ["x, y", "z"],
                "e": [[], [float("nan"), float("inf")]]}
         assert triple_module._indented_json(odd) == json.dumps(odd, indent=2)
+
+    @pytest.mark.parametrize("build", FAMILIES + [lambda: sp_example(4)])
+    def test_writer_matches_json_dumps_on_dense_rows(self, build):
+        # g, h and k rotated by random orthogonal matrices: nearly every entry is a full-precision value
+        rng = np.random.default_rng(14)
+        triple = build().triple
+
+        def rotated(sub):
+            q, _ = np.linalg.qr(rng.standard_normal((sub.dim, sub.dim)))
+            return Subspace(sub.field, sub.n, q @ sub.mat)
+
+        dense = dataclasses.replace(triple, g_basis=rotated(triple.g_basis),
+                                    h_basis=rotated(triple.h_basis), k_basis=rotated(triple.k_basis))
+        assert np.count_nonzero(dense.g_basis.active()) > np.count_nonzero(triple.g_basis.active())
+        assert triple_to_json(dense) == json.dumps(triple_to_dict(dense), indent=2)
+
+    def test_writer_matches_json_dumps_on_extreme_values(self):
+        # rows no orthonormal basis holds, put past the Subspace check: the writer takes any floats
+        g = np.zeros((5, 9))
+        g[0] = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2, 1 / 3, 1e-7, 1e16]
+        g[2, 3:5] = -0.0, 2.5  # the all-zero row 1 and runs of +0.0 around -0.0
+        g[3, 8] = float("nan")
+        g[4, 0], g[4, 4] = float("inf"), -float("inf")
+        h = g[:1, ::-1].copy()  # a single row, ending in -0.0
+        k = np.zeros((0, 9))
+        assert repr(float(g[0, 5])) == "0.30000000000000004"
+        triple = dataclasses.replace(
+            t1_sphere(2).triple, g_basis=_unchecked_subspace(g), h_basis=_unchecked_subspace(h),
+            k_basis=_unchecked_subspace(k), base_point=None,
+        )
+        assert triple_to_json(triple) == json.dumps(triple_to_dict(triple), indent=2)
 
     def test_round_trip_preserves_projections(self):
         entry = m_kl(2, 1, 1)
