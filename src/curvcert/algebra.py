@@ -4,8 +4,9 @@ Elements are skew-Hermitian square matrices stored with explicit scalar
 components: every entry carries four reals (w, x, y, z), of which the real
 field uses one and the complex field two.  Keeping quaternion entries native
 makes the inner product Re tr(A * conj(B)^T) a literal componentwise dot
-product; only the all-pairs bracket kernel `pair_brackets` works in a
-complex embedding.
+product; only the all-pairs kernels `pair_brackets` (whole brackets) and
+`pair_bracket_coords` (their coordinates along a third stack) work in a
+complex embedding, laid out by `_embedding`.
 """
 
 from __future__ import annotations
@@ -68,28 +69,40 @@ def comp_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return qmul(a, b) - qmul(b, a)
 
 
+def _embedding(field: FieldTag, comps: np.ndarray, full: bool = False) -> np.ndarray:
+    """The matrices that stand for a stack (r, n, n, 4) in one product, contiguous.
+
+    Real over R, complex over C.  Over H, the entry w + xi + yj + zk is
+    written as u + v j with u = w + xi, v = y + zi, and the matrix stands as
+    the first block row [u | v] of its 2n x 2n complex embedding, shape
+    (r, n, 2n); with `full`, as the whole embedding, shape (r, 2n, 2n).  The
+    first block row of a product is the first block row of the left factor
+    times the full embedding of the right one.
+    """
+    if field is FieldTag.REAL:
+        return np.ascontiguousarray(comps[..., 0])
+    u = comps[..., 0] + 1j * comps[..., 1]
+    if field is FieldTag.COMPLEX:
+        return u
+    v = comps[..., 2] + 1j * comps[..., 3]
+    row = np.concatenate([u, v], axis=2)
+    if not full:
+        return row
+    return np.concatenate([row, np.concatenate([-v.conj(), u.conj()], axis=2)], axis=1)
+
+
 def pair_brackets(field: FieldTag, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a_p, b_q] for every pair of skew-Hermitian stacks a (P, n, n, 4) and b (Q, n, n, 4).
 
-    The library's kernel for brackets of basis stacks; returns the field's
-    active components, shape (P, Q, n, n, nc).  For skew-Hermitian operands
-    b a = (a b)^* (other operands get wrong brackets), so each bracket is
-    a b - (a b)^* and all P*Q products come from one matrix product: real
-    over R, complex over C, and over H the complex one of the first block row
-    of the 2n x 2n embedding, with the entry w + xi + yj + zk written as
-    u + v j, u = w + xi, v = y + zi.
+    The library's kernel for whole brackets of basis stacks; returns the
+    field's active components, shape (P, Q, n, n, nc).  For skew-Hermitian
+    operands b a = (a b)^* (other operands get wrong brackets), so each
+    bracket is a b - (a b)^* and all P*Q products come from one matrix
+    product of the `_embedding`s: the first block row of the quaternion one
+    holds u and v of a b = u + v j.
     """
     p, q, n = len(a), len(b), a.shape[1]
-    if field is FieldTag.REAL:
-        x, y = a[..., 0], b[..., 0]
-    elif field is FieldTag.COMPLEX:
-        x, y = a[..., 0] + 1j * a[..., 1], b[..., 0] + 1j * b[..., 1]
-    else:
-        u1, v1 = a[..., 0] + 1j * a[..., 1], a[..., 2] + 1j * a[..., 3]
-        u2, v2 = b[..., 0] + 1j * b[..., 1], b[..., 2] + 1j * b[..., 3]
-        x = np.concatenate([u1, v1], axis=2)
-        y = np.concatenate([np.concatenate([u2, v2], axis=2),
-                            np.concatenate([-v2.conj(), u2.conj()], axis=2)], axis=1)
+    x, y = _embedding(field, a), _embedding(field, b, full=True)
     k, m = y.shape[1], y.shape[2]
     prod = x.reshape(p * n, k) @ y.transpose(1, 0, 2).reshape(k, q * m)
     prod = prod.reshape(p, n, q, m).transpose(0, 2, 1, 3)
@@ -103,6 +116,29 @@ def pair_brackets(field: FieldTag, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         v, mv = out[..., 1], prod[..., n:]
         np.add(mv, np.swapaxes(mv, -1, -2), out=v)
     return out if field is FieldTag.REAL else out.view(np.float64)
+
+
+def pair_bracket_coords(field: FieldTag, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """<[a_p, b_q], w_d> for skew-Hermitian stacks a (P, n, n, 4), b (Q, n, n, 4) and a stack w (D, n, n, 4); shape (P, Q, D).
+
+    No bracket is built.  For skew-Hermitian a, b the bracket is
+    a b - (a b)^*, and <X^*, W> = <X, W^*>, so <[a, b], w> = <a b, w - w^*>,
+    where w - w^* is twice the skew-Hermitian part of w: bit for bit 2 w for
+    an exactly skew w, and for any w equal in exact arithmetic to the
+    bracket coordinates.  All Q*P products come from one batched product of
+    the `_embedding`s, each pair's contiguous, and are contracted with the
+    first-row embeddings of w - w^* as reals (Re(z conj(z')) is the dot of
+    (Re z, Im z) with (Re z', Im z')) in one matrix product.
+    """
+    p, q, d, n = len(a), len(b), len(w), a.shape[1]
+    x, y = _embedding(field, a), _embedding(field, b, full=True)
+    w2 = _embedding(field, w - conj_transpose(w))
+    k, m = y.shape[1], y.shape[2]
+    prod = np.matmul(x.reshape(p * n, k), y).reshape(q * p, n * m)  # row q*P + p: a_p b_q
+    w2 = w2.reshape(d, n * m)
+    if field is not FieldTag.REAL:
+        prod, w2 = prod.view(np.float64), w2.view(np.float64)
+    return (prod @ w2.T).reshape(q, p, d).transpose(1, 0, 2)
 
 
 def comp_adjoint(g: np.ndarray, x: np.ndarray) -> np.ndarray:

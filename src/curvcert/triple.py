@@ -12,6 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -22,6 +23,7 @@ from .algebra import (
     N_COMPONENTS,
     check_skew,
     from_flat,
+    pair_bracket_coords,
     pair_brackets,
     require_same,
     row_dots,
@@ -31,7 +33,7 @@ from .algebra import (
 Span = Union[np.ndarray, Sequence[AlgElement]]
 
 _ORTHO_TOL = 1e-10
-_PAIR_BLOCK_FLOATS = 1 << 18  # bracket components held at once by is_symmetric_pair
+_PAIR_BLOCK_FLOATS = 1 << 18  # product floats held at once by is_symmetric_pair
 
 
 class NotInSpan(ValueError):
@@ -141,10 +143,30 @@ class Subspace:
         return [from_flat(self.field, self.n, row) for row in self.mat]
 
     def comps(self) -> np.ndarray:
-        """The basis as a validated stack of component matrices, shape (dim, n, n, 4)."""
+        """The basis as a validated stack of component matrices, shape (dim, n, n, 4).
+
+        The basis is immutable, so it is checked by `check_skew` once, on the
+        first call that passes.
+        """
+        return self._comps
+
+    @cached_property
+    def _comps(self) -> np.ndarray:
         comp = self.mat.reshape(self.dim, self.n, self.n, 4)
         check_skew(self.field, comp)
         return comp
+
+    @classmethod
+    def _from_rows(cls, field: FieldTag, comp: np.ndarray) -> "Subspace":
+        """The subspace whose basis is the stack comp (r, n, n, 4) as given, checked by `check_skew` before it is built.
+
+        The check is the one `comps()` makes, on the same rows, so `comps()`
+        does not repeat it.
+        """
+        check_skew(field, comp)
+        sub = cls(field, comp.shape[1], comp.reshape(len(comp), -1))
+        object.__setattr__(sub, "_comps", sub.mat.reshape(comp.shape))
+        return sub
 
     def brackets_with(self, a: AlgElement) -> np.ndarray:
         """Row i: the active components of [b_i, A] for basis vector b_i, shape (dim, n*n*nc)."""
@@ -316,23 +338,27 @@ def _check_in_g(triple: Triple, v: np.ndarray) -> None:
 def is_symmetric_pair(triple: Triple, tol: float = 1e-10) -> bool:
     """Check [p,p] < h and [p,h] < p over all basis pairs.
 
-    The p-basis is taken in blocks of rows.  Each block is bracketed with the
-    p vectors from its first row on and with all of h, one all-pairs product
-    each, sized so that a block's brackets hold about 2^18 floats (at least
-    one row), so memory stays bounded whatever the dimensions.  A bracket
-    whose coordinates in the wrong subspace have norm above tol ends the
-    check at the end of its block.
+    Only the coordinates of each bracket in the wrong subspace are read, and
+    for skew-Hermitian a, b, w they are a trilinear form of the products:
+    <[a, b], w> = 2 <a b, w>, so no bracket is built
+    (`algebra.pair_bracket_coords`).  The p-basis is taken in blocks of
+    rows.  Each block is paired with the p vectors from its first row on and
+    with all of h, one batched product each, sized so that a block's
+    products hold about 2^18 floats (at least one row), so memory stays
+    bounded whatever the dimensions.  A bracket whose coordinates in the
+    wrong subspace have norm above tol ends the check at the end of its
+    block.
     """
     p, h = triple.p_basis, triple.h_basis
     p_comp, h_comp = p.comps(), h.comps()
-    p_wrong, h_wrong = p.active(), h.active()
-    rows = max(1, _PAIR_BLOCK_FLOATS // (max(1, p.dim, h.dim) * p_wrong.shape[1]))
+    pair_floats = triple.n * triple.n * N_COMPONENTS[triple.field]
+    rows = max(1, _PAIR_BLOCK_FLOATS // (max(1, p.dim, h.dim) * pair_floats))
     for lo in range(0, p.dim, rows):
         block = p_comp[lo:lo + rows]
-        for others, wrong in ((p_comp[lo:], p_wrong), (h_comp, h_wrong)):
+        for others, wrong in ((p_comp[lo:], p_comp), (h_comp, h_comp)):
             if len(others):
-                v = pair_brackets(triple.field, block, others).reshape(-1, wrong.shape[1])
-                if np.linalg.norm(v @ wrong.T, axis=1).max() > tol:
+                coords = pair_bracket_coords(triple.field, block, others, wrong)
+                if np.linalg.norm(coords, axis=2).max() > tol:
                     return False
     return True
 
@@ -478,9 +504,8 @@ def triple_from_dict(doc: dict) -> Triple:
             raise ValueError(f"expected rows of {n * n * nc} scalars, got shape {arr.shape}")
         comp = np.zeros((len(arr), n, n, 4))
         comp[..., :nc] = arr.reshape(len(arr), n, n, nc)
-        check_skew(field, comp)
         # stored bases are already orthonormal; build directly to stay bit-faithful
-        return Subspace(field, n, comp.reshape(len(arr), -1))
+        return Subspace._from_rows(field, comp)
 
     bases = doc["bases"]
     if not isinstance(bases, dict):

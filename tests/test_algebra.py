@@ -16,14 +16,18 @@ from curvcert.algebra import (
     bracket,
     check_skew,
     comp_bracket,
+    conj_transpose,
     from_flat,
     group_exp,
     identity,
     inner,
+    pair_bracket_coords,
     pair_brackets,
+    qmul,
     random_skew,
     zero,
 )
+from curvcert.triple import make_triple, randomly_rebased
 
 from helpers import bit_equal, random_skew_batch, reference_block_stack, sp1_pair
 
@@ -119,6 +123,59 @@ class TestPairBrackets:
         assert got.shape == (p, q, 3, 3, nc)
         assert np.abs(got - want[..., :nc]).max() < 1e-12
         assert not want[..., nc:].any()
+
+
+class TestPairBracketCoords:
+    # g > h = the sum of two diagonal blocks, over each field
+    CHAINS = [(FieldTag.REAL, 5, 2), (FieldTag.COMPLEX, 4, 1), (FieldTag.QUATERNION, 3, 1)]
+
+    @staticmethod
+    def rebased_chain(field, n, split, seed):
+        """p, h and g of a block chain, with p and m randomly rebased, as component stacks."""
+        g = block_stack(field, n, range(n))
+        h = np.concatenate([block_stack(field, n, range(split)), block_stack(field, n, range(split, n))])
+        triple = randomly_rebased(make_triple(g, h, [], field=field), np.random.default_rng(seed))
+        return [sub.comps() for sub in (triple.p_basis, triple.h_basis, triple.g_basis)]
+
+    @staticmethod
+    def bracket_coords(field, a, b, w):
+        """<[a_p, b_q], w_d> from the whole brackets of `pair_brackets`."""
+        w_active = w[..., :N_COMPONENTS[field]].reshape(len(w), -1)
+        return pair_brackets(field, a, b).reshape(len(a), len(b), -1) @ w_active.T
+
+    @pytest.mark.parametrize("field,n,split", CHAINS, ids=lambda v: getattr(v, "value", str(v)))
+    def test_matches_bracket_coordinates(self, field, n, split):
+        for seed in range(3):
+            p, h, g = self.rebased_chain(field, n, split, seed)
+            for a, b in ((p, p), (p, h), (h[:3], g)):
+                want = self.bracket_coords(field, a, b, g)
+                got = pair_bracket_coords(field, a, b, g)
+                assert got.shape == (len(a), len(b), len(g))
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("field", list(FieldTag), ids=lambda f: f.value)
+    def test_empty_stacks(self, field):
+        a = random_skew_batch(field, 3, 2, np.random.default_rng(0))
+        for shape, args in (((0, 2, 2), (a[:0], a, a)), ((2, 0, 2), (a, a[:0], a)),
+                            ((2, 2, 0), (a, a, a[:0]))):
+            assert pair_bracket_coords(field, *args).shape == shape
+
+    @pytest.mark.parametrize("field,n,split", CHAINS, ids=lambda v: getattr(v, "value", str(v)))
+    def test_reads_the_skew_part_of_the_wrong_basis(self, field, n, split):
+        # a Hermitian term of size 1e-10 passes check_skew; the bracket
+        # coordinates do not see it, and neither may the kernel
+        p, h, g = self.rebased_chain(field, n, split, 7)
+        raw = np.random.default_rng(8).standard_normal((n, n, 4))
+        raw[..., N_COMPONENTS[field]:] = 0.0
+        w = g.copy()
+        w[0] += 1e-10 * (raw + conj_transpose(raw))
+        check_skew(field, w)
+        want = self.bracket_coords(field, p, h, w)
+        got = pair_bracket_coords(field, p, h, w)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # 2 <a b, w> with w as given misses by the Hermitian term, far beyond that
+        naive = 2 * qmul(p[:, None], h[None]).reshape(len(p), len(h), -1) @ w.reshape(len(w), -1).T
+        assert np.abs(naive - want).max() > 1e-12 * np.abs(want).max()
 
 
 class TestInner:

@@ -85,6 +85,12 @@ def broken_so3_triple():
     return make_triple(g, h, [], label="so4/so3 + broken so3", field=field)
 
 
+def sp2_sp1_triple():
+    """sp(2) > sp(1) on the first slot, a pair that is not symmetric."""
+    field = FieldTag.QUATERNION
+    return make_triple(block_stack(field, 2, range(2)), block_stack(field, 2, [0]), [], field=field)
+
+
 class TestConstruction:
     def test_derived_bases_orthonormal_and_orthogonal(self, t1s3):
         for sub in (t1s3.m_basis, t1s3.p_basis):
@@ -126,6 +132,25 @@ class TestConstruction:
         bad[0, 0, 0, 0] = 1.0  # a real diagonal entry is not skew
         with pytest.raises(InvalidElement):
             make_triple(bad, bad[:1], [], field=FieldTag.REAL)
+
+    def test_comps_checks_each_basis_once(self, t1s3, monkeypatch):
+        calls = []
+        check = triple_module.check_skew
+        monkeypatch.setattr(triple_module, "check_skew", lambda f, c: calls.append(len(c)) or check(f, c))
+        sub = Subspace(t1s3.field, t1s3.n, np.array(t1s3.p_basis.mat))
+        assert bit_equal(sub.comps(), sub.comps())
+        assert calls == [sub.dim]
+        loaded = triple_from_dict(triple_to_dict(t1s3))  # loading checks each stored basis
+        calls.clear()
+        loaded.h_basis.comps()
+        assert calls == []
+        mat = np.array(t1s3.p_basis.mat)
+        mat[0, 0] = 1.0  # a real diagonal entry: no longer skew-Hermitian
+        mat[0] /= np.linalg.norm(mat[0])
+        bad = Subspace(t1s3.field, t1s3.n, mat)
+        for _ in range(2):
+            with pytest.raises(InvalidElement):
+                bad.comps()
 
     def test_gk_basis_spans_m_plus_p(self, t1s3):
         gk = t1s3.gk_basis()
@@ -238,20 +263,40 @@ class TestSymmetricPair:
         monkeypatch.setattr(triple_module, "_PAIR_BLOCK_FLOATS", 1)
         assert is_symmetric_pair(triple) == want
 
-    def test_one_row_blocks_reach_a_violation_in_the_last_block(self, monkeypatch):
-        triple = broken_so3_triple()  # as in test_late_p_h_violation_detected
-        blocks = []
-        kernel = triple_module.pair_brackets
+    @pytest.mark.parametrize("build", [broken_so3_triple, sp2_sp1_triple,
+                                       lambda: make_triple(*su3_su2_spans(), [])],
+                             ids=["broken-so3", "sp2-sp1", "su3-su2"])
+    def test_one_row_blocks_agree_off_the_catalog(self, build, monkeypatch):
+        triple = build()
+        assert not is_symmetric_pair(triple)
+        monkeypatch.setattr(triple_module, "_PAIR_BLOCK_FLOATS", 1)
+        assert not is_symmetric_pair(triple)
 
-        def recording(field, a, b):
+    @staticmethod
+    def recorded_blocks(triple, monkeypatch) -> list:
+        """The row count of each block that `is_symmetric_pair` hands the kernel, with one-row blocks."""
+        blocks = []
+        kernel = triple_module.pair_bracket_coords
+
+        def recording(field, a, b, w):
             blocks.append(len(a))
-            return kernel(field, a, b)
+            return kernel(field, a, b, w)
 
         monkeypatch.setattr(triple_module, "_PAIR_BLOCK_FLOATS", 1)
-        monkeypatch.setattr(triple_module, "pair_brackets", recording)
+        monkeypatch.setattr(triple_module, "pair_bracket_coords", recording)
         assert not is_symmetric_pair(triple)
+        return blocks
+
+    def test_one_row_blocks_reach_a_violation_in_the_last_block(self, monkeypatch):
+        triple = broken_so3_triple()  # as in test_late_p_h_violation_detected
+        blocks = self.recorded_blocks(triple, monkeypatch)
         assert set(blocks) == {1}
         assert len(blocks) == 2 * triple.p_basis.dim  # every block ran, the last one failed
+
+    def test_one_row_blocks_stop_at_a_violation_in_the_first_block(self, monkeypatch):
+        # p of sp(2)/sp(1) starts with the off-diagonal block, whose brackets
+        # with each other have a part on the second diagonal slot, in p
+        assert self.recorded_blocks(sp2_sp1_triple(), monkeypatch) == [1]
 
     def test_rejects_non_skew_basis(self, t1s3):
         mat = np.array(t1s3.p_basis.mat)
