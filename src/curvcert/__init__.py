@@ -4,7 +4,6 @@ from .algebra import (
     AlgElement,
     FieldTag,
     GroupElement,
-    Quaternion,
     adjoint,
     bracket,
     group_exp,
@@ -37,22 +36,18 @@ from .certify import (
 )
 from .flatness import (
     FlatPairWitness,
-    biinvariant_plane_curvature,
     eschenburg_residual,
     horizontal_flat_residual,
-    symmetric_horizontal_residual,
 )
 from .triple import (
     DeformParam,
     Part,
     Subspace,
     Triple,
-    deformed_inner,
     is_symmetric_pair,
     load_triple,
     make_triple,
     phi,
-    phi_inv,
     project,
     randomly_rebased,
     save_triple,

@@ -4,9 +4,11 @@ Elements are skew-Hermitian square matrices stored with explicit scalar
 components: every entry carries four reals (w, x, y, z), of which the real
 field uses one and the complex field two.  Keeping quaternion entries native
 makes the inner product Re tr(A * conj(B)^T) a literal componentwise dot
-product; only the all-pairs kernels `pair_brackets` (whole brackets) and
-`pair_bracket_coords` (their coordinates along a third stack) work in a
-complex embedding, laid out by `_embedding`.
+product.  Brackets of basis stacks have one kernel, `pair_bracket_coords`:
+it gives the coordinates of every pair's bracket along a third stack (an
+orthonormal basis of g, h or p) and is the only code that works in a complex
+embedding, laid out by `_embedding`.  `bracket` of two single elements stays
+on the componentwise product.
 """
 
 from __future__ import annotations
@@ -91,54 +93,34 @@ def _embedding(field: FieldTag, comps: np.ndarray, full: bool = False) -> np.nda
     return np.concatenate([row, np.concatenate([-v.conj(), u.conj()], axis=2)], axis=1)
 
 
-def pair_brackets(field: FieldTag, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a_p, b_q] for every pair of skew-Hermitian stacks a (P, n, n, 4) and b (Q, n, n, 4).
-
-    The library's kernel for whole brackets of basis stacks; returns the
-    field's active components, shape (P, Q, n, n, nc).  For skew-Hermitian
-    operands b a = (a b)^* (other operands get wrong brackets), so each
-    bracket is a b - (a b)^* and all P*Q products come from one matrix
-    product of the `_embedding`s: the first block row of the quaternion one
-    holds u and v of a b = u + v j.
-    """
-    p, q, n = len(a), len(b), a.shape[1]
-    x, y = _embedding(field, a), _embedding(field, b, full=True)
-    k, m = y.shape[1], y.shape[2]
-    prod = x.reshape(p * n, k) @ y.transpose(1, 0, 2).reshape(k, q * m)
-    prod = prod.reshape(p, n, q, m).transpose(0, 2, 1, 3)
-    quaternion = field is FieldTag.QUATERNION
-    # written in place: the strided transposes are the costly part
-    out = np.empty((p, q, n, n, 2 if quaternion else 1), prod.dtype)
-    u, mu = out[..., 0], prod[..., :n]
-    np.conjugate(np.swapaxes(mu, -1, -2), out=u)
-    np.subtract(mu, u, out=u)
-    if quaternion:  # (U + V j)^* = U^H - V^T j
-        v, mv = out[..., 1], prod[..., n:]
-        np.add(mv, np.swapaxes(mv, -1, -2), out=v)
-    return out if field is FieldTag.REAL else out.view(np.float64)
-
-
 def pair_bracket_coords(field: FieldTag, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """<[a_p, b_q], w_d> for skew-Hermitian stacks a (P, n, n, 4), b (Q, n, n, 4) and a stack w (D, n, n, 4); shape (P, Q, D).
+    """<[a_p, b_q], w_d> for skew-Hermitian stacks a (P, n, n, 4), b (Q, n, n, 4) and w (D, n, n, 4) or its flat rows; shape (P, Q, D).
 
-    No bracket is built.  For skew-Hermitian a, b the bracket is
-    a b - (a b)^*, and <X^*, W> = <X, W^*>, so <[a, b], w> = <a b, w - w^*>,
-    where w - w^* is twice the skew-Hermitian part of w: bit for bit 2 w for
-    an exactly skew w, and for any w equal in exact arithmetic to the
-    bracket coordinates.  All Q*P products come from one batched product of
-    the `_embedding`s, each pair's contiguous, and are contracted with the
-    first-row embeddings of w - w^* as reals (Re(z conj(z')) is the dot of
-    (Re z, Im z) with (Re z', Im z')) in one matrix product.
+    No bracket is built.  For skew-Hermitian a, b, (b a)^* = a b, so the
+    bracket is (b a)^* - b a, and <X^*, W> = <X, W^*>, so
+    <[a, b], w> = <b a, w^* - w>, where w - w^* is twice the skew-Hermitian
+    part of w: bit for bit 2 w for an exactly skew w, and for any w equal in
+    exact arithmetic to the bracket coordinates.  All P*Q products come from
+    one batched product of the `_embedding`s, each pair's contiguous, in the
+    row order of the result, and are contracted with the first-row
+    embeddings of w^* - w as reals (Re(z conj(z')) is the dot of (Re z, Im z)
+    with (Re z', Im z')) in one matrix product, so the result is C-contiguous
+    as it comes.
+
+    Along an orthonormal basis of a subspace, the coordinates are the
+    orthogonal projection of each bracket: never longer than the bracket,
+    and all of it when the brackets lie in the subspace.
     """
     p, q, d, n = len(a), len(b), len(w), a.shape[1]
-    x, y = _embedding(field, a), _embedding(field, b, full=True)
-    w2 = _embedding(field, w - conj_transpose(w))
+    w = w.reshape(d, n, n, 4)
+    x, y = _embedding(field, b), _embedding(field, a, full=True)
+    w2 = _embedding(field, conj_transpose(w) - w)
     k, m = y.shape[1], y.shape[2]
-    prod = np.matmul(x.reshape(p * n, k), y).reshape(q * p, n * m)  # row q*P + p: a_p b_q
+    prod = np.matmul(x.reshape(q * n, k), y).reshape(p * q, n * m)  # row p*Q + q: b_q a_p
     w2 = w2.reshape(d, n * m)
     if field is not FieldTag.REAL:
         prod, w2 = prod.view(np.float64), w2.view(np.float64)
-    return (prod @ w2.T).reshape(q, p, d).transpose(1, 0, 2)
+    return (prod @ w2.T).reshape(p, q, d)
 
 
 def comp_adjoint(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -160,40 +142,6 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def comp_norm(a: np.ndarray) -> np.ndarray:
     """Frobenius norm sqrt(Re tr(A conj(A)^T)) of component arrays (batched)."""
     return np.sqrt(np.sum(a * a, axis=(-3, -2, -1)))
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """A quaternion w + xi + yj + zk with real components."""
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        a, b = self, other
-        return Quaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-        )
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def __abs__(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-
-    def components(self) -> tuple[float, float, float, float]:
-        return (self.w, self.x, self.y, self.z)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

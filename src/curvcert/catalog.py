@@ -78,12 +78,11 @@ def t1_sphere(n: int) -> CatalogEntry:
         raise ValueError("t1_sphere requires n >= 2")
     size = n + 1
     field = FieldTag.REAL
-    g_span = block_stack(field, size, range(size))
-    h_span = block_stack(field, size, range(1, size))
+    g = Subspace.from_spanning(block_stack(field, size, range(size)), field)
+    h = Subspace.from_spanning(block_stack(field, size, range(1, size)), field)
     a = _first_row_vector(field, size, {1: 1.0})
-    k_sub = stabilizer_subalgebra(Subspace.from_spanning(h_span, field), a)
-    triple = make_triple(g_span, h_span, k_sub.comps(), label=f"t1_sphere(n={n})",
-                         base_point=a, field=field)
+    triple = make_triple(g, h, stabilizer_subalgebra(h, a, g), label=f"t1_sphere(n={n})",
+                         base_point=a)
     return CatalogEntry(
         id="t1_sphere",
         params={"n": n},

@@ -12,11 +12,15 @@ sweeps (one in Z, then one in W), then Levenberg-Marquardt steps on the
 joint residual, which converge where the sweeps alone stall in the
 non-isolated minima.  All starts of a search descend in lockstep, with
 batched eigensolves and linear solves; the procedure is deterministic.
+
+part3 and the searches read brackets as coordinates along g or h
+(`algebra.pair_bracket_coords`).  These never exceed the bracket, so
+CERTIFIED stays sound; a REFUTED verdict stands only once its witness meets
+the threshold on the element path too (see `_unconfirmed`).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import warnings
@@ -27,15 +31,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import (
-    N_COMPONENTS,
     AlgElement,
     GroupElement,
-    block_stack,
     bracket,
     comp_adjoint,
     from_flat,
     group_exp,
-    pair_brackets,
+    pair_bracket_coords,
     require_same,
     row_dots,
 )
@@ -153,24 +155,40 @@ def _a_not_in_p(triple: Triple, a: AlgElement, tol: float) -> tuple[str, ...]:
 
 
 def min_ad_singular(triple: Triple, a: AlgElement) -> float:
-    """Smallest singular value of X -> [X, A] restricted to m.
+    """Smallest singular value of X -> [X, A] restricted to m, read along g.
 
     A strictly positive value deterministically certifies that no non-zero
-    vector of m commutes with A.  Returns +inf (with a warning) when m is
-    trivial.
+    vector of m commutes with A: coordinates along g never exceed the
+    bracket.  Returns +inf (with a warning) when m is trivial.
     """
     if triple.m_basis.dim == 0:
         warnings.warn("dim m = 0: vacuous commutation condition, returning +inf")
         return float("inf")
-    s = np.linalg.svd(triple.m_basis.brackets_with(a), compute_uv=False)
+    s = np.linalg.svd(triple.m_basis.brackets_with(a, triple.g_basis), compute_uv=False)
     return float(s[-1])
+
+
+def _unconfirmed(search: float, element: float, threshold: float) -> tuple[str, ...]:
+    """The note of a refuting value whose witness misses the threshold on the element path; () when it meets it.
+
+    The searches and part3 read brackets as coordinates along g or h, which
+    hold all of each bracket only when g and h are closed; otherwise they can
+    only be smaller.  So a refutation stands only once its witness is
+    re-evaluated by `bracket`, `project` and
+    `flatness.horizontal_flat_residual`, which share no kernel with them.
+    """
+    if element < threshold:
+        return ()
+    return (f"unconfirmed refutation: {search!r}, read along g or h, is below {threshold!r}, but "
+            f"the element path gives {element!r} for the witness (brackets leave g or h)",)
 
 
 def certify_part3(triple: Triple, a: AlgElement, tol: float = DEFAULT_TOL) -> CertReport:
     """Certificate for the symmetric-pair commutation criterion.
 
     CERTIFIED requires a symmetric pair, A in p, and sigma_min > tol.  A near
-    kernel vector (sigma_min < tol/10) refutes the hypothesis with a witness.
+    kernel vector (sigma_min < tol/10) refutes the hypothesis with a witness,
+    once |[X, A]| of the witness is below tol/10 on the element path too.
     The rank-one property of (G, H) comes from catalog metadata, not from a
     computation; reports carry a note saying so.
     """
@@ -184,7 +202,8 @@ def certify_part3(triple: Triple, a: AlgElement, tol: float = DEFAULT_TOL) -> Ce
         notes.append("dim m = 0: condition holds vacuously")
         sigma_min = float("inf")
     else:
-        u, s, _ = np.linalg.svd(triple.m_basis.brackets_with(a), full_matrices=False)
+        u, s, _ = np.linalg.svd(triple.m_basis.brackets_with(a, triple.g_basis),
+                                full_matrices=False)
         sigma_min = float(s[-1])
     if not symmetric or a_not_in_p:
         verdict = Verdict.INCONCLUSIVE
@@ -194,13 +213,17 @@ def certify_part3(triple: Triple, a: AlgElement, tol: float = DEFAULT_TOL) -> Ce
         witness = None
     elif sigma_min < tol / 10.0:
         x = from_flat(triple.field, triple.n, u[:, -1] @ triple.m_basis.mat)
-        witness = FlatPairWitness(
-            Z=x,
-            W=(1.0 / max(a.norm(), 1e-300)) * a,
-            commutator_residual=sigma_min**2,
-        )
-        verdict = Verdict.REFUTED
-        notes.append("near-kernel vector of X -> [X, A] attached as witness")
+        if unconfirmed := _unconfirmed(sigma_min, bracket(x, a).norm(), tol / 10.0):
+            verdict, witness = Verdict.INCONCLUSIVE, None
+            notes.extend(unconfirmed)
+        else:
+            witness = FlatPairWitness(
+                Z=x,
+                W=(1.0 / max(a.norm(), 1e-300)) * a,
+                commutator_residual=sigma_min**2,
+            )
+            verdict = Verdict.REFUTED
+            notes.append("near-kernel vector of X -> [X, A] attached as witness")
     else:
         verdict = Verdict.INCONCLUSIVE
         witness = None
@@ -210,26 +233,6 @@ def certify_part3(triple: Triple, a: AlgElement, tol: float = DEFAULT_TOL) -> Ce
 
 
 # --- bilinear multi-start searches --------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)  # one entry per algebra a process searches in
-def _coordinate_matrix(field, n: int) -> np.ndarray:
-    """(n*n*nc, dim) map from active components to orthonormal coordinates of so(n), u(n), sp(n).
-
-    Read-only, since every caller shares the cached array.
-    """
-    coords = Subspace.from_spanning(block_stack(field, n, range(n)), field).active().T
-    coords.flags.writeable = False
-    return coords
-
-
-def _bracket_coordinates(triple: Triple, z_comps: np.ndarray, w_comps: np.ndarray) -> np.ndarray:
-    """T[i, k, :] = [z_i, w_k] in orthonormal coordinates, for skew-Hermitian stacks z and w.
-
-    Same |T(z, w)|^2 as the components, dim so(n), u(n) or sp(n) numbers per pair.
-    """
-    t = pair_brackets(triple.field, z_comps, w_comps).reshape(len(z_comps), len(w_comps), -1)
-    return t @ _coordinate_matrix(triple.field, triple.n)
 
 
 def _weighted(terms, weights) -> np.ndarray:
@@ -456,15 +459,15 @@ def _search_terms(triple: Triple, z_dom: Subspace, budget: StartBudget):
     """The parts of a search over Z in z_dom, W in p that do not depend on the objective.
 
     Returns the component stacks of the Z- and W-domains, the commutator
-    tensor [z_i, w_k] in coordinates, the orthogonality constraint and the
-    starts; None when a domain is empty.
+    tensor [z_i, w_k] in coordinates along g, the orthogonality constraint
+    and the starts; None when a domain is empty.
     """
     w_dom = triple.p_basis
     if z_dom.dim == 0 or w_dom.dim == 0:
         return None
     z_comps, w_comps = z_dom.comps(), w_dom.comps()
     gmat = _ortho_constraint(z_dom, w_dom)
-    commutator = _bracket_coordinates(triple, z_comps, w_comps)
+    commutator = pair_bracket_coords(triple.field, z_comps, w_comps, triple.g_basis.mat)
     return z_comps, w_comps, commutator, gmat, _starts(z_dom, w_dom, gmat, budget)
 
 
@@ -483,11 +486,13 @@ def _flat_plane_search(
 ) -> CertReport:
     """The search of fatness (g None) and of the point scans (g the point reached).
 
-    Minimizes |[Z, W]|^2, plus |[(Ad_g Z)^h, (Ad_g W)^h]|^2 when g is given,
-    from the starts in terms (see `_search_terms`).  A minimum below
-    refute_tol refutes with the pair as witness; all starts
-    bottoming out above tol give a heuristic CERTIFIED; an empty domain
-    (terms None) is vacuously CERTIFIED.
+    Minimizes |[Z, W]|^2 (along g), plus |[(Ad_g Z)^h, (Ad_g W)^h]|^2
+    (along h) when g is given, from the starts in terms (see
+    `_search_terms`).  A minimum below refute_tol refutes with the pair as
+    witness, once the pair's residual is below refute_tol on the element
+    path too (else INCONCLUSIVE); all starts bottoming out above tol give a
+    heuristic CERTIFIED; an empty domain (terms None) is vacuously
+    CERTIFIED.
     """
     vacuous, refuted = _SEARCH_NOTES[method]
     if terms is None:
@@ -497,8 +502,9 @@ def _flat_plane_search(
     t = commutator
     if g is not None:
         require_same(triple, g)
-        horizontal = _bracket_coordinates(triple, *(
-            project_comps(triple, comp_adjoint(g.comp, c), Part.H) for c in (z_comps, w_comps)))
+        horizontal = pair_bracket_coords(triple.field, *(
+            project_comps(triple, comp_adjoint(g.comp, c), Part.H) for c in (z_comps, w_comps)),
+            triple.h_basis.mat)
         t = _weighted([commutator, horizontal], [1.0, 1.0])
     vals, zs, ws, status = _descend(t, gmat, *starts, budget.max_iters)
     i = int(np.argmin(vals))  # ties resolve to the lowest start index
@@ -514,7 +520,13 @@ def _flat_plane_search(
             W=from_flat(triple.field, triple.n, w @ triple.p_basis.mat),
             commutator_residual=comm, horizontal_residual=horiz, point_s=s,
         )
+        if g is None:
+            element = bracket(witness.Z, witness.W).norm() ** 2
+        else:
+            element = sum(horizontal_flat_residual(triple, g, witness.Z, witness.W))
         verdict, notes = Verdict.REFUTED, (refuted,)
+        if unconfirmed := _unconfirmed(val, element, refute_tol):
+            verdict, witness, notes = Verdict.INCONCLUSIVE, None, unconfirmed
     elif val > tol:
         verdict = Verdict.CERTIFIED
         notes = ("heuristic certificate: all starts stayed above tolerance",)
@@ -570,10 +582,10 @@ def _part2_search(triple: Triple, a: AlgElement, budget: StartBudget, tol: float
         return Verdict.CERTIFIED, float("inf"), None, notes
     require_same(triple, a)
     z_comps, w_comps, commutator, gmat, (z, w) = terms
-    aw = np.zeros_like(w_comps)  # [A, w_k], padded back to 4 components
-    aw[..., :N_COMPONENTS[triple.field]] = pair_brackets(triple.field, a.comp[None], w_comps)[0]
-    objective = _bracket_coordinates(
-        triple, project_comps(triple, z_comps, Part.H), project_comps(triple, aw, Part.H))
+    h = triple.h_basis
+    aw_h = pair_bracket_coords(triple.field, a.comp[None], w_comps, h.mat)[0] @ h.mat
+    objective = pair_bracket_coords(triple.field, project_comps(triple, z_comps, Part.H),
+                                    aw_h.reshape(w_comps.shape), h.mat)
     status = np.full(len(z), CONVERGED)
     for mu in _PENALTY_SCHEDULE:
         t = _weighted([objective, commutator], [1.0, mu])
@@ -595,6 +607,12 @@ def _part2_search(triple: Triple, a: AlgElement, budget: StartBudget, tol: float
             commutator_residual=float(feas[i]),
             horizontal_residual=score,
         )
+        unconfirmed = (
+            _unconfirmed(float(feas[i]), bracket(witness.Z, witness.W).norm() ** 2, _FEASIBLE_TOL)
+            or _unconfirmed(score, _derivative_objective(triple, a, witness.Z, witness.W),
+                            tol * 1e-2))
+        if unconfirmed:
+            return Verdict.INCONCLUSIVE, score, None, unconfirmed + (note,)
         notes = ("feasible commuting pair with vanishing derivative objective", note)
         return Verdict.REFUTED, score, witness, notes
     if score > tol:
@@ -622,6 +640,12 @@ def f_of_s(
     return horiz
 
 
+def _derivative_objective(triple: Triple, a: AlgElement, z: AlgElement, w: AlgElement) -> float:
+    """|[Z^h, [A, W]^h]|^2 on the element path, for Z in g; [A, W] may leave g."""
+    awh = from_flat(triple.field, triple.n, triple.h_basis.project_flat(bracket(a, w).flat))
+    return bracket(project(triple, z, Part.H), awh).norm() ** 2
+
+
 def derivative_test(
     triple: Triple, z: AlgElement, w: AlgElement, a: AlgElement, step: float = 1e-3
 ) -> tuple[float, float]:
@@ -631,9 +655,7 @@ def derivative_test(
     Richardson-extrapolated second central difference of f at 0, halved.
     Disagreement beyond 1e-3 relative triggers a warning.
     """
-    zh = project(triple, z, Part.H)
-    awh = project(triple, bracket(a, w), Part.H)
-    analytic = bracket(zh, awh).norm() ** 2
+    analytic = _derivative_objective(triple, a, z, w)
     f0 = f_of_s(triple, z, w, a, 0.0)
 
     def second_diff(h: float) -> float:

@@ -1,8 +1,9 @@
 """Zero-curvature-plane residuals for the deformed left-invariant metric.
 
 All residuals are returned as raw squared norms; verdict-making against
-tolerances lives in `certify`.  None of the horizontal residuals depend on
-the deformation parameter t.
+tolerances lives in `certify`, which re-evaluates every refuting witness
+here, on single elements.  None of the horizontal residuals depend on the
+deformation parameter t.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import AlgElement, GroupElement, adjoint, bracket, inner
-from .triple import DeformParam, Part, Triple, is_symmetric_pair, phi, project
+from .triple import DeformParam, Part, Triple, phi, project
 
 
 class PlaneInputError(ValueError):
@@ -60,37 +61,17 @@ def horizontal_flat_residual(
     at the point reached by g.  Preconditions: Z orthogonal to k, W in p,
     (Z, W) orthonormal.
     """
-    _check_pair(triple, z, w, z_part=None)
+    _check_pair(triple, z, w)
     azh = project(triple, adjoint(g, z), Part.H)
     awh = project(triple, adjoint(g, w), Part.H)
     return bracket(z, w).norm() ** 2, bracket(azh, awh).norm() ** 2
 
 
-def symmetric_horizontal_residual(
-    triple: Triple, g: GroupElement, x: AlgElement, w: AlgElement
-) -> tuple[float, float]:
-    """Specialization of the flat-plane residual to symmetric pairs: X in m."""
-    if not is_symmetric_pair(triple, tol=1e-8):
-        raise PlaneInputError("triple is not a symmetric pair")
-    _check_pair(triple, x, w, z_part=Part.M)
-    return horizontal_flat_residual(triple, g, x, w)
-
-
-def _check_pair(triple: Triple, z: AlgElement, w: AlgElement, z_part) -> None:
+def _check_pair(triple: Triple, z: AlgElement, w: AlgElement) -> None:
     tol = 1e-8
     if abs(z.norm() - 1.0) > tol or abs(w.norm() - 1.0) > tol or abs(inner(z, w)) > tol:
         raise PlaneInputError("pair (Z, W) is not orthonormal")
     if not triple.p_basis.contains(w, tol):
         raise PlaneInputError("W does not lie in p")
-    if z_part is Part.M:
-        if not triple.m_basis.contains(z, tol):
-            raise PlaneInputError("X does not lie in m")
-    else:
-        kz = triple.k_basis.project_flat(z.flat)
-        if np.linalg.norm(kz) > tol:
-            raise PlaneInputError("Z is not orthogonal to k")
-
-
-def biinvariant_plane_curvature(x: AlgElement, y: AlgElement) -> float:
-    """Unnormalized bi-invariant sectional curvature |[X,Y]|^2 / 4 of an orthonormal pair."""
-    return 0.25 * bracket(x, y).norm() ** 2
+    if np.linalg.norm(triple.k_basis.project_flat(z.flat)) > tol:
+        raise PlaneInputError("Z is not orthogonal to k")

@@ -2,8 +2,8 @@
 
 A Triple stores orthonormal bases (under the bi-invariant inner product) for
 the three nested algebras plus the derived complements, and provides the
-one-parameter deformed metric, its Phi operator, symmetric-pair verification
-and stabilizer computations.
+Phi operator of the one-parameter deformed metric, symmetric-pair
+verification and stabilizer computations.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from .algebra import (
     check_skew,
     from_flat,
     pair_bracket_coords,
-    pair_brackets,
     require_same,
     row_dots,
 )
 
-#: a spanning set: AlgElements, or a stack (r, n, n, 4) of component matrices
-Span = Union[np.ndarray, Sequence[AlgElement]]
+#: a spanning set: AlgElements, a stack (r, n, n, 4) of component matrices, or a Subspace
+Span = Union[np.ndarray, Sequence[AlgElement], "Subspace"]
 
 _ORTHO_TOL = 1e-10
 _PAIR_BLOCK_FLOATS = 1 << 18  # product floats held at once by is_symmetric_pair
@@ -122,8 +121,10 @@ class Subspace:
         """Orthonormal basis of the span of AlgElements, or of a stack (r, n, n, 4) over `field`.
 
         An element list is stacked, taking its field from the elements; a
-        stack is validated by one `check_skew`.
+        stack is validated by one `check_skew`.  A Subspace is its own basis.
         """
+        if isinstance(span, Subspace):
+            return span
         if not isinstance(span, np.ndarray):
             if not span:
                 raise ValueError("cannot infer field/size from an empty spanning set")
@@ -168,10 +169,10 @@ class Subspace:
         object.__setattr__(sub, "_comps", sub.mat.reshape(comp.shape))
         return sub
 
-    def brackets_with(self, a: AlgElement) -> np.ndarray:
-        """Row i: the active components of [b_i, A] for basis vector b_i, shape (dim, n*n*nc)."""
+    def brackets_with(self, a: AlgElement, along: "Subspace") -> np.ndarray:
+        """Row i: the coordinates of [b_i, A] along the basis of `along`, shape (dim, along.dim)."""
         require_same(self, a)
-        return pair_brackets(self.field, self.comps(), a.comp[None]).reshape(self.dim, -1)
+        return pair_bracket_coords(self.field, self.comps(), a.comp[None], along.mat)[:, 0]
 
     def active(self) -> np.ndarray:
         """The basis rows restricted to the field's active components, shape (dim, n*n*nc)."""
@@ -259,13 +260,15 @@ def make_triple(
 ) -> Triple:
     """Build a Triple from spanning sets, orthonormalizing and validating nesting.
 
-    Each span is a list of AlgElements or a stack (r, n, n, 4) of component
-    matrices; stacks need `field`.
+    Each span is a list of AlgElements, a stack (r, n, n, 4) of component
+    matrices (stacks need `field`), or a Subspace, taken as it is.
     """
     g = Subspace.from_spanning(g_span, field)
 
     def sub(span: Span) -> Subspace:
-        return Subspace.from_spanning(span, g.field) if len(span) else _empty_subspace(g.field, g.n)
+        if isinstance(span, Subspace) or len(span):
+            return Subspace.from_spanning(span, g.field)
+        return _empty_subspace(g.field, g.n)
 
     return _nested_triple(g, sub(h_span), sub(k_span), label, base_point)
 
@@ -309,25 +312,6 @@ def phi(triple: Triple, x: AlgElement, d: DeformParam) -> AlgElement:
     return from_flat(triple.field, triple.n, out)
 
 
-def phi_inv(triple: Triple, x: AlgElement, d: DeformParam) -> AlgElement:
-    """Inverse of phi: scales the h-part by 1/t."""
-    v = x.flat
-    _check_in_g(triple, v)
-    out = triple.h_basis.project_flat(v) / d.t + triple.p_basis.project_flat(v)
-    return from_flat(triple.field, triple.n, out)
-
-
-def deformed_inner(triple: Triple, x: AlgElement, y: AlgElement, d: DeformParam) -> float:
-    """Deformed metric <X^p, Y^p> + t * <X^h, Y^h>."""
-    _check_in_g(triple, x.flat)
-    _check_in_g(triple, y.flat)
-    xh = triple.h_basis.project_flat(x.flat)
-    yh = triple.h_basis.project_flat(y.flat)
-    xp = triple.p_basis.project_flat(x.flat)
-    yp = triple.p_basis.project_flat(y.flat)
-    return float(np.dot(xp, yp) + d.t * np.dot(xh, yh))
-
-
 def _check_in_g(triple: Triple, v: np.ndarray) -> None:
     """Raise NotInSpan unless the flat vector v, or each row of a stack of them, lies in span(g)."""
     resid = np.linalg.norm(v - triple.g_basis.project_flat(v), axis=-1)
@@ -366,20 +350,22 @@ def is_symmetric_pair(triple: Triple, tol: float = 1e-10) -> bool:
 def stabilizer_subalgebra(
     h_basis: Subspace,
     a: AlgElement,
+    g_basis: Subspace,
     null_tol: float = 1e-9,
     gap: float = 1e3,
 ) -> Subspace:
-    """Orthonormal basis of {Y in span(h): [Y, A] = 0}.
+    """Orthonormal basis of {Y in span(h): [Y, A] = 0}, for h < g and A in a closed g.
 
-    Computed as the null space of Y -> [Y, A] in the h-basis.  Singular values
+    Computed as the null space of Y -> [Y, A] in the h-basis, read as
+    coordinates along g, which hold all of each bracket.  Singular values
     below null_tol count as zero; a spectral gap of at least `gap` between the
     smallest retained and largest discarded value is required, otherwise the
     kernel dimension is ambiguous and we refuse to guess.
     """
     if h_basis.dim == 0:
         return h_basis
-    # u is square: dim h <= n*n*nc
-    u, s, _ = np.linalg.svd(h_basis.brackets_with(a), full_matrices=False)
+    # u is square: dim h <= dim g
+    u, s, _ = np.linalg.svd(h_basis.brackets_with(a, g_basis), full_matrices=False)
     null_mask = s < null_tol
     rank = int(np.count_nonzero(~null_mask))
     if 0 < rank < len(s):

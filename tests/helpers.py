@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from curvcert.algebra import (
@@ -74,6 +77,50 @@ def reference_block_stack(field: FieldTag, n: int, indices) -> np.ndarray:
         for j in idx[a + 1:]:
             elems += [basis_element(field, n, i, j, c) for c in range(N_COMPONENTS[field])]
     return np.array([e.comp for e in elems]).reshape(len(elems), n, n, 4)
+
+
+def full_algebra_basis(field: FieldTag, n: int) -> np.ndarray:
+    """An orthonormal basis of all of so(n), u(n) or sp(n), as a stack (dim, n, n, 4).
+
+    The standard generators of `reference_block_stack` have disjoint
+    supports, so each one scaled to unit length gives an orthonormal basis.
+    """
+    stack = reference_block_stack(field, n, range(n))
+    return stack / np.sqrt(np.sum(stack * stack, axis=(1, 2, 3)))[:, None, None, None]
+
+
+@dataclass(frozen=True)
+class Quaternion:
+    """A quaternion w + xi + yj + zk with real components: the scalar reference for quaternion entries."""
+
+    w: float
+    x: float
+    y: float
+    z: float
+
+    def __add__(self, other: "Quaternion") -> "Quaternion":
+        return Quaternion(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
+
+    def __sub__(self, other: "Quaternion") -> "Quaternion":
+        return Quaternion(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
+
+    def __mul__(self, other: "Quaternion") -> "Quaternion":
+        a, b = self, other
+        return Quaternion(
+            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
+            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
+        )
+
+    def conjugate(self) -> "Quaternion":
+        return Quaternion(self.w, -self.x, -self.y, -self.z)
+
+    def __abs__(self) -> float:
+        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
+
+    def components(self) -> tuple[float, float, float, float]:
+        return (self.w, self.x, self.y, self.z)
 
 
 def random_skew_batch(field: FieldTag, n: int, count: int, rng: np.random.Generator) -> np.ndarray:

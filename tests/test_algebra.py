@@ -9,7 +9,6 @@ from curvcert.algebra import (
     DimensionMismatch,
     FieldTag,
     InvalidElement,
-    Quaternion,
     adjoint,
     basis_element,
     block_stack,
@@ -22,14 +21,20 @@ from curvcert.algebra import (
     identity,
     inner,
     pair_bracket_coords,
-    pair_brackets,
     qmul,
     random_skew,
     zero,
 )
 from curvcert.triple import make_triple, randomly_rebased
 
-from helpers import bit_equal, random_skew_batch, reference_block_stack, sp1_pair
+from helpers import (
+    Quaternion,
+    bit_equal,
+    full_algebra_basis,
+    random_skew_batch,
+    reference_block_stack,
+    sp1_pair,
+)
 
 
 def quat_unit(n, slot, c):
@@ -115,14 +120,15 @@ class TestPairBrackets:
     @pytest.mark.parametrize("field", list(FieldTag), ids=lambda f: f.value)
     @pytest.mark.parametrize("p,q", [(1, 1), (1, 5), (4, 1), (3, 6)])
     def test_matches_broadcast_bracket(self, field, p, q):
+        # along an orthonormal basis of the whole algebra, the coordinates hold
+        # all of each bracket: they map back onto the broadcast bracket
         rng = np.random.default_rng(10 * p + q)
-        nc = N_COMPONENTS[field]
         a, b = random_skew_batch(field, 3, p, rng), random_skew_batch(field, 3, q, rng)
-        want = comp_bracket(a[:, None], b[None, :])
-        got = pair_brackets(field, a, b)
-        assert got.shape == (p, q, 3, 3, nc)
-        assert np.abs(got - want[..., :nc]).max() < 1e-12
-        assert not want[..., nc:].any()
+        basis = full_algebra_basis(field, 3)
+        want = comp_bracket(a[:, None], b[None, :]).reshape(p, q, -1)
+        coords = pair_bracket_coords(field, a, b, basis)
+        assert coords.shape == (p, q, len(basis)) and coords.flags.c_contiguous
+        assert np.abs(coords @ basis.reshape(len(basis), -1) - want).max() < 1e-12
 
 
 class TestPairBracketCoords:
@@ -139,9 +145,11 @@ class TestPairBracketCoords:
 
     @staticmethod
     def bracket_coords(field, a, b, w):
-        """<[a_p, b_q], w_d> from the whole brackets of `pair_brackets`."""
-        w_active = w[..., :N_COMPONENTS[field]].reshape(len(w), -1)
-        return pair_brackets(field, a, b).reshape(len(a), len(b), -1) @ w_active.T
+        """<[a_p, b_q], w_d> from one `bracket` per pair."""
+        n = a.shape[1]
+        brackets = np.array([[bracket(AlgElement(field, n, x), AlgElement(field, n, y)).flat
+                              for y in b] for x in a])
+        return brackets @ w.reshape(len(w), -1).T
 
     @pytest.mark.parametrize("field,n,split", CHAINS, ids=lambda v: getattr(v, "value", str(v)))
     def test_matches_bracket_coordinates(self, field, n, split):
@@ -150,7 +158,7 @@ class TestPairBracketCoords:
             for a, b in ((p, p), (p, h), (h[:3], g)):
                 want = self.bracket_coords(field, a, b, g)
                 got = pair_bracket_coords(field, a, b, g)
-                assert got.shape == (len(a), len(b), len(g))
+                assert got.shape == (len(a), len(b), len(g)) and got.flags.c_contiguous
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("field", list(FieldTag), ids=lambda f: f.value)

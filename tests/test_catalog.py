@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curvcert.algebra import FieldTag, Quaternion, bracket, inner
+from curvcert.algebra import FieldTag, bracket, inner
 from curvcert.catalog import (
     CATALOG_IDS,
     build_entry,
@@ -18,7 +18,7 @@ from curvcert.catalog import (
 from curvcert.certify import min_ad_singular
 from curvcert.triple import Part, is_symmetric_pair, project, stabilizer_subalgebra
 
-from helpers import sampled_min_ad
+from helpers import Quaternion, sampled_min_ad
 
 ALL_ENTRIES = [
     t1s3_product(),
@@ -70,7 +70,7 @@ class TestStructure:
         for entry in (t1_sphere(3), t1_projective(FieldTag.COMPLEX, 2),
                       t1_projective(FieldTag.QUATERNION, 2)):
             t = entry.triple
-            stab = stabilizer_subalgebra(t.h_basis, entry.base_point_A)
+            stab = stabilizer_subalgebra(t.h_basis, entry.base_point_A, t.g_basis)
             assert stab.dim == t.k_basis.dim
             resid = t.k_basis.mat - (t.k_basis.mat @ stab.mat.T) @ stab.mat
             assert np.abs(resid).max() < 1e-8

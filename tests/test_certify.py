@@ -1,21 +1,20 @@
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import curvcert.certify as certify
 from curvcert.algebra import (
-    N_COMPONENTS,
     FieldTag,
     adjoint,
     bracket,
-    comp_adjoint,
-    comp_bracket,
     group_exp,
     identity,
     inner,
+    pair_bracket_coords,
     zero,
 )
 from curvcert.catalog import m_kl, sp_example, t1_sphere, t1s3_product
@@ -36,11 +35,12 @@ from curvcert.certify import (
     scan_along_A,
 )
 from curvcert.flatness import horizontal_flat_residual
-from curvcert.triple import Part, make_triple, project, project_comps
+from curvcert.triple import Part, make_triple, project
 
 from helpers import (
     bit_equal,
     descend_one,
+    full_algebra_basis,
     pair_tensor,
     random_admissible_pair,
     reference_starts,
@@ -343,6 +343,36 @@ def h_equals_g():
     return make_triple(g, g, t.k_basis.elements(), label="t1_sphere(3), h = g")
 
 
+class TestRefutationsHoldOnTheElementPath:
+    """Every catalog REFUTED witness re-evaluates below its threshold on the element path.
+
+    The searches and part3 read brackets along g or h; on closed chains that
+    is all of each bracket, so the guard that re-checks a refutation through
+    `bracket` and `horizontal_flat_residual` never turns a catalog verdict.
+    """
+
+    @pytest.mark.parametrize("name,make", [
+        ("t1s3_product", t1s3_product), ("t1_sphere(3)", lambda: t1_sphere(3)),
+        ("t1_sphere(6)", lambda: t1_sphere(6)), ("sp_example(2)", lambda: sp_example(2)),
+        ("sp_example(4)", lambda: sp_example(4)), ("m_kl(2,1,1)", lambda: m_kl(2, 1, 1))])
+    def test_fat_and_scan_witnesses(self, name, make):
+        e = make()
+        fat = check_fatness(e.triple, StartBudget(starts=64))
+        scan = scan_along_A(e.triple, e.base_point_A, [0.0], StartBudget(starts=4))[0]
+        assert fat.verdict is scan.verdict is Verdict.REFUTED
+        assert bracket(fat.witness.Z, fat.witness.W).norm() ** 2 < certify.DEFAULT_REFUTE_TOL
+        at_identity = identity(e.triple.field, e.triple.n)
+        element = sum(horizontal_flat_residual(e.triple, at_identity, scan.witness.Z,
+                                               scan.witness.W))
+        assert element < certify.DEFAULT_REFUTE_TOL
+
+    def test_part3_witness(self):
+        e = m_kl(2, 0, 1)
+        report = certify_part3(e.triple, e.base_point_A)
+        assert report.verdict is Verdict.REFUTED
+        assert bracket(report.witness.Z, e.base_point_A).norm() < certify.DEFAULT_TOL / 10
+
+
 class TestEmptyDomains:
     def test_fat_is_vacuously_fat(self):
         triple = h_equals_g()
@@ -408,6 +438,13 @@ def assert_same_search(got, ref):
     assert np.argmin(got) in tied  # same argmin, up to starts tied at rounding level
 
 
+def su3_su2_entry():
+    """su(2) < su(3) with k = 0 and A the first p-basis vector: closed, but not a symmetric pair."""
+    g, h = su3_su2_spans()
+    triple = make_triple(g, h, [])
+    return SimpleNamespace(triple=triple, base_point_A=triple.p_basis.elements()[0])
+
+
 ENTRIES = {
     "t1s3_product": t1s3_product,
     "t1_sphere(2)": lambda: t1_sphere(2),
@@ -415,14 +452,33 @@ ENTRIES = {
     "m_kl(2,1,1)": lambda: m_kl(2, 1, 1),
     "sp_example(2)": lambda: sp_example(2),
     "sp_example(3)": lambda: sp_example(3),
+    "su(3)>su(2)": su3_su2_entry,
 }
 
 
 def coordinates(triple, tensor):
-    """A pair tensor of flat (n, n, 4) values in the search's orthonormal coordinates."""
-    dz, dw, _ = tensor.shape
-    active = tensor.reshape(dz, dw, triple.n, triple.n, 4)[..., :N_COMPONENTS[triple.field]]
-    return active.reshape(dz, dw, -1) @ certify._coordinate_matrix(triple.field, triple.n)
+    """A pair tensor of flat (n, n, 4) values in orthonormal coordinates of the whole algebra."""
+    basis = full_algebra_basis(triple.field, triple.n)
+    return tensor @ basis.reshape(len(basis), -1).T
+
+
+class _Recorded(Exception):
+    pass
+
+
+def first_descent_tensor(monkeypatch, search):
+    """The tensor that a search hands to its first `certify._descend`, as the search built it."""
+    seen = []
+
+    def record(t, *args):
+        seen.append(t)
+        raise _Recorded
+
+    with monkeypatch.context() as patch:
+        patch.setattr(certify, "_descend", record)
+        with pytest.raises(_Recorded):
+            search()
+    return seen[0]
 
 
 def objective(triple, tensors, weights):
@@ -540,7 +596,7 @@ class TestLockstepSearch:
     def test_blocks_of_starts_match_one_block(self, monkeypatch):
         triple = sp_example(2).triple
         z_dom, w_dom = triple.gk_basis(), triple.p_basis
-        t = certify._bracket_coordinates(triple, z_dom.comps(), w_dom.comps())
+        t = pair_bracket_coords(triple.field, z_dom.comps(), w_dom.comps(), triple.g_basis.comps())
         gmat = certify._ortho_constraint(z_dom, w_dom)
         z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=1))
         whole, _, _, whole_status = certify._descend(t, gmat, z0, w0, 200)
@@ -580,16 +636,20 @@ class TestLockstepSearch:
         assert np.array_equal(w[3:], w0[3:]) and np.array_equal(z[3:], z0[3:])
 
     @pytest.mark.parametrize("name", ["t1s3_product", "t1_sphere(3)", "m_kl(2,1,1)",
-                                      "sp_example(3)"])
-    def test_broadcast_tensors_match_per_pair_maps(self, name):
+                                      "sp_example(3)", "su(3)>su(2)"])
+    def test_broadcast_tensors_match_per_pair_maps(self, name, monkeypatch):
+        # each search's first tensor holds coordinates along g (commutator)
+        # and h (horizontal, part2), which map back onto the per-pair maps,
+        # since g and h are closed; off the symmetric pairs, [A, W] has a
+        # part outside h
         e = ENTRIES[name]()
         triple, a = e.triple, e.base_point_A
         g = group_exp(a, -0.3)
-        z_dom, w_dom = triple.gk_basis(), triple.p_basis
-        z_el, w_el = z_dom.elements(), w_dom.elements()
-        zc, wc = z_dom.comps(), w_dom.comps()
-        assert np.array_equal(certify._bracket_coordinates(triple, zc, wc),
-                              coordinates(triple, pair_tensor(z_el, w_el, bracket)))
+        dim_g, dim_h = triple.g_basis.dim, triple.h_basis.dim
+        budget = StartBudget(starts=1)
+        fat = first_descent_tensor(monkeypatch, lambda: check_fatness(triple, budget))
+        part2 = first_descent_tensor(monkeypatch, lambda: certify_part2(triple, a, budget))
+        scan = first_descent_tensor(monkeypatch, lambda: point_positivity(triple, g, budget))
 
         def part2_map(z, w):
             return bracket(project(triple, z, Part.H), project(triple, bracket(a, w), Part.H))
@@ -598,12 +658,14 @@ class TestLockstepSearch:
             return bracket(project(triple, adjoint(g, z), Part.H),
                            project(triple, adjoint(g, w), Part.H))
 
-        def h(comps):
-            return project_comps(triple, comps, Part.H)
-
-        part2 = certify._bracket_coordinates(triple, h(zc), h(comp_bracket(a.comp, wc)))
-        scan = certify._bracket_coordinates(triple, h(comp_adjoint(g.comp, zc)),
-                                            h(comp_adjoint(g.comp, wc)))
-        for got, fn in ((part2, part2_map), (scan, scan_map)):
-            want = coordinates(triple, pair_tensor(z_el, w_el, fn))
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        mu = math.sqrt(certify._PENALTY_SCHEDULE[0])
+        w_el = triple.p_basis.elements()
+        for z_dom, got, basis, fn in (
+            (triple.gk_basis(), fat, triple.g_basis, bracket),
+            (triple.gk_basis(), part2[:, :, :dim_h], triple.h_basis, part2_map),
+            (triple.gk_basis(), part2[:, :, dim_h:] / mu, triple.g_basis, bracket),
+            (certify._scan_z_domain(triple), scan[:, :, :dim_g], triple.g_basis, bracket),
+            (certify._scan_z_domain(triple), scan[:, :, dim_g:], triple.h_basis, scan_map),
+        ):
+            want = pair_tensor(z_dom.elements(), w_el, fn)
+            np.testing.assert_allclose(got @ basis.mat, want, rtol=0, atol=1e-14)

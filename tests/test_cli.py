@@ -2,9 +2,12 @@ import argparse
 import hashlib
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
+from curvcert.algebra import FieldTag, basis_element
 from curvcert.catalog import t1_sphere
 from curvcert.certify import StartBudget, check_fatness, report_to_json
 from curvcert.cli import build_parser, main
@@ -311,6 +314,36 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+class TestUnconfirmedRefutation:
+    """A file whose g is not closed: g = span(e01, e02) in so(3), h = span(e01), k = 0, A = e02/|e02|.
+
+    [e01, e02] lies outside g, so its coordinates along g vanish: fat, part2
+    and part3 reach 0 there, which the element path does not confirm: without
+    that check all three read REFUTED at 0.  With whole brackets, fat and part3
+    were CERTIFIED (0.5, 1/sqrt(2)) and part2 vacuously CERTIFIED (0.0).
+    """
+
+    NOTE = re.compile(r"unconfirmed refutation: (\S+), read along g or h, is below (\S+), "
+                      r"but the element path gives (\S+) for the witness")
+
+    @pytest.mark.parametrize("method,threshold,element", [
+        ("fat", 1e-12, 0.5), ("part2", 1e-10, 0.5), ("part3", 1e-7, 1 / SQ2)])
+    def test_is_inconclusive_with_both_values(self, capsys, tmp_path, method, threshold, element):
+        e01, e02 = (basis_element(FieldTag.REAL, 3, 0, j, 0) for j in (1, 2))
+        path = str(tmp_path / "open.json")
+        save_triple(make_triple([e01, e02], [e01], [], base_point=(1 / e02.norm()) * e02), path)
+        code, out, _ = run(capsys, "check", "--file", path, "--method", method)
+        assert code == 2
+        report = json.loads(out)
+        assert report["verdict"] == "INCONCLUSIVE" and report["witness"] is None
+        assert report["score"] == 0.0
+        found = [m.groups() for m in map(self.NOTE.match, report["notes"]) if m]
+        assert len(found) == 1
+        search, below, got = map(float, found[0])
+        assert search == 0.0 and below == threshold
+        assert math.isclose(got, element, rel_tol=1e-12)
+
+
 class TestDegenerateReports:
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -471,7 +504,9 @@ class TestInlineA:
 # sha256 of the stdout of `export` and `check --method part3`, taken before the
 # structural layer moved to batched brackets; bytes must not change.  The part3
 # digests were re-taken for the report schema curvcert-report/2, which dropped
-# the no-op `t` and `workers` keys from the config block.
+# the no-op `t` and `workers` keys from the config block, and again when part3
+# began to read [m_i, A] as coordinates along g: a different summation order
+# moves the last digit of the score (WHOLE_BRACKET_SCORES below).
 PINNED_DIGESTS = {
     ("t1s3_product",): (
         "0cf3c78e15f9bea425f5d1a752a36e8f97773a7792a1d39b150f48f7802106ef",
@@ -479,49 +514,49 @@ PINNED_DIGESTS = {
     ),
     ("t1_sphere", "--n", "4"): (
         "033d5cdd7846b93f4a371aa6ce61aeeb567fb711462544249a5e0c98e7bd0e74",
-        "e34c21a41f2dce8351589a8a107358b6b96ce44d01c0d304fe22bd452cc9ed5d",
+        "fd0bd08df7dc681c47522ca3305173b900cba6fac82e5ce71c998e501bf109ad",
     ),
     ("sp_example", "--n", "3"): (
         "20d6270465e012560ce89bd3894ca712f3315b361485cfe51ee45e90b0402a5c",
-        "4600b42170cfc14fb3b46a10cec5e24160d5b9236171cb5d4e3a74f45d3c5fcf",
+        "34f2a9fd02c3693bda575932ee369a1308c641f6173a78dccda345da1b496659",
     ),
     # one pin per family and field, taken before the catalog spans were built as
     # generator stacks with closed-form orthonormalization of disjoint rows
     ("t1_projective", "--field", "C", "--n", "2"): (
         "54a8c33351115105bc72043975a5555b66706dad16747546271806c94ede633a",
-        "f7958e6473a09e90aa35312822846fc57ee64bf63c6b4d4a92fe4bd69699802c",
+        "f0d8ea068d02b32b837af9da5de6fffb15a7e0a0d93874038dafdc394c02e8da",
     ),
     ("t1_projective", "--field", "H", "--n", "3"): (
         "a74c0820a1c7f914b9270f290031aefd2fc118563caafb8347849e24096212d2",
-        "e87105df3b8ba465b513e5d8df7a82babccce1106493da425e0a405f8531e43c",
+        "200503c1c9b13117f269f15b20b80b9d22a66f27c25a7b4fd55bf79334f9636d",
     ),
     ("pt_projective", "--field", "R", "--n", "2"): (
         "85aa73a80eac13b16744626be10b5e7d3b036482704854ca180b26e1dd8dd3a2",
-        "c782870f9f9dd17b67163d98fcc83f2c74395ac5695bc4bd8593579acf6f00a8",
+        "4d255d242df5c77899e288a1fbc8fcc70d4152bf65ecf9c5afe3631b335852c9",
     ),
     ("pt_projective", "--field", "C", "--n", "2"): (
         "86140a172129930d52fa19252179f488e8ba8043d5797b23a2239066526f65d5",
-        "a55d46d006e6bb1b1f9b0bb56eb0dc12c7ed82f703c232c5f3eef8879e5c097f",
+        "c331a5ab190378134e6b14d76a9dad5557ba029590af678bb0b7a3b7fdd49dfb",
     ),
     ("pt_projective", "--field", "H", "--n", "2"): (
         "ee2d748c19b3c5522e0decd72306f87d09a14f8418ed7804dca8fdb4eb259154",
-        "11169477898813db3fec953d77eb085ff9736d0392fa0d8b4f65ada22db172fc",
+        "29824ec7c27b613290c19a496d315089c5178861259c0ebdc4c37ab24fd6993e",
     ),
     ("m_kl", "--n", "2", "--k", "1", "--l", "1"): (
         "d7d71be702bf50bcbeaa6fc0cfbd1db5fbf741340cae4c828d40e4142fd1d871",
-        "6015ef44255f4d00f5a5fd31bf4f70138aeb70bad77b648aa3da29f5d1d47997",
+        "fadc14e6ffd5be204251c62c65824bc1adbcea1d226511a0d4fbdaa29dc22238",
     ),
     ("m_kl", "--n", "2", "--k", "0", "--l", "1"): (
         "91aabf31bba83e4fd4150af77b188f3f9cd7252fbee61dfa3e2e50fa7617aa00",
-        "61e24615c0581cdc981823830059f6539161c89eca13025ac5f02e2f64f299bb",
+        "5a2c397566498b89cef4d668806eb66e351d52620d8d71f97a04fdf3294e8afa",
     ),
     ("t1_sphere", "--n", "10"): (
         "dc5b1fc00022d6510334f8114528d8ebbf78919add34c5d40f878df7c5615870",
-        "1044928af226a117f1d8577bf77332d9b80523596fd17caf5e32c260d9940d5e",
+        "13facab33f6f0eac4ca533eedf9eabc4d3f838fe79a16b7206435613cadf4bbf",
     ),
     ("sp_example", "--n", "8"): (
         "dbe9b4dd36a643701d7c2cb91b44cce57e4a363b690a0b08fd0354a5f7d61874",
-        "ae11ee4991184e129eae599efd2245645b10d3d12be67d040320c88bb273eced",
+        "f99f0bd29cddddf06400e95caa78347da1d14e78c9a6a7d661b243c6b21e85ba",
     ),
 }
 # part3 exit codes other than 0 (CERTIFIED): k = 0 lies outside the certified family
@@ -529,7 +564,9 @@ PINNED_PART3_CODES = {("m_kl", "--n", "2", "--k", "0", "--l", "1"): 1}
 
 # sha256 of the stdout of the three searches, taken before every search tensor
 # went through the all-pairs bracket kernel; bytes must not change.  Fat and
-# the scan refute (a scan refutes at s = 0), part2 certifies.
+# the scan refute (a scan refutes at s = 0), part2 certifies.  The m_kl part2
+# and scan and the sp_example(2) scan digests were re-taken when the search
+# tensors became coordinates along g and h (WHOLE_BRACKET_SCORES below).
 SEARCH_RUNS = {
     "fat": (["check", "--method", "fat", "--starts", "16"], 1),
     "part2": (["check", "--method", "part2", "--starts", "8"], 0),
@@ -543,15 +580,48 @@ PINNED_SEARCH_DIGESTS = {
     },
     ("m_kl", "--n", "2", "--k", "1", "--l", "1"): {
         "fat": "5d8985ed27306ef2159c866ef1376ec8631eed701111d8deb7f90c2567437358",
-        "part2": "76db46406cf36c37aba9cf73fec85344a22539a1b152499422ab622c0ec35c5f",
-        "scan": "c4d07c225e809091fe0132260111b900e1753f05b6b90b311e684b0aee8454f9",
+        "part2": "b9943b3b340cdfd1e4dbc4047daa9663e11d23e05c1d13584e899da99b4c84ff",
+        "scan": "04c9c23e0fa0fcc9a14ea627f2cabf8aaeee85f3c5fabcd75a3ab125fa29ba9b",
     },
     ("sp_example", "--n", "2"): {
         "fat": "44f241fdc67efdde8aeb9e304ef6fb21fa479a8f761d174711a0f657b2d607cf",
         "part2": "bd805fa3bea5df56591eecf8b44b9d27dbf48d22e05116ddbcec07b792a55baa",
-        "scan": "0976673beb5b704fc7d95698527e25891e38d62057f0891de7aefa9ee11681e8",
+        "scan": "12b3866d4f058bcc4f455cd5a9eb919d20743f6afda6721a2cd076a259fc9084",
     },
 }
+
+
+# The scores of the pinned runs whose digests moved when every bracket of
+# basis stacks became coordinates along g or h, as written when brackets were
+# read whole, in coordinates of all of so(n), u(n) or sp(n).  part3 is
+# one SVD, so its scores move by rounding only: 1e-14 relative, or 1e-15 for
+# a zero.  A search value at a positive minimum is fixed only to the descent's
+# stop rule, an accepted step that lowers f by at most 1e-12 relative, and the
+# m_kl scan points at s = 0.05..0.2 stop at max_iters; so 1e-12 there.
+WHOLE_BRACKET_SCORES = {
+    # the t1s3_product part3 digest did not move
+    **{(entry, "part3"): [0.7071067811865476] for entry in PINNED_DIGESTS
+       if entry[0] not in ("m_kl", "t1s3_product")},
+    (("m_kl", "--n", "2", "--k", "1", "--l", "1"), "part3"): [0.1909830056250525],
+    (("m_kl", "--n", "2", "--k", "0", "--l", "1"), "part3"): [0.0],
+    (("m_kl", "--n", "2", "--k", "1", "--l", "1"), "part2"): [0.02144638613761435],
+    (("m_kl", "--n", "2", "--k", "1", "--l", "1"), "scan"): [
+        0.0, 5.326122601456771e-05, 0.00020883199198153333, 0.000770861988515565,
+        0.002217878344292185, 0.0018146977477164173],
+    (("sp_example", "--n", "2"), "scan"): [
+        3.3585029967475632e-28, 0.0012428624532111452, 0.004886985634693992,
+        0.018273479895458123, 0.05744831802280784, 0.12350778952747268],
+}
+
+
+@pytest.mark.parametrize("entry,method", sorted(WHOLE_BRACKET_SCORES))
+def test_moved_scores_agree_with_whole_bracket_scores(capsys, entry, method):
+    argv = ["check", "--method", "part3"] if method == "part3" else SEARCH_RUNS[method][0]
+    _, out, _ = run(capsys, *argv, "--entry", *entry)
+    doc = json.loads(out)
+    got = [rep["score"] for rep in (doc if isinstance(doc, list) else [doc])]
+    rel = 1e-14 if method == "part3" else 1e-12
+    np.testing.assert_allclose(got, WHOLE_BRACKET_SCORES[entry, method], rtol=rel, atol=1e-15)
 
 
 @pytest.mark.parametrize("entry", sorted(PINNED_DIGESTS))

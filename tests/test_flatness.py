@@ -6,25 +6,21 @@ import pytest
 from curvcert.algebra import (
     AlgElement,
     FieldTag,
-    Quaternion,
     adjoint,
     basis_element,
     bracket,
     group_exp,
-    inner,
 )
 from curvcert.catalog import m_kl, t1_sphere, t1s3_product
 from curvcert.flatness import (
     FlatPairWitness,
     PlaneInputError,
-    biinvariant_plane_curvature,
     eschenburg_residual,
     horizontal_flat_residual,
-    symmetric_horizontal_residual,
 )
 from curvcert.triple import DeformParam, Part, project
 
-from helpers import sp1_pair, su3_su2_spans, t1s3_commuting_pair
+from helpers import Quaternion, sp1_pair
 
 SQ2 = math.sqrt(2.0)
 
@@ -162,47 +158,9 @@ class TestHorizontalResidual:
         assert math.isclose(base[0], moved[0], rel_tol=1e-10, abs_tol=1e-14)
 
 
-class TestSymmetricSpecialization:
-    def test_requires_symmetric_pair(self):
-        from curvcert.algebra import identity
-        from curvcert.triple import is_symmetric_pair, make_triple
-
-        g, h = su3_su2_spans()
-        triple = make_triple(g, h, [])
-        assert not is_symmetric_pair(triple)
-        z = triple.m_basis.elements()[0]
-        w = triple.p_basis.elements()[0]
-        with pytest.raises(PlaneInputError):
-            symmetric_horizontal_residual(triple, identity(triple.field, triple.n), z, w)
-
-    def test_second_component_zero_at_identity(self, t1s3):
-        # At the identity X^h = 0 for X in m of a symmetric pair... X in m is
-        # horizontal-orthogonal to h only after projection; here [X^h, W^h]
-        # uses X itself, whose h part is X (m sits in h).  The residual still
-        # matches the generic function exactly.
-        rng = np.random.default_rng(1)
-        z, w = t1s3_commuting_pair(rng)
-        x = project(t1s3, z, Part.M)
-        x = (1.0 / x.norm()) * x
-        if abs(inner(x, w)) > 1e-10:
-            w = w - inner(x, w) * x
-            w = (1.0 / w.norm()) * w
-        from curvcert.algebra import identity
-
-        r_sym = symmetric_horizontal_residual(t1s3, identity(FieldTag.QUATERNION, 2), x, w)
-        r_gen = horizontal_flat_residual(t1s3, identity(FieldTag.QUATERNION, 2), x, w)
-        assert math.isclose(r_sym[0], r_gen[0], rel_tol=1e-12, abs_tol=1e-15)
-        assert math.isclose(r_sym[1], r_gen[1], rel_tol=1e-12, abs_tol=1e-15)
-
-    def test_matches_generic_along_scan(self, t1s3):
-        z, w, a = known_flat_pair()
-        x = project(t1s3, z, Part.M)
-        x = (1.0 / x.norm()) * x
-        for s in (0.1, 0.25, 0.6):
-            g = group_exp(a, -s)
-            r_sym = symmetric_horizontal_residual(t1s3, g, x, w)
-            r_gen = horizontal_flat_residual(t1s3, g, x, w)
-            assert math.isclose(r_sym[1], r_gen[1], rel_tol=1e-12, abs_tol=1e-15)
+def biinvariant_plane_curvature(x, y):
+    """Sectional curvature |[X, Y]|^2 / 4 of the bi-invariant metric on an orthonormal pair."""
+    return 0.25 * bracket(x, y).norm() ** 2
 
 
 class TestBiinvariantCurvature:

@@ -32,11 +32,9 @@ from curvcert.triple import (
     Part,
     Subspace,
     _orthonormalize,
-    deformed_inner,
     is_symmetric_pair,
     make_triple,
     phi,
-    phi_inv,
     project,
     randomly_rebased,
     stabilizer_subalgebra,
@@ -120,8 +118,12 @@ class TestConstruction:
                  block_stack(field, 4, [2, 3])]
         from_stacks = make_triple(*spans, field=field)
         from_lists = make_triple(*[[from_flat(field, 4, c.ravel()) for c in s] for s in spans])
-        for name in ("g_basis", "h_basis", "k_basis", "m_basis", "p_basis"):
-            assert bit_equal(getattr(from_stacks, name).mat, getattr(from_lists, name).mat)
+        subspaces = [Subspace.from_spanning(s, field) for s in spans]
+        from_subspaces = make_triple(*subspaces)  # each taken as it is
+        assert from_subspaces.h_basis is subspaces[1]
+        for other in (from_lists, from_subspaces):
+            for name in ("g_basis", "h_basis", "k_basis", "m_basis", "p_basis"):
+                assert bit_equal(getattr(from_stacks, name).mat, getattr(other, name).mat)
 
     def test_stack_needs_its_field(self):
         with pytest.raises(ValueError, match="needs its field"):
@@ -177,6 +179,13 @@ class TestProjection:
             project(t1s3, off_diag, Part.H)
 
 
+def deformed_inner(triple, x, y, d):
+    """The deformed metric <X^p, Y^p> + t <X^h, Y^h>, from `project`."""
+    xp, yp = project(triple, x, Part.P), project(triple, y, Part.P)
+    xh, yh = project(triple, x, Part.H), project(triple, y, Part.H)
+    return inner(xp, yp) + d.t * inner(xh, yh)
+
+
 class TestPhiAndMetric:
     def test_phi_fixes_p_and_scales_h(self, mkl):
         rng = np.random.default_rng(3)
@@ -203,8 +212,8 @@ class TestPhiAndMetric:
             y = random_in_span(t1s3.g_basis, rng)
             assert math.isclose(inner(phi(t1s3, x, d), y), inner(x, phi(t1s3, y, d)),
                                 rel_tol=1e-12, abs_tol=1e-12)
-            assert math.isclose(deformed_inner(t1s3, x, phi_inv(t1s3, y, d), d), inner(x, y),
-                                rel_tol=1e-12, abs_tol=1e-12)
+            y_inv = (1.0 / d.t) * project(t1s3, y, Part.H) + project(t1s3, y, Part.P)
+            assert (phi(t1s3, y_inv, d) - y).norm() < 1e-12 * max(1.0, y.norm())
 
     def test_cross_parts_vanish_and_unit_h_gives_t(self, mkl):
         rng = np.random.default_rng(6)
@@ -436,23 +445,25 @@ class TestStabilizer:
     def test_zero_point_gives_whole_h(self, t1s3):
         from curvcert.algebra import zero
 
-        out = stabilizer_subalgebra(t1s3.h_basis, zero(FieldTag.QUATERNION, 2))
+        out = stabilizer_subalgebra(t1s3.h_basis, zero(FieldTag.QUATERNION, 2), t1s3.g_basis)
         assert out.dim == t1s3.h_basis.dim
 
     def test_base_point_from_another_algebra_is_rejected(self, t1s3):
         # as for `bracket`: the kernel reads only the components of h's field
         with pytest.raises(DimensionMismatch):
-            stabilizer_subalgebra(t1s3.h_basis, basis_element(FieldTag.COMPLEX, 2, 0, 0, 1))
+            stabilizer_subalgebra(t1s3.h_basis, basis_element(FieldTag.COMPLEX, 2, 0, 0, 1),
+                                  t1s3.g_basis)
 
     def test_so4_stabilizer_dimension(self):
+        g = Subspace.from_spanning(block_stack(FieldTag.REAL, 4, range(4)), FieldTag.REAL)
         h = Subspace.from_spanning(block_stack(FieldTag.REAL, 4, [1, 2, 3]), FieldTag.REAL)
         a = basis_element(FieldTag.REAL, 4, 0, 1, 0)
-        out = stabilizer_subalgebra(h, a)
+        out = stabilizer_subalgebra(h, a, g)
         assert out.dim == 1  # rotations of the (e2, e3) plane
 
     def test_t1s3_stabilizer_is_diagonal_i(self, t1s3):
         a = (1.0 / math.sqrt(2.0)) * sp1_pair(np.array([1.0, 0.0, 0.0]), -1.0)
-        out = stabilizer_subalgebra(t1s3.h_basis, a)
+        out = stabilizer_subalgebra(t1s3.h_basis, a, t1s3.g_basis)
         assert out.dim == 1
         expected = (1.0 / math.sqrt(2.0)) * sp1_pair(np.array([1.0, 0.0, 0.0]), 1.0)
         overlap = abs(float(out.mat[0] @ expected.flat))
@@ -460,7 +471,7 @@ class TestStabilizer:
 
     def test_commutation_holds_on_output(self):
         entry = sp_example(2)
-        out = stabilizer_subalgebra(entry.triple.h_basis, entry.base_point_A)
+        out = stabilizer_subalgebra(entry.triple.h_basis, entry.base_point_A, entry.triple.g_basis)
         for e in out.elements():
             assert bracket(e, entry.base_point_A).norm() < 1e-9
 
