@@ -2,12 +2,14 @@
 
 The symmetric-pair certificate is deterministic linear algebra (smallest
 singular value of X -> [X, A] on m).  The fatness check, the general
-derivative criterion and the per-point positivity scans are nonconvex
-bilinear problems; their CERTIFIED verdicts are heuristic and every report
-records the start count and seed that produced it.
+derivative criterion (part2) and the per-point positivity scans are one
+nonconvex search for flat planes: each minimizes |[Z, W]|^2, plus one more
+bilinear term for part2 and the scans, and all three share one verdict
+rule.  Their CERTIFIED verdicts are heuristic and every report records the
+start count and seed that produced it.
 
-The bilinear searches exploit that each residual term is linear in Z for
-fixed W and vice versa.  Every start takes two exact smallest-eigenvector
+The search exploits that each residual term is linear in Z for fixed W
+and vice versa.  Every start takes two exact smallest-eigenvector
 sweeps (one in Z, then one in W), then Levenberg-Marquardt steps on the
 joint residual, which converge where the sweeps alone stall in the
 non-isolated minima.  All starts of a search descend in lockstep, with
@@ -54,8 +56,6 @@ from .triple import (
 
 DEFAULT_TOL = 1e-6
 DEFAULT_REFUTE_TOL = 1e-12
-_FEASIBLE_TOL = 1e-10
-_PENALTY_SCHEDULE = (1e1, 1e3, 1e5)
 # Starts descend together in blocks whose stacked Jacobians hold about this
 # many floats each, so memory stays bounded as the algebra grows.
 _BLOCK_FLOATS = 1 << 15
@@ -233,11 +233,6 @@ def certify_part3(triple: Triple, a: AlgElement, tol: float = DEFAULT_TOL) -> Ce
 
 
 # --- bilinear multi-start searches --------------------------------------------
-
-
-def _weighted(terms, weights) -> np.ndarray:
-    """One pair tensor whose |T(z, w)|^2 is the weighted sum of the terms' |T_j(z, w)|^2."""
-    return np.concatenate([np.sqrt(mu) * t for mu, t in zip(weights, terms)], axis=2)
 
 
 def _pair_values(t: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -475,57 +470,49 @@ def _search_terms(triple: Triple, z_dom: Subspace, budget: StartBudget):
 _SEARCH_NOTES = {
     Method.FAT: ("degenerate triple (empty search domain): vacuously fat",
                  "commuting pair found: bundle is not fat"),
+    Method.PART2: ("degenerate triple (empty search domain): vacuous",
+                   "commuting pair with vanishing derivative objective found"),
     Method.POINT_SCAN: ("degenerate triple (empty search domain): vacuously positive",
                         "horizontal zero-curvature plane found at this point"),
 }
 
 
 def _flat_plane_search(
-    triple: Triple, method: Method, z_dom: Subspace, terms, g: Optional[GroupElement],
-    budget: StartBudget, tol: float, refute_tol: float, s: Optional[float] = None,
+    triple: Triple, method: Method, z_dom: Subspace, terms, second: Optional[np.ndarray],
+    element, budget: StartBudget, tol: float, refute_tol: float, s: Optional[float] = None,
 ) -> CertReport:
-    """The search of fatness (g None) and of the point scans (g the point reached).
+    """The one search of fatness, part2 and the point scans.
 
-    Minimizes |[Z, W]|^2 (along g), plus |[(Ad_g Z)^h, (Ad_g W)^h]|^2
-    (along h) when g is given, from the starts in terms (see
-    `_search_terms`).  A minimum below refute_tol refutes with the pair as
-    witness, once the pair's residual is below refute_tol on the element
-    path too (else INCONCLUSIVE); all starts bottoming out above tol give a
-    heuristic CERTIFIED; an empty domain (terms None) is vacuously
-    CERTIFIED.
+    Minimizes |[Z, W]|^2 (along g), plus |second(Z, W)|^2 when a second pair
+    tensor is given (part2's derivative objective, a scan point's horizontal
+    term, both along h), from the starts in terms (see `_search_terms`).  A
+    minimum below refute_tol refutes with the pair as witness, once
+    element(Z, W), the same sum on the element path, is below refute_tol too
+    (else INCONCLUSIVE); all starts bottoming out above tol give a heuristic
+    CERTIFIED; an empty domain (terms None) is vacuously CERTIFIED.
     """
     vacuous, refuted = _SEARCH_NOTES[method]
     if terms is None:
         return CertReport(triple.label, method, Verdict.CERTIFIED, float("inf"), tol,
                           starts=budget.starts, seed=budget.seed, s=s, notes=(vacuous,))
-    z_comps, w_comps, commutator, gmat, starts = terms
-    t = commutator
-    if g is not None:
-        require_same(triple, g)
-        horizontal = pair_bracket_coords(triple.field, *(
-            project_comps(triple, comp_adjoint(g.comp, c), Part.H) for c in (z_comps, w_comps)),
-            triple.h_basis.mat)
-        t = _weighted([commutator, horizontal], [1.0, 1.0])
+    commutator, gmat, starts = terms[2:]
+    t = commutator if second is None else np.concatenate([commutator, second], axis=2)
     vals, zs, ws, status = _descend(t, gmat, *starts, budget.max_iters)
     i = int(np.argmin(vals))  # ties resolve to the lowest start index
     val, z, w = float(vals[i]), zs[i], ws[i]
     witness = None
     if val < refute_tol:
-        comm, horiz = val, None
-        if g is not None:
-            comm, horiz = (float(_pair_values(x, z[None], w[None])[0])
-                           for x in (commutator, horizontal))
+        comm, other = val, None
+        if second is not None:
+            comm, other = (float(_pair_values(x, z[None], w[None])[0])
+                           for x in (commutator, second))
         witness = FlatPairWitness(
             Z=from_flat(triple.field, triple.n, z @ z_dom.mat),
             W=from_flat(triple.field, triple.n, w @ triple.p_basis.mat),
-            commutator_residual=comm, horizontal_residual=horiz, point_s=s,
+            commutator_residual=comm, horizontal_residual=other, point_s=s,
         )
-        if g is None:
-            element = bracket(witness.Z, witness.W).norm() ** 2
-        else:
-            element = sum(horizontal_flat_residual(triple, g, witness.Z, witness.W))
         verdict, notes = Verdict.REFUTED, (refuted,)
-        if unconfirmed := _unconfirmed(val, element, refute_tol):
+        if unconfirmed := _unconfirmed(val, element(witness.Z, witness.W), refute_tol):
             verdict, witness, notes = Verdict.INCONCLUSIVE, None, unconfirmed
     elif val > tol:
         verdict = Verdict.CERTIFIED
@@ -536,6 +523,11 @@ def _flat_plane_search(
         triple.label, method, verdict, val, tol, witness=witness,
         starts=budget.starts, seed=budget.seed, s=s, notes=notes + (_convergence_note(status),),
     )
+
+
+def _commutator_residual(z: AlgElement, w: AlgElement) -> float:
+    """|[Z, W]|^2 on the element path."""
+    return bracket(z, w).norm() ** 2
 
 
 def check_fatness(
@@ -549,76 +541,46 @@ def check_fatness(
     """
     z_dom = triple.gk_basis()
     return _flat_plane_search(triple, Method.FAT, z_dom, _search_terms(triple, z_dom, budget),
-                              None, budget, tol, refute_tol)
+                              None, _commutator_residual, budget, tol, refute_tol)
 
 
 def certify_part2(
     triple: Triple, a: AlgElement, budget: StartBudget = StartBudget(),
     tol: float = DEFAULT_TOL,
 ) -> CertReport:
-    """Penalty-continuation search for the derivative criterion.
+    """Search for a commuting pair that violates the derivative criterion.
 
-    Minimizes |[Z^h, [A, W]^h]|^2 subject to [Z, W] = 0 via mu-continuation
-    over the penalized objective, multi-start.  Feasible minima below
-    tol * 1e-2 refute; all feasible minima above tol certify (heuristically);
-    absence of feasible pairs certifies vacuously.  Like part3, any verdict
-    is INCONCLUSIVE unless A lies in p.
+    Minimizes |[Z, W]|^2 + |[Z^h, [A, W]^h]|^2 over orthonormal Z orthogonal
+    to k, W in p: a common zero is a commuting pair on which the criterion
+    fails.  The verdict rule is fatness's with the fixed refutation
+    threshold DEFAULT_REFUTE_TOL, so the score is the joint minimum, above
+    tol for a heuristic CERTIFIED.  Like part3, any verdict is INCONCLUSIVE
+    unless A lies in p.
     """
-    verdict, score, witness, notes = _part2_search(triple, a, budget, tol)
-    if failed := _a_not_in_p(triple, a, tol):
-        verdict, witness, notes = Verdict.INCONCLUSIVE, None, failed
-    return CertReport(
-        triple.label, Method.PART2, verdict, score, tol,
-        witness=witness, starts=budget.starts, seed=budget.seed, notes=notes,
-    )
-
-
-def _part2_search(triple: Triple, a: AlgElement, budget: StartBudget, tol: float):
-    """(verdict, score, witness, notes) of the derivative criterion's search."""
     z_dom = triple.gk_basis()
     terms = _search_terms(triple, z_dom, budget)
+
+    def element(z: AlgElement, w: AlgElement) -> float:
+        return _commutator_residual(z, w) + _derivative_objective(triple, a, z, w)
+
+    report = _flat_plane_search(triple, Method.PART2, z_dom, terms,
+                                _derivative_tensor(triple, a, terms), element,
+                                budget, tol, DEFAULT_REFUTE_TOL)
+    if failed := _a_not_in_p(triple, a, tol):
+        report = replace(report, verdict=Verdict.INCONCLUSIVE, witness=None, notes=failed)
+    return report
+
+
+def _derivative_tensor(triple: Triple, a: AlgElement, terms) -> Optional[np.ndarray]:
+    """The pair tensor [z_i^h, [A, w_k]^h] along h for the domains of terms; None when terms is."""
     if terms is None:
-        notes = ("degenerate triple (empty search domain): vacuous",)
-        return Verdict.CERTIFIED, float("inf"), None, notes
+        return None
     require_same(triple, a)
-    z_comps, w_comps, commutator, gmat, (z, w) = terms
+    z_comps, w_comps = terms[:2]
     h = triple.h_basis
     aw_h = pair_bracket_coords(triple.field, a.comp[None], w_comps, h.mat)[0] @ h.mat
-    objective = pair_bracket_coords(triple.field, project_comps(triple, z_comps, Part.H),
-                                    aw_h.reshape(w_comps.shape), h.mat)
-    status = np.full(len(z), CONVERGED)
-    for mu in _PENALTY_SCHEDULE:
-        t = _weighted([objective, commutator], [1.0, mu])
-        _, z, w, stage = _descend(t, gmat, z, w, budget.max_iters)
-        status = np.maximum(status, stage)  # a start's worst stage counts
-    obj, feas = _pair_values(objective, z, w), _pair_values(commutator, z, w)
-    note = _convergence_note(status)
-
-    feasible = np.flatnonzero(feas < _FEASIBLE_TOL)
-    if not feasible.size:
-        notes = ("no commuting pairs found: condition holds vacuously (heuristic)", note)
-        return Verdict.CERTIFIED, float(obj.min()), None, notes
-    i = feasible[np.argmin(obj[feasible])]  # ties resolve to the lowest start index
-    score = float(obj[i])
-    if score < tol * 1e-2:
-        witness = FlatPairWitness(
-            Z=from_flat(triple.field, triple.n, z[i] @ z_dom.mat),
-            W=from_flat(triple.field, triple.n, w[i] @ triple.p_basis.mat),
-            commutator_residual=float(feas[i]),
-            horizontal_residual=score,
-        )
-        unconfirmed = (
-            _unconfirmed(float(feas[i]), bracket(witness.Z, witness.W).norm() ** 2, _FEASIBLE_TOL)
-            or _unconfirmed(score, _derivative_objective(triple, a, witness.Z, witness.W),
-                            tol * 1e-2))
-        if unconfirmed:
-            return Verdict.INCONCLUSIVE, score, None, unconfirmed + (note,)
-        notes = ("feasible commuting pair with vanishing derivative objective", note)
-        return Verdict.REFUTED, score, witness, notes
-    if score > tol:
-        notes = ("heuristic certificate: all feasible minima above tolerance", note)
-        return Verdict.CERTIFIED, score, None, notes
-    return Verdict.INCONCLUSIVE, score, None, (note,)
+    return pair_bracket_coords(triple.field, project_comps(triple, z_comps, Part.H),
+                               aw_h.reshape(w_comps.shape), h.mat)
 
 
 # --- derivative test along exp(-sA) -------------------------------------------
@@ -685,8 +647,24 @@ def point_positivity(
     orthonormal pairs; for symmetric pairs the Z-domain shrinks to m.
     """
     z_dom = _scan_z_domain(triple)
-    return _flat_plane_search(triple, Method.POINT_SCAN, z_dom,
-                              _search_terms(triple, z_dom, budget), g, budget, tol, refute_tol, s)
+    return _point_search(triple, z_dom, _search_terms(triple, z_dom, budget), g,
+                         budget, tol, refute_tol, s)
+
+
+def _point_search(triple: Triple, z_dom: Subspace, terms, g: GroupElement,
+                  budget: StartBudget, tol: float, refute_tol: float,
+                  s: Optional[float]) -> CertReport:
+    """The flat-plane search at the point reached by g, with its horizontal tensor along h."""
+    horizontal = None
+    if terms is not None:
+        require_same(triple, g)
+        horizontal = pair_bracket_coords(triple.field, *(
+            project_comps(triple, comp_adjoint(g.comp, c), Part.H) for c in terms[:2]),
+            triple.h_basis.mat)
+    return _flat_plane_search(
+        triple, Method.POINT_SCAN, z_dom, terms, horizontal,
+        lambda z, w: sum(horizontal_flat_residual(triple, g, z, w)),
+        budget, tol, refute_tol, s)
 
 
 def _scan_z_domain(triple: Triple) -> Subspace:
@@ -709,8 +687,8 @@ def scan_along_A(
     z_dom = _scan_z_domain(triple)
     terms = _search_terms(triple, z_dom, budget)
     reports = [
-        _flat_plane_search(triple, Method.POINT_SCAN, z_dom, terms, group_exp(a, -float(s)),
-                           budget, tol, refute_tol, float(s))
+        _point_search(triple, z_dom, terms, group_exp(a, -float(s)), budget, tol, refute_tol,
+                      float(s))
         for s in s_values
     ]
     failed = _a_not_in_p(triple, a, tol)

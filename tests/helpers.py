@@ -213,9 +213,9 @@ def pair_tensor(z_elems, w_elems, fn) -> np.ndarray:
     return np.array([[fn(z, w).flat for w in w_elems] for z in z_elems])
 
 
-def _term_values(tensors, weights, z, w) -> list[float]:
-    return [float(mu * np.sum(np.einsum("ikd,i,k->d", t, z, w) ** 2))
-            for mu, t in zip(weights, tensors)]
+def _value(tensors, z, w) -> float:
+    """sum_j |T_j(z, w)|^2."""
+    return sum(float(np.sum(np.einsum("ikd,i,k->d", t, z, w) ** 2)) for t in tensors)
 
 
 def _min_eig_vector(q, u):
@@ -234,11 +234,11 @@ def _min_eig_vector(q, u):
     return vecs[:, 0]
 
 
-def descend_one(tensors, weights, gmat, z0, w0, max_iters):
+def descend_one(tensors, gmat, z0, w0, max_iters):
     """Reference one-start search of `curvcert.certify`; returns (value, z, w, status).
 
     Two exact block-coordinate sweeps, then Levenberg-Marquardt steps on the
-    stacked residual r = (sqrt(mu_j) T_j(z, w))_j with the search's damping
+    stacked residual r = (T_j(z, w))_j with the search's damping
     and stop rules.  The tangent space of {|z| = |w| = 1, z^T gmat w = 0} is
     an explicit null-space basis from an SVD of the constraint rows, where
     the lockstep search projects instead.  The status codes are those of
@@ -247,33 +247,32 @@ def descend_one(tensors, weights, gmat, z0, w0, max_iters):
     z, w = z0, w0
     for _ in range(2):
         qz = np.zeros((len(z), len(z)))
-        for mu, t in zip(weights, tensors):
+        for t in tensors:
             a = np.einsum("ikd,k->id", t, w)
-            qz += mu * (a @ a.T)
+            qz += a @ a.T
         z_new = _min_eig_vector(qz, gmat @ w if gmat is not None else None)
         if z_new is None:
-            return sum(_term_values(tensors, weights, z, w)), z, w, 2
+            return _value(tensors, z, w), z, w, 2
         qw = np.zeros((len(w), len(w)))
-        for mu, t in zip(weights, tensors):
+        for t in tensors:
             a = np.einsum("ikd,i->kd", t, z_new)
-            qw += mu * (a @ a.T)
+            qw += a @ a.T
         w_new = _min_eig_vector(qw, gmat.T @ z_new if gmat is not None else None)
         if w_new is None:
-            return sum(_term_values(tensors, weights, z, w)), z, w, 2
+            return _value(tensors, z, w), z, w, 2
         z, w = z_new, w_new
 
     dz, n = len(z), len(z) + len(w)
-    floor = (16 * np.finfo(float).eps) ** 2 * sum(mu * np.sum(t * t) for mu, t in zip(weights, tensors))
-    val = sum(_term_values(tensors, weights, z, w))
+    floor = (16 * np.finfo(float).eps) ** 2 * sum(np.sum(t * t) for t in tensors)
+    val = _value(tensors, z, w)
     if val <= floor:
         return val, z, w, 0
     damp = 1e-3
     for _ in range(max_iters):
-        jac = np.concatenate([np.hstack([np.sqrt(mu) * np.einsum("ikd,k->di", t, w),
-                                         np.sqrt(mu) * np.einsum("ikd,i->dk", t, z)])
-                              for mu, t in zip(weights, tensors)])
-        r = np.concatenate([np.sqrt(mu) * np.einsum("ikd,i,k->d", t, z, w)
-                            for mu, t in zip(weights, tensors)])
+        jac = np.concatenate([np.hstack([np.einsum("ikd,k->di", t, w),
+                                         np.einsum("ikd,i->dk", t, z)])
+                              for t in tensors])
+        r = np.concatenate([np.einsum("ikd,i,k->d", t, z, w) for t in tensors])
         rows = [np.concatenate([z, np.zeros(len(w))]), np.concatenate([np.zeros(dz), w])]
         if gmat is not None:
             rows.append(np.concatenate([gmat @ w, gmat.T @ z]))
@@ -291,7 +290,7 @@ def descend_one(tensors, weights, gmat, z0, w0, max_iters):
             u = gmat @ wc / np.linalg.norm(gmat @ wc)
             zc = zc - (zc @ u) * u
         zc = zc / np.linalg.norm(zc)
-        fc = sum(_term_values(tensors, weights, zc, wc))
+        fc = _value(tensors, zc, wc)
         if fc < val:
             small = val - fc <= 1e-12 * val
             z, w, val, damp = zc, wc, fc, max(damp / 3.0, 1e-12)
@@ -302,8 +301,3 @@ def descend_one(tensors, weights, gmat, z0, w0, max_iters):
             if damp > 1e12:
                 return val, z, w, 0
     return val, z, w, 1
-
-
-def term_values(tensors, z, w) -> list[float]:
-    """Unweighted |T_j(z, w)|^2 of each term."""
-    return _term_values(tensors, [1.0] * len(tensors), z, w)

@@ -17,7 +17,14 @@ from curvcert.algebra import (
     pair_bracket_coords,
     zero,
 )
-from curvcert.catalog import m_kl, sp_example, t1_sphere, t1s3_product
+from curvcert.catalog import (
+    m_kl,
+    pt_projective,
+    sp_example,
+    t1_projective,
+    t1_sphere,
+    t1s3_product,
+)
 from curvcert.certify import (
     CertReport,
     Method,
@@ -48,7 +55,6 @@ from helpers import (
     sp1_pair,
     su3_su2_spans,
     t1s3_commuting_pair,
-    term_values,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -206,9 +212,11 @@ class TestStalledSearches:
 
 class TestPart2:
     def test_t1s3_certified(self, t1s3):
+        # the joint minimum of |[Z, W]|^2 + |[Z^h, [A, W]^h]|^2; the constrained
+        # minimum of the second term over commuting pairs is 4
         report = certify_part2(t1s3.triple, t1s3.base_point_A, StartBudget(starts=16, seed=0))
         assert report.verdict is Verdict.CERTIFIED
-        assert math.isclose(report.score, 4.0, rel_tol=1e-12)
+        assert math.isclose(report.score, 2.0, rel_tol=1e-12)
 
     def test_zero_point_refuted(self, t1s3):
         report = certify_part2(
@@ -224,13 +232,89 @@ class TestPart2:
         assert report.witness is None
         assert report.notes == ("precondition failed: A does not lie in p",)
 
-    def test_vacuous_when_no_commuting_pair(self):
-        # on the fat example every admissible pair has |[Z, W]| bounded below
-        report = certify_part2(
-            t1_sphere(2).triple, t1_sphere(2).base_point_A, StartBudget(starts=16, seed=0)
-        )
+    @pytest.mark.parametrize("make", [
+        lambda: t1_sphere(2), lambda: pt_projective(FieldTag.REAL, 2),
+        lambda: pt_projective(FieldTag.COMPLEX, 2), lambda: pt_projective(FieldTag.QUATERNION, 2),
+    ], ids=["t1_sphere(2)", "pt_projective(R,2)", "pt_projective(C,2)", "pt_projective(H,2)"])
+    def test_fat_bundle_scores_its_fatness_gap(self, make):
+        # no pair commutes, so the score is the least |[Z, W]|^2, fat's 0.5,
+        # not a vacuous 0 from the derivative term alone
+        e = make()
+        budget = StartBudget(starts=64, seed=0)
+        report = certify_part2(e.triple, e.base_point_A, budget)
         assert report.verdict is Verdict.CERTIFIED
-        assert any("feasible" in n or "vacuous" in n for n in report.notes)
+        assert math.isclose(report.score, 0.5, rel_tol=1e-9)
+        assert math.isclose(check_fatness(e.triple, budget).score, 0.5, rel_tol=1e-9)
+        assert report.notes == ("heuristic certificate: all starts stayed above tolerance",
+                                "64 of 64 starts converged; 0 hit max_iters")
+
+    @pytest.mark.parametrize("make", [lambda: m_kl(2, 1, 1), lambda: m_kl(2, 2, 1),
+                                      lambda: t1_sphere(3)],
+                             ids=["m_kl(2,1,1)", "m_kl(2,2,1)", "t1_sphere(3)"])
+    def test_score_is_bounded_by_the_scans_second_order_term(self, make):
+        # f(s) = min |[Z, W]|^2 + |[(Ad Z)^h, (Ad W)^h]|^2 at exp(-sA) grows like
+        # c s^2, c the least |[Z^h, [A, W]^h]|^2 over commuting pairs, and
+        # part2's joint minimum cannot exceed c; c is Richardson-extrapolated
+        # from an independent search, the scan (truncation error about 4e-6
+        # relative, inside the slack)
+        e = make()
+        f05, f1 = (r.score for r in scan_along_A(e.triple, e.base_point_A, [0.05, 0.1],
+                                                  StartBudget(starts=16, seed=0)))
+        richardson = (4.0 * f05 / 0.05**2 - f1 / 0.1**2) / 3.0
+        report = certify_part2(e.triple, e.base_point_A, StartBudget(starts=64, seed=0))
+        assert 0.0 < report.score <= richardson * (1.0 + 1e-4)
+
+
+def _variants():
+    """The catalog variants of the part2 job list, with the verdict part2 gives each."""
+    h, c, r = FieldTag.QUATERNION, FieldTag.COMPLEX, FieldTag.REAL
+    return {
+        "t1s3": t1s3_product, "t1_sphere(2)": lambda: t1_sphere(2),
+        "t1_sphere(3)": lambda: t1_sphere(3), "t1_sphere(6)": lambda: t1_sphere(6),
+        "t1_projective(C,2)": lambda: t1_projective(c, 2),
+        "t1_projective(H,3)": lambda: t1_projective(h, 3),
+        "pt_projective(R,2)": lambda: pt_projective(r, 2),
+        "pt_projective(C,2)": lambda: pt_projective(c, 2),
+        "pt_projective(H,2)": lambda: pt_projective(h, 2),
+        "m_kl(2,1,1)": lambda: m_kl(2, 1, 1), "m_kl(3,1,1)": lambda: m_kl(3, 1, 1),
+        "m_kl(2,2,1)": lambda: m_kl(2, 2, 1), "m_kl(2,0,1)": lambda: m_kl(2, 0, 1),
+        "m_kl(2,1,-1)": lambda: m_kl(2, 1, -1), "sp_example(2)": lambda: sp_example(2),
+        "sp_example(3)": lambda: sp_example(3), "sp_example(4)": lambda: sp_example(4),
+    }
+
+
+class TestScoresAgreeWithVerdicts:
+    """A CERTIFIED score exceeds tol and a REFUTED one is below the refutation threshold."""
+
+    @pytest.mark.parametrize("name", sorted(_variants()))
+    def test_fat_part2_and_scan(self, name):
+        e = _variants()[name]()
+        budget = StartBudget(starts=16, seed=0)
+        reports = [check_fatness(e.triple, budget), certify_part2(e.triple, e.base_point_A, budget)]
+        reports += scan_along_A(e.triple, e.base_point_A, [0.0, 0.1], StartBudget(starts=4))
+        for report in reports:
+            if report.verdict is Verdict.CERTIFIED:
+                assert report.score > certify.DEFAULT_TOL, report
+            elif report.verdict is Verdict.REFUTED:
+                assert report.score < certify.DEFAULT_REFUTE_TOL, report
+
+
+class TestOneSearch:
+    """Fatness, part2 and every scan point run `_flat_plane_search` once each."""
+
+    def test_each_method_makes_one_search(self, t1s3, monkeypatch):
+        calls = []
+        real = certify._flat_plane_search
+        monkeypatch.setattr(certify, "_flat_plane_search",
+                            lambda *args, **kw: calls.append(args[1]) or real(*args, **kw))
+        triple, a, budget = t1s3.triple, t1s3.base_point_A, StartBudget(starts=4, seed=0)
+        check_fatness(triple, budget)
+        certify_part2(triple, a, budget)
+        point_positivity(triple, group_exp(a, -0.1), budget, s=0.1)
+        assert calls == [Method.FAT, Method.PART2, Method.POINT_SCAN]
+        calls.clear()
+        scan_along_A(triple, a, [0.0, 0.1, 0.2], budget)
+        assert calls == [Method.POINT_SCAN] * 3
 
 
 class TestScanFunction:
@@ -481,9 +565,9 @@ def first_descent_tensor(monkeypatch, search):
     return seen[0]
 
 
-def objective(triple, tensors, weights):
-    """The search's own tensor for the weighted terms: coordinates, weighted and stacked."""
-    return certify._weighted([coordinates(triple, t) for t in tensors], weights)
+def objective(triple, tensors):
+    """The search's own tensor for the terms: their coordinates, stacked along the last axis."""
+    return np.concatenate([coordinates(triple, t) for t in tensors], axis=2)
 
 
 class TestStarts:
@@ -520,11 +604,11 @@ class TestStarts:
         assert projected.any() == (scale > 0) and projected.all() == (scale == 1.0)
 
 
-def _lockstep_vs_oracle(tensors, weights, gmat, z0, w0, triple=None, max_iters=200):
+def _lockstep_vs_oracle(tensors, gmat, z0, w0, triple=None, max_iters=200):
     """Lockstep values (on the search's own objective tensor when a triple is given) and oracle's."""
-    t = tensors[0] if triple is None else objective(triple, tensors, weights)
+    t = tensors[0] if triple is None else objective(triple, tensors)
     got, _, _, status = certify._descend(t, gmat, z0, w0, max_iters)
-    ref = [descend_one(tensors, weights, gmat, z, w, max_iters) for z, w in zip(z0, w0)]
+    ref = [descend_one(tensors, gmat, z, w, max_iters) for z, w in zip(z0, w0)]
     assert list(status) == [r[3] for r in ref]
     return got, np.array([r[0] for r in ref])
 
@@ -538,7 +622,7 @@ class TestLockstepSearch:
         tensor = pair_tensor(z_dom.elements(), w_dom.elements(), bracket)
         gmat = certify._ortho_constraint(z_dom, w_dom)
         z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=0))
-        assert_same_search(*_lockstep_vs_oracle([tensor], [1.0], gmat, z0, w0, triple))
+        assert_same_search(*_lockstep_vs_oracle([tensor], gmat, z0, w0, triple))
 
     @pytest.mark.parametrize("max_iters", [0, 1, 4])
     @pytest.mark.parametrize("name", ["m_kl(2,1,1)", "sp_example(2)"])
@@ -549,33 +633,10 @@ class TestLockstepSearch:
         tensor = pair_tensor(z_dom.elements(), w_dom.elements(), bracket)
         gmat = certify._ortho_constraint(z_dom, w_dom)
         z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=0))
-        got, ref = _lockstep_vs_oracle([tensor], [1.0], gmat, z0, w0, triple, max_iters)
+        got, ref = _lockstep_vs_oracle([tensor], gmat, z0, w0, triple, max_iters)
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=NOISE)
         if name == "sp_example(2)":
             assert ref.min() > 1e-12  # still descending: no start at a zero yet
-
-    def test_part2_stages_match_one_start_oracle(self, t1s3):
-        triple, a = t1s3.triple, t1s3.base_point_A
-        z_dom, w_dom = triple.gk_basis(), triple.p_basis
-
-        def objective_map(z, w):
-            return bracket(project(triple, z, Part.H), project(triple, bracket(a, w), Part.H))
-
-        tensors = [pair_tensor(z_dom.elements(), w_dom.elements(), fn)
-                   for fn in (objective_map, bracket)]
-        gmat = certify._ortho_constraint(z_dom, w_dom)
-        z, w = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=0))
-        ref = []
-        for zr, wr in zip(z, w):
-            for mu in certify._PENALTY_SCHEDULE:
-                _, zr, wr, _ = descend_one(tensors, [1.0, mu], gmat, zr, wr, 200)
-            ref.append(term_values(tensors, zr, wr))
-        for mu in certify._PENALTY_SCHEDULE:
-            t = objective(triple, tensors, [1.0, mu])
-            _, z, w, _ = certify._descend(t, gmat, z, w, 200)
-        ref = np.array(ref)
-        assert_same_search(certify._pair_values(tensors[0], z, w), ref[:, 0])
-        np.testing.assert_allclose(certify._pair_values(tensors[1], z, w), ref[:, 1], atol=NOISE)
 
     def test_point_search_matches_one_start_oracle(self):
         entry = sp_example(2)
@@ -591,7 +652,7 @@ class TestLockstepSearch:
         gmat = certify._ortho_constraint(z_dom, w_dom)
         assert gmat is None  # m is orthogonal to p: no orthogonality constraint
         z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=0))
-        assert_same_search(*_lockstep_vs_oracle(tensors, [1.0, 1.0], gmat, z0, w0, triple))
+        assert_same_search(*_lockstep_vs_oracle(tensors, gmat, z0, w0, triple))
 
     def test_blocks_of_starts_match_one_block(self, monkeypatch):
         triple = sp_example(2).triple
@@ -617,7 +678,7 @@ class TestLockstepSearch:
         z0 /= np.linalg.norm(z0, axis=1, keepdims=True)
         u = np.linalg.norm(w0 @ gmat.T, axis=1)
         assert (u[::2] <= 1e-12).all() and (u[1::2] > 1e-12).all()
-        assert_same_search(*_lockstep_vs_oracle([tensor], [1.0], gmat, z0, w0))
+        assert_same_search(*_lockstep_vs_oracle([tensor], gmat, z0, w0))
 
     def test_one_dimensional_z_domain_breaks_on_empty_complement(self):
         rng = np.random.default_rng(6)
@@ -627,7 +688,7 @@ class TestLockstepSearch:
         w0[:3, 0] = 0.0  # gmat w = 0: a free first z-step; the others stop at once
         w0 /= np.linalg.norm(w0, axis=1, keepdims=True)
         z0 = np.ones((6, 1))
-        got, ref = _lockstep_vs_oracle([tensor], [1.0], gmat, z0, w0)
+        got, ref = _lockstep_vs_oracle([tensor], gmat, z0, w0)
         assert_same_search(got, ref)
         best, z, w, status = certify._descend(tensor, gmat, z0, w0, 200)
         start = certify._pair_values(tensor, z0, w0)
@@ -638,14 +699,15 @@ class TestLockstepSearch:
     @pytest.mark.parametrize("name", ["t1s3_product", "t1_sphere(3)", "m_kl(2,1,1)",
                                       "sp_example(3)", "su(3)>su(2)"])
     def test_broadcast_tensors_match_per_pair_maps(self, name, monkeypatch):
-        # each search's first tensor holds coordinates along g (commutator)
-        # and h (horizontal, part2), which map back onto the per-pair maps,
+        # each search's tensor holds coordinates along g (commutator), then
+        # along h (part2's derivative objective, a scan point's horizontal
+        # term), with unit weights; they map back onto the per-pair maps,
         # since g and h are closed; off the symmetric pairs, [A, W] has a
         # part outside h
         e = ENTRIES[name]()
         triple, a = e.triple, e.base_point_A
         g = group_exp(a, -0.3)
-        dim_g, dim_h = triple.g_basis.dim, triple.h_basis.dim
+        dim_g = triple.g_basis.dim
         budget = StartBudget(starts=1)
         fat = first_descent_tensor(monkeypatch, lambda: check_fatness(triple, budget))
         part2 = first_descent_tensor(monkeypatch, lambda: certify_part2(triple, a, budget))
@@ -658,12 +720,11 @@ class TestLockstepSearch:
             return bracket(project(triple, adjoint(g, z), Part.H),
                            project(triple, adjoint(g, w), Part.H))
 
-        mu = math.sqrt(certify._PENALTY_SCHEDULE[0])
         w_el = triple.p_basis.elements()
         for z_dom, got, basis, fn in (
             (triple.gk_basis(), fat, triple.g_basis, bracket),
-            (triple.gk_basis(), part2[:, :, :dim_h], triple.h_basis, part2_map),
-            (triple.gk_basis(), part2[:, :, dim_h:] / mu, triple.g_basis, bracket),
+            (triple.gk_basis(), part2[:, :, :dim_g], triple.g_basis, bracket),
+            (triple.gk_basis(), part2[:, :, dim_g:], triple.h_basis, part2_map),
             (certify._scan_z_domain(triple), scan[:, :, :dim_g], triple.g_basis, bracket),
             (certify._scan_z_domain(triple), scan[:, :, dim_g:], triple.h_basis, scan_map),
         ):
