@@ -9,11 +9,14 @@ rule.  Their CERTIFIED verdicts are heuristic and every report records the
 start count and seed that produced it.
 
 The search exploits that each residual term is linear in Z for fixed W
-and vice versa.  Every start takes two exact smallest-eigenvector
+and vice versa.  Every start takes up to two exact smallest-eigenvector
 sweeps (one in Z, then one in W), then Levenberg-Marquardt steps on the
 joint residual, which converge where the sweeps alone stall in the
-non-isolated minima.  All starts of a search descend in lockstep, with
-batched eigensolves and linear solves; the procedure is deterministic.
+non-isolated minima.  A start stops as soon as it is a witness: its value
+is at the rounding floor or below the search's target, half the refutation
+threshold, so a REFUTED score is the first such value, not a polished
+minimum.  All starts of a search descend in lockstep, with batched
+eigensolves and linear solves; the procedure is deterministic.
 
 part3 and the searches read brackets as coordinates along g or h
 (`algebra.pair_bracket_coords`).  These never exceed the bracket, so
@@ -279,58 +282,75 @@ def _gram(a: np.ndarray) -> np.ndarray:
     return a @ a.swapaxes(1, 2)
 
 
-def _descend(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, max_iters: int):
-    """Minimize |T(z, w)|^2 over unit z, w with z^T gmat w = 0, from every start.
+def _descend(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, max_iters: int,
+             target: float):
+    """Minimize |T(z, w)|^2 over unit z, w with z^T gmat w = 0, from every start, until a witness.
 
     z0 (S, dz) and w0 (S, dw) hold one start per row.  Each start takes
     _ALS_SWEEPS exact smallest-eigenvector sweeps (z orthogonal to gmat w,
     then w orthogonal to gmat^T z) and then Levenberg-Marquardt steps until
     one of the stop rules of `_levenberg_marquardt` holds or max_iters steps
-    were tried.  The starts run in lockstep, in blocks sized by
-    _BLOCK_FLOATS.  Returns the final values (S,), the rows of z and w that
-    reached them, and each start's status (S,): CONVERGED, CAPPED (hit
-    max_iters) or NO_COMPLEMENT (a sweep found an empty orthogonal
-    complement; the start is returned as the last full sweep left it).
+    were tried.  A start stops early, in either phase, once it is a witness:
+    its value is at the rounding floor (16 eps)^2 |T|^2 of the residual, or
+    below target.  Steps only lower a value, so a verdict read as min <
+    2 target cannot change by going on.  The starts run in lockstep, in
+    blocks sized by _BLOCK_FLOATS.  Returns the final values (S,), the rows
+    of z and w that reached them, and each start's status (S,): CONVERGED,
+    CAPPED (hit max_iters) or NO_COMPLEMENT (a sweep found an empty
+    orthogonal complement; the start is returned as the last full sweep
+    left it).
     """
     dz, dw, d = t.shape
     n = dz + dw
     size = max(1, _BLOCK_FLOATS // (d * n))  # floats of one start's Jacobian
+    floor = (16 * np.finfo(float).eps) ** 2 * np.sum(t * t)
+
+    def witness(val: np.ndarray) -> np.ndarray:
+        return (val <= floor) | (val < target)
+
     blocks = []
     for i in range(0, len(z0), size):
-        z, w, alive = _sweeps(t, gmat, z0[i:i + size], w0[i:i + size])
-        blocks.append(_levenberg_marquardt(t, gmat, z, w, alive, max_iters))
+        z, w, alive = _sweeps(t, gmat, z0[i:i + size], w0[i:i + size], witness)
+        blocks.append(_levenberg_marquardt(t, gmat, z, w, alive, max_iters, witness))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _sweeps(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray):
-    """_ALS_SWEEPS exact block steps from each start of a block, in lockstep.
+def _sweeps(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, witness):
+    """Up to _ALS_SWEEPS exact block steps from each start of a block, in lockstep.
 
-    Returns z, w and a mask of the starts whose orthogonal complements never
-    ran empty; a start leaves at its first empty complement.
+    After each full sweep but the last (which `_levenberg_marquardt` checks
+    on entry), a start whose value is a witness leaves.  Returns z, w and a
+    mask of the starts whose orthogonal complements never ran empty; a start
+    leaves at its first empty complement.
     """
     dz, dw, d = t.shape
     t_z = t.transpose(1, 0, 2).reshape(dw, dz * d)  # contracts with w
     t_w = t.reshape(dz, dw * d)  # contracts with z
     z, w = z0.copy(), w0.copy()
     act = np.arange(len(z0))
-    for _ in range(_ALS_SWEEPS):
+    alive = np.ones(len(z0), dtype=bool)
+    for sweep in range(_ALS_SWEEPS):
+        if not act.size:
+            break
         wa = w[act]
         zn, ok = _min_eig_vectors(_gram((wa @ t_z).reshape(len(act), dz, d)),
                                   None if gmat is None else wa @ gmat.T)
+        alive[act[~ok]] = False
         k = _rows(ok)
         act, zn = act[k], zn[k]
         wn, ok = _min_eig_vectors(_gram((zn @ t_w).reshape(len(act), dw, d)),
                                   None if gmat is None else zn @ gmat)
+        alive[act[~ok]] = False
         k = _rows(ok)
         act = act[k]
         z[act], w[act] = zn[k], wn[k]
-    alive = np.zeros(len(z0), dtype=bool)
-    alive[act] = True
+        if sweep + 1 < _ALS_SWEEPS:
+            act = act[_rows(~witness(_pair_values(t, z[act], w[act])))]
     return z, w, alive
 
 
 def _levenberg_marquardt(t: np.ndarray, gmat, z: np.ndarray, w: np.ndarray,
-                         alive: np.ndarray, max_iters: int):
+                         alive: np.ndarray, max_iters: int, witness):
     """Damped Gauss-Newton steps on r(z, w) = sum_ik z_i w_k T[i, k, :] for the live starts.
 
     Steps lie in the tangent space of {|z| = |w| = 1, z^T gmat w = 0}; after
@@ -338,18 +358,18 @@ def _levenberg_marquardt(t: np.ndarray, gmat, z: np.ndarray, w: np.ndarray,
     Only decreasing steps are accepted; the damping, relative to tr H / n
     (H the Gram matrix of the tangent Jacobian, n = dz + dw), goes x1/3 on
     an accepted step (down to 1e-12) and x4 on a rejected one.  A start stops
-    at the rounding floor (16 eps)^2 |T|^2 of the residual, when stationary
-    (|P J^T r|^2 <= 1e-20 (tr H / n) f), after an accepted step that lowered
-    f by at most 1e-12 relative, or when the damping exceeds 1e12.  Updates
-    z and w in place; returns the values, z, w and the status of each start.
+    when its value is a witness (on entry or after an accepted step), when
+    stationary (|P J^T r|^2 <= 1e-20 (tr H / n) f), after an accepted step
+    that lowered f by at most 1e-12 relative, or when the damping exceeds
+    1e12.  Updates z and w in place; returns the values, z, w and the status
+    of each start.
     """
     dz, dw, d = t.shape
     n = dz + dw
     t_z = t.transpose(1, 0, 2).reshape(dw, dz * d)
     t_w = t.reshape(dz, dw * d)
     val = _pair_values(t, z, w)
-    floor = (16 * np.finfo(float).eps) ** 2 * np.sum(t * t)
-    done = alive & (val <= floor)
+    done = alive & witness(val)
     status = np.where(alive, CAPPED, NO_COMPLEMENT)
     status[done] = CONVERGED
     damp = np.full(len(z), _DAMP_START)
@@ -382,7 +402,7 @@ def _levenberg_marquardt(t: np.ndarray, gmat, z: np.ndarray, w: np.ndarray,
         z[won], w[won], val[won] = zc[acc], wc[acc], fc[acc]
         damp[won] = np.maximum(damp[won] / 3.0, 1e-12)
         damp[act[~acc]] *= 4.0
-        stop = (stationary | (acc & ((f - fc <= 1e-12 * f) | (fc <= floor)))
+        stop = (stationary | (acc & ((f - fc <= 1e-12 * f) | witness(fc)))
                 | (damp[act] > 1e12))
         status[act[stop]] = CONVERGED
         act = act[~stop]
@@ -439,10 +459,16 @@ def _starts(z_dom: Subspace, w_dom: Subspace, gmat, budget: StartBudget):
     return z0 / np.sqrt(row_dots(z0, z0))[:, None], w0
 
 
-def _convergence_note(status: np.ndarray) -> str:
-    """How many starts of a search converged and how many stopped at max_iters."""
+def _convergence_note(status: np.ndarray, below: np.ndarray) -> str:
+    """How many starts of a search converged and how many stopped at max_iters.
+
+    below masks the starts whose values are below refute_tol/2; how many of
+    them converged is said only when some did, so no other note changes.
+    """
     converged, capped = int(np.sum(status == CONVERGED)), int(np.sum(status == CAPPED))
-    return f"{converged} of {len(status)} starts converged; {capped} hit max_iters"
+    witnesses = int(np.sum(below & (status == CONVERGED)))
+    clause = f" ({witnesses} below refute_tol/2)" if witnesses else ""
+    return f"{converged} of {len(status)} starts converged{clause}; {capped} hit max_iters"
 
 
 def _ortho_constraint(z_dom: Subspace, w_dom: Subspace) -> Optional[np.ndarray]:
@@ -485,8 +511,9 @@ def _flat_plane_search(
 
     Minimizes |[Z, W]|^2 (along g), plus |second(Z, W)|^2 when a second pair
     tensor is given (part2's derivative objective, a scan point's horizontal
-    term, both along h), from the starts in terms (see `_search_terms`).  A
-    minimum below refute_tol refutes with the pair as witness, once
+    term, both along h), from the starts in terms (see `_search_terms`); a
+    start stops at its first value below refute_tol/2.  A minimum below
+    refute_tol refutes with the pair as witness, once
     element(Z, W), the same sum on the element path, is below refute_tol too
     (else INCONCLUSIVE); all starts bottoming out above tol give a heuristic
     CERTIFIED; an empty domain (terms None) is vacuously CERTIFIED.
@@ -497,7 +524,8 @@ def _flat_plane_search(
                           starts=budget.starts, seed=budget.seed, s=s, notes=(vacuous,))
     commutator, gmat, starts = terms[2:]
     t = commutator if second is None else np.concatenate([commutator, second], axis=2)
-    vals, zs, ws, status = _descend(t, gmat, *starts, budget.max_iters)
+    target = refute_tol / 2
+    vals, zs, ws, status = _descend(t, gmat, *starts, budget.max_iters, target)
     i = int(np.argmin(vals))  # ties resolve to the lowest start index
     val, z, w = float(vals[i]), zs[i], ws[i]
     witness = None
@@ -521,7 +549,8 @@ def _flat_plane_search(
         verdict, notes = Verdict.INCONCLUSIVE, ()
     return CertReport(
         triple.label, method, verdict, val, tol, witness=witness,
-        starts=budget.starts, seed=budget.seed, s=s, notes=notes + (_convergence_note(status),),
+        starts=budget.starts, seed=budget.seed, s=s,
+        notes=notes + (_convergence_note(status, vals < target),),
     )
 
 

@@ -234,16 +234,24 @@ def _min_eig_vector(q, u):
     return vecs[:, 0]
 
 
-def descend_one(tensors, gmat, z0, w0, max_iters):
+def descend_one(tensors, gmat, z0, w0, max_iters, target):
     """Reference one-start search of `curvcert.certify`; returns (value, z, w, status).
 
     Two exact block-coordinate sweeps, then Levenberg-Marquardt steps on the
     stacked residual r = (T_j(z, w))_j with the search's damping
-    and stop rules.  The tangent space of {|z| = |w| = 1, z^T gmat w = 0} is
-    an explicit null-space basis from an SVD of the constraint rows, where
-    the lockstep search projects instead.  The status codes are those of
-    `curvcert.certify`: 0 converged, 1 hit max_iters, 2 empty complement.
+    and stop rules.  The start stops, between the sweeps or in the
+    Levenberg-Marquardt phase, once its value is at the rounding floor
+    (16 eps)^2 sum_j |T_j|^2 or below target.  The tangent space of
+    {|z| = |w| = 1, z^T gmat w = 0} is an explicit null-space basis from an
+    SVD of the constraint rows, where the lockstep search projects instead.
+    The status codes are those of `curvcert.certify`: 0 converged, 1 hit
+    max_iters, 2 empty complement.
     """
+    floor = (16 * np.finfo(float).eps) ** 2 * sum(np.sum(t * t) for t in tensors)
+
+    def witness(val):
+        return val <= floor or val < target
+
     z, w = z0, w0
     for _ in range(2):
         qz = np.zeros((len(z), len(z)))
@@ -260,13 +268,11 @@ def descend_one(tensors, gmat, z0, w0, max_iters):
         w_new = _min_eig_vector(qw, gmat.T @ z_new if gmat is not None else None)
         if w_new is None:
             return _value(tensors, z, w), z, w, 2
-        z, w = z_new, w_new
+        z, w, val = z_new, w_new, _value(tensors, z_new, w_new)
+        if witness(val):
+            return val, z, w, 0
 
     dz, n = len(z), len(z) + len(w)
-    floor = (16 * np.finfo(float).eps) ** 2 * sum(np.sum(t * t) for t in tensors)
-    val = _value(tensors, z, w)
-    if val <= floor:
-        return val, z, w, 0
     damp = 1e-3
     for _ in range(max_iters):
         jac = np.concatenate([np.hstack([np.einsum("ikd,k->di", t, w),
@@ -294,7 +300,7 @@ def descend_one(tensors, gmat, z0, w0, max_iters):
         if fc < val:
             small = val - fc <= 1e-12 * val
             z, w, val, damp = zc, wc, fc, max(damp / 3.0, 1e-12)
-            if small or fc <= floor:
+            if small or witness(fc):
                 return val, z, w, 0
         else:
             damp *= 4.0

@@ -196,8 +196,9 @@ class TestStalledSearches:
     def test_no_start_hits_max_iters(self, t1s3):
         fat = check_fatness(sp_example(2).triple, StartBudget(starts=64, seed=0))
         part2 = certify_part2(t1s3.triple, t1s3.base_point_A, StartBudget(starts=64, seed=0))
-        for report in (fat, part2):
-            assert report.notes[-1] == "64 of 64 starts converged; 0 hit max_iters"
+        # fat refutes: every start stopped at a witness value below refute_tol/2
+        assert fat.notes[-1] == "64 of 64 starts converged (64 below refute_tol/2); 0 hit max_iters"
+        assert part2.notes[-1] == "64 of 64 starts converged; 0 hit max_iters"
 
     def test_every_search_report_counts_its_starts(self, t1s3):
         budget = StartBudget(starts=8, seed=3)
@@ -205,9 +206,13 @@ class TestStalledSearches:
                    certify_part2(t1s3.triple, t1s3.base_point_A, budget)]
         reports += scan_along_A(t1s3.triple, t1s3.base_point_A, [0.0, 0.2], budget)
         for report in reports:
-            match = re.fullmatch(r"(\d+) of 8 starts converged; (\d+) hit max_iters",
-                                 report.notes[-1])
-            assert match and int(match[1]) + int(match[2]) == 8
+            match = re.fullmatch(r"(\d+) of 8 starts converged(?: \((\d+) below refute_tol/2\))?;"
+                                 r" (\d+) hit max_iters", report.notes[-1])
+            assert match and int(match[1]) + int(match[3]) == 8
+            # only a search below refute_tol has starts below refute_tol/2; here
+            # every refuting one has
+            below = report.verdict is Verdict.REFUTED
+            assert (match[2] is not None) == below and int(match[2] or 0) <= int(match[1])
 
 
 class TestPart2:
@@ -550,12 +555,12 @@ class _Recorded(Exception):
     pass
 
 
-def first_descent_tensor(monkeypatch, search):
-    """The tensor that a search hands to its first `certify._descend`, as the search built it."""
+def first_descent(monkeypatch, search):
+    """The arguments that a search hands to its first `certify._descend`, as the search built them."""
     seen = []
 
-    def record(t, *args):
-        seen.append(t)
+    def record(*args):
+        seen.append(args)
         raise _Recorded
 
     with monkeypatch.context() as patch:
@@ -604,25 +609,31 @@ class TestStarts:
         assert projected.any() == (scale > 0) and projected.all() == (scale == 1.0)
 
 
-def _lockstep_vs_oracle(tensors, gmat, z0, w0, triple=None, max_iters=200):
+def _lockstep_vs_oracle(tensors, gmat, z0, w0, target, triple=None, max_iters=200):
     """Lockstep values (on the search's own objective tensor when a triple is given) and oracle's."""
     t = tensors[0] if triple is None else objective(triple, tensors)
-    got, _, _, status = certify._descend(t, gmat, z0, w0, max_iters)
-    ref = [descend_one(tensors, gmat, z, w, max_iters) for z, w in zip(z0, w0)]
+    got, _, _, status = certify._descend(t, gmat, z0, w0, max_iters, target)
+    ref = [descend_one(tensors, gmat, z, w, max_iters, target) for z, w in zip(z0, w0)]
     assert list(status) == [r[3] for r in ref]
     return got, np.array([r[0] for r in ref])
 
 
 class TestLockstepSearch:
-    @pytest.mark.parametrize("name", ["t1s3_product", "t1_sphere(2)", "t1_sphere(3)",
-                                      "m_kl(2,1,1)", "sp_example(2)", "sp_example(3)"])
-    def test_fat_matches_one_start_oracle(self, name):
+    @pytest.mark.parametrize("name,target", [
+        *(pytest.param(name, 0.0, id=name) for name in [
+            "t1s3_product", "t1_sphere(2)", "t1_sphere(3)", "m_kl(2,1,1)", "sp_example(2)",
+            "sp_example(3)"]),
+        ("sp_example(2)", 5e-13), ("sp_example(3)", 5e-13)])
+    def test_fat_matches_one_start_oracle(self, name, target):
         triple = ENTRIES[name]().triple
         z_dom, w_dom = triple.gk_basis(), triple.p_basis
         tensor = pair_tensor(z_dom.elements(), w_dom.elements(), bracket)
         gmat = certify._ortho_constraint(z_dom, w_dom)
         z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=0))
-        assert_same_search(*_lockstep_vs_oracle([tensor], gmat, z0, w0, triple))
+        got, ref = _lockstep_vs_oracle([tensor], gmat, z0, w0, target, triple)
+        assert_same_search(got, ref)
+        if target:  # the sp_example fat searches refute: every start stops at a witness
+            assert (ref < target).all()
 
     @pytest.mark.parametrize("max_iters", [0, 1, 4])
     @pytest.mark.parametrize("name", ["m_kl(2,1,1)", "sp_example(2)"])
@@ -633,7 +644,7 @@ class TestLockstepSearch:
         tensor = pair_tensor(z_dom.elements(), w_dom.elements(), bracket)
         gmat = certify._ortho_constraint(z_dom, w_dom)
         z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=0))
-        got, ref = _lockstep_vs_oracle([tensor], gmat, z0, w0, triple, max_iters)
+        got, ref = _lockstep_vs_oracle([tensor], gmat, z0, w0, 0.0, triple, max_iters)
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=NOISE)
         if name == "sp_example(2)":
             assert ref.min() > 1e-12  # still descending: no start at a zero yet
@@ -652,7 +663,7 @@ class TestLockstepSearch:
         gmat = certify._ortho_constraint(z_dom, w_dom)
         assert gmat is None  # m is orthogonal to p: no orthogonality constraint
         z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=0))
-        assert_same_search(*_lockstep_vs_oracle(tensors, gmat, z0, w0, triple))
+        assert_same_search(*_lockstep_vs_oracle(tensors, gmat, z0, w0, 0.0, triple))
 
     def test_blocks_of_starts_match_one_block(self, monkeypatch):
         triple = sp_example(2).triple
@@ -660,9 +671,9 @@ class TestLockstepSearch:
         t = pair_bracket_coords(triple.field, z_dom.comps(), w_dom.comps(), triple.g_basis.comps())
         gmat = certify._ortho_constraint(z_dom, w_dom)
         z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=1))
-        whole, _, _, whole_status = certify._descend(t, gmat, z0, w0, 200)
+        whole, _, _, whole_status = certify._descend(t, gmat, z0, w0, 200, 0.0)
         monkeypatch.setattr(certify, "_BLOCK_FLOATS", 1)  # one start per block
-        single, _, _, single_status = certify._descend(t, gmat, z0, w0, 200)
+        single, _, _, single_status = certify._descend(t, gmat, z0, w0, 200, 0.0)
         assert_same_search(single, whole)
         assert np.array_equal(single_status, whole_status)
 
@@ -678,7 +689,7 @@ class TestLockstepSearch:
         z0 /= np.linalg.norm(z0, axis=1, keepdims=True)
         u = np.linalg.norm(w0 @ gmat.T, axis=1)
         assert (u[::2] <= 1e-12).all() and (u[1::2] > 1e-12).all()
-        assert_same_search(*_lockstep_vs_oracle([tensor], gmat, z0, w0))
+        assert_same_search(*_lockstep_vs_oracle([tensor], gmat, z0, w0, 0.0))
 
     def test_one_dimensional_z_domain_breaks_on_empty_complement(self):
         rng = np.random.default_rng(6)
@@ -688,9 +699,9 @@ class TestLockstepSearch:
         w0[:3, 0] = 0.0  # gmat w = 0: a free first z-step; the others stop at once
         w0 /= np.linalg.norm(w0, axis=1, keepdims=True)
         z0 = np.ones((6, 1))
-        got, ref = _lockstep_vs_oracle([tensor], gmat, z0, w0)
+        got, ref = _lockstep_vs_oracle([tensor], gmat, z0, w0, 0.0)
         assert_same_search(got, ref)
-        best, z, w, status = certify._descend(tensor, gmat, z0, w0, 200)
+        best, z, w, status = certify._descend(tensor, gmat, z0, w0, 200, 0.0)
         start = certify._pair_values(tensor, z0, w0)
         assert (status[3:] == certify.NO_COMPLEMENT).all()
         assert np.array_equal(best[3:], start[3:])
@@ -709,9 +720,9 @@ class TestLockstepSearch:
         g = group_exp(a, -0.3)
         dim_g = triple.g_basis.dim
         budget = StartBudget(starts=1)
-        fat = first_descent_tensor(monkeypatch, lambda: check_fatness(triple, budget))
-        part2 = first_descent_tensor(monkeypatch, lambda: certify_part2(triple, a, budget))
-        scan = first_descent_tensor(monkeypatch, lambda: point_positivity(triple, g, budget))
+        fat = first_descent(monkeypatch, lambda: check_fatness(triple, budget))[0]
+        part2 = first_descent(monkeypatch, lambda: certify_part2(triple, a, budget))[0]
+        scan = first_descent(monkeypatch, lambda: point_positivity(triple, g, budget))[0]
 
         def part2_map(z, w):
             return bracket(project(triple, z, Part.H), project(triple, bracket(a, w), Part.H))
@@ -730,3 +741,50 @@ class TestLockstepSearch:
         ):
             want = pair_tensor(z_dom.elements(), w_el, fn)
             np.testing.assert_allclose(got @ basis.mat, want, rtol=0, atol=1e-14)
+
+
+class TestWitnessStop:
+    """A start stops once its value is below the search's target, refute_tol/2."""
+
+    @pytest.mark.parametrize("name", ["fat t1_sphere(2)", "part2 m_kl(2,1,1)",
+                                      "scan sp_example(2) at s = 0.2"])
+    def test_no_start_below_target_gives_the_same_bits(self, name, monkeypatch):
+        budget = StartBudget(starts=64, seed=0)
+        mkl, sp2 = m_kl(2, 1, 1), sp_example(2)
+        search = {
+            "fat t1_sphere(2)": lambda: check_fatness(t1_sphere(2).triple, budget),
+            "part2 m_kl(2,1,1)": lambda: certify_part2(mkl.triple, mkl.base_point_A, budget),
+            "scan sp_example(2) at s = 0.2": lambda: point_positivity(
+                sp2.triple, group_exp(sp2.base_point_A, -0.2), StartBudget(starts=16, seed=0),
+                s=0.2),
+        }[name]
+        *args, target = first_descent(monkeypatch, search)
+        assert target == certify.DEFAULT_REFUTE_TOL / 2 == 5e-13
+        stopped = certify._descend(*args, target)
+        plain = certify._descend(*args, 0.0)
+        assert stopped[0].min() >= target
+        for got, want in zip(stopped, plain):
+            assert bit_equal(got, want)
+
+    def test_sweeps_stop_at_witnesses(self, monkeypatch):
+        # every start of sp_example(3)'s fat search is a witness after one sweep
+        calls = []
+        for fn in ("_sweeps", "_min_eig_vectors"):
+            real = getattr(certify, fn)
+            monkeypatch.setattr(certify, fn,
+                                lambda *a, _fn=fn, _real=real: calls.append(_fn) or _real(*a))
+        report = check_fatness(sp_example(3).triple, StartBudget(starts=64, seed=0))
+        assert report.verdict is Verdict.REFUTED
+        blocks = calls.count("_sweeps")
+        assert blocks >= 2
+        assert calls.count("_min_eig_vectors") == 2 * blocks  # one sweep per block, not two
+
+    def test_levenberg_marquardt_stops_at_witnesses(self, monkeypatch):
+        triple = sp_example(2).triple
+        solves = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or real(*a))
+        report = check_fatness(triple, StartBudget(starts=64, seed=0))
+        assert report.verdict is Verdict.REFUTED
+        assert certify.DEFAULT_REFUTE_TOL / 2 > report.score
+        assert len(solves) <= 12  # polishing every start to the rounding floor took 35

@@ -58,6 +58,15 @@ class TestCheckExitCodes:
         assert doc["verdict"] == "REFUTED"
         assert doc["witness"] is not None
 
+    def test_tighter_refute_tol_asks_for_a_tighter_witness(self, capsys):
+        # a search stops at its first value below refute_tol/2: at the default
+        # 1e-12 the score is about 4e-14, so 1e-20 makes the descent go on
+        code, out, _ = run(capsys, "check", "--entry", "sp_example", "--n", "2",
+                           "--method", "fat", "--refute-tol", "1e-20")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["verdict"] == "REFUTED" and doc["score"] < 1e-20
+
     def test_m_kl_part3(self, capsys):
         code, out, _ = run(capsys, "check", "--entry", "m_kl", "--n", "2",
                            "--k", "1", "--l", "1", "--method", "part3")
@@ -568,7 +577,9 @@ PINNED_PART3_CODES = {("m_kl", "--n", "2", "--k", "0", "--l", "1"): 1}
 # and scan and the sp_example(2) scan digests were re-taken when the search
 # tensors became coordinates along g and h (WHOLE_BRACKET_SCORES below).  The
 # part2 digests were re-taken when part2 became a flat-plane search, whose
-# score is the joint minimum of |[Z, W]|^2 + |[Z^h, [A, W]^h]|^2.
+# score is the joint minimum of |[Z, W]|^2 + |[Z^h, [A, W]^h]|^2.  The fat
+# and scan digests were re-taken when a search start began to stop at its
+# first value below refute_tol/2, which every refuting report shows.
 SEARCH_RUNS = {
     "fat": (["check", "--method", "fat", "--starts", "16"], 1),
     "part2": (["check", "--method", "part2", "--starts", "8"], 0),
@@ -576,19 +587,19 @@ SEARCH_RUNS = {
 }
 PINNED_SEARCH_DIGESTS = {
     ("t1_sphere", "--n", "3"): {
-        "fat": "cac6bb56a741b4db7b7882d30d71effc3a914c09c9f4135dbd0847cf056eaf41",
+        "fat": "53507accb755da6effba2817cc191e22bcce5a751e8bf39803b8c646b7675ad2",
         "part2": "d02bf29ab2e2ffbec52bf0e4a6f8e6ca6ac8f8dec1e610d82e3f5895f4cea73a",
-        "scan": "0c45084b1821d63497d6e13a8949ac5f559df42ecce309cf6a80d5dfb957ece4",
+        "scan": "985c59f29f54d7915ed64c122bb295d0d4efb970b917f61302cb91d1f72dc073",
     },
     ("m_kl", "--n", "2", "--k", "1", "--l", "1"): {
-        "fat": "5d8985ed27306ef2159c866ef1376ec8631eed701111d8deb7f90c2567437358",
+        "fat": "1a69409e461f558f43642f628e44ceafdcb9e7ac56a0fa1561510d1081e4512a",
         "part2": "4a29a8f76e188f28826eab8577b0d0af5ae6120b65eac973546f4688642b5efc",
-        "scan": "04c9c23e0fa0fcc9a14ea627f2cabf8aaeee85f3c5fabcd75a3ab125fa29ba9b",
+        "scan": "540bca6d9f73ab1db92bcfcbe3d1c09950b87874df178796ee8523c5ac387119",
     },
     ("sp_example", "--n", "2"): {
-        "fat": "44f241fdc67efdde8aeb9e304ef6fb21fa479a8f761d174711a0f657b2d607cf",
+        "fat": "78d8669d14a7b62a768c269fc22f5d5886d44403996e73572c4748bd191bb257",
         "part2": "d223fb2309a319b527efecf0a0b54029752d1ccc169abdbf7be0f8ce50e411ab",
-        "scan": "12b3866d4f058bcc4f455cd5a9eb919d20743f6afda6721a2cd076a259fc9084",
+        "scan": "7b6f45b8c92d884ff449c914e11ca264df40e503bf1c6e964eab86eb74b9ce22",
     },
 }
 
@@ -599,7 +610,10 @@ PINNED_SEARCH_DIGESTS = {
 # one SVD, so its scores move by rounding only: 1e-14 relative, or 1e-15 for
 # a zero.  A search value at a positive minimum is fixed only to the descent's
 # stop rule, an accepted step that lowers f by at most 1e-12 relative, and the
-# m_kl scan points at s = 0.05..0.2 stop at max_iters; so 1e-12 there.
+# m_kl scan points at s = 0.05..0.2 stop at max_iters; so 1e-12 there.  A
+# refuting score is the first value below refute_tol/2 that a start reached:
+# the sp_example(2) scan at s = 0 was 3.3585029967475632e-28 when starts
+# went on to the rounding floor (the m_kl one is now 3.7e-19, inside atol).
 WHOLE_BRACKET_SCORES = {
     # the t1s3_product part3 digest did not move
     **{(entry, "part3"): [0.7071067811865476] for entry in PINNED_DIGESTS
@@ -613,7 +627,7 @@ WHOLE_BRACKET_SCORES = {
         0.0, 5.326122601456771e-05, 0.00020883199198153333, 0.000770861988515565,
         0.002217878344292185, 0.0018146977477164173],
     (("sp_example", "--n", "2"), "scan"): [
-        3.3585029967475632e-28, 0.0012428624532111452, 0.004886985634693992,
+        1.1464099342374348e-13, 0.0012428624532111452, 0.004886985634693992,
         0.018273479895458123, 0.05744831802280784, 0.12350778952747268],
 }
 
