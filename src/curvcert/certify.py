@@ -18,6 +18,12 @@ threshold, so a REFUTED score is the first such value, not a polished
 minimum.  All starts of a search descend in lockstep, with batched
 eigensolves and linear solves; the procedure is deterministic.
 
+Flat planes exist at the identity of the quasi-positive examples, so
+fatness and the scan points at s = 0 refute, and one confirmed witness is
+enough: a search of more than _PROBE_STARTS starts first descends that many
+as a probe, and every start only when the probe does not refute (see
+`_flat_plane_search`).
+
 part3 and the searches read brackets as coordinates along g or h
 (`algebra.pair_bracket_coords`).  These never exceed the bracket, so
 CERTIFIED stays sound; a REFUTED verdict stands only once its witness meets
@@ -66,8 +72,11 @@ _BLOCK_FLOATS = 1 << 15
 # that phase's first damping relative to tr H / n.
 _ALS_SWEEPS = 2
 _DAMP_START = 1e-3
+# A search of more starts first descends this many as a probe (see
+# `_flat_plane_search`).
+_PROBE_STARTS = 4
 # Status of a start at the end of `_descend`.
-CONVERGED, CAPPED, NO_COMPLEMENT = 0, 1, 2
+CONVERGED, CAPPED, NO_COMPLEMENT, STOPPED = 0, 1, 2, 3
 
 
 class Verdict(Enum):
@@ -250,16 +259,19 @@ def _min_eig_vectors(q: np.ndarray, u: Optional[np.ndarray]):
     """Unit minimizers of v^T q_s v on the sphere, orthogonal to u_s when u_s != 0.
 
     q is an (S, d, d) stack of quadratic forms, u an (S, d) stack or None.
-    Returns the minimizers (S, d) and a mask (S,) that is False where the
-    complement of u_s is empty (those rows of the minimizers are unset).
+    Returns the minimizers (S, d), their values v^T q_s v (S,), which are
+    the smallest eigenvalues, and a mask (S,) that is False where the
+    complement of u_s is empty (those rows of the minimizers and values are
+    unset).
     """
-    vecs = np.empty(q.shape[:2])
+    vecs, vals = np.empty(q.shape[:2]), np.empty(len(q))
     ok = np.ones(len(q), dtype=bool)
     nrm = np.zeros(len(q)) if u is None else np.linalg.norm(u, axis=1)
     free = nrm <= 1e-12
     if free.any():
         f = _rows(free)
-        vecs[f] = np.linalg.eigh(q[f])[1][:, :, 0]
+        lam, vec = np.linalg.eigh(q[f])
+        vecs[f], vals[f] = vec[:, :, 0], lam[:, 0]
     if not free.all():
         c = _rows(~free)
         _, _, vh = np.linalg.svd((u[c] / nrm[c, None])[:, None, :], full_matrices=True)
@@ -267,9 +279,9 @@ def _min_eig_vectors(q: np.ndarray, u: Optional[np.ndarray]):
         if basis.shape[2] == 0:
             ok[c] = False
         else:
-            sub = np.linalg.eigh(basis.swapaxes(1, 2) @ q[c] @ basis)[1][:, :, :1]
-            vecs[c] = (basis @ sub)[:, :, 0]
-    return vecs, ok
+            lam, sub = np.linalg.eigh(basis.swapaxes(1, 2) @ q[c] @ basis)
+            vecs[c], vals[c] = (basis @ sub[:, :, :1])[:, :, 0], lam[:, 0]
+    return vecs, vals, ok
 
 
 def _rows(mask: np.ndarray):
@@ -283,7 +295,7 @@ def _gram(a: np.ndarray) -> np.ndarray:
 
 
 def _descend(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, max_iters: int,
-             target: float):
+             target: float, probe: bool = False):
     """Minimize |T(z, w)|^2 over unit z, w with z^T gmat w = 0, from every start, until a witness.
 
     z0 (S, dz) and w0 (S, dw) hold one start per row.  Each start takes
@@ -296,9 +308,15 @@ def _descend(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, max_iters: int
     2 target cannot change by going on.  The starts run in lockstep, in
     blocks sized by _BLOCK_FLOATS.  Returns the final values (S,), the rows
     of z and w that reached them, and each start's status (S,): CONVERGED,
-    CAPPED (hit max_iters) or NO_COMPLEMENT (a sweep found an empty
+    CAPPED (hit max_iters), NO_COMPLEMENT (a sweep found an empty
     orthogonal complement; the start is returned as the last full sweep
-    left it).
+    left it) or STOPPED (cut short by a probe).
+
+    A probe (`_flat_plane_search`) adds one stop rule: a block ends, every
+    start in it, at its first witness or after the first Levenberg-Marquardt
+    step that does not halve the block's best value, and the starts it cuts
+    short are STOPPED.  A probe returns only the blocks up to the first that
+    ended so, or that holds a witness; without probe nothing changes.
     """
     dz, dw, d = t.shape
     n = dz + dw
@@ -310,16 +328,20 @@ def _descend(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, max_iters: int
 
     blocks = []
     for i in range(0, len(z0), size):
-        z, w, alive = _sweeps(t, gmat, z0[i:i + size], w0[i:i + size], witness)
-        blocks.append(_levenberg_marquardt(t, gmat, z, w, alive, max_iters, witness))
+        z, w, alive = _sweeps(t, gmat, z0[i:i + size], w0[i:i + size], witness, probe)
+        blocks.append(_levenberg_marquardt(t, gmat, z, w, alive, max_iters, witness, probe))
+        vals, _, _, status = blocks[-1]
+        if probe and (witness(vals).any() or (status == STOPPED).any()):
+            break
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _sweeps(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, witness):
+def _sweeps(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, witness, probe=False):
     """Up to _ALS_SWEEPS exact block steps from each start of a block, in lockstep.
 
     After each full sweep but the last (which `_levenberg_marquardt` checks
-    on entry), a start whose value is a witness leaves.  Returns z, w and a
+    on entry), a start whose value, the w-step's smallest eigenvalue, is a
+    witness leaves; with probe, every start leaves then.  Returns z, w and a
     mask of the starts whose orthogonal complements never ran empty; a start
     leaves at its first empty complement.
     """
@@ -333,24 +355,25 @@ def _sweeps(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, witness):
         if not act.size:
             break
         wa = w[act]
-        zn, ok = _min_eig_vectors(_gram((wa @ t_z).reshape(len(act), dz, d)),
-                                  None if gmat is None else wa @ gmat.T)
+        zn, _, ok = _min_eig_vectors(_gram((wa @ t_z).reshape(len(act), dz, d)),
+                                     None if gmat is None else wa @ gmat.T)
         alive[act[~ok]] = False
         k = _rows(ok)
         act, zn = act[k], zn[k]
-        wn, ok = _min_eig_vectors(_gram((zn @ t_w).reshape(len(act), dw, d)),
-                                  None if gmat is None else zn @ gmat)
+        wn, val, ok = _min_eig_vectors(_gram((zn @ t_w).reshape(len(act), dw, d)),
+                                       None if gmat is None else zn @ gmat)
         alive[act[~ok]] = False
         k = _rows(ok)
         act = act[k]
         z[act], w[act] = zn[k], wn[k]
         if sweep + 1 < _ALS_SWEEPS:
-            act = act[_rows(~witness(_pair_values(t, z[act], w[act])))]
+            found = witness(val[k])
+            act = act[:0] if probe and found.any() else act[_rows(~found)]
     return z, w, alive
 
 
 def _levenberg_marquardt(t: np.ndarray, gmat, z: np.ndarray, w: np.ndarray,
-                         alive: np.ndarray, max_iters: int, witness):
+                         alive: np.ndarray, max_iters: int, witness, probe=False):
     """Damped Gauss-Newton steps on r(z, w) = sum_ik z_i w_k T[i, k, :] for the live starts.
 
     Steps lie in the tangent space of {|z| = |w| = 1, z^T gmat w = 0}; after
@@ -361,8 +384,10 @@ def _levenberg_marquardt(t: np.ndarray, gmat, z: np.ndarray, w: np.ndarray,
     when its value is a witness (on entry or after an accepted step), when
     stationary (|P J^T r|^2 <= 1e-20 (tr H / n) f), after an accepted step
     that lowered f by at most 1e-12 relative, or when the damping exceeds
-    1e12.  Updates z and w in place; returns the values, z, w and the status
-    of each start.
+    1e12.  With probe, every start still running is STOPPED once any value
+    is a witness or a step leaves the least value above half the one before.
+    Updates z and w in place; returns the values, z, w and the status of
+    each start.
     """
     dz, dw, d = t.shape
     n = dz + dw
@@ -374,6 +399,9 @@ def _levenberg_marquardt(t: np.ndarray, gmat, z: np.ndarray, w: np.ndarray,
     status[done] = CONVERGED
     damp = np.full(len(z), _DAMP_START)
     act = np.flatnonzero(alive & ~done)
+    if probe and done.any():
+        status[act], act = STOPPED, act[:0]
+    best = val.min()
     diag = np.arange(n)
     for _ in range(max_iters):
         if not act.size:
@@ -406,6 +434,10 @@ def _levenberg_marquardt(t: np.ndarray, gmat, z: np.ndarray, w: np.ndarray,
                 | (damp[act] > 1e12))
         status[act[stop]] = CONVERGED
         act = act[~stop]
+        if probe:
+            if witness(fc[acc]).any() or val.min() > best / 2:
+                status[act], act = STOPPED, act[:0]
+            best = val.min()
     return val, z, w, status
 
 
@@ -459,16 +491,20 @@ def _starts(z_dom: Subspace, w_dom: Subspace, gmat, budget: StartBudget):
     return z0 / np.sqrt(row_dots(z0, z0))[:, None], w0
 
 
-def _convergence_note(status: np.ndarray, below: np.ndarray) -> str:
+def _convergence_note(status: np.ndarray, below: np.ndarray, budget: int) -> str:
     """How many starts of a search converged and how many stopped at max_iters.
 
     below masks the starts whose values are below refute_tol/2; how many of
-    them converged is said only when some did, so no other note changes.
+    them converged is said only when some did, so no other note changes.  A
+    search that ran fewer starts than its budget, a probe, says so first
+    (`probe: 4 of 64 starts run; 1 of 4 starts converged (1 below
+    refute_tol/2); 0 hit max_iters`); its other starts were STOPPED.
     """
     converged, capped = int(np.sum(status == CONVERGED)), int(np.sum(status == CAPPED))
     witnesses = int(np.sum(below & (status == CONVERGED)))
     clause = f" ({witnesses} below refute_tol/2)" if witnesses else ""
-    return f"{converged} of {len(status)} starts converged{clause}; {capped} hit max_iters"
+    run = f"probe: {len(status)} of {budget} starts run; " if len(status) < budget else ""
+    return f"{run}{converged} of {len(status)} starts converged{clause}; {capped} hit max_iters"
 
 
 def _ortho_constraint(z_dom: Subspace, w_dom: Subspace) -> Optional[np.ndarray]:
@@ -506,6 +542,7 @@ _SEARCH_NOTES = {
 def _flat_plane_search(
     triple: Triple, method: Method, z_dom: Subspace, terms, second: Optional[np.ndarray],
     element, budget: StartBudget, tol: float, refute_tol: float, s: Optional[float] = None,
+    probe: bool = True,
 ) -> CertReport:
     """The one search of fatness, part2 and the point scans.
 
@@ -517,41 +554,61 @@ def _flat_plane_search(
     element(Z, W), the same sum on the element path, is below refute_tol too
     (else INCONCLUSIVE); all starts bottoming out above tol give a heuristic
     CERTIFIED; an empty domain (terms None) is vacuously CERTIFIED.
+
+    A budget of more than _PROBE_STARTS starts first descends its first
+    _PROBE_STARTS as a probe, which ends at its first witness or at the
+    first Levenberg-Marquardt step that does not halve its best value (see
+    `_descend`).  A probe's REFUTED verdict, witness confirmed, is the
+    report, and its convergence note says how many of the budget's starts
+    ran (its starts field stays the budget).  Any other probe verdict,
+    including an unconfirmed refutation, is discarded and all starts
+    descend, so every CERTIFIED and INCONCLUSIVE report is the one the full
+    search gives.  A caller whose precondition failed passes probe False:
+    it reports INCONCLUSIVE whatever the search finds, with the full
+    search's score.
     """
     vacuous, refuted = _SEARCH_NOTES[method]
     if terms is None:
         return CertReport(triple.label, method, Verdict.CERTIFIED, float("inf"), tol,
                           starts=budget.starts, seed=budget.seed, s=s, notes=(vacuous,))
-    commutator, gmat, starts = terms[2:]
+    commutator, gmat, (z0, w0) = terms[2:]
     t = commutator if second is None else np.concatenate([commutator, second], axis=2)
     target = refute_tol / 2
-    vals, zs, ws, status = _descend(t, gmat, *starts, budget.max_iters, target)
-    i = int(np.argmin(vals))  # ties resolve to the lowest start index
-    val, z, w = float(vals[i]), zs[i], ws[i]
-    witness = None
-    if val < refute_tol:
-        comm, other = val, None
-        if second is not None:
-            comm, other = (float(_pair_values(x, z[None], w[None])[0])
-                           for x in (commutator, second))
-        witness = FlatPairWitness(
-            Z=from_flat(triple.field, triple.n, z @ z_dom.mat),
-            W=from_flat(triple.field, triple.n, w @ triple.p_basis.mat),
-            commutator_residual=comm, horizontal_residual=other, point_s=s,
+
+    def read(vals, zs, ws, status) -> CertReport:
+        i = int(np.argmin(vals))  # ties resolve to the lowest start index
+        val, z, w = float(vals[i]), zs[i], ws[i]
+        witness = None
+        if val < refute_tol:
+            comm, other = val, None
+            if second is not None:
+                comm, other = (float(_pair_values(x, z[None], w[None])[0])
+                               for x in (commutator, second))
+            witness = FlatPairWitness(
+                Z=from_flat(triple.field, triple.n, z @ z_dom.mat),
+                W=from_flat(triple.field, triple.n, w @ triple.p_basis.mat),
+                commutator_residual=comm, horizontal_residual=other, point_s=s,
+            )
+            verdict, notes = Verdict.REFUTED, (refuted,)
+            if unconfirmed := _unconfirmed(val, element(witness.Z, witness.W), refute_tol):
+                verdict, witness, notes = Verdict.INCONCLUSIVE, None, unconfirmed
+        elif val > tol:
+            verdict = Verdict.CERTIFIED
+            notes = ("heuristic certificate: all starts stayed above tolerance",)
+        else:
+            verdict, notes = Verdict.INCONCLUSIVE, ()
+        return CertReport(
+            triple.label, method, verdict, val, tol, witness=witness,
+            starts=budget.starts, seed=budget.seed, s=s,
+            notes=notes + (_convergence_note(status, vals < target, budget.starts),),
         )
-        verdict, notes = Verdict.REFUTED, (refuted,)
-        if unconfirmed := _unconfirmed(val, element(witness.Z, witness.W), refute_tol):
-            verdict, witness, notes = Verdict.INCONCLUSIVE, None, unconfirmed
-    elif val > tol:
-        verdict = Verdict.CERTIFIED
-        notes = ("heuristic certificate: all starts stayed above tolerance",)
-    else:
-        verdict, notes = Verdict.INCONCLUSIVE, ()
-    return CertReport(
-        triple.label, method, verdict, val, tol, witness=witness,
-        starts=budget.starts, seed=budget.seed, s=s,
-        notes=notes + (_convergence_note(status, vals < target),),
-    )
+
+    if probe and budget.starts > _PROBE_STARTS:
+        k = _PROBE_STARTS
+        report = read(*_descend(t, gmat, z0[:k], w0[:k], budget.max_iters, target, probe=True))
+        if report.verdict is Verdict.REFUTED:
+            return report
+    return read(*_descend(t, gmat, z0, w0, budget.max_iters, target))
 
 
 def _commutator_residual(z: AlgElement, w: AlgElement) -> float:
@@ -588,14 +645,15 @@ def certify_part2(
     """
     z_dom = triple.gk_basis()
     terms = _search_terms(triple, z_dom, budget)
+    derivative = _derivative_tensor(triple, a, terms)
+    failed = _a_not_in_p(triple, a, tol)
 
     def element(z: AlgElement, w: AlgElement) -> float:
         return _commutator_residual(z, w) + _derivative_objective(triple, a, z, w)
 
-    report = _flat_plane_search(triple, Method.PART2, z_dom, terms,
-                                _derivative_tensor(triple, a, terms), element,
-                                budget, tol, DEFAULT_REFUTE_TOL)
-    if failed := _a_not_in_p(triple, a, tol):
+    report = _flat_plane_search(triple, Method.PART2, z_dom, terms, derivative, element,
+                                budget, tol, DEFAULT_REFUTE_TOL, probe=not failed)
+    if failed:
         report = replace(report, verdict=Verdict.INCONCLUSIVE, witness=None, notes=failed)
     return report
 
@@ -682,7 +740,7 @@ def point_positivity(
 
 def _point_search(triple: Triple, z_dom: Subspace, terms, g: GroupElement,
                   budget: StartBudget, tol: float, refute_tol: float,
-                  s: Optional[float]) -> CertReport:
+                  s: Optional[float], probe: bool = True) -> CertReport:
     """The flat-plane search at the point reached by g, with its horizontal tensor along h."""
     horizontal = None
     if terms is not None:
@@ -693,7 +751,7 @@ def _point_search(triple: Triple, z_dom: Subspace, terms, g: GroupElement,
     return _flat_plane_search(
         triple, Method.POINT_SCAN, z_dom, terms, horizontal,
         lambda z, w: sum(horizontal_flat_residual(triple, g, z, w)),
-        budget, tol, refute_tol, s)
+        budget, tol, refute_tol, s, probe)
 
 
 def _scan_z_domain(triple: Triple) -> Subspace:
@@ -715,12 +773,14 @@ def scan_along_A(
     """
     z_dom = _scan_z_domain(triple)
     terms = _search_terms(triple, z_dom, budget)
+    if terms is not None:
+        require_same(triple, a)
+    failed = _a_not_in_p(triple, a, tol)
     reports = [
         _point_search(triple, z_dom, terms, group_exp(a, -float(s)), budget, tol, refute_tol,
-                      float(s))
+                      float(s), not failed)
         for s in s_values
     ]
-    failed = _a_not_in_p(triple, a, tol)
     if terms is None or not failed:
         return reports
     return [replace(rep, verdict=Verdict.INCONCLUSIVE, witness=None, notes=failed)

@@ -219,7 +219,11 @@ def _value(tensors, z, w) -> float:
 
 
 def _min_eig_vector(q, u):
-    """Unit minimizer of v^T q v on the sphere, orthogonal to u when given."""
+    """Unit minimizer of v^T q v on the sphere, orthogonal to u when given, and its value.
+
+    Returns (v, the smallest eigenvalue of q on the complement), or None
+    when the complement is empty.
+    """
     if u is not None:
         nrm = np.linalg.norm(u)
         if nrm > 1e-12:
@@ -229,9 +233,9 @@ def _min_eig_vector(q, u):
             if basis.shape[1] == 0:
                 return None
             vals, vecs = np.linalg.eigh(basis.T @ q @ basis)
-            return basis @ vecs[:, 0]
+            return basis @ vecs[:, 0], vals[0]
     vals, vecs = np.linalg.eigh(q)
-    return vecs[:, 0]
+    return vecs[:, 0], vals[0]
 
 
 def descend_one(tensors, gmat, z0, w0, max_iters, target):
@@ -241,7 +245,8 @@ def descend_one(tensors, gmat, z0, w0, max_iters, target):
     stacked residual r = (T_j(z, w))_j with the search's damping
     and stop rules.  The start stops, between the sweeps or in the
     Levenberg-Marquardt phase, once its value is at the rounding floor
-    (16 eps)^2 sum_j |T_j|^2 or below target.  The tangent space of
+    (16 eps)^2 sum_j |T_j|^2 or below target; between the sweeps that value
+    is the w-step's smallest eigenvalue.  The tangent space of
     {|z| = |w| = 1, z^T gmat w = 0} is an explicit null-space basis from an
     SVD of the constraint rows, where the lockstep search projects instead.
     The status codes are those of `curvcert.certify`: 0 converged, 1 hit
@@ -253,23 +258,25 @@ def descend_one(tensors, gmat, z0, w0, max_iters, target):
         return val <= floor or val < target
 
     z, w = z0, w0
-    for _ in range(2):
+    for sweep in range(2):
         qz = np.zeros((len(z), len(z)))
         for t in tensors:
             a = np.einsum("ikd,k->id", t, w)
             qz += a @ a.T
-        z_new = _min_eig_vector(qz, gmat @ w if gmat is not None else None)
-        if z_new is None:
+        found = _min_eig_vector(qz, gmat @ w if gmat is not None else None)
+        if found is None:
             return _value(tensors, z, w), z, w, 2
+        z_new = found[0]
         qw = np.zeros((len(w), len(w)))
         for t in tensors:
             a = np.einsum("ikd,i->kd", t, z_new)
             qw += a @ a.T
-        w_new = _min_eig_vector(qw, gmat.T @ z_new if gmat is not None else None)
-        if w_new is None:
+        found = _min_eig_vector(qw, gmat.T @ z_new if gmat is not None else None)
+        if found is None:
             return _value(tensors, z, w), z, w, 2
-        z, w, val = z_new, w_new, _value(tensors, z_new, w_new)
-        if witness(val):
+        z, (w, lam) = z_new, found
+        val = _value(tensors, z, w)
+        if witness(lam if sweep == 0 else val):  # after the last sweep: the LM phase's entry test
             return val, z, w, 0
 
     dz, n = len(z), len(z) + len(w)

@@ -10,6 +10,7 @@ import curvcert.certify as certify
 from curvcert.algebra import (
     FieldTag,
     adjoint,
+    basis_element,
     bracket,
     group_exp,
     identity,
@@ -41,8 +42,9 @@ from curvcert.certify import (
     report_to_json,
     scan_along_A,
 )
+from curvcert.cli import main
 from curvcert.flatness import horizontal_flat_residual
-from curvcert.triple import Part, make_triple, project
+from curvcert.triple import Part, make_triple, project, save_triple
 
 from helpers import (
     bit_equal,
@@ -196,8 +198,10 @@ class TestStalledSearches:
     def test_no_start_hits_max_iters(self, t1s3):
         fat = check_fatness(sp_example(2).triple, StartBudget(starts=64, seed=0))
         part2 = certify_part2(t1s3.triple, t1s3.base_point_A, StartBudget(starts=64, seed=0))
-        # fat refutes: every start stopped at a witness value below refute_tol/2
-        assert fat.notes[-1] == "64 of 64 starts converged (64 below refute_tol/2); 0 hit max_iters"
+        # fat refutes from the probe: three of its starts reach a witness value
+        # below refute_tol/2 on the same step, which stops the fourth
+        assert fat.notes[-1] == ("probe: 4 of 64 starts run; 3 of 4 starts converged"
+                                 " (3 below refute_tol/2); 0 hit max_iters")
         assert part2.notes[-1] == "64 of 64 starts converged; 0 hit max_iters"
 
     def test_every_search_report_counts_its_starts(self, t1s3):
@@ -206,13 +210,18 @@ class TestStalledSearches:
                    certify_part2(t1s3.triple, t1s3.base_point_A, budget)]
         reports += scan_along_A(t1s3.triple, t1s3.base_point_A, [0.0, 0.2], budget)
         for report in reports:
-            match = re.fullmatch(r"(\d+) of 8 starts converged(?: \((\d+) below refute_tol/2\))?;"
-                                 r" (\d+) hit max_iters", report.notes[-1])
-            assert match and int(match[1]) + int(match[3]) == 8
+            match = re.fullmatch(r"(?:probe: (\d+) of 8 starts run; )?(\d+) of (\d+) starts converged"
+                                 r"(?: \((\d+) below refute_tol/2\))?; (\d+) hit max_iters",
+                                 report.notes[-1])
+            assert match and int(match[3]) == int(match[1] or 8)
+            # a probe ends its starts at its first witness; a full search runs each to its end
+            below = report.verdict is Verdict.REFUTED
+            assert (match[1] is not None) == below
+            assert int(match[2]) + int(match[5]) <= int(match[3])
+            assert below or int(match[2]) + int(match[5]) == 8
             # only a search below refute_tol has starts below refute_tol/2; here
             # every refuting one has
-            below = report.verdict is Verdict.REFUTED
-            assert (match[2] is not None) == below and int(match[2] or 0) <= int(match[1])
+            assert (match[4] is not None) == below and int(match[4] or 0) <= int(match[2])
 
 
 class TestPart2:
@@ -555,11 +564,19 @@ class _Recorded(Exception):
     pass
 
 
-def first_descent(monkeypatch, search):
-    """The arguments that a search hands to its first `certify._descend`, as the search built them."""
-    seen = []
+def first_descent(monkeypatch, search, probe=False):
+    """The arguments that a search hands to its first `certify._descend`, as the search built them.
 
-    def record(*args):
+    A search of more than `certify._PROBE_STARTS` starts first descends a
+    probe; the probe's call is the one recorded when probe is True, and it
+    runs as usual otherwise.
+    """
+    seen = []
+    real = certify._descend
+
+    def record(*args, **kw):
+        if kw.get("probe", False) != probe:
+            return real(*args, **kw)
         seen.append(args)
         raise _Recorded
 
@@ -767,24 +784,121 @@ class TestWitnessStop:
             assert bit_equal(got, want)
 
     def test_sweeps_stop_at_witnesses(self, monkeypatch):
-        # every start of sp_example(3)'s fat search is a witness after one sweep
+        # every start of sp_example(3)'s fat search is a witness after one sweep:
+        # the probe's one block of 4 starts, and each block of the full search
         calls = []
         for fn in ("_sweeps", "_min_eig_vectors"):
             real = getattr(certify, fn)
             monkeypatch.setattr(certify, fn,
                                 lambda *a, _fn=fn, _real=real: calls.append(_fn) or _real(*a))
-        report = check_fatness(sp_example(3).triple, StartBudget(starts=64, seed=0))
-        assert report.verdict is Verdict.REFUTED
-        blocks = calls.count("_sweeps")
-        assert blocks >= 2
-        assert calls.count("_min_eig_vectors") == 2 * blocks  # one sweep per block, not two
+        for probe_starts, want_blocks in ((certify._PROBE_STARTS, 1), (64, 2)):
+            calls.clear()
+            monkeypatch.setattr(certify, "_PROBE_STARTS", probe_starts)
+            report = check_fatness(sp_example(3).triple, StartBudget(starts=64, seed=0))
+            assert report.verdict is Verdict.REFUTED
+            blocks = calls.count("_sweeps")
+            assert blocks >= want_blocks and (blocks == 1) == (probe_starts < 64)
+            assert calls.count("_min_eig_vectors") == 2 * blocks  # one sweep per block, not two
 
     def test_levenberg_marquardt_stops_at_witnesses(self, monkeypatch):
         triple = sp_example(2).triple
         solves = []
         real = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or real(*a))
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(len(a[0])) or real(*a))
         report = check_fatness(triple, StartBudget(starts=64, seed=0))
         assert report.verdict is Verdict.REFUTED
         assert certify.DEFAULT_REFUTE_TOL / 2 > report.score
-        assert len(solves) <= 12  # polishing every start to the rounding floor took 35
+        # the probe's 4 starts: 9 solves of 4 systems; all 64 starts to their
+        # witnesses took 10 solves of up to 64, and to the rounding floor 35
+        assert len(solves) <= 9 and max(solves) <= certify._PROBE_STARTS
+
+
+class TestProbe:
+    """A search of more than 4 starts first descends 4; a confirmed refutation from them is the report."""
+
+    @pytest.mark.parametrize("name", ["fat sp_example(2)", "fat sp_example(3)", "fat sp_example(4)",
+                                      "scan sp_example(2) at s = 0"])
+    def test_refutes_from_four_starts(self, name, monkeypatch):
+        rows = []
+        real = certify._sweeps
+        monkeypatch.setattr(certify, "_sweeps",
+                            lambda t, gmat, z0, *a: rows.append(len(z0)) or real(t, gmat, z0, *a))
+        method, entry = name.split(" ")[:2]
+        e = sp_example(int(entry[-2]))
+        if method == "fat":
+            report = check_fatness(e.triple, StartBudget(starts=64, seed=0))
+        else:
+            report = scan_along_A(e.triple, e.base_point_A, [0.0], StartBudget(starts=16, seed=0))[0]
+        assert report.verdict is Verdict.REFUTED
+        assert sum(rows) == certify._PROBE_STARTS == 4
+        assert_flat_pair(e.triple, report.witness)
+        assert report.starts == (64 if method == "fat" else 16)
+        assert report.notes[-1].startswith(f"probe: 4 of {report.starts} starts run; ")
+
+    @pytest.mark.parametrize("name", sorted(_variants()))
+    def test_verdicts_and_other_reports_match_the_full_search(self, name, monkeypatch):
+        e = _variants()[name]()
+        budget = StartBudget(starts=16, seed=0)
+
+        def searches():
+            reports = [check_fatness(e.triple, budget),
+                       certify_part2(e.triple, e.base_point_A, budget)]
+            return reports + scan_along_A(e.triple, e.base_point_A,
+                                          [0.0, 0.05, 0.1, 0.2, 0.4, 0.8], budget)
+
+        probed = searches()
+        monkeypatch.setattr(certify, "_PROBE_STARTS", budget.starts)
+        full = searches()
+        for got, want in zip(probed, full):
+            assert got.verdict is want.verdict
+            if want.verdict is not Verdict.REFUTED:
+                assert report_to_json(got) == report_to_json(want)
+
+    @pytest.mark.parametrize("method", ["fat", "part2"])
+    def test_unconfirmed_probe_falls_back_to_the_full_search(self, capsys, tmp_path, monkeypatch,
+                                                             method):
+        # the open so(3) file of test_cli's TestUnconfirmedRefutation: the probe
+        # reads 0 along g, which the element path does not confirm
+        e01, e02 = (basis_element(FieldTag.REAL, 3, 0, j, 0) for j in (1, 2))
+        path = str(tmp_path / "open.json")
+        save_triple(make_triple([e01, e02], [e01], [], base_point=(1 / e02.norm()) * e02), path)
+        rows = []
+        real = certify._descend
+        monkeypatch.setattr(certify, "_descend",
+                            lambda t, gmat, z0, *a, **kw: rows.append(len(z0)) or real(
+                                t, gmat, z0, *a, **kw))
+        code = main(["check", "--file", path, "--method", method])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2 and report["verdict"] == "INCONCLUSIVE" and report["starts"] == 64
+        assert rows == [4, 64]
+        assert report["notes"][-1].startswith("64 of 64 starts converged")
+
+    def test_failed_precondition_takes_no_probe(self, t1s3, monkeypatch):
+        # A in h: part2 and the scan refute, and their reports say INCONCLUSIVE
+        # with the full search's score
+        a_in_h = (1.0 / SQ2) * sp1_pair(np.array([1.0, 0.0, 0.0]), 1.0)
+        probes = []
+        real = certify._descend
+        monkeypatch.setattr(certify, "_descend",
+                            lambda *a, probe=False: probes.append(probe) or real(*a, probe=probe))
+        reports = [certify_part2(t1s3.triple, a_in_h, StartBudget(starts=64, seed=0)),
+                   *scan_along_A(t1s3.triple, a_in_h, [0.0, 0.1], StartBudget(starts=16, seed=0))]
+        assert probes == [False] * 3
+        assert [r.verdict for r in reports] == [Verdict.INCONCLUSIVE] * 3
+        assert reports[0].score < certify.DEFAULT_REFUTE_TOL
+        assert all(r.notes == ("precondition failed: A does not lie in p",) for r in reports)
+
+    def test_costs_a_certified_search_at_most_two_solves(self, monkeypatch):
+        e = m_kl(2, 1, 1)
+        budget = StartBudget(starts=64, seed=0)
+        solves = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or real(*a))
+        probed = certify_part2(e.triple, e.base_point_A, budget)
+        with_probe = len(solves)
+        solves.clear()
+        monkeypatch.setattr(certify, "_PROBE_STARTS", budget.starts)
+        full = certify_part2(e.triple, e.base_point_A, budget)
+        assert probed.verdict is Verdict.CERTIFIED
+        assert report_to_json(probed) == report_to_json(full)
+        assert len(solves) < with_probe <= len(solves) + 2

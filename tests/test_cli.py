@@ -60,7 +60,7 @@ class TestCheckExitCodes:
 
     def test_tighter_refute_tol_asks_for_a_tighter_witness(self, capsys):
         # a search stops at its first value below refute_tol/2: at the default
-        # 1e-12 the score is about 4e-14, so 1e-20 makes the descent go on
+        # 1e-12 the score is about 1.5e-13, so 1e-20 makes the descent go on
         code, out, _ = run(capsys, "check", "--entry", "sp_example", "--n", "2",
                            "--method", "fat", "--refute-tol", "1e-20")
         assert code == 1
@@ -579,7 +579,11 @@ PINNED_PART3_CODES = {("m_kl", "--n", "2", "--k", "0", "--l", "1"): 1}
 # part2 digests were re-taken when part2 became a flat-plane search, whose
 # score is the joint minimum of |[Z, W]|^2 + |[Z^h, [A, W]^h]|^2.  The fat
 # and scan digests were re-taken when a search start began to stop at its
-# first value below refute_tol/2, which every refuting report shows.
+# first value below refute_tol/2, which every refuting report shows, and the
+# fat digests again when a search of more than 4 starts began to refute from
+# a probe of its first 4.  The part2 runs (8 starts) take the probe and fall
+# back to the full search, and the scans (4 starts) take none: their digests
+# did not move.
 SEARCH_RUNS = {
     "fat": (["check", "--method", "fat", "--starts", "16"], 1),
     "part2": (["check", "--method", "part2", "--starts", "8"], 0),
@@ -587,17 +591,17 @@ SEARCH_RUNS = {
 }
 PINNED_SEARCH_DIGESTS = {
     ("t1_sphere", "--n", "3"): {
-        "fat": "53507accb755da6effba2817cc191e22bcce5a751e8bf39803b8c646b7675ad2",
+        "fat": "61f95cce6ac26e846f0e1b7d0dd4b299a32d73133c89e91c44bf5ddb18712524",
         "part2": "d02bf29ab2e2ffbec52bf0e4a6f8e6ca6ac8f8dec1e610d82e3f5895f4cea73a",
         "scan": "985c59f29f54d7915ed64c122bb295d0d4efb970b917f61302cb91d1f72dc073",
     },
     ("m_kl", "--n", "2", "--k", "1", "--l", "1"): {
-        "fat": "1a69409e461f558f43642f628e44ceafdcb9e7ac56a0fa1561510d1081e4512a",
+        "fat": "701d67d65b9c0591cc1abbb782d317db75f6c291a11441af03b4e9dd419577cc",
         "part2": "4a29a8f76e188f28826eab8577b0d0af5ae6120b65eac973546f4688642b5efc",
         "scan": "540bca6d9f73ab1db92bcfcbe3d1c09950b87874df178796ee8523c5ac387119",
     },
     ("sp_example", "--n", "2"): {
-        "fat": "78d8669d14a7b62a768c269fc22f5d5886d44403996e73572c4748bd191bb257",
+        "fat": "2899fe8ffa7bbda25d15901e32c8918a3004e6e2b55a4554903aaa74b5451b38",
         "part2": "d223fb2309a319b527efecf0a0b54029752d1ccc169abdbf7be0f8ce50e411ab",
         "scan": "7b6f45b8c92d884ff449c914e11ca264df40e503bf1c6e964eab86eb74b9ce22",
     },
