@@ -232,33 +232,38 @@ _FIELD_BY_NAME = {
 }
 
 
+#: each entry's builder and the parameters it reads, with their values in the `list` sample
+_BUILDERS: dict[str, tuple[Callable[..., CatalogEntry], dict]] = {
+    "t1s3_product": (t1s3_product, {}),
+    "t1_sphere": (t1_sphere, {"n": 3}),
+    "t1_projective": (lambda n, field: t1_projective(_FIELD_BY_NAME[field.lower()], n),
+                      {"n": 2, "field": "C"}),
+    "pt_projective": (lambda n, field: pt_projective(_FIELD_BY_NAME[field.lower()], n),
+                      {"n": 2, "field": "C"}),
+    "m_kl": (m_kl, {"n": 2, "k": 1, "l": 1}),
+    "sp_example": (sp_example, {"n": 2}),
+}
+
+
 def build_entry(entry_id: str, n: Optional[int] = None, k: Optional[int] = None,
                 l: Optional[int] = None, field: Optional[str] = None) -> CatalogEntry:
-    """Resolve a catalog id plus parameters into a concrete entry."""
-    if entry_id == "t1s3_product":
-        return t1s3_product()
-    if entry_id == "t1_sphere":
-        _require(n is not None, "t1_sphere requires --n")
-        return t1_sphere(n)
-    if entry_id == "t1_projective":
-        _require(n is not None and field is not None, "t1_projective requires --n and --field")
-        return t1_projective(_FIELD_BY_NAME[field.lower()], n)
-    if entry_id == "pt_projective":
-        _require(n is not None and field is not None, "pt_projective requires --n and --field")
-        return pt_projective(_FIELD_BY_NAME[field.lower()], n)
-    if entry_id == "m_kl":
-        _require(n is not None and k is not None and l is not None,
-                 "m_kl requires --n, --k and --l")
-        return m_kl(n, k, l)
-    if entry_id == "sp_example":
-        _require(n is not None, "sp_example requires --n")
-        return sp_example(n)
-    raise KeyError(f"unknown catalog entry: {entry_id}")
+    """Resolve a catalog id plus parameters into a concrete entry.
 
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
+    An id reads the parameters of its sample in _BUILDERS; one missing ("m_kl
+    requires --n, --k and --l") or given but not read is a ValueError.
+    """
+    if entry_id not in _BUILDERS:
+        raise KeyError(f"unknown catalog entry: {entry_id}")
+    builder, reads = _BUILDERS[entry_id]
+    given = {name: v for name, v in (("n", n), ("k", k), ("l", l), ("field", field))
+             if v is not None}
+    if extra := [name for name in given if name not in reads]:
+        raise ValueError(f"--{extra[0]} does not apply to --entry {entry_id}")
+    if any(name not in given for name in reads):
+        flags = [f"--{name}" for name in reads]
+        listed = flags[0] if len(flags) == 1 else f"{', '.join(flags[:-1])} and {flags[-1]}"
+        raise ValueError(f"{entry_id} requires {listed}")
+    return builder(**given)
 
 
 CATALOG_IDS: dict[str, str] = {
@@ -273,17 +278,9 @@ CATALOG_IDS: dict[str, str] = {
 
 def list_catalog() -> list[dict]:
     """One summary record per catalog id, with a small instantiated example."""
-    samples: list[tuple[str, Callable[[], CatalogEntry]]] = [
-        ("t1s3_product", t1s3_product),
-        ("t1_sphere", lambda: t1_sphere(3)),
-        ("t1_projective", lambda: t1_projective(FieldTag.COMPLEX, 2)),
-        ("pt_projective", lambda: pt_projective(FieldTag.COMPLEX, 2)),
-        ("m_kl", lambda: m_kl(2, 1, 1)),
-        ("sp_example", lambda: sp_example(2)),
-    ]
     out = []
-    for entry_id, builder in samples:
-        entry = builder()
+    for entry_id, (builder, sample) in _BUILDERS.items():
+        entry = builder(**sample)
         out.append(
             {
                 "id": entry_id,

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -65,6 +65,7 @@ from .triple import (
 
 DEFAULT_TOL = 1e-6
 DEFAULT_REFUTE_TOL = 1e-12
+_RANK_ONE_NOTE = "rank-one property taken from catalog metadata, not verified"
 # Starts descend together in blocks whose stacked Jacobians hold about this
 # many floats each, so memory stays bounded as the algebra grows.
 _BLOCK_FLOATS = 1 << 15
@@ -159,11 +160,29 @@ def report_to_json(report: CertReport) -> str:
 # --- deterministic part-3 certificate ----------------------------------------
 
 
-def _a_not_in_p(triple: Triple, a: AlgElement, tol: float) -> tuple[str, ...]:
-    """The note of part2, part3 and the scans when their precondition, A in p, fails; else ()."""
-    if triple.p_basis.contains(a, tol=max(tol, 1e-8)):
-        return ()
-    return ("precondition failed: A does not lie in p",)
+def _unmet_preconditions(triple: Triple, method: Method, a: AlgElement, tol: float,
+                         budget: Optional[StartBudget] = None,
+                         points: Sequence[Optional[float]] = (None,)) -> list[CertReport]:
+    """The reports of a run whose preconditions fail, one per scan point; [] when they hold.
+
+    part2, part3 and the scans need A in p (`require_same` raises first if A
+    is not of the triple's algebra), part3 a symmetric pair too.  A report is
+    INCONCLUSIVE with score NaN (null in JSON), no witness and the failed
+    preconditions as notes (after part3's rank-one note), built before any
+    tensor, SVD or search.
+    """
+    require_same(triple, a)
+    failed = []
+    if method is Method.PART3 and not is_symmetric_pair(triple, tol=1e-8):
+        failed.append("precondition failed: (g, h) is not a symmetric pair")
+    if not triple.p_basis.contains(a, tol=max(tol, 1e-8)):
+        failed.append("precondition failed: A does not lie in p")
+    if not failed:
+        return []
+    notes = ((_RANK_ONE_NOTE,) if method is Method.PART3 else ()) + tuple(failed)
+    starts, seed = (budget.starts, budget.seed) if budget else (0, 0)
+    return [CertReport(triple.label, method, Verdict.INCONCLUSIVE, math.nan, tol, starts=starts,
+                       seed=seed, s=s, notes=notes) for s in points]
 
 
 def min_ad_singular(triple: Triple, a: AlgElement) -> float:
@@ -198,18 +217,15 @@ def _unconfirmed(search: float, element: float, threshold: float) -> tuple[str, 
 def certify_part3(triple: Triple, a: AlgElement, tol: float = DEFAULT_TOL) -> CertReport:
     """Certificate for the symmetric-pair commutation criterion.
 
-    CERTIFIED requires a symmetric pair, A in p, and sigma_min > tol.  A near
-    kernel vector (sigma_min < tol/10) refutes the hypothesis with a witness,
-    once |[X, A]| of the witness is below tol/10 on the element path too.
-    The rank-one property of (G, H) comes from catalog metadata, not from a
-    computation; reports carry a note saying so.
+    On a pair that is not symmetric, or with A not in p, it is INCONCLUSIVE
+    with no SVD (`_unmet_preconditions`).  sigma_min > tol certifies; a near
+    kernel vector (sigma_min < tol/10) refutes with a witness, once |[X, A]|
+    of the witness is below tol/10 on the element path too.  The rank-one
+    property of (G, H) comes from catalog metadata; reports say so.
     """
-    notes = ["rank-one property taken from catalog metadata, not verified"]
-    symmetric = is_symmetric_pair(triple, tol=1e-8)
-    a_not_in_p = _a_not_in_p(triple, a, tol)
-    if not symmetric:
-        notes.append("precondition failed: (g, h) is not a symmetric pair")
-    notes.extend(a_not_in_p)
+    if unmet := _unmet_preconditions(triple, Method.PART3, a, tol):
+        return unmet[0]
+    notes = [_RANK_ONE_NOTE]
     if triple.m_basis.dim == 0:
         notes.append("dim m = 0: condition holds vacuously")
         sigma_min = float("inf")
@@ -217,16 +233,12 @@ def certify_part3(triple: Triple, a: AlgElement, tol: float = DEFAULT_TOL) -> Ce
         u, s, _ = np.linalg.svd(triple.m_basis.brackets_with(a, triple.g_basis),
                                 full_matrices=False)
         sigma_min = float(s[-1])
-    if not symmetric or a_not_in_p:
-        verdict = Verdict.INCONCLUSIVE
-        witness = None
-    elif sigma_min > tol:
+    verdict, witness = Verdict.INCONCLUSIVE, None
+    if sigma_min > tol:
         verdict = Verdict.CERTIFIED
-        witness = None
     elif sigma_min < tol / 10.0:
         x = from_flat(triple.field, triple.n, u[:, -1] @ triple.m_basis.mat)
         if unconfirmed := _unconfirmed(sigma_min, bracket(x, a).norm(), tol / 10.0):
-            verdict, witness = Verdict.INCONCLUSIVE, None
             notes.extend(unconfirmed)
         else:
             witness = FlatPairWitness(
@@ -236,9 +248,6 @@ def certify_part3(triple: Triple, a: AlgElement, tol: float = DEFAULT_TOL) -> Ce
             )
             verdict = Verdict.REFUTED
             notes.append("near-kernel vector of X -> [X, A] attached as witness")
-    else:
-        verdict = Verdict.INCONCLUSIVE
-        witness = None
     return CertReport(
         triple.label, Method.PART3, verdict, sigma_min, tol, witness=witness, notes=tuple(notes)
     )
@@ -542,7 +551,6 @@ _SEARCH_NOTES = {
 def _flat_plane_search(
     triple: Triple, method: Method, z_dom: Subspace, terms, second: Optional[np.ndarray],
     element, budget: StartBudget, tol: float, refute_tol: float, s: Optional[float] = None,
-    probe: bool = True,
 ) -> CertReport:
     """The one search of fatness, part2 and the point scans.
 
@@ -563,9 +571,8 @@ def _flat_plane_search(
     ran (its starts field stays the budget).  Any other probe verdict,
     including an unconfirmed refutation, is discarded and all starts
     descend, so every CERTIFIED and INCONCLUSIVE report is the one the full
-    search gives.  A caller whose precondition failed passes probe False:
-    it reports INCONCLUSIVE whatever the search finds, with the full
-    search's score.
+    search gives.  Callers check their preconditions before they build
+    terms (`_unmet_preconditions`); a search always reads its own verdict.
     """
     vacuous, refuted = _SEARCH_NOTES[method]
     if terms is None:
@@ -603,7 +610,7 @@ def _flat_plane_search(
             notes=notes + (_convergence_note(status, vals < target, budget.starts),),
         )
 
-    if probe and budget.starts > _PROBE_STARTS:
+    if budget.starts > _PROBE_STARTS:
         k = _PROBE_STARTS
         report = read(*_descend(t, gmat, z0[:k], w0[:k], budget.max_iters, target, probe=True))
         if report.verdict is Verdict.REFUTED:
@@ -640,29 +647,26 @@ def certify_part2(
     to k, W in p: a common zero is a commuting pair on which the criterion
     fails.  The verdict rule is fatness's with the fixed refutation
     threshold DEFAULT_REFUTE_TOL, so the score is the joint minimum, above
-    tol for a heuristic CERTIFIED.  Like part3, any verdict is INCONCLUSIVE
-    unless A lies in p.
+    tol for a heuristic CERTIFIED.  Like part3, a run with A not in p is
+    INCONCLUSIVE, with a NaN score and no search (`_unmet_preconditions`).
     """
+    if unmet := _unmet_preconditions(triple, Method.PART2, a, tol, budget):
+        return unmet[0]
     z_dom = triple.gk_basis()
     terms = _search_terms(triple, z_dom, budget)
-    derivative = _derivative_tensor(triple, a, terms)
-    failed = _a_not_in_p(triple, a, tol)
 
     def element(z: AlgElement, w: AlgElement) -> float:
         return _commutator_residual(z, w) + _derivative_objective(triple, a, z, w)
 
-    report = _flat_plane_search(triple, Method.PART2, z_dom, terms, derivative, element,
-                                budget, tol, DEFAULT_REFUTE_TOL, probe=not failed)
-    if failed:
-        report = replace(report, verdict=Verdict.INCONCLUSIVE, witness=None, notes=failed)
-    return report
+    return _flat_plane_search(triple, Method.PART2, z_dom, terms,
+                              _derivative_tensor(triple, a, terms), element, budget, tol,
+                              DEFAULT_REFUTE_TOL)
 
 
 def _derivative_tensor(triple: Triple, a: AlgElement, terms) -> Optional[np.ndarray]:
     """The pair tensor [z_i^h, [A, w_k]^h] along h for the domains of terms; None when terms is."""
     if terms is None:
         return None
-    require_same(triple, a)
     z_comps, w_comps = terms[:2]
     h = triple.h_basis
     aw_h = pair_bracket_coords(triple.field, a.comp[None], w_comps, h.mat)[0] @ h.mat
@@ -733,6 +737,7 @@ def point_positivity(
     Minimizes |[Z, W]|^2 + |[(Ad_g Z)^h, (Ad_g W)^h]|^2 over admissible
     orthonormal pairs; for symmetric pairs the Z-domain shrinks to m.
     """
+    require_same(triple, g)
     z_dom = _scan_z_domain(triple)
     return _point_search(triple, z_dom, _search_terms(triple, z_dom, budget), g,
                          budget, tol, refute_tol, s)
@@ -740,18 +745,17 @@ def point_positivity(
 
 def _point_search(triple: Triple, z_dom: Subspace, terms, g: GroupElement,
                   budget: StartBudget, tol: float, refute_tol: float,
-                  s: Optional[float], probe: bool = True) -> CertReport:
+                  s: Optional[float]) -> CertReport:
     """The flat-plane search at the point reached by g, with its horizontal tensor along h."""
     horizontal = None
     if terms is not None:
-        require_same(triple, g)
         horizontal = pair_bracket_coords(triple.field, *(
             project_comps(triple, comp_adjoint(g.comp, c), Part.H) for c in terms[:2]),
             triple.h_basis.mat)
     return _flat_plane_search(
         triple, Method.POINT_SCAN, z_dom, terms, horizontal,
         lambda z, w: sum(horizontal_flat_residual(triple, g, z, w)),
-        budget, tol, refute_tol, s, probe)
+        budget, tol, refute_tol, s)
 
 
 def _scan_z_domain(triple: Triple) -> Subspace:
@@ -768,20 +772,14 @@ def scan_along_A(
 
     The reports equal point_positivity's at each point; the Z-domain and
     the parts of the search that do not depend on s are built once.  Like
-    part2 and part3, every point is INCONCLUSIVE unless A lies in p, except
-    on an empty search domain, which has no plane at any point.
+    part2 and part3, a scan with A not in p, an empty search domain
+    included, gives every point INCONCLUSIVE with a NaN score and runs no
+    search (`_unmet_preconditions`).
     """
+    points = [float(s) for s in s_values]
+    if unmet := _unmet_preconditions(triple, Method.POINT_SCAN, a, tol, budget, points):
+        return unmet
     z_dom = _scan_z_domain(triple)
     terms = _search_terms(triple, z_dom, budget)
-    if terms is not None:
-        require_same(triple, a)
-    failed = _a_not_in_p(triple, a, tol)
-    reports = [
-        _point_search(triple, z_dom, terms, group_exp(a, -float(s)), budget, tol, refute_tol,
-                      float(s), not failed)
-        for s in s_values
-    ]
-    if terms is None or not failed:
-        return reports
-    return [replace(rep, verdict=Verdict.INCONCLUSIVE, witness=None, notes=failed)
-            for rep in reports]
+    return [_point_search(triple, z_dom, terms, group_exp(a, -s), budget, tol, refute_tol, s)
+            for s in points]

@@ -97,26 +97,25 @@ def _coerce(key: str, value: str):
     return value
 
 
-def _build_config(args) -> RunConfig:
-    settings = {}  # keys left unset take RunConfig's defaults
-    if getattr(args, "config", None):
+def _settings(args) -> tuple[dict, dict]:
+    """RunConfig's arguments, flags over config keys, and how each setting was given.
+
+    A source is a flag ('--starts', '--A') or a config key ('config key starts').
+    """
+    settings, given = {}, {}
+    if args.config:
         for key, value in _parse_config_file(args.config).items():
             if key not in RunConfig.__dataclass_fields__:
                 raise ValueError(f"unknown config key: {key}")
-            settings[key] = _coerce(key, value)
-    overrides = {
-        "seed": args.seed,
-        "starts": args.starts,
-        "tol": args.tol,
-        "refute_tol": args.refute_tol,
-        "s_values": getattr(args, "s_values", None),
-        "output_path": getattr(args, "out", None),
-        "format": getattr(args, "format", None),
-    }
-    for key, value in overrides.items():
+            settings[key], given[key] = _coerce(key, value), f"config key {key}"
+    flags = {key: getattr(args, key, None) for key in RunConfig.__dataclass_fields__}
+    flags["output_path"] = args.out
+    for key, value in flags.items():
         if value is not None:
-            settings[key] = value
-    return RunConfig(**settings)
+            settings[key], given[key] = value, "--" + key.replace("_", "-")
+    if args.A is not None:
+        given["A"] = "--A"
+    return settings, given
 
 
 def _add_triple(parser: argparse.ArgumentParser) -> None:
@@ -149,9 +148,12 @@ def _resolve(args) -> tuple[Triple, object]:
     """Returns (triple, base_point_A or None) from --entry or --file."""
     if bool(args.entry) == bool(args.file):
         raise ValueError("exactly one of --entry or --file is required")
+    params = {"n": args.n, "k": args.k, "l": args.l, "field": args.field}
     if args.entry:
-        entry = build_entry(args.entry, n=args.n, k=args.k, l=args.l, field=args.field)
+        entry = build_entry(args.entry, **params)
         return entry.triple, entry.base_point_A
+    if given := [name for name, value in params.items() if value is not None]:
+        raise ValueError(f"--{given[0]} does not apply to --file")
     triple = load_triple(args.file)
     return triple, triple.base_point
 
@@ -193,38 +195,47 @@ def cmd_list(args) -> int:
     return 0
 
 
-#: run flags that a check method accepts through the shared parser but never reads
-_UNUSED_FLAGS = {"part2": ("refute_tol",), "part3": ("refute_tol", "seed", "starts")}
+#: run settings that a check method never reads, refused as flags and as config keys
+_UNUSED = {"fat": ("A",), "part2": ("refute_tol",), "part3": ("refute_tol", "seed", "starts")}
+
+
+def _setup(args) -> tuple[RunConfig, Triple, object, StartBudget]:
+    """The settings, triple, base point A and budget of a check or scan, or its input error.
+
+    A setting that the run does not read, as a flag or a config key, is an
+    error, raised before the triple is built, as is a missing A after it.
+    """
+    run = "scan" if args.command == "scan" else f"check --method {args.method}"
+    settings, given = _settings(args)
+    unused = _UNUSED.get(getattr(args, "method", None), ())
+    if clash := [key for key in unused if key in given]:
+        raise ValueError(f"{given[clash[0]]} does not apply to {run}")
+    config = RunConfig(**settings)
+    if args.command == "scan":
+        if not config.s_values:
+            raise ValueError("scan requires a nonempty --s-values list")
+    elif config.format != "json":
+        raise ValueError(f"config key format {config.format!r} does not apply to check (JSON only)")
+    elif config.s_values:
+        raise ValueError("config key s_values does not apply to check (scan only)")
+    triple, a = _resolve(args)
+    if args.A is not None:
+        a = _parse_inline_a(args.A, triple)
+    if a is None and "A" not in unused:
+        raise ValueError(f"{run} requires a base point A (--A or entry default)")
+    return config, triple, a, StartBudget(starts=config.starts, seed=config.seed)
 
 
 def cmd_check(args) -> int:
-    for key in _UNUSED_FLAGS.get(args.method, ()):
-        if getattr(args, key) is not None:
-            flag = "--" + key.replace("_", "-")
-            raise ValueError(f"{flag} does not apply to check --method {args.method}")
-    config = _build_config(args)
-    if config.format != "json":
-        raise ValueError(f"check writes JSON only, not format {config.format!r}")
-    if config.s_values:
-        raise ValueError("s_values applies to scan only")
-    triple, a = _resolve(args)
-    if args.A:
-        a = _parse_inline_a(args.A, triple)
-    budget = StartBudget(starts=config.starts, seed=config.seed)
+    config, triple, a, budget = _setup(args)
     started = time.monotonic()
     if args.method == "part3":
-        if a is None:
-            raise ValueError("part3 requires a base point A (--A or entry default)")
         report = certify_part3(triple, a, tol=config.tol)
     elif args.method == "part2":
-        if a is None:
-            raise ValueError("part2 requires a base point A (--A or entry default)")
         report = certify_part2(triple, a, budget=budget, tol=config.tol)
-    elif args.method == "fat":
+    else:
         report = check_fatness(triple, budget=budget, tol=config.tol,
                                refute_tol=config.refute_tol)
-    else:
-        raise ValueError(f"unknown method: {args.method}")
     wall_ms = int((time.monotonic() - started) * 1000) if args.timing else None
     doc = _report_doc(report, config, wall_ms)
     _emit(json.dumps(doc, indent=2, allow_nan=False), config.output_path)
@@ -232,15 +243,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    config = _build_config(args)
-    if not config.s_values:
-        raise ValueError("scan requires a nonempty --s-values list")
-    triple, a = _resolve(args)
-    if args.A:
-        a = _parse_inline_a(args.A, triple)
-    if a is None:
-        raise ValueError("scan requires a base point A (--A or entry default)")
-    budget = StartBudget(starts=config.starts, seed=config.seed)
+    config, triple, a, budget = _setup(args)
     started = time.monotonic()
     reports = scan_along_A(triple, a, config.s_values, budget=budget,
                            tol=config.tol, refute_tol=config.refute_tol)

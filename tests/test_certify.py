@@ -481,7 +481,7 @@ class TestEmptyDomains:
         assert report.notes == ("degenerate triple (empty search domain): vacuously fat",)
 
     def test_point_search_and_scan_are_vacuously_positive(self):
-        triple, a = h_equals_g(), t1_sphere(3).base_point_A
+        triple, a = h_equals_g(), zero(FieldTag.REAL, 4)  # 0 is the one A in p = 0
         budget = StartBudget(starts=4, seed=0)
         point = point_positivity(triple, group_exp(a, -0.3), budget, s=0.3)
         scan = scan_along_A(triple, a, [0.0, 0.3], budget)
@@ -501,7 +501,7 @@ class TestEmptyDomains:
         assert report.verdict is Verdict.CERTIFIED and report.score == math.inf
         assert report.notes == ("degenerate triple (empty search domain): vacuous",)
         report = certify_part2(triple, a, budget)  # p = 0 cannot hold A
-        assert report.verdict is Verdict.INCONCLUSIVE and report.score == math.inf
+        assert report.verdict is Verdict.INCONCLUSIVE and math.isnan(report.score)
         assert report.notes == ("precondition failed: A does not lie in p",)
 
 
@@ -873,20 +873,26 @@ class TestProbe:
         assert rows == [4, 64]
         assert report["notes"][-1].startswith("64 of 64 starts converged")
 
-    def test_failed_precondition_takes_no_probe(self, t1s3, monkeypatch):
-        # A in h: part2 and the scan refute, and their reports say INCONCLUSIVE
-        # with the full search's score
+    def test_failed_precondition_runs_no_search(self, t1s3, monkeypatch):
+        # A in h: part2, part3 and the scan are INCONCLUSIVE before any search
+        # or SVD, with a NaN score (null in JSON)
         a_in_h = (1.0 / SQ2) * sp1_pair(np.array([1.0, 0.0, 0.0]), 1.0)
-        probes = []
-        real = certify._descend
-        monkeypatch.setattr(certify, "_descend",
-                            lambda *a, probe=False: probes.append(probe) or real(*a, probe=probe))
-        reports = [certify_part2(t1s3.triple, a_in_h, StartBudget(starts=64, seed=0)),
-                   *scan_along_A(t1s3.triple, a_in_h, [0.0, 0.1], StartBudget(starts=16, seed=0))]
-        assert probes == [False] * 3
-        assert [r.verdict for r in reports] == [Verdict.INCONCLUSIVE] * 3
-        assert reports[0].score < certify.DEFAULT_REFUTE_TOL
-        assert all(r.notes == ("precondition failed: A does not lie in p",) for r in reports)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran a search or an SVD")
+
+        monkeypatch.setattr(certify, "_descend", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        budget = StartBudget(starts=64, seed=3)
+        reports = [certify_part2(t1s3.triple, a_in_h, budget), certify_part3(t1s3.triple, a_in_h),
+                   *scan_along_A(t1s3.triple, a_in_h, [0.0, 0.1], budget)]
+        assert [r.verdict for r in reports] == [Verdict.INCONCLUSIVE] * 4
+        assert all(math.isnan(r.score) and r.witness is None for r in reports)
+        assert [r.notes[-1] for r in reports] == ["precondition failed: A does not lie in p"] * 4
+        assert reports[1].notes[0].startswith("rank-one property")
+        assert [(r.starts, r.seed, r.s) for r in reports] == [
+            (64, 3, None), (0, 0, None), (64, 3, 0.0), (64, 3, 0.1)]
+        assert all(json.loads(report_to_json(r))["score"] is None for r in reports)
 
     def test_costs_a_certified_search_at_most_two_solves(self, monkeypatch):
         e = m_kl(2, 1, 1)

@@ -309,11 +309,43 @@ class TestPreconditions:
         ("part3", ["--refute-tol", "1e-12"]),
         ("part3", ["--seed", "0"]),
         ("part3", ["--starts", "64"]),
+        # the entry's own A: fat reads no base point, so the report would not change
+        ("fat", ["--A", json.dumps([0.0, 1 / SQ2, 0.0, 0.0] + [0.0] * 8 + [0.0, -1 / SQ2, 0, 0])]),
     ])
     def test_check_rejects_flags_its_method_ignores(self, capsys, method, flag):
         code, out, err = run(capsys, "check", "--entry", "t1s3_product", "--method", method, *flag)
         assert code == 3 and out == ""
         assert f"{flag[0]} does not apply to check --method {method}" in err
+
+    @pytest.mark.parametrize("method,line", [("part2", "refute_tol = 1e-7"),
+                                             ("part3", "seed = 5"), ("part3", "starts = 3")])
+    def test_check_rejects_config_keys_its_method_ignores(self, capsys, tmp_path, method, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "check", "--entry", "t1s3_product", "--method", method,
+                             "--config", str(cfg))
+        assert code == 3 and out == ""
+        key = line.split(" =")[0]
+        assert f"config key {key} does not apply to check --method {method}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--entry", "t1s3_product", "--n", "7", "--k", "3", "--l", "2", "--field", "C"],
+        ["--entry", "t1_sphere", "--n", "3", "--field", "H"],
+        ["--entry", "m_kl", "--n", "2", "--k", "1", "--l", "1", "--field", "C"],
+    ])
+    def test_entry_parameters_the_entry_does_not_read_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, "export", *argv)
+        assert code == 3 and out == ""
+        assert f"does not apply to --entry {argv[1]}" in err
+
+    @pytest.mark.parametrize("param", [["--n", "3"], ["--k", "1"], ["--l", "1"], ["--field", "C"]])
+    def test_file_takes_no_entry_parameters(self, capsys, tmp_path, param):
+        path = str(tmp_path / "t1s3.json")
+        assert run(capsys, "export", "--entry", "t1s3_product", "--out", path)[0] == 0
+        for argv in (["export"], ["check", "--method", "part3"]):
+            code, out, err = run(capsys, *argv, "--file", path, *param)
+            assert code == 3 and out == ""
+            assert f"{param[0]} does not apply to --file" in err
 
 
 def strict_json(text):
@@ -370,7 +402,8 @@ class TestDegenerateReports:
         ("p0", ["check", "--method", "fat", "--starts", "4"], 0),
         # vacuous, but A in h is not in p = 0
         ("p0", ["check", "--method", "part2", "--starts", "4"], 2),
-        ("p0", ["scan", "--s-values", "0,0.2", "--starts", "4"], 0),
+        # A is not in p = 0 either: no search, every point INCONCLUSIVE
+        ("p0", ["scan", "--s-values", "0,0.2", "--starts", "4"], 2),
         ("m0", ["check", "--method", "part3"], 0),
     ])
     def test_infinite_score_is_written_as_null(self, capsys, files, name, argv, code):
@@ -380,6 +413,19 @@ class TestDegenerateReports:
         for doc in docs if isinstance(docs, list) else [docs]:
             assert doc["schema"] == "curvcert-report/2"
             assert doc["score"] is None
+
+    @pytest.mark.parametrize("argv", [["check", "--method", "part2", "--starts", "4"],
+                                      ["check", "--method", "part3"],
+                                      ["scan", "--s-values", "0,0.2", "--starts", "4"]])
+    def test_a_outside_p0_is_inconclusive_for_every_method(self, capsys, files, argv):
+        # t1_sphere(3)'s A lies in h = g: part2 and part3 said so, while the scan
+        # read its empty search domain as vacuously positive, exit 0
+        code, out, _ = run(capsys, *argv, "--file", files["p0"])
+        assert code == 2
+        docs = strict_json(out)
+        for doc in docs if isinstance(docs, list) else [docs]:
+            assert doc["verdict"] == "INCONCLUSIVE" and doc["witness"] is None
+            assert doc["notes"][-1] == "precondition failed: A does not lie in p"
 
     def test_library_report_is_strict_json(self, files):
         report = check_fatness(load_triple(files["p0"]), StartBudget(starts=4))
@@ -464,6 +510,103 @@ class TestFlagSets:
         code, out, _ = run(capsys, *argv, "--entry", "t1s3_product", "--starts", "4",
                            "--config", str(cfg))
         assert code == 3 and out == ""
+
+
+def _content(out: str):
+    """A run's output without its config block: the JSON report(s), or the text of a CSV scan."""
+    try:
+        docs = json.loads(out)
+    except json.JSONDecodeError:
+        return out
+    return [{k: v for k, v in doc.items() if k != "config"}
+            for doc in (docs if isinstance(docs, list) else [docs])]
+
+
+def _options(command: str) -> set:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices[command]._actions for opt in action.option_strings}
+
+
+# sp_example(2)'s A scaled by sqrt(2): in p, but not the entry's A
+_OTHER_A = json.dumps([0.0] * 4 + [1.0] + [0.0] * 7 + [-1.0] + [0.0] * 23)
+_SETTINGS = {  # a value other than the default run's, as a flag and as a config line
+    "seed": (["--seed", "5"], "seed = 5"),
+    "starts": (["--starts", "3"], "starts = 3"),
+    "tol": (["--tol", "1e-5"], "tol = 1e-5"),
+    "refute_tol": (["--refute-tol", "1e-20"], "refute_tol = 1e-20"),
+    "s_values": (["--s-values", "0,0.3"], "s_values = 0, 0.3"),
+    "format": (["--format", "csv"], "format = csv"),
+    "A": (["--A", _OTHER_A], None),
+}
+_RUNS = {  # each run with the config lines of its default run
+    "fat": (["check", "--method", "fat"], {"starts": "starts = 4"}),
+    "part2": (["check", "--method", "part2"], {"starts": "starts = 4"}),
+    "part3": (["check", "--method", "part3"], {}),
+    "scan": (["scan"], {"starts": "starts = 4", "s_values": "s_values = 0, 0.1"}),
+}
+# every setting each run can be given: as a flag where its command has one
+_CASES = [(method, setting, source) for method, (argv, _) in sorted(_RUNS.items())
+          for setting, (flag, line) in sorted(_SETTINGS.items())
+          for source, given in (("flag", flag[0] in _options(argv[0])),
+                                ("config key", line is not None)) if given]
+
+
+class TestInputContract:
+    """Every input a run is given acts on its output, or the run refuses it.
+
+    A run setting, as a flag and as a config key, must change the report
+    (its config block aside) from the default run's, or end in exit 3 with
+    "does not apply"; so must an entry parameter on export.
+    """
+
+    @pytest.mark.parametrize("method,setting,source", _CASES)
+    def test_run_settings_act_or_are_refused(self, capsys, tmp_path, method, setting, source):
+        flag, line = _SETTINGS[setting]
+        argv, base = _RUNS[method]
+        cfg = tmp_path / "run.cfg"
+
+        def output(lines, extra=()):
+            cfg.write_text("".join(f"{x}\n" for x in lines.values()))
+            return run(capsys, *argv, "--entry", "sp_example", "--n", "2", "--config", str(cfg),
+                       *extra)
+
+        code, default, _ = output(base)
+        assert code != 3
+        if source == "flag":
+            code, out, err = output(base, flag)
+        else:
+            code, out, err = output({**base, setting: line})
+        if code == 3:
+            assert out == "" and "does not apply" in err
+        else:
+            assert _content(out) != _content(default)
+
+    ENTRIES = {  # each entry with the parameters of its default export
+        "t1s3_product": {},
+        "t1_sphere": {"n": "3"},
+        "t1_projective": {"n": "2", "field": "C"},
+        "pt_projective": {"n": "2", "field": "R"},
+        "m_kl": {"n": "2", "k": "1", "l": "1"},
+        "sp_example": {"n": "2"},
+    }
+    OTHER = {"n": "4", "k": "2", "l": "-1", "field": "H"}  # none is an entry's own value
+
+    @pytest.mark.parametrize("param", sorted(OTHER))
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_entry_parameters_act_or_are_refused(self, capsys, entry, param):
+        params = self.ENTRIES[entry]
+
+        def export(given):
+            return run(capsys, "export", "--entry", entry,
+                       *[x for name, value in given.items() for x in (f"--{name}", value)])
+
+        code, default, _ = export(params)
+        assert code == 0
+        code, out, err = export({**params, param: self.OTHER[param]})
+        if code == 3:
+            assert out == "" and f"--{param} does not apply to --entry {entry}" in err
+        else:
+            assert code == 0 and out != default
 
 
 class TestRepeatedMain:
