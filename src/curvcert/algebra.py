@@ -224,15 +224,20 @@ class GroupElement:
         comp = _freeze(self.comp)
         if comp.shape != (self.n, self.n, 4):
             raise InvalidElement(f"expected shape {(self.n, self.n, 4)}, got {comp.shape}")
-        _check_components(self.field, comp)
-        resid = qmul(comp, conj_transpose(comp)) - _identity_comp(self.n)
-        if np.abs(resid).max() > _UNITARY_TOL:
-            raise InvalidElement("matrix is not unitary to 1e-10")
+        check_unitary(self.field, comp)
         object.__setattr__(self, "comp", comp)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         require_same(self, other)
         return GroupElement(self.field, self.n, qmul(self.comp, other.comp))
+
+
+def check_unitary(field: FieldTag, comp: np.ndarray) -> None:
+    """Raise InvalidElement unless every matrix of the stack (..., n, n, 4) is unitary to 1e-10."""
+    _check_components(field, comp)
+    resid = qmul(comp, conj_transpose(comp)) - _identity_comp(comp.shape[-2])
+    if np.abs(resid).max(initial=0.0) > _UNITARY_TOL:
+        raise InvalidElement("matrix is not unitary to 1e-10")
 
 
 def require_same(a, b) -> None:
@@ -274,25 +279,37 @@ def inner(x: AlgElement, y: AlgElement) -> float:
 
 
 def group_exp(x: AlgElement, s: float = 1.0) -> GroupElement:
-    """exp(s*X) by scaling-and-squaring with a truncated Taylor series.
+    """exp(s*X); see `group_exps`."""
+    return GroupElement(x.field, x.n, group_exps(x, [s])[0])
 
-    Terms are added until their norm falls below 1e-16, well past the 1e-12
-    accuracy target for the matrix sizes used here.
+
+def group_exps(x: AlgElement, s_values) -> np.ndarray:
+    """exp(s*X) for each s, a stack (P, n, n, 4), by scaling-and-squaring with a truncated Taylor series.
+
+    Each s takes its own number of squarings and adds terms until its own
+    term's norm falls below 1e-16, well past the 1e-12 accuracy target for
+    the matrix sizes used here.  The series of all s run as one stack, and
+    every product acts on each matrix alone, so each has the bits of a stack
+    of one.  Raises InvalidElement unless every matrix is unitary.
     """
-    m = float(s) * x.comp
-    nrm = comp_norm(m)
-    squarings = max(0, int(math.ceil(math.log2(nrm / 0.25))) if nrm > 0.25 else 0)
-    m = m / (2.0**squarings)
-    result = _identity_comp(x.n)
-    term = _identity_comp(x.n)
+    m = np.asarray(s_values, dtype=np.float64)[:, None, None, None] * x.comp
+    squarings = np.array([math.ceil(math.log2(nrm / 0.25)) if nrm > 0.25 else 0
+                          for nrm in comp_norm(m)], dtype=int)
+    m = m / (2.0**squarings)[:, None, None, None]
+    result = np.broadcast_to(_identity_comp(x.n), m.shape).copy()
+    term, act = result.copy(), np.arange(len(m))
     for j in range(1, 40):
-        term = qmul(term, m) / j
-        result = result + term
-        if comp_norm(term) < 1e-16:
+        if not act.size:
             break
-    for _ in range(squarings):
-        result = qmul(result, result)
-    return GroupElement(x.field, x.n, result)
+        term = qmul(term, m[act]) / j
+        result[act] += term
+        going = comp_norm(term) >= 1e-16
+        act, term = act[going], term[going]
+    for k in range(squarings.max(initial=0)):
+        sq = np.flatnonzero(squarings > k)
+        result[sq] = qmul(result[sq], result[sq])
+    check_unitary(x.field, result)
+    return result
 
 
 def adjoint(g: GroupElement, x: AlgElement) -> AlgElement:

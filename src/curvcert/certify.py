@@ -16,13 +16,17 @@ non-isolated minima.  A start stops as soon as it is a witness: its value
 is at the rounding floor or below the search's target, half the refutation
 threshold, so a REFUTED score is the first such value, not a polished
 minimum.  All starts of a search descend in lockstep, with batched
-eigensolves and linear solves; the procedure is deterministic.
+eigensolves and linear solves; so do all points of a scan, which is one
+search whose rows each know their point: only the products with a point's
+own pair tensor run per point, on exactly that point's rows, so every scan
+report is byte for byte the one its point search gives alone.  The
+procedure is deterministic.
 
 Flat planes exist at the identity of the quasi-positive examples, so
 fatness and the scan points at s = 0 refute, and one confirmed witness is
 enough: a search of more than _PROBE_STARTS starts first descends that many
-as a probe, and every start only when the probe does not refute (see
-`_flat_plane_search`).
+at every point as a probe, and every start only at the points where the
+probe does not refute (see `_flat_plane_search`).
 
 part3 and the searches read brackets as coordinates along g or h
 (`algebra.pair_bracket_coords`).  These never exceed the bracket, so
@@ -37,7 +41,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +52,7 @@ from .algebra import (
     comp_adjoint,
     from_flat,
     group_exp,
+    group_exps,
     pair_bracket_coords,
     require_same,
     row_dots,
@@ -256,12 +261,36 @@ def certify_part3(triple: Triple, a: AlgElement, tol: float = DEFAULT_TOL) -> Ce
 # --- bilinear multi-start searches --------------------------------------------
 
 
-def _pair_values(t: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """|T(z_s, w_s)|^2 for each row pair of z (S, dz) and w (S, dw)."""
-    dz, dw, d = t.shape
-    a = (z @ t.reshape(dz, dw * d)).reshape(len(z), dw, d)
+def _pair_values(t: np.ndarray, z: np.ndarray, w: np.ndarray, runs) -> np.ndarray:
+    """|T_p(z_s, w_s)|^2 for each row pair of z (S, dz) and w (S, dw), T_p = t[p] of a stack (P, dz, dw, d) for the rows of p in runs."""
+    p, dz, dw, d = t.shape
+    a = _by_point(z, runs, t.reshape(p, dz, dw * d)).reshape(len(z), dw, d)
     v = np.einsum("sk,skd->sd", w, a)
     return np.sum(v * v, axis=1)
+
+
+def _runs(point: np.ndarray) -> list[tuple[int, int, int]]:
+    """(p, i, j) for each point p of a non-decreasing array of the rows' points, with rows i:j."""
+    if len(point) and point[0] == point[-1]:  # one point, as in every fat and part2 search
+        return [(int(point[0]), 0, len(point))]
+    cuts = [0, *(np.flatnonzero(point[1:] != point[:-1]) + 1).tolist(), len(point)]
+    return [(int(point[i]), i, j) for i, j in zip(cuts, cuts[1:]) if j > i]
+
+
+def _by_point(x: np.ndarray, runs, mats: np.ndarray) -> np.ndarray:
+    """x_s @ mats[p] for each row s of x (S, k) in the rows of point p, or x_s @ mats for one matrix (k, m).
+
+    Each point's rows make one product of exactly those rows: the bits of a
+    row of a matrix product depend on how many rows share the product and
+    where the row sits, so each point's rows keep the bits of a search at
+    that point alone.
+    """
+    if len(runs) == 1:
+        return x @ (mats if mats.ndim == 2 else mats[runs[0][0]])
+    out = np.empty((len(x), mats.shape[-1]))
+    for p, i, j in runs:
+        np.matmul(x[i:j], mats if mats.ndim == 2 else mats[p], out=out[i:j])
+    return out
 
 
 def _min_eig_vectors(q: np.ndarray, u: Optional[np.ndarray]):
@@ -304,122 +333,149 @@ def _gram(a: np.ndarray) -> np.ndarray:
 
 
 def _descend(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, max_iters: int,
-             target: float, probe: bool = False):
-    """Minimize |T(z, w)|^2 over unit z, w with z^T gmat w = 0, from every start, until a witness.
+             target: float, probe: bool = False) -> list[tuple]:
+    """Minimize |T_p(z, w)|^2 over unit z, w with z^T gmat w = 0, at each point p, from every start, until a witness.
 
-    z0 (S, dz) and w0 (S, dw) hold one start per row.  Each start takes
-    _ALS_SWEEPS exact smallest-eigenvector sweeps (z orthogonal to gmat w,
-    then w orthogonal to gmat^T z) and then Levenberg-Marquardt steps until
-    one of the stop rules of `_levenberg_marquardt` holds or max_iters steps
-    were tried.  A start stops early, in either phase, once it is a witness:
-    its value is at the rounding floor (16 eps)^2 |T|^2 of the residual, or
-    below target.  Steps only lower a value, so a verdict read as min <
-    2 target cannot change by going on.  The starts run in lockstep, in
-    blocks sized by _BLOCK_FLOATS.  Returns the final values (S,), the rows
+    t (P, dz, dw, d) holds one pair tensor per point, and z0 (S, dz) and w0
+    (S, dw) one start per row; every start descends at every point.  Each
+    start takes _ALS_SWEEPS exact smallest-eigenvector sweeps (z orthogonal
+    to gmat w, then w orthogonal to gmat^T z) and then Levenberg-Marquardt
+    steps until one of the stop rules of `_levenberg_marquardt` holds or
+    max_iters steps were tried.  A start stops early, in either phase, once
+    it is a witness: its value is at the rounding floor (16 eps)^2 |T_p|^2
+    of its point's residual, or below target.  Steps only lower a value, so
+    a verdict read as min < 2 target cannot change by going on.
+
+    All starts at all points run in lockstep.  A point's starts are cut into
+    blocks sized by _BLOCK_FLOATS, and the blocks at one position descend
+    together, as many points' as fit in one block's rows (at least one).
+    Each row knows its point: the products with T_p (and with gmat) run per
+    point, on exactly that point's rows of the block, and everything else
+    runs once on all rows, so each point gets the bits of a search at that
+    point alone.  Returns, for each point, the final values (S,), the rows
     of z and w that reached them, and each start's status (S,): CONVERGED,
     CAPPED (hit max_iters), NO_COMPLEMENT (a sweep found an empty
     orthogonal complement; the start is returned as the last full sweep
     left it) or STOPPED (cut short by a probe).
 
-    A probe (`_flat_plane_search`) adds one stop rule: a block ends, every
-    start in it, at its first witness or after the first Levenberg-Marquardt
-    step that does not halve the block's best value, and the starts it cuts
-    short are STOPPED.  A probe returns only the blocks up to the first that
-    ended so, or that holds a witness; without probe nothing changes.
+    A probe (`_flat_plane_search`) adds one stop rule, per point: a point's
+    block ends, every start in it, at its first witness or after the first
+    Levenberg-Marquardt step that does not halve the block's best value,
+    and the starts it cuts short are STOPPED.  A probe returns, for each
+    point, only the blocks up to the first that ended so, or that holds a
+    witness; without probe nothing changes.
     """
-    dz, dw, d = t.shape
-    n = dz + dw
-    size = max(1, _BLOCK_FLOATS // (d * n))  # floats of one start's Jacobian
-    floor = (16 * np.finfo(float).eps) ** 2 * np.sum(t * t)
+    points, dz, dw, d = t.shape
+    size = max(1, _BLOCK_FLOATS // (d * (dz + dw)))  # floats of one start's Jacobian
+    floor = (16 * np.finfo(float).eps) ** 2 * np.sum(t * t, axis=(1, 2, 3))
+    # a value is a witness when at the floor or below target: below one limit
+    limit = np.maximum(np.nextafter(floor, np.inf), target)
+    blocks = [[] for _ in range(points)]
+    going = list(range(points))
+    for lo in range(0, len(z0), size):
+        k = min(size, len(z0) - lo)
+        per = max(1, size // k)
+        for pts in [going[i:i + per] for i in range(0, len(going), per)]:
+            point = np.repeat(np.arange(len(pts)), k)  # each row's point in the block
+            lim = limit[pts][point]
+            tb = t if len(pts) == points else t[pts]
+            z, w, alive = _sweeps(tb, gmat, np.concatenate([z0[lo:lo + k]] * len(pts)),
+                                  np.concatenate([w0[lo:lo + k]] * len(pts)), point, lim, probe)
+            out = _levenberg_marquardt(tb, gmat, z, w, point, lim, alive, max_iters, probe)
+            for j, p in enumerate(pts):
+                vals, _, _, status = block = tuple(x[j * k:(j + 1) * k] for x in out)
+                blocks[p].append(block)
+                if probe and ((vals < limit[p]).any() or (status == STOPPED).any()):
+                    going.remove(p)
+    return [tuple(np.concatenate(parts) for parts in zip(*b)) for b in blocks]
 
-    def witness(val: np.ndarray) -> np.ndarray:
-        return (val <= floor) | (val < target)
 
-    blocks = []
-    for i in range(0, len(z0), size):
-        z, w, alive = _sweeps(t, gmat, z0[i:i + size], w0[i:i + size], witness, probe)
-        blocks.append(_levenberg_marquardt(t, gmat, z, w, alive, max_iters, witness, probe))
-        vals, _, _, status = blocks[-1]
-        if probe and (witness(vals).any() or (status == STOPPED).any()):
-            break
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
-
-
-def _sweeps(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, witness, probe=False):
+def _sweeps(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, point: np.ndarray,
+            limit: np.ndarray, probe=False):
     """Up to _ALS_SWEEPS exact block steps from each start of a block, in lockstep.
 
-    After each full sweep but the last (which `_levenberg_marquardt` checks
-    on entry), a start whose value, the w-step's smallest eigenvalue, is a
-    witness leaves; with probe, every start leaves then.  Returns z, w and a
-    mask of the starts whose orthogonal complements never ran empty; a start
-    leaves at its first empty complement.
+    t (P, dz, dw, d) holds the tensors of the block's points, point the
+    point of each row of z0 and w0 (each point owns an equal run of
+    consecutive rows), and limit each row's witness limit.  After each full
+    sweep but the last (which `_levenberg_marquardt` checks on entry), a
+    start whose value, the w-step's smallest eigenvalue, is a witness (below
+    its limit) leaves; with probe, every start of its point leaves then.
+    Returns z, w and a mask of the starts whose orthogonal complements never
+    ran empty; a start leaves at its first empty complement.
     """
-    dz, dw, d = t.shape
-    t_z = t.transpose(1, 0, 2).reshape(dw, dz * d)  # contracts with w
-    t_w = t.reshape(dz, dw * d)  # contracts with z
+    points, dz, dw, d = t.shape
+    t_z = t.transpose(0, 2, 1, 3).reshape(points, dw, dz * d)  # contracts with w
+    t_w = t.reshape(points, dz, dw * d)  # contracts with z
     z, w = z0.copy(), w0.copy()
     act = np.arange(len(z0))
     alive = np.ones(len(z0), dtype=bool)
     for sweep in range(_ALS_SWEEPS):
         if not act.size:
             break
-        wa = w[act]
-        zn, _, ok = _min_eig_vectors(_gram((wa @ t_z).reshape(len(act), dz, d)),
-                                     None if gmat is None else wa @ gmat.T)
+        wa, runs = w[act], _runs(point[act])
+        zn, _, ok = _min_eig_vectors(_gram(_by_point(wa, runs, t_z).reshape(len(act), dz, d)),
+                                     None if gmat is None else _by_point(wa, runs, gmat.T))
         alive[act[~ok]] = False
         k = _rows(ok)
         act, zn = act[k], zn[k]
-        wn, val, ok = _min_eig_vectors(_gram((zn @ t_w).reshape(len(act), dw, d)),
-                                       None if gmat is None else zn @ gmat)
+        runs = _runs(point[act])
+        wn, val, ok = _min_eig_vectors(_gram(_by_point(zn, runs, t_w).reshape(len(act), dw, d)),
+                                       None if gmat is None else _by_point(zn, runs, gmat))
         alive[act[~ok]] = False
         k = _rows(ok)
         act = act[k]
         z[act], w[act] = zn[k], wn[k]
         if sweep + 1 < _ALS_SWEEPS:
-            found = witness(val[k])
-            act = act[:0] if probe and found.any() else act[_rows(~found)]
+            found = val[k] < limit[act]
+            if probe:  # every start of a point with a witness leaves
+                hit = np.zeros(len(z0), dtype=bool)
+                hit[act[found]] = True
+                found = hit.reshape(points, -1).any(axis=1)[point[act]]
+            act = act[_rows(~found)]
     return z, w, alive
 
 
-def _levenberg_marquardt(t: np.ndarray, gmat, z: np.ndarray, w: np.ndarray,
-                         alive: np.ndarray, max_iters: int, witness, probe=False):
-    """Damped Gauss-Newton steps on r(z, w) = sum_ik z_i w_k T[i, k, :] for the live starts.
+def _levenberg_marquardt(t: np.ndarray, gmat, z: np.ndarray, w: np.ndarray, point: np.ndarray,
+                         limit: np.ndarray, alive: np.ndarray, max_iters: int, probe=False):
+    """Damped Gauss-Newton steps on r(z, w) = sum_ik z_i w_k T_p[i, k, :] for the live starts.
 
-    Steps lie in the tangent space of {|z| = |w| = 1, z^T gmat w = 0}; after
-    a step w is normalized, z is made orthogonal to gmat w and normalized.
-    Only decreasing steps are accepted; the damping, relative to tr H / n
-    (H the Gram matrix of the tangent Jacobian, n = dz + dw), goes x1/3 on
-    an accepted step (down to 1e-12) and x4 on a rejected one.  A start stops
+    The rows, tensors and limits are laid out as for `_sweeps`.  Steps lie
+    in the tangent space of {|z| = |w| = 1, z^T gmat w = 0}; after a step w
+    is normalized, z is made orthogonal to gmat w and normalized.  Only
+    decreasing steps are accepted; the damping, relative to tr H / n (H the
+    Gram matrix of the tangent Jacobian, n = dz + dw), goes x1/3 on an
+    accepted step (down to 1e-12) and x4 on a rejected one.  A start stops
     when its value is a witness (on entry or after an accepted step), when
     stationary (|P J^T r|^2 <= 1e-20 (tr H / n) f), after an accepted step
     that lowered f by at most 1e-12 relative, or when the damping exceeds
-    1e12.  With probe, every start still running is STOPPED once any value
-    is a witness or a step leaves the least value above half the one before.
-    Updates z and w in place; returns the values, z, w and the status of
-    each start.
+    1e12.  With probe, every start of a point still running is STOPPED once
+    any value of the point is a witness or a step leaves the point's least
+    value above half the one before.  Updates z and w in place; returns the
+    values, z, w and the status of each start.
     """
-    dz, dw, d = t.shape
+    points, dz, dw, d = t.shape
     n = dz + dw
-    t_z = t.transpose(1, 0, 2).reshape(dw, dz * d)
-    t_w = t.reshape(dz, dw * d)
-    val = _pair_values(t, z, w)
-    done = alive & witness(val)
+    t_z = t.transpose(0, 2, 1, 3).reshape(points, dw, dz * d)
+    t_w = t.reshape(points, dz, dw * d)
+    val = _pair_values(t, z, w, _runs(point))
+    done = alive & (val < limit)
     status = np.where(alive, CAPPED, NO_COMPLEMENT)
     status[done] = CONVERGED
     damp = np.full(len(z), _DAMP_START)
     act = np.flatnonzero(alive & ~done)
-    if probe and done.any():
-        status[act], act = STOPPED, act[:0]
-    best = val.min()
+    if probe:
+        act = _stop(status, act, done.reshape(points, -1).any(axis=1)[point[act]])
+    best = val.reshape(points, -1).min(axis=1)
     diag = np.arange(n)
     for _ in range(max_iters):
         if not act.size:
             break
-        za, wa, f = z[act], w[act], val[act]
-        jw = (za @ t_w).reshape(len(act), dw, d)
-        jac = np.concatenate([(wa @ t_z).reshape(len(act), dz, d), jw], axis=1)
+        za, wa, f, pa = z[act], w[act], val[act], point[act]
+        runs = _runs(pa)
+        jw = _by_point(za, runs, t_w).reshape(len(act), dw, d)
+        jac = np.concatenate([_by_point(wa, runs, t_z).reshape(len(act), dz, d), jw], axis=1)
         r = np.einsum("sk,skd->sd", wa, jw)
-        normals = _normals(za, wa, gmat)
+        normals = _normals(za, wa, gmat, runs)
         jac -= normals.swapaxes(1, 2) @ (normals @ jac)  # the tangent Jacobian, rows P dr/dx
         grad = (jac @ r[..., None])[..., 0]
         scale = np.einsum("sid,sid->s", jac, jac) / n  # tr H / n
@@ -432,43 +488,53 @@ def _levenberg_marquardt(t: np.ndarray, gmat, z: np.ndarray, w: np.ndarray,
         lhs[:, diag, diag] += damp[act, None] * scale[:, None]
         lhs[stationary] = np.eye(n)  # these stop below; keeps the batched solve regular
         step = np.linalg.solve(lhs, -grad[..., None])[..., 0]
-        zc, wc = _retract(za + step[:, :dz], wa + step[:, dz:], gmat)
-        fc = _pair_values(t, zc, wc)
+        zc, wc = _retract(za + step[:, :dz], wa + step[:, dz:], gmat, runs)
+        fc = _pair_values(t, zc, wc, runs)
         acc = (fc < f) & ~stationary
         won = act[acc]
         z[won], w[won], val[won] = zc[acc], wc[acc], fc[acc]
         damp[won] = np.maximum(damp[won] / 3.0, 1e-12)
         damp[act[~acc]] *= 4.0
-        stop = (stationary | (acc & ((f - fc <= 1e-12 * f) | witness(fc)))
-                | (damp[act] > 1e12))
+        found = acc & (fc < limit[act])
+        stop = stationary | (acc & (f - fc <= 1e-12 * f)) | found | (damp[act] > 1e12)
         status[act[stop]] = CONVERGED
         act = act[~stop]
         if probe:
-            if witness(fc[acc]).any() or val.min() > best / 2:
-                status[act], act = STOPPED, act[:0]
-            best = val.min()
+            least = val.reshape(points, -1).min(axis=1)
+            ended = least > best / 2
+            ended[pa[found]] = True
+            act = _stop(status, act, ended[point[act]])
+            best = least
     return val, z, w, status
 
 
-def _normals(z: np.ndarray, w: np.ndarray, gmat) -> np.ndarray:
+def _stop(status: np.ndarray, act: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Mark the running starts act[cut] STOPPED; returns the starts that go on."""
+    status[act[cut]] = STOPPED
+    return act[~cut]
+
+
+def _normals(z: np.ndarray, w: np.ndarray, gmat, runs) -> np.ndarray:
     """Unit normals (S, 3, dz + dw) of the constraint set {|z| = |w| = 1, z^T gmat w = 0}.
 
     They are (z, 0), (0, w) and (gmat w, gmat^T z) normalized, orthogonal
     where z^T gmat w = 0; the last is zero where it vanishes or gmat is None.
+    The products with gmat run per point (`_by_point`).
     """
     dz = z.shape[1]
     normals = np.zeros((len(z), 3, dz + w.shape[1]))
     normals[:, 0, :dz], normals[:, 1, dz:] = z, w
     if gmat is not None:
-        normals[:, 2] = _unit_rows(np.concatenate([w @ gmat.T, z @ gmat], axis=1))
+        normals[:, 2] = _unit_rows(np.concatenate([_by_point(w, runs, gmat.T),
+                                                   _by_point(z, runs, gmat)], axis=1))
     return normals
 
 
-def _retract(z: np.ndarray, w: np.ndarray, gmat):
+def _retract(z: np.ndarray, w: np.ndarray, gmat, runs):
     """Back onto the constraint set: normalize w, remove from z its part along gmat w, normalize z."""
     w = w / np.linalg.norm(w, axis=1, keepdims=True)
     if gmat is not None:
-        u = _unit_rows(w @ gmat.T)
+        u = _unit_rows(_by_point(w, runs, gmat.T))
         z = z - np.sum(z * u, axis=1, keepdims=True) * u
     return z / np.linalg.norm(z, axis=1, keepdims=True), w
 
@@ -550,54 +616,61 @@ _SEARCH_NOTES = {
 
 def _flat_plane_search(
     triple: Triple, method: Method, z_dom: Subspace, terms, second: Optional[np.ndarray],
-    element, budget: StartBudget, tol: float, refute_tol: float, s: Optional[float] = None,
-) -> CertReport:
-    """The one search of fatness, part2 and the point scans.
+    elements: Sequence[Callable[[AlgElement, AlgElement], float]], budget: StartBudget,
+    tol: float, refute_tol: float, points: Sequence[Optional[float]] = (None,),
+) -> list[CertReport]:
+    """The one search of fatness, part2 and the point scans, one report per point.
 
-    Minimizes |[Z, W]|^2 (along g), plus |second(Z, W)|^2 when a second pair
-    tensor is given (part2's derivative objective, a scan point's horizontal
-    term, both along h), from the starts in terms (see `_search_terms`); a
-    start stops at its first value below refute_tol/2.  A minimum below
-    refute_tol refutes with the pair as witness, once
-    element(Z, W), the same sum on the element path, is below refute_tol too
-    (else INCONCLUSIVE); all starts bottoming out above tol give a heuristic
-    CERTIFIED; an empty domain (terms None) is vacuously CERTIFIED.
+    Minimizes |[Z, W]|^2 (along g), plus |second_p(Z, W)|^2 when a stack
+    (P, dz, dw, dh) of second pair tensors is given (part2's derivative
+    objective, the horizontal term at each scan point, both along h), from
+    the starts in terms (see `_search_terms`) at each point s of points at
+    once; a start stops at its first value below refute_tol/2.  A point's
+    minimum below refute_tol refutes with the pair as witness, once
+    elements[p](Z, W), the same sum on the element path, is below
+    refute_tol too (else INCONCLUSIVE); all starts bottoming out above tol
+    give a heuristic CERTIFIED; an empty domain (terms None) is vacuously
+    CERTIFIED.
 
     A budget of more than _PROBE_STARTS starts first descends its first
-    _PROBE_STARTS as a probe, which ends at its first witness or at the
-    first Levenberg-Marquardt step that does not halve its best value (see
-    `_descend`).  A probe's REFUTED verdict, witness confirmed, is the
-    report, and its convergence note says how many of the budget's starts
-    ran (its starts field stays the budget).  Any other probe verdict,
-    including an unconfirmed refutation, is discarded and all starts
-    descend, so every CERTIFIED and INCONCLUSIVE report is the one the full
-    search gives.  Callers check their preconditions before they build
-    terms (`_unmet_preconditions`); a search always reads its own verdict.
+    _PROBE_STARTS at every point as a probe, which ends, per point, at its
+    first witness or at the first Levenberg-Marquardt step that does not
+    halve its best value (see `_descend`).  A probe's REFUTED verdict,
+    witness confirmed, is that point's report, and its convergence note says
+    how many of the budget's starts ran (its starts field stays the
+    budget).  At the points with any other probe verdict, including an
+    unconfirmed refutation, the probe is discarded and all starts descend,
+    in one more `_descend`, so every CERTIFIED and INCONCLUSIVE report is
+    the one the full search gives.  Callers check their preconditions
+    before they build terms (`_unmet_preconditions`); a search always reads
+    its own verdict.
     """
     vacuous, refuted = _SEARCH_NOTES[method]
     if terms is None:
-        return CertReport(triple.label, method, Verdict.CERTIFIED, float("inf"), tol,
-                          starts=budget.starts, seed=budget.seed, s=s, notes=(vacuous,))
+        return [CertReport(triple.label, method, Verdict.CERTIFIED, float("inf"), tol,
+                           starts=budget.starts, seed=budget.seed, s=s, notes=(vacuous,))
+                for s in points]
     commutator, gmat, (z0, w0) = terms[2:]
-    t = commutator if second is None else np.concatenate([commutator, second], axis=2)
+    t = commutator[None] if second is None else np.concatenate(
+        [np.broadcast_to(commutator, (len(second), *commutator.shape)), second], axis=3)
     target = refute_tol / 2
 
-    def read(vals, zs, ws, status) -> CertReport:
+    def read(p: int, vals, zs, ws, status) -> CertReport:
         i = int(np.argmin(vals))  # ties resolve to the lowest start index
-        val, z, w = float(vals[i]), zs[i], ws[i]
+        val, z, w, s = float(vals[i]), zs[i], ws[i], points[p]
         witness = None
         if val < refute_tol:
             comm, other = val, None
             if second is not None:
-                comm, other = (float(_pair_values(x, z[None], w[None])[0])
-                               for x in (commutator, second))
+                comm, other = (float(_pair_values(x[None], z[None], w[None], [(0, 0, 1)])[0])
+                               for x in (commutator, second[p]))
             witness = FlatPairWitness(
                 Z=from_flat(triple.field, triple.n, z @ z_dom.mat),
                 W=from_flat(triple.field, triple.n, w @ triple.p_basis.mat),
                 commutator_residual=comm, horizontal_residual=other, point_s=s,
             )
             verdict, notes = Verdict.REFUTED, (refuted,)
-            if unconfirmed := _unconfirmed(val, element(witness.Z, witness.W), refute_tol):
+            if unconfirmed := _unconfirmed(val, elements[p](witness.Z, witness.W), refute_tol):
                 verdict, witness, notes = Verdict.INCONCLUSIVE, None, unconfirmed
         elif val > tol:
             verdict = Verdict.CERTIFIED
@@ -610,12 +683,18 @@ def _flat_plane_search(
             notes=notes + (_convergence_note(status, vals < target, budget.starts),),
         )
 
+    reports: list[Optional[CertReport]] = [None] * len(points)
     if budget.starts > _PROBE_STARTS:
         k = _PROBE_STARTS
-        report = read(*_descend(t, gmat, z0[:k], w0[:k], budget.max_iters, target, probe=True))
-        if report.verdict is Verdict.REFUTED:
-            return report
-    return read(*_descend(t, gmat, z0, w0, budget.max_iters, target))
+        for p, found in enumerate(_descend(t, gmat, z0[:k], w0[:k], budget.max_iters, target,
+                                           probe=True)):
+            if (report := read(p, *found)).verdict is Verdict.REFUTED:
+                reports[p] = report
+    if rest := [p for p, report in enumerate(reports) if report is None]:
+        tr = t if len(rest) == len(t) else t[rest]
+        for p, found in zip(rest, _descend(tr, gmat, z0, w0, budget.max_iters, target)):
+            reports[p] = read(p, *found)
+    return reports
 
 
 def _commutator_residual(z: AlgElement, w: AlgElement) -> float:
@@ -634,7 +713,7 @@ def check_fatness(
     """
     z_dom = triple.gk_basis()
     return _flat_plane_search(triple, Method.FAT, z_dom, _search_terms(triple, z_dom, budget),
-                              None, _commutator_residual, budget, tol, refute_tol)
+                              None, (_commutator_residual,), budget, tol, refute_tol)[0]
 
 
 def certify_part2(
@@ -658,15 +737,13 @@ def certify_part2(
     def element(z: AlgElement, w: AlgElement) -> float:
         return _commutator_residual(z, w) + _derivative_objective(triple, a, z, w)
 
-    return _flat_plane_search(triple, Method.PART2, z_dom, terms,
-                              _derivative_tensor(triple, a, terms), element, budget, tol,
-                              DEFAULT_REFUTE_TOL)
+    second = None if terms is None else _derivative_tensor(triple, a, terms)[None]
+    return _flat_plane_search(triple, Method.PART2, z_dom, terms, second, (element,), budget, tol,
+                              DEFAULT_REFUTE_TOL)[0]
 
 
-def _derivative_tensor(triple: Triple, a: AlgElement, terms) -> Optional[np.ndarray]:
-    """The pair tensor [z_i^h, [A, w_k]^h] along h for the domains of terms; None when terms is."""
-    if terms is None:
-        return None
+def _derivative_tensor(triple: Triple, a: AlgElement, terms) -> np.ndarray:
+    """The pair tensor [z_i^h, [A, w_k]^h] along h for the domains of terms."""
     z_comps, w_comps = terms[:2]
     h = triple.h_basis
     aw_h = pair_bracket_coords(triple.field, a.comp[None], w_comps, h.mat)[0] @ h.mat
@@ -732,30 +809,39 @@ def point_positivity(
     tol: float = DEFAULT_TOL, refute_tol: float = DEFAULT_REFUTE_TOL,
     s: Optional[float] = None,
 ) -> CertReport:
-    """Search for horizontal zero-curvature planes at the point reached by g.
+    """Search for horizontal zero-curvature planes at the point reached by g: a scan of one point.
 
     Minimizes |[Z, W]|^2 + |[(Ad_g Z)^h, (Ad_g W)^h]|^2 over admissible
     orthonormal pairs; for symmetric pairs the Z-domain shrinks to m.
     """
     require_same(triple, g)
+    return _scan_points(triple, g.comp[None], (s,), budget, tol, refute_tol)[0]
+
+
+def _scan_points(triple: Triple, gs: np.ndarray, points: Sequence[Optional[float]],
+                 budget: StartBudget, tol: float, refute_tol: float) -> list[CertReport]:
+    """The flat-plane search at the points reached by the unitary stack gs (P, n, n, 4), as one search.
+
+    Only the horizontal tensor depends on the point: one stacked adjoint of
+    the Z- and W-domains, their projections to h, and their brackets along
+    h at each point.
+    """
     z_dom = _scan_z_domain(triple)
-    return _point_search(triple, z_dom, _search_terms(triple, z_dom, budget), g,
-                         budget, tol, refute_tol, s)
-
-
-def _point_search(triple: Triple, z_dom: Subspace, terms, g: GroupElement,
-                  budget: StartBudget, tol: float, refute_tol: float,
-                  s: Optional[float]) -> CertReport:
-    """The flat-plane search at the point reached by g, with its horizontal tensor along h."""
+    terms = _search_terms(triple, z_dom, budget)
     horizontal = None
     if terms is not None:
-        horizontal = pair_bracket_coords(triple.field, *(
-            project_comps(triple, comp_adjoint(g.comp, c), Part.H) for c in terms[:2]),
-            triple.h_basis.mat)
-    return _flat_plane_search(
-        triple, Method.POINT_SCAN, z_dom, terms, horizontal,
-        lambda z, w: sum(horizontal_flat_residual(triple, g, z, w)),
-        budget, tol, refute_tol, s)
+        dz = len(terms[0])
+        moved = comp_adjoint(gs[:, None], np.concatenate(terms[:2]))
+        zh, wh = (project_comps(triple, part, Part.H) for part in (moved[:, :dz], moved[:, dz:]))
+        horizontal = np.stack([pair_bracket_coords(triple.field, z, w, triple.h_basis.mat)
+                               for z, w in zip(zh, wh)])
+
+    def element(g: np.ndarray):
+        return lambda z, w: sum(horizontal_flat_residual(
+            triple, GroupElement(triple.field, triple.n, g), z, w))
+
+    return _flat_plane_search(triple, Method.POINT_SCAN, z_dom, terms, horizontal,
+                              [element(g) for g in gs], budget, tol, refute_tol, points)
 
 
 def _scan_z_domain(triple: Triple) -> Subspace:
@@ -768,18 +854,21 @@ def scan_along_A(
     budget: StartBudget = StartBudget(), tol: float = DEFAULT_TOL,
     refute_tol: float = DEFAULT_REFUTE_TOL,
 ) -> list[CertReport]:
-    """Run the point search at exp(-s*A) for each s, preserving order.
+    """The point search at exp(-s*A) for every s at once, in the order given.
 
-    The reports equal point_positivity's at each point; the Z-domain and
-    the parts of the search that do not depend on s are built once.  Like
-    part2 and part3, a scan with A not in p, an empty search domain
-    included, gives every point INCONCLUSIVE with a NaN score and runs no
-    search (`_unmet_preconditions`).
+    The reports equal point_positivity's at each point, byte for byte: the
+    points share the Z-domain, the starts and the commutator tensor, their
+    group elements come from one `group_exps`, and every start at every
+    point descends in one lockstep search (see `_descend`), with a probe
+    first when the budget has more than _PROBE_STARTS starts.  Like part2
+    and part3, a scan with A not in p, an empty search domain included,
+    gives every point INCONCLUSIVE with a NaN score and runs no search
+    (`_unmet_preconditions`).
     """
     points = [float(s) for s in s_values]
     if unmet := _unmet_preconditions(triple, Method.POINT_SCAN, a, tol, budget, points):
         return unmet
-    z_dom = _scan_z_domain(triple)
-    terms = _search_terms(triple, z_dom, budget)
-    return [_point_search(triple, z_dom, terms, group_exp(a, -s), budget, tol, refute_tol, s)
-            for s in points]
+    if not points:
+        return []
+    return _scan_points(triple, group_exps(a, [-s for s in points]), points, budget, tol,
+                        refute_tol)

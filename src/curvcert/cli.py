@@ -197,6 +197,8 @@ def cmd_list(args) -> int:
 
 #: run settings that a check method never reads, refused as flags and as config keys
 _UNUSED = {"fat": ("A",), "part2": ("refute_tol",), "part3": ("refute_tol", "seed", "starts")}
+#: scan settings that check never reads, only config keys there, with why
+_SCAN_ONLY = {"format": "JSON only", "s_values": "scan only"}
 
 
 def _setup(args) -> tuple[RunConfig, Triple, object, StartBudget]:
@@ -208,16 +210,14 @@ def _setup(args) -> tuple[RunConfig, Triple, object, StartBudget]:
     run = "scan" if args.command == "scan" else f"check --method {args.method}"
     settings, given = _settings(args)
     unused = _UNUSED.get(getattr(args, "method", None), ())
+    if args.command != "scan":
+        unused += tuple(_SCAN_ONLY)
     if clash := [key for key in unused if key in given]:
-        raise ValueError(f"{given[clash[0]]} does not apply to {run}")
+        why = f" ({_SCAN_ONLY[clash[0]]})" if clash[0] in _SCAN_ONLY else ""
+        raise ValueError(f"{given[clash[0]]} does not apply to {run}{why}")
     config = RunConfig(**settings)
-    if args.command == "scan":
-        if not config.s_values:
-            raise ValueError("scan requires a nonempty --s-values list")
-    elif config.format != "json":
-        raise ValueError(f"config key format {config.format!r} does not apply to check (JSON only)")
-    elif config.s_values:
-        raise ValueError("config key s_values does not apply to check (scan only)")
+    if args.command == "scan" and not config.s_values:
+        raise ValueError("scan requires a nonempty --s-values list")
     triple, a = _resolve(args)
     if args.A is not None:
         a = _parse_inline_a(args.A, triple)

@@ -298,8 +298,12 @@ def project(triple: Triple, x: AlgElement, part: Part) -> AlgElement:
 
 
 def project_comps(triple: Triple, comps: np.ndarray, part: Part) -> np.ndarray:
-    """`project` for a stack (r, n, n, 4) of component matrices, in the same layout."""
-    v = comps.reshape(len(comps), -1)
+    """`project` for a stack (..., r, n, n, 4) of component matrices, in the same layout.
+
+    Each stack of r matrices is projected by its own products, so it has the
+    bits of a call on it alone.
+    """
+    v = comps.reshape(*comps.shape[:-3], -1)
     _check_in_g(triple, v)
     return triple.part(part).project_flat(v).reshape(comps.shape)
 

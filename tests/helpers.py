@@ -13,8 +13,10 @@ from curvcert.algebra import (
     N_COMPONENTS,
     basis_element,
     comp_bracket,
+    comp_norm,
     conj_transpose,
     from_flat,
+    qmul,
 )
 from curvcert.triple import Triple
 
@@ -43,6 +45,29 @@ def reference_orthonormalize(mat: np.ndarray, drop_tol: float = 1e-10) -> np.nda
             basis[rank] = v / nrm
             rank += 1
     return basis[:rank].copy()
+
+
+def exp_squarings(x: AlgElement, s: float) -> int:
+    """The squarings of exp(s X) by scaling and squaring: halvings until |s X| <= 0.25."""
+    nrm = comp_norm(float(s) * x.comp)
+    return max(0, int(math.ceil(math.log2(nrm / 0.25))) if nrm > 0.25 else 0)
+
+
+def reference_group_exp(x: AlgElement, s: float) -> np.ndarray:
+    """exp(s X) one s at a time: scale by 2^-squarings, sum the Taylor series until a term's norm is below 1e-16, square back."""
+    squarings = exp_squarings(x, s)
+    m = float(s) * x.comp / (2.0**squarings)
+    result = np.zeros((x.n, x.n, 4))
+    result[..., 0] = np.eye(x.n)
+    term = result.copy()
+    for j in range(1, 40):
+        term = qmul(term, m) / j
+        result = result + term
+        if comp_norm(term) < 1e-16:
+            break
+    for _ in range(squarings):
+        result = qmul(result, result)
+    return result
 
 
 def reference_starts(z_dom, w_dom, gmat, budget):

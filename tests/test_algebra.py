@@ -14,10 +14,12 @@ from curvcert.algebra import (
     block_stack,
     bracket,
     check_skew,
+    check_unitary,
     comp_bracket,
     conj_transpose,
     from_flat,
     group_exp,
+    group_exps,
     identity,
     inner,
     pair_bracket_coords,
@@ -30,9 +32,11 @@ from curvcert.triple import make_triple, randomly_rebased
 from helpers import (
     Quaternion,
     bit_equal,
+    exp_squarings,
     full_algebra_basis,
     random_skew_batch,
     reference_block_stack,
+    reference_group_exp,
     sp1_pair,
 )
 
@@ -234,6 +238,30 @@ class TestGroupExp:
             for _ in range(5):
                 # GroupElement construction itself enforces the 1e-10 residual
                 group_exp(random_skew(field, n, rng), rng.uniform(-3, 3))
+
+
+    @pytest.mark.parametrize("field", list(FieldTag), ids=lambda f: f.value)
+    def test_stack_matches_one_at_a_time_bit_for_bit(self, field):
+        # one stack mixes s = 0, negative s and several squaring counts, and
+        # every s must keep the bits of its own one-s series
+        rng = np.random.default_rng(11)
+        x = random_skew(field, 3, rng)
+        s_values = [0.0, -0.0, 0.05, -0.4, 1.3, -2.7, 9.0, 0.8, -0.05]
+        assert len({exp_squarings(x, s) for s in s_values}) >= 4
+        stack = group_exps(x, s_values)
+        assert stack.shape == (len(s_values), 3, 3, 4)
+        for s, got in zip(s_values, stack):
+            want = reference_group_exp(x, s)
+            assert bit_equal(got, want) and bit_equal(group_exp(x, s).comp, want)
+
+    def test_one_unitarity_check_covers_the_stack(self):
+        x = random_skew(FieldTag.QUATERNION, 2, np.random.default_rng(12))
+        assert group_exps(x, []).shape == (0, 2, 2, 4)
+        stack = group_exps(x, [0.3, -1.1])
+        check_unitary(FieldTag.QUATERNION, stack)
+        stack[1] *= 1.0 + 1e-9  # one matrix of the stack off the unitary group
+        with pytest.raises(InvalidElement, match="not unitary"):
+            check_unitary(FieldTag.QUATERNION, stack)
 
 
 class TestAdjoint:

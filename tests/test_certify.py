@@ -314,7 +314,7 @@ class TestScoresAgreeWithVerdicts:
 
 
 class TestOneSearch:
-    """Fatness, part2 and every scan point run `_flat_plane_search` once each."""
+    """Fatness, part2 and a scan of any length run `_flat_plane_search` once each."""
 
     def test_each_method_makes_one_search(self, t1s3, monkeypatch):
         calls = []
@@ -328,7 +328,7 @@ class TestOneSearch:
         assert calls == [Method.FAT, Method.PART2, Method.POINT_SCAN]
         calls.clear()
         scan_along_A(triple, a, [0.0, 0.1, 0.2], budget)
-        assert calls == [Method.POINT_SCAN] * 3
+        assert calls == [Method.POINT_SCAN]
 
 
 class TestScanFunction:
@@ -410,17 +410,52 @@ class TestPointPositivity:
             report = point_positivity(entry.triple, g, StartBudget(starts=16, seed=0))
             assert report.verdict is Verdict.CERTIFIED
 
-    def test_scan_checks_symmetry_once_and_matches_point_calls(self, t1s3, monkeypatch):
+    def test_scan_checks_symmetry_once_and_matches_point_calls(self, monkeypatch):
+        # all points of a scan descend together; each report must be the one
+        # the point search gives alone, byte for byte: with no probe (4
+        # starts) and with one (16), where s = 0 refutes from the probe and
+        # the points up to 0.3 run every start (m_kl(2,1,1) refutes at 1.5
+        # too); with a refute_tol so small that each point's rounding floor
+        # stops its starts; and off the symmetric pairs, where the Z-domain
+        # meets p
         calls = []
         real = certify.is_symmetric_pair
         monkeypatch.setattr(certify, "is_symmetric_pair",
                             lambda *args, **kw: calls.append(1) or real(*args, **kw))
-        a, budget, s_values = t1s3.base_point_A, StartBudget(starts=8, seed=2), [0.0, 0.1, 0.3]
-        reports = scan_along_A(t1s3.triple, a, s_values, budget)
-        assert len(calls) == 1
-        for s, report in zip(s_values, reports):
-            single = point_positivity(t1s3.triple, group_exp(a, -s), budget, s=s)
-            assert report_to_json(report) == report_to_json(single)
+        s_values = [0.0, 0.1, 0.3, 0.05, 1.5]
+        runs = [(StartBudget(starts=4, seed=2), certify.DEFAULT_REFUTE_TOL),
+                (StartBudget(starts=16, seed=2), certify.DEFAULT_REFUTE_TOL),
+                (StartBudget(starts=4, seed=2), 1e-40)]
+        for e in (t1s3_product(), sp_example(2), m_kl(2, 1, 1), su3_su2_entry()):
+            for budget, refute_tol in runs:
+                calls.clear()
+                reports = scan_along_A(e.triple, e.base_point_A, s_values, budget,
+                                       refute_tol=refute_tol)
+                assert len(calls) == 1
+                probed = [r.notes[-1].startswith("probe:") for r in reports]
+                assert probed[:4] == [budget.starts > certify._PROBE_STARTS, False, False, False]
+                for s, report in zip(s_values, reports):
+                    single = point_positivity(e.triple, group_exp(e.base_point_A, -s), budget,
+                                              refute_tol=refute_tol, s=s)
+                    assert report_to_json(report) == report_to_json(single)
+
+    @pytest.mark.parametrize("starts", [1, 4, 16])
+    def test_a_scan_of_any_length_is_one_or_two_descents(self, monkeypatch, starts):
+        # one lockstep descent of every point; above 4 starts a probe first
+        e = sp_example(2)
+        rows = []
+        real = certify._descend
+        monkeypatch.setattr(certify, "_descend", lambda t, gmat, z0, *a, **kw: rows.append(
+            (len(t), len(z0))) or real(t, gmat, z0, *a, **kw))
+        for s_values in ([0.0], [0.2], [0.0, 0.05, 0.1, 0.2, 0.4, 0.8]):
+            rows.clear()
+            reports = scan_along_A(e.triple, e.base_point_A, s_values, StartBudget(starts=starts))
+            assert [r.verdict is Verdict.REFUTED for r in reports] == [s == 0 for s in s_values]
+            if starts <= certify._PROBE_STARTS:
+                assert rows == [(len(s_values), starts)]
+            else:  # the probe settles s = 0; the other points run every start
+                unsettled = sum(s > 0 for s in s_values)
+                assert rows == [(len(s_values), 4)] + [(unsettled, starts)] * (unsettled > 0)
 
     def test_scan_preserves_order_and_values(self, t1s3):
         s_values = [0.0, 0.1, 0.2]
@@ -629,7 +664,7 @@ class TestStarts:
 def _lockstep_vs_oracle(tensors, gmat, z0, w0, target, triple=None, max_iters=200):
     """Lockstep values (on the search's own objective tensor when a triple is given) and oracle's."""
     t = tensors[0] if triple is None else objective(triple, tensors)
-    got, _, _, status = certify._descend(t, gmat, z0, w0, max_iters, target)
+    [(got, _, _, status)] = certify._descend(t[None], gmat, z0, w0, max_iters, target)
     ref = [descend_one(tensors, gmat, z, w, max_iters, target) for z, w in zip(z0, w0)]
     assert list(status) == [r[3] for r in ref]
     return got, np.array([r[0] for r in ref])
@@ -688,11 +723,50 @@ class TestLockstepSearch:
         t = pair_bracket_coords(triple.field, z_dom.comps(), w_dom.comps(), triple.g_basis.comps())
         gmat = certify._ortho_constraint(z_dom, w_dom)
         z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=1))
-        whole, _, _, whole_status = certify._descend(t, gmat, z0, w0, 200, 0.0)
+        [(whole, _, _, whole_status)] = certify._descend(t[None], gmat, z0, w0, 200, 0.0)
         monkeypatch.setattr(certify, "_BLOCK_FLOATS", 1)  # one start per block
-        single, _, _, single_status = certify._descend(t, gmat, z0, w0, 200, 0.0)
+        [(single, _, _, single_status)] = certify._descend(t[None], gmat, z0, w0, 200, 0.0)
         assert_same_search(single, whole)
         assert np.array_equal(single_status, whole_status)
+
+    def test_bounded_blocks_of_a_scan_match_its_point_searches(self, monkeypatch):
+        # the rows that descend together stay within the block budget, several
+        # points' blocks per batch when they fit and one start per batch at a
+        # budget of 1, and each point keeps the report of its search alone
+        e = sp_example(2)
+        s_values, budget = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8], StartBudget(starts=16, seed=1)
+        rows = []
+        real = certify._sweeps
+        monkeypatch.setattr(certify, "_sweeps", lambda t, gmat, z0, *a: rows.append(
+            (len(t), len(z0))) or real(t, gmat, z0, *a))
+        whole = scan_along_A(e.triple, e.base_point_A, s_values, budget)
+        # a start's Jacobian holds 34 coordinates of dz + dw = 15 variables: 64 starts a block
+        assert max(n for _, n in rows) <= 64 == certify._BLOCK_FLOATS // (34 * 15)
+        assert max(points for points, _ in rows) > 1
+        monkeypatch.setattr(certify, "_BLOCK_FLOATS", 1)
+        rows.clear()
+        blocks = scan_along_A(e.triple, e.base_point_A, s_values, budget)
+        assert {n for _, n in rows} == {1}
+        for s, got, want in zip(s_values, blocks, whole):
+            single = point_positivity(e.triple, group_exp(e.base_point_A, -s), budget, s=s)
+            assert report_to_json(got) == report_to_json(single)
+            assert got.verdict is want.verdict
+            if want.verdict is not Verdict.REFUTED:  # a probe's witness depends on its blocks
+                assert math.isclose(got.score, want.score, rel_tol=1e-9, abs_tol=NOISE)
+
+    def test_each_point_product_has_the_bits_of_its_rows_alone(self):
+        # a row's bits in a matrix product can depend on how many rows share
+        # the product and where the row sits (with OpenBLAS, 36-long rows
+        # times 9 columns), so `_by_point` makes one product per point, of
+        # exactly its rows, with a stack of matrices or with one
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((8, 36))
+        stack, one = rng.standard_normal((3, 36, 9)), rng.standard_normal((36, 9))
+        runs = certify._runs(np.repeat([0, 2], [3, 5]))
+        assert runs == [(0, 0, 3), (2, 3, 8)]
+        for mats, pick in ((stack, lambda p: stack[p]), (one, lambda p: one)):
+            want = np.concatenate([x[i:j] @ pick(p) for p, i, j in runs])
+            assert bit_equal(certify._by_point(x, runs, mats), want)
 
     def test_mixed_batch_of_constrained_and_free_first_steps(self):
         rng = np.random.default_rng(5)
@@ -718,8 +792,8 @@ class TestLockstepSearch:
         z0 = np.ones((6, 1))
         got, ref = _lockstep_vs_oracle([tensor], gmat, z0, w0, 0.0)
         assert_same_search(got, ref)
-        best, z, w, status = certify._descend(tensor, gmat, z0, w0, 200, 0.0)
-        start = certify._pair_values(tensor, z0, w0)
+        [(best, z, w, status)] = certify._descend(tensor[None], gmat, z0, w0, 200, 0.0)
+        start = certify._pair_values(tensor[None], z0, w0, [(0, 0, len(z0))])
         assert (status[3:] == certify.NO_COMPLEMENT).all()
         assert np.array_equal(best[3:], start[3:])
         assert np.array_equal(w[3:], w0[3:]) and np.array_equal(z[3:], z0[3:])
@@ -737,9 +811,10 @@ class TestLockstepSearch:
         g = group_exp(a, -0.3)
         dim_g = triple.g_basis.dim
         budget = StartBudget(starts=1)
-        fat = first_descent(monkeypatch, lambda: check_fatness(triple, budget))[0]
-        part2 = first_descent(monkeypatch, lambda: certify_part2(triple, a, budget))[0]
-        scan = first_descent(monkeypatch, lambda: point_positivity(triple, g, budget))[0]
+        # each search is one point: its tensor is the first of the stack
+        fat = first_descent(monkeypatch, lambda: check_fatness(triple, budget))[0][0]
+        part2 = first_descent(monkeypatch, lambda: certify_part2(triple, a, budget))[0][0]
+        scan = first_descent(monkeypatch, lambda: point_positivity(triple, g, budget))[0][0]
 
         def part2_map(z, w):
             return bracket(project(triple, z, Part.H), project(triple, bracket(a, w), Part.H))
@@ -777,8 +852,8 @@ class TestWitnessStop:
         }[name]
         *args, target = first_descent(monkeypatch, search)
         assert target == certify.DEFAULT_REFUTE_TOL / 2 == 5e-13
-        stopped = certify._descend(*args, target)
-        plain = certify._descend(*args, 0.0)
+        [stopped] = certify._descend(*args, target)
+        [plain] = certify._descend(*args, 0.0)
         assert stopped[0].min() >= target
         for got, want in zip(stopped, plain):
             assert bit_equal(got, want)

@@ -488,18 +488,20 @@ class TestFlagSets:
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert "JSON only" in err
+        # check writes JSON whatever the key says, so json is refused too
         cfg.write_text("format = json\n")
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert json.loads(out)["config"]["format"] == "json"
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "config key format does not apply to check --method part3 (JSON only)" in err
 
     def test_check_rejects_s_values_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("s_values = 0.1, 0.2\n")
-        code, out, err = run(capsys, "check", "--entry", "t1s3_product", "--method", "part3",
-                             "--config", str(cfg))
-        assert code == 3 and out == ""
-        assert "scan only" in err
+        for line in ("s_values = 0.1, 0.2", "s_values ="):  # an empty list is refused too
+            cfg.write_text(line + "\n")
+            code, out, err = run(capsys, "check", "--entry", "t1s3_product", "--method", "part3",
+                                 "--config", str(cfg))
+            assert code == 3 and out == ""
+            assert "config key s_values does not apply to check --method part3 (scan only)" in err
 
     @pytest.mark.parametrize("argv,text", [(["check", "--method", "fat"], "tol = inf"),
                                            (["scan"], "s_values = 0, inf"),
