@@ -1,10 +1,12 @@
 """Builders for the catalog of homogeneous-bundle examples.
 
-Every builder returns a fully populated Triple (with the chain k < h < g),
-the designated vector A in p, and metadata recording known structural facts
-(symmetric pair, rank one).  The metadata is descriptive: part3 and scan
-recompute the symmetric pair with `is_symmetric_pair`.  Each span is built
-as one stack (r, n, n, 4) of generators and handed to `make_triple`.
+Every builder returns a fully populated Triple (with the chain k < h < g)
+that carries the designated vector A in p as its base point, and metadata
+recording known structural facts.  Each span is built as one stack
+(r, n, n, 4) of generators and handed to `make_triple`.  All entries go
+through one constructor, `_entry`, which declares once that every catalog
+chain is a rank-one symmetric pair.  The metadata is descriptive: part3 and
+scan recompute the symmetric pair with `is_symmetric_pair`.
 
 Conventions: H and K occupy lower-right diagonal blocks, p is the first
 row/column band, so the explicit matrices of the worked examples transcribe
@@ -28,8 +30,21 @@ class CatalogEntry:
     id: str
     params: dict
     triple: Triple
-    base_point_A: AlgElement
     metadata: dict = dc_field(default_factory=dict)
+
+    @property
+    def base_point_A(self) -> AlgElement:
+        """The designated vector A in p: the triple's base point."""
+        return self.triple.base_point
+
+
+def _entry(entry_id: str, params: dict, label: str, spans: tuple, a: AlgElement,
+           field: FieldTag, known_result: str, **extra: Optional[str]) -> CatalogEntry:
+    """The entry with triple (g, h, k) and base point A; an extra of None is left out."""
+    triple = make_triple(*spans, label=label, base_point=a, field=field)
+    metadata = {"symmetric_pair": True, "rank_one": True, "known_result": known_result}
+    metadata.update((key, value) for key, value in extra.items() if value is not None)
+    return CatalogEntry(entry_id, params, triple, metadata)
 
 
 def _blocks(field: FieldTag, n: int, *index_sets) -> np.ndarray:
@@ -55,21 +70,9 @@ def t1s3_product() -> CatalogEntry:
     field = FieldTag.QUATERNION
     g_span = _blocks(field, 2, [0], [1])  # i, j, k at slot 0, then at slot 1
     h_span = g_span[:3] + g_span[3:]  # (z, z)
-    k_span = h_span[:1]
     a = AlgElement(field, 2, (1.0 / math.sqrt(2.0)) * (g_span[0] - g_span[3]))
-    triple = make_triple(g_span, h_span, k_span, label="t1s3_product", base_point=a,
-                         field=field)
-    return CatalogEntry(
-        id="t1s3_product",
-        params={},
-        triple=triple,
-        base_point_A=a,
-        metadata={
-            "symmetric_pair": True,
-            "rank_one": True,
-            "known_result": "S^2 x S^3 (unit tangent bundle of S^3): quasi-positive curvature",
-        },
-    )
+    return _entry("t1s3_product", {}, "t1s3_product", (g_span, h_span, h_span[:1]), a, field,
+                  "S^2 x S^3 (unit tangent bundle of S^3): quasi-positive curvature")
 
 
 def t1_sphere(n: int) -> CatalogEntry:
@@ -81,20 +84,10 @@ def t1_sphere(n: int) -> CatalogEntry:
     g = Subspace.from_spanning(block_stack(field, size, range(size)), field)
     h = Subspace.from_spanning(block_stack(field, size, range(1, size)), field)
     a = _first_row_vector(field, size, {1: 1.0})
-    triple = make_triple(g, h, stabilizer_subalgebra(h, a, g), label=f"t1_sphere(n={n})",
-                         base_point=a)
-    return CatalogEntry(
-        id="t1_sphere",
-        params={"n": n},
-        triple=triple,
-        base_point_A=a,
-        metadata={
-            "symmetric_pair": True,
-            "rank_one": True,
-            "known_result": "T^1 S^n: quasi-positive curvature; for n even the"
-            " diagonal SO(2) subgroup acts freely and the quotient inherits it",
-        },
-    )
+    return _entry("t1_sphere", {"n": n}, f"t1_sphere(n={n})",
+                  (g, h, stabilizer_subalgebra(h, a, g)), a, field,
+                  "T^1 S^n: quasi-positive curvature; for n even the"
+                  " diagonal SO(2) subgroup acts freely and the quotient inherits it")
 
 
 _PROJ_FIELDS = {
@@ -102,6 +95,9 @@ _PROJ_FIELDS = {
     FieldTag.COMPLEX: "C",
     FieldTag.QUATERNION: "H",
 }
+#: a field by its value or its letter, lower-cased: "complex" or "c"
+_FIELD_BY_NAME = {name: tag for tag, letter in _PROJ_FIELDS.items()
+                  for name in (tag.value, letter.lower())}
 
 
 def _projective_entry(field: FieldTag, n: int, projective: bool) -> CatalogEntry:
@@ -116,28 +112,12 @@ def _projective_entry(field: FieldTag, n: int, projective: bool) -> CatalogEntry
         tied = block_stack(field, size, [0]) + block_stack(field, size, [1])
         k_span = np.concatenate([block_stack(field, size, range(2, size)), tied])
     a = _first_row_vector(field, size, {1: 1.0})
-    kind = "pt" if projective else "t1"
-    label = f"{kind}_projective({_PROJ_FIELDS[field]},n={n})"
-    triple = make_triple(g_span, h_span, k_span, label=label, base_point=a, field=field)
-    meta = {
-        "symmetric_pair": True,
-        "rank_one": True,
-        "known_result": (
-            f"projective tangent bundle over {_PROJ_FIELDS[field]}P^{n}"
-            if projective
-            else f"unit tangent bundle of {_PROJ_FIELDS[field]}P^{n}"
-        )
-        + ": quasi-positive curvature",
-    }
-    if n < 2:
-        meta["warning"] = "n < 2 is degenerate (empty G(n-1) block)"
-    return CatalogEntry(
-        id="pt_projective" if projective else "t1_projective",
-        params={"field": _PROJ_FIELDS[field], "n": n},
-        triple=triple,
-        base_point_A=a,
-        metadata=meta,
-    )
+    kind, letter = ("pt" if projective else "t1"), _PROJ_FIELDS[field]
+    bundle = "projective tangent bundle over" if projective else "unit tangent bundle of"
+    return _entry(f"{kind}_projective", {"field": letter, "n": n},
+                  f"{kind}_projective({letter},n={n})", (g_span, h_span, k_span), a, field,
+                  f"{bundle} {letter}P^{n}: quasi-positive curvature",
+                  warning="n < 2 is degenerate (empty G(n-1) block)" if n < 2 else None)
 
 
 def t1_projective(field: FieldTag, n: int) -> CatalogEntry:
@@ -173,22 +153,11 @@ def m_kl(n: int, k: int, l: int) -> CatalogEntry:
     kl[0, 1, 1, 1] = float(l)
     k_span = np.concatenate([kl, block_stack(field, size, range(2, size))])
     a = _first_row_vector(field, size, {1: 1.0, 2: 1.0})
-    triple = make_triple(g_span, h_span, k_span, label=f"m_kl(n={n},k={k},l={l})",
-                         base_point=a, field=field)
-    meta = {
-        "symmetric_pair": True,
-        "rank_one": True,
-        "known_result": f"lens space bundle over CP^{n}: quasi-positive curvature for k != 0",
-    }
-    if k == 0:
-        meta["warning"] = "k = 0 lies outside the certified family; verdict left to the numerics"
-    return CatalogEntry(
-        id="m_kl",
-        params={"n": n, "k": k, "l": l},
-        triple=triple,
-        base_point_A=a,
-        metadata=meta,
-    )
+    return _entry("m_kl", {"n": n, "k": k, "l": l}, f"m_kl(n={n},k={k},l={l})",
+                  (g_span, h_span, k_span), a, field,
+                  f"lens space bundle over CP^{n}: quasi-positive curvature for k != 0",
+                  warning="k = 0 lies outside the certified family; verdict left to the"
+                  " numerics" if k == 0 else None)
 
 
 def sp_example(n: int) -> CatalogEntry:
@@ -205,43 +174,25 @@ def sp_example(n: int) -> CatalogEntry:
     h_span = _blocks(field, size, [0], range(1, size))
     k_span = _blocks(field, size, [0], range(2, size))
     a = _first_row_vector(field, size, {1: 1.0})
-    triple = make_triple(g_span, h_span, k_span, label=f"sp_example(n={n})", base_point=a,
-                         field=field)
-    return CatalogEntry(
-        id="sp_example",
-        params={"n": n},
-        triple=triple,
-        base_point_A=a,
-        metadata={
-            "symmetric_pair": True,
-            "rank_one": True,
-            "known_result": f"S^{4 * n - 1} bundle over HP^{n}: quasi-positive curvature;"
-            " free diagonal Sp(1) subgroup {z * I} gives a quasi-positively curved quotient",
-            "free_subgroup": "diagonal Sp(1) = {z * I}",
-        },
-    )
+    return _entry("sp_example", {"n": n}, f"sp_example(n={n})", (g_span, h_span, k_span), a,
+                  field, f"S^{4 * n - 1} bundle over HP^{n}: quasi-positive curvature;"
+                  " free diagonal Sp(1) subgroup {z * I} gives a quasi-positively curved quotient",
+                  free_subgroup="diagonal Sp(1) = {z * I}")
 
 
-_FIELD_BY_NAME = {
-    "real": FieldTag.REAL,
-    "r": FieldTag.REAL,
-    "complex": FieldTag.COMPLEX,
-    "c": FieldTag.COMPLEX,
-    "quaternion": FieldTag.QUATERNION,
-    "h": FieldTag.QUATERNION,
-}
-
-
-#: each entry's builder and the parameters it reads, with their values in the `list` sample
-_BUILDERS: dict[str, tuple[Callable[..., CatalogEntry], dict]] = {
-    "t1s3_product": (t1s3_product, {}),
-    "t1_sphere": (t1_sphere, {"n": 3}),
-    "t1_projective": (lambda n, field: t1_projective(_FIELD_BY_NAME[field.lower()], n),
-                      {"n": 2, "field": "C"}),
-    "pt_projective": (lambda n, field: pt_projective(_FIELD_BY_NAME[field.lower()], n),
-                      {"n": 2, "field": "C"}),
-    "m_kl": (m_kl, {"n": 2, "k": 1, "l": 1}),
-    "sp_example": (sp_example, {"n": 2}),
+#: one row per catalog id: its builder, the parameters it reads with their values
+#: in the `list` sample, and its description
+_CATALOG: dict[str, tuple[Callable[..., CatalogEntry], dict, str]] = {
+    "t1s3_product": (t1s3_product, {},
+                     "unit tangent bundle of S^3 as sp(1)+sp(1) / diagonal; no parameters"),
+    "t1_sphere": (t1_sphere, {"n": 3}, "T^1 S^n from so(n+1); parameter n >= 2"),
+    "t1_projective": (t1_projective, {"n": 2, "field": "C"},
+                      "T^1 of CP^n / HP^n; parameters field in {C, H}, n >= 1"),
+    "pt_projective": (pt_projective, {"n": 2, "field": "C"},
+                      "projective tangent bundles; parameters field in {R, C, H}, n >= 1"),
+    "m_kl": (m_kl, {"n": 2, "k": 1, "l": 1}, "lens space bundles over CP^n; parameters"
+             " n >= 2 and integers (k, l), k != 0 in the certified family"),
+    "sp_example": (sp_example, {"n": 2}, "sphere bundle over HP^n from sp(n+1); parameter n >= 2"),
 }
 
 
@@ -249,12 +200,13 @@ def build_entry(entry_id: str, n: Optional[int] = None, k: Optional[int] = None,
                 l: Optional[int] = None, field: Optional[str] = None) -> CatalogEntry:
     """Resolve a catalog id plus parameters into a concrete entry.
 
-    An id reads the parameters of its sample in _BUILDERS; one missing ("m_kl
-    requires --n, --k and --l") or given but not read is a ValueError.
+    An id reads the parameters of its sample in _CATALOG; one missing ("m_kl
+    requires --n, --k and --l") or given but not read is a ValueError, as is
+    a field not spelled real|complex|quaternion or R|C|H.
     """
-    if entry_id not in _BUILDERS:
+    if entry_id not in _CATALOG:
         raise KeyError(f"unknown catalog entry: {entry_id}")
-    builder, reads = _BUILDERS[entry_id]
+    builder, reads, _ = _CATALOG[entry_id]
     given = {name: v for name, v in (("n", n), ("k", k), ("l", l), ("field", field))
              if v is not None}
     if extra := [name for name in given if name not in reads]:
@@ -263,28 +215,23 @@ def build_entry(entry_id: str, n: Optional[int] = None, k: Optional[int] = None,
         flags = [f"--{name}" for name in reads]
         listed = flags[0] if len(flags) == 1 else f"{', '.join(flags[:-1])} and {flags[-1]}"
         raise ValueError(f"{entry_id} requires {listed}")
+    if field is not None:
+        if field.lower() not in _FIELD_BY_NAME:
+            raise ValueError(f"unknown field {field!r}: expected real|complex|quaternion"
+                             " or R|C|H, in any case")
+        given["field"] = _FIELD_BY_NAME[field.lower()]
     return builder(**given)
-
-
-CATALOG_IDS: dict[str, str] = {
-    "t1s3_product": "unit tangent bundle of S^3 as sp(1)+sp(1) / diagonal; no parameters",
-    "t1_sphere": "T^1 S^n from so(n+1); parameter n >= 2",
-    "t1_projective": "T^1 of CP^n / HP^n; parameters field in {C, H}, n >= 1",
-    "pt_projective": "projective tangent bundles; parameters field in {R, C, H}, n >= 1",
-    "m_kl": "lens space bundles over CP^n; parameters n >= 2 and integers (k, l), k != 0 in the certified family",
-    "sp_example": "sphere bundle over HP^n from sp(n+1); parameter n >= 2",
-}
 
 
 def list_catalog() -> list[dict]:
     """One summary record per catalog id, with a small instantiated example."""
     out = []
-    for entry_id, (builder, sample) in _BUILDERS.items():
-        entry = builder(**sample)
+    for entry_id, (_, sample, description) in _CATALOG.items():
+        entry = build_entry(entry_id, **sample)
         out.append(
             {
                 "id": entry_id,
-                "parameters": CATALOG_IDS[entry_id],
+                "parameters": description,
                 "sample": entry.triple.label,
                 "dimensions": entry.triple.dims,
                 "metadata": entry.metadata,

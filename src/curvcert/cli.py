@@ -47,8 +47,6 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
         if not (0.0 < self.refute_tol < self.tol < math.inf):
             raise ValueError("need 0 < refute_tol < tol < inf")
         if not all(math.isfinite(s) for s in self.s_values):
@@ -144,18 +142,16 @@ def _add_run(parser: argparse.ArgumentParser) -> None:
                         help="include wall_time_ms in reports (breaks byte-reproducibility)")
 
 
-def _resolve(args) -> tuple[Triple, object]:
-    """Returns (triple, base_point_A or None) from --entry or --file."""
+def _resolve(args) -> Triple:
+    """The triple of --entry or --file; its base point is the default A."""
     if bool(args.entry) == bool(args.file):
         raise ValueError("exactly one of --entry or --file is required")
     params = {"n": args.n, "k": args.k, "l": args.l, "field": args.field}
     if args.entry:
-        entry = build_entry(args.entry, **params)
-        return entry.triple, entry.base_point_A
+        return build_entry(args.entry, **params).triple
     if given := [name for name, value in params.items() if value is not None]:
         raise ValueError(f"--{given[0]} does not apply to --file")
-    triple = load_triple(args.file)
-    return triple, triple.base_point
+    return load_triple(args.file)
 
 
 def _parse_inline_a(raw: str, triple: Triple):
@@ -216,14 +212,14 @@ def _setup(args) -> tuple[RunConfig, Triple, object, StartBudget]:
         why = f" ({_SCAN_ONLY[clash[0]]})" if clash[0] in _SCAN_ONLY else ""
         raise ValueError(f"{given[clash[0]]} does not apply to {run}{why}")
     config = RunConfig(**settings)
+    budget = StartBudget(starts=config.starts, seed=config.seed)
     if args.command == "scan" and not config.s_values:
         raise ValueError("scan requires a nonempty --s-values list")
-    triple, a = _resolve(args)
-    if args.A is not None:
-        a = _parse_inline_a(args.A, triple)
+    triple = _resolve(args)
+    a = triple.base_point if args.A is None else _parse_inline_a(args.A, triple)
     if a is None and "A" not in unused:
         raise ValueError(f"{run} requires a base point A (--A or entry default)")
-    return config, triple, a, StartBudget(starts=config.starts, seed=config.seed)
+    return config, triple, a, budget
 
 
 def cmd_check(args) -> int:
@@ -261,8 +257,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_export(args) -> int:
-    triple, _ = _resolve(args)
-    _emit(triple_to_json(triple), args.out or "")
+    _emit(triple_to_json(_resolve(args)), args.out or "")
     return 0
 
 

@@ -40,6 +40,17 @@ class TestList:
         assert "t1s3_product" in out
         assert "{" not in out.splitlines()[0]
 
+    # sha256 of the stdout of `list` and `list --format text`, taken before the
+    # catalog entries were built through one constructor; bytes must not change
+    @pytest.mark.parametrize("argv,want", [
+        ((), "4ea666c2145294e43c13d82d005582939852391e45c02abe9ec32afb70257f40"),
+        (("--format", "text"), "f20feab924d465600ba01ff871f6fb4f37de10a3a706cf8675c98ba2e7a5a9ca"),
+    ])
+    def test_pinned_digest(self, capsys, argv, want):
+        code, out, _ = run(capsys, "list", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
 
 class TestCheckExitCodes:
     def test_part3_certified(self, capsys):
