@@ -200,12 +200,12 @@ def build_entry(entry_id: str, n: Optional[int] = None, k: Optional[int] = None,
                 l: Optional[int] = None, field: Optional[str] = None) -> CatalogEntry:
     """Resolve a catalog id plus parameters into a concrete entry.
 
-    An id reads the parameters of its sample in _CATALOG; one missing ("m_kl
-    requires --n, --k and --l") or given but not read is a ValueError, as is
-    a field not spelled real|complex|quaternion or R|C|H.
+    An id reads the parameters of its sample in _CATALOG.  An unknown id, a
+    parameter missing ("m_kl requires --n, --k and --l") or given but not
+    read, or a field not spelled real|complex|quaternion or R|C|H is a ValueError.
     """
     if entry_id not in _CATALOG:
-        raise KeyError(f"unknown catalog entry: {entry_id}")
+        raise ValueError(f"unknown catalog entry: {entry_id}")
     builder, reads, _ = _CATALOG[entry_id]
     given = {name: v for name, v in (("n", n), ("k", k), ("l", l), ("field", field))
              if v is not None}

@@ -15,12 +15,14 @@ joint residual, which converge where the sweeps alone stall in the
 non-isolated minima.  A start stops as soon as it is a witness: its value
 is at the rounding floor or below the search's target, half the refutation
 threshold, so a REFUTED score is the first such value, not a polished
-minimum.  All starts of a search descend in lockstep, with batched
-eigensolves and linear solves; so do all points of a scan, which is one
-search whose rows each know their point: only the products with a point's
-own pair tensor run per point, on exactly that point's rows, so every scan
-report is byte for byte the one its point search gives alone.  The
-procedure is deterministic.
+minimum.  All starts of a search descend in lockstep, as one stack of rows
+with batched eigensolves and linear solves; so do all points of a scan,
+which is one search whose rows each know their point: only the products
+with a point's own pair tensor run per point, on exactly that point's rows,
+so every scan report is byte for byte the one its point search gives alone.
+The stack holds about S P (dz + dw) d floats for S starts at P points, S
+(dz + dw) / (dz dw) times their dz x dw x d pair tensors: 3 times on
+sp_example(8) at 64 starts.  The procedure is deterministic.
 
 Flat planes exist at the identity of the quasi-positive examples, so
 fatness and the scan points at s = 0 refute, and one confirmed witness is
@@ -71,9 +73,6 @@ from .triple import (
 DEFAULT_TOL = 1e-6
 DEFAULT_REFUTE_TOL = 1e-12
 _RANK_ONE_NOTE = "rank-one property taken from catalog metadata, not verified"
-# Starts descend together in blocks whose stacked Jacobians hold about this
-# many floats each, so memory stays bounded as the algebra grows.
-_BLOCK_FLOATS = 1 << 15
 # Exact alternating sweeps that warm-start the Levenberg-Marquardt phase, and
 # that phase's first damping relative to tr H / n.
 _ALS_SWEEPS = 2
@@ -82,7 +81,7 @@ _DAMP_START = 1e-3
 # `_flat_plane_search`).
 _PROBE_STARTS = 4
 # Status of a start at the end of `_descend`.
-CONVERGED, CAPPED, NO_COMPLEMENT, STOPPED = 0, 1, 2, 3
+CONVERGED, CAPPED, STOPPED = 0, 1, 2
 
 
 class Verdict(Enum):
@@ -296,14 +295,11 @@ def _by_point(x: np.ndarray, runs, mats: np.ndarray) -> np.ndarray:
 def _min_eig_vectors(q: np.ndarray, u: Optional[np.ndarray]):
     """Unit minimizers of v^T q_s v on the sphere, orthogonal to u_s when u_s != 0.
 
-    q is an (S, d, d) stack of quadratic forms, u an (S, d) stack or None.
-    Returns the minimizers (S, d), their values v^T q_s v (S,), which are
-    the smallest eigenvalues, and a mask (S,) that is False where the
-    complement of u_s is empty (those rows of the minimizers and values are
-    unset).
+    q is an (S, d, d) stack of quadratic forms, u an (S, d) stack or None,
+    with d >= 2 where u is given.  Returns the minimizers (S, d) and their
+    values v^T q_s v (S,), which are the smallest eigenvalues.
     """
     vecs, vals = np.empty(q.shape[:2]), np.empty(len(q))
-    ok = np.ones(len(q), dtype=bool)
     nrm = np.zeros(len(q)) if u is None else np.linalg.norm(u, axis=1)
     free = nrm <= 1e-12
     if free.any():
@@ -314,12 +310,9 @@ def _min_eig_vectors(q: np.ndarray, u: Optional[np.ndarray]):
         c = _rows(~free)
         _, _, vh = np.linalg.svd((u[c] / nrm[c, None])[:, None, :], full_matrices=True)
         basis = vh[:, 1:].swapaxes(1, 2)  # orthonormal complements of the u_s
-        if basis.shape[2] == 0:
-            ok[c] = False
-        else:
-            lam, sub = np.linalg.eigh(basis.swapaxes(1, 2) @ q[c] @ basis)
-            vecs[c], vals[c] = (basis @ sub[:, :, :1])[:, :, 0], lam[:, 0]
-    return vecs, vals, ok
+        lam, sub = np.linalg.eigh(basis.swapaxes(1, 2) @ q[c] @ basis)
+        vecs[c], vals[c] = (basis @ sub[:, :, :1])[:, :, 0], lam[:, 0]
+    return vecs, vals
 
 
 def _rows(mask: np.ndarray):
@@ -337,107 +330,72 @@ def _descend(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, max_iters: int
     """Minimize |T_p(z, w)|^2 over unit z, w with z^T gmat w = 0, at each point p, from every start, until a witness.
 
     t (P, dz, dw, d) holds one pair tensor per point, and z0 (S, dz) and w0
-    (S, dw) one start per row; every start descends at every point.  Each
-    start takes _ALS_SWEEPS exact smallest-eigenvector sweeps (z orthogonal
-    to gmat w, then w orthogonal to gmat^T z) and then Levenberg-Marquardt
-    steps until one of the stop rules of `_levenberg_marquardt` holds or
-    max_iters steps were tried.  A start stops early, in either phase, once
-    it is a witness: its value is at the rounding floor (16 eps)^2 |T_p|^2
-    of its point's residual, or below target.  Steps only lower a value, so
-    a verdict read as min < 2 target cannot change by going on.
+    (S, dw) one start per row; every start descends at every point.  Every
+    z-step must have a unit z: dz >= 2 where gmat is given (`_search_terms`
+    answers the one domain where it is not).  Each start takes _ALS_SWEEPS
+    exact smallest-eigenvector sweeps (z orthogonal to gmat w, then w
+    orthogonal to gmat^T z) and then Levenberg-Marquardt steps until one of
+    the stop rules of `_levenberg_marquardt` holds or max_iters steps were
+    tried.  A start stops early, in either phase, once it is a witness: its
+    value is at the rounding floor (16 eps)^2 |T_p|^2 of its point's
+    residual, or below target.  Steps only lower a value, so a verdict read
+    as min < 2 target cannot change by going on.
 
-    All starts at all points run in lockstep.  A point's starts are cut into
-    blocks sized by _BLOCK_FLOATS, and the blocks at one position descend
-    together, as many points' as fit in one block's rows (at least one).
-    Each row knows its point: the products with T_p (and with gmat) run per
-    point, on exactly that point's rows of the block, and everything else
-    runs once on all rows, so each point gets the bits of a search at that
-    point alone.  Returns, for each point, the final values (S,), the rows
-    of z and w that reached them, and each start's status (S,): CONVERGED,
-    CAPPED (hit max_iters), NO_COMPLEMENT (a sweep found an empty
-    orthogonal complement; the start is returned as the last full sweep
-    left it) or STOPPED (cut short by a probe).
-
-    A probe (`_flat_plane_search`) adds one stop rule, per point: a point's
-    block ends, every start in it, at its first witness or after the first
-    Levenberg-Marquardt step that does not halve the block's best value,
-    and the starts it cuts short are STOPPED.  A probe returns, for each
-    point, only the blocks up to the first that ended so, or that holds a
-    witness; without probe nothing changes.
+    All starts at all points descend as one stack of S P rows, point by
+    point, in one `_sweeps` and one `_levenberg_marquardt` call, with no
+    blocks: about S P (dz + dw) d floats at once.  Only the products with
+    T_p (and with gmat) run per point, on exactly that point's rows, so
+    each point gets the bits of a search at that point alone.
+    Returns, for each point, the final values (S,), the rows of z and w
+    that reached them, and each start's status (S,): CONVERGED, CAPPED (hit
+    max_iters) or STOPPED (cut short by a probe, see `_levenberg_marquardt`).
     """
-    points, dz, dw, d = t.shape
-    size = max(1, _BLOCK_FLOATS // (d * (dz + dw)))  # floats of one start's Jacobian
+    points, starts = len(t), len(z0)
     floor = (16 * np.finfo(float).eps) ** 2 * np.sum(t * t, axis=(1, 2, 3))
+    point = np.repeat(np.arange(points), starts)  # each row's point
     # a value is a witness when at the floor or below target: below one limit
-    limit = np.maximum(np.nextafter(floor, np.inf), target)
-    blocks = [[] for _ in range(points)]
-    going = list(range(points))
-    for lo in range(0, len(z0), size):
-        k = min(size, len(z0) - lo)
-        per = max(1, size // k)
-        for pts in [going[i:i + per] for i in range(0, len(going), per)]:
-            point = np.repeat(np.arange(len(pts)), k)  # each row's point in the block
-            lim = limit[pts][point]
-            tb = t if len(pts) == points else t[pts]
-            z, w, alive = _sweeps(tb, gmat, np.concatenate([z0[lo:lo + k]] * len(pts)),
-                                  np.concatenate([w0[lo:lo + k]] * len(pts)), point, lim, probe)
-            out = _levenberg_marquardt(tb, gmat, z, w, point, lim, alive, max_iters, probe)
-            for j, p in enumerate(pts):
-                vals, _, _, status = block = tuple(x[j * k:(j + 1) * k] for x in out)
-                blocks[p].append(block)
-                if probe and ((vals < limit[p]).any() or (status == STOPPED).any()):
-                    going.remove(p)
-    return [tuple(np.concatenate(parts) for parts in zip(*b)) for b in blocks]
+    limit = np.maximum(np.nextafter(floor, np.inf), target)[point]
+    z, w = np.tile(z0, (points, 1)), np.tile(w0, (points, 1))
+    _sweeps(t, gmat, z, w, point, limit, probe)
+    out = _levenberg_marquardt(t, gmat, z, w, point, limit, max_iters, probe)
+    return [tuple(x[p * starts:(p + 1) * starts] for x in out) for p in range(points)]
 
 
-def _sweeps(t: np.ndarray, gmat, z0: np.ndarray, w0: np.ndarray, point: np.ndarray,
+def _sweeps(t: np.ndarray, gmat, z: np.ndarray, w: np.ndarray, point: np.ndarray,
             limit: np.ndarray, probe=False):
-    """Up to _ALS_SWEEPS exact block steps from each start of a block, in lockstep.
+    """Up to _ALS_SWEEPS exact block-coordinate steps from each start, in lockstep.
 
-    t (P, dz, dw, d) holds the tensors of the block's points, point the
-    point of each row of z0 and w0 (each point owns an equal run of
-    consecutive rows), and limit each row's witness limit.  After each full
-    sweep but the last (which `_levenberg_marquardt` checks on entry), a
-    start whose value, the w-step's smallest eigenvalue, is a witness (below
-    its limit) leaves; with probe, every start of its point leaves then.
-    Returns z, w and a mask of the starts whose orthogonal complements never
-    ran empty; a start leaves at its first empty complement.
+    t (P, dz, dw, d) holds the tensors of the points, point the point of
+    each row of z and w (each point owns an equal run of consecutive rows),
+    and limit each row's witness limit.  After each full sweep but the last
+    (which `_levenberg_marquardt` checks on entry), a start whose value, the
+    w-step's smallest eigenvalue, is a witness (below its limit) leaves;
+    with probe, every start of its point leaves then.  Updates z and w in
+    place.
     """
     points, dz, dw, d = t.shape
     t_z = t.transpose(0, 2, 1, 3).reshape(points, dw, dz * d)  # contracts with w
     t_w = t.reshape(points, dz, dw * d)  # contracts with z
-    z, w = z0.copy(), w0.copy()
-    act = np.arange(len(z0))
-    alive = np.ones(len(z0), dtype=bool)
+    act = np.arange(len(z))
     for sweep in range(_ALS_SWEEPS):
         if not act.size:
             break
         wa, runs = w[act], _runs(point[act])
-        zn, _, ok = _min_eig_vectors(_gram(_by_point(wa, runs, t_z).reshape(len(act), dz, d)),
-                                     None if gmat is None else _by_point(wa, runs, gmat.T))
-        alive[act[~ok]] = False
-        k = _rows(ok)
-        act, zn = act[k], zn[k]
-        runs = _runs(point[act])
-        wn, val, ok = _min_eig_vectors(_gram(_by_point(zn, runs, t_w).reshape(len(act), dw, d)),
-                                       None if gmat is None else _by_point(zn, runs, gmat))
-        alive[act[~ok]] = False
-        k = _rows(ok)
-        act = act[k]
-        z[act], w[act] = zn[k], wn[k]
+        zn, _ = _min_eig_vectors(_gram(_by_point(wa, runs, t_z).reshape(len(act), dz, d)),
+                                 None if gmat is None else _by_point(wa, runs, gmat.T))
+        wn, val = _min_eig_vectors(_gram(_by_point(zn, runs, t_w).reshape(len(act), dw, d)),
+                                   None if gmat is None else _by_point(zn, runs, gmat))
+        z[act], w[act] = zn, wn
         if sweep + 1 < _ALS_SWEEPS:
-            found = val[k] < limit[act]
+            found = val < limit[act]
             if probe:  # every start of a point with a witness leaves
-                hit = np.zeros(len(z0), dtype=bool)
-                hit[act[found]] = True
-                found = hit.reshape(points, -1).any(axis=1)[point[act]]
+                found = np.isin(point[act], point[act[found]])
             act = act[_rows(~found)]
-    return z, w, alive
 
 
 def _levenberg_marquardt(t: np.ndarray, gmat, z: np.ndarray, w: np.ndarray, point: np.ndarray,
-                         limit: np.ndarray, alive: np.ndarray, max_iters: int, probe=False):
-    """Damped Gauss-Newton steps on r(z, w) = sum_ik z_i w_k T_p[i, k, :] for the live starts.
+                         limit: np.ndarray, max_iters: int, probe=False):
+    """Damped Gauss-Newton steps on r(z, w) = sum_ik z_i w_k T_p[i, k, :] for each start.
 
     The rows, tensors and limits are laid out as for `_sweeps`.  Steps lie
     in the tangent space of {|z| = |w| = 1, z^T gmat w = 0}; after a step w
@@ -458,11 +416,10 @@ def _levenberg_marquardt(t: np.ndarray, gmat, z: np.ndarray, w: np.ndarray, poin
     t_z = t.transpose(0, 2, 1, 3).reshape(points, dw, dz * d)
     t_w = t.reshape(points, dz, dw * d)
     val = _pair_values(t, z, w, _runs(point))
-    done = alive & (val < limit)
-    status = np.where(alive, CAPPED, NO_COMPLEMENT)
-    status[done] = CONVERGED
+    done = val < limit
+    status = np.where(done, CONVERGED, CAPPED)
     damp = np.full(len(z), _DAMP_START)
-    act = np.flatnonzero(alive & ~done)
+    act = np.flatnonzero(~done)
     if probe:
         act = _stop(status, act, done.reshape(points, -1).any(axis=1)[point[act]])
     best = val.reshape(points, -1).min(axis=1)
@@ -592,13 +549,17 @@ def _search_terms(triple: Triple, z_dom: Subspace, budget: StartBudget):
 
     Returns the component stacks of the Z- and W-domains, the commutator
     tensor [z_i, w_k] in coordinates along g, the orthogonality constraint
-    and the starts; None when a domain is empty.
+    and the starts; None when there is no orthonormal pair: a domain is
+    empty, or the Z-domain is p of dimension 1 (g minus k when m = 0), the
+    only one-dimensional Z-domain that is not orthogonal to p.
     """
     w_dom = triple.p_basis
     if z_dom.dim == 0 or w_dom.dim == 0:
         return None
-    z_comps, w_comps = z_dom.comps(), w_dom.comps()
     gmat = _ortho_constraint(z_dom, w_dom)
+    if z_dom.dim == 1 and gmat is not None:
+        return None
+    z_comps, w_comps = z_dom.comps(), w_dom.comps()
     commutator = pair_bracket_coords(triple.field, z_comps, w_comps, triple.g_basis.mat)
     return z_comps, w_comps, commutator, gmat, _starts(z_dom, w_dom, gmat, budget)
 

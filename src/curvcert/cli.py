@@ -158,6 +158,8 @@ def _parse_inline_a(raw: str, triple: Triple):
     doc = json.loads(raw)
     if isinstance(doc, dict):
         field_tag = FieldTag(doc.get("field", triple.field.value))
+        if "matrix" not in doc:
+            raise ValueError('an --A object has no "matrix"')
         return matrix_from_components(field_tag, doc.get("n", triple.n), doc["matrix"])
     return matrix_from_components(triple.field, triple.n, doc)
 
@@ -309,6 +311,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit:
         raise
+    # KeyError is a backstop: an input error must exit 3, never 1 (REFUTED)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"curvcert: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -274,8 +274,10 @@ def descend_one(tensors, gmat, z0, w0, max_iters, target):
     is the w-step's smallest eigenvalue.  The tangent space of
     {|z| = |w| = 1, z^T gmat w = 0} is an explicit null-space basis from an
     SVD of the constraint rows, where the lockstep search projects instead.
-    The status codes are those of `curvcert.certify`: 0 converged, 1 hit
-    max_iters, 2 empty complement.
+    The status codes 0 (converged) and 1 (hit max_iters) are those of
+    `curvcert.certify`; 2 marks an empty orthogonal complement, which the
+    search never meets: it answers a domain with no admissible pair before
+    any start descends.
     """
     floor = (16 * np.finfo(float).eps) ** 2 * sum(np.sum(t * t) for t in tensors)
 

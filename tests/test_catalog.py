@@ -152,7 +152,7 @@ class TestValidationAndDispatch:
         assert build_entry("m_kl", n=2, k=1, l=-1).params == {"n": 2, "k": 1, "l": -1}
         e = build_entry("t1_projective", n=2, field="C")
         assert e.params == {"field": "C", "n": 2}
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="^unknown catalog entry: nonsense$"):
             build_entry("nonsense")
         with pytest.raises(ValueError):
             build_entry("m_kl", n=2)

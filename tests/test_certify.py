@@ -717,42 +717,21 @@ class TestLockstepSearch:
         z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=0))
         assert_same_search(*_lockstep_vs_oracle(tensors, gmat, z0, w0, 0.0, triple))
 
-    def test_blocks_of_starts_match_one_block(self, monkeypatch):
-        triple = sp_example(2).triple
-        z_dom, w_dom = triple.gk_basis(), triple.p_basis
-        t = pair_bracket_coords(triple.field, z_dom.comps(), w_dom.comps(), triple.g_basis.comps())
-        gmat = certify._ortho_constraint(z_dom, w_dom)
-        z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=1))
-        [(whole, _, _, whole_status)] = certify._descend(t[None], gmat, z0, w0, 200, 0.0)
-        monkeypatch.setattr(certify, "_BLOCK_FLOATS", 1)  # one start per block
-        [(single, _, _, single_status)] = certify._descend(t[None], gmat, z0, w0, 200, 0.0)
-        assert_same_search(single, whole)
-        assert np.array_equal(single_status, whole_status)
-
-    def test_bounded_blocks_of_a_scan_match_its_point_searches(self, monkeypatch):
-        # the rows that descend together stay within the block budget, several
-        # points' blocks per batch when they fit and one start per batch at a
-        # budget of 1, and each point keeps the report of its search alone
-        e = sp_example(2)
-        s_values, budget = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8], StartBudget(starts=16, seed=1)
-        rows = []
+    def test_a_scan_is_one_probe_and_one_full_search(self, monkeypatch):
+        # every start at every point descends in one `_sweeps` call: the
+        # probe's 4 starts at all 6 points, then all 16 starts at the 5 points
+        # the probe does not refute; each point keeps its search's report
+        e = sp_example(4)
+        s_values, budget = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8], StartBudget(starts=16, seed=0)
+        calls = []
         real = certify._sweeps
-        monkeypatch.setattr(certify, "_sweeps", lambda t, gmat, z0, *a: rows.append(
+        monkeypatch.setattr(certify, "_sweeps", lambda t, gmat, z0, *a: calls.append(
             (len(t), len(z0))) or real(t, gmat, z0, *a))
-        whole = scan_along_A(e.triple, e.base_point_A, s_values, budget)
-        # a start's Jacobian holds 34 coordinates of dz + dw = 15 variables: 64 starts a block
-        assert max(n for _, n in rows) <= 64 == certify._BLOCK_FLOATS // (34 * 15)
-        assert max(points for points, _ in rows) > 1
-        monkeypatch.setattr(certify, "_BLOCK_FLOATS", 1)
-        rows.clear()
-        blocks = scan_along_A(e.triple, e.base_point_A, s_values, budget)
-        assert {n for _, n in rows} == {1}
-        for s, got, want in zip(s_values, blocks, whole):
+        reports = scan_along_A(e.triple, e.base_point_A, s_values, budget)
+        assert calls == [(6, 6 * 4), (5, 5 * 16)]
+        for s, got in zip(s_values, reports):
             single = point_positivity(e.triple, group_exp(e.base_point_A, -s), budget, s=s)
             assert report_to_json(got) == report_to_json(single)
-            assert got.verdict is want.verdict
-            if want.verdict is not Verdict.REFUTED:  # a probe's witness depends on its blocks
-                assert math.isclose(got.score, want.score, rel_tol=1e-9, abs_tol=NOISE)
 
     def test_each_point_product_has_the_bits_of_its_rows_alone(self):
         # a row's bits in a matrix product can depend on how many rows share
@@ -781,22 +760,6 @@ class TestLockstepSearch:
         u = np.linalg.norm(w0 @ gmat.T, axis=1)
         assert (u[::2] <= 1e-12).all() and (u[1::2] > 1e-12).all()
         assert_same_search(*_lockstep_vs_oracle([tensor], gmat, z0, w0, 0.0))
-
-    def test_one_dimensional_z_domain_breaks_on_empty_complement(self):
-        rng = np.random.default_rng(6)
-        tensor = rng.standard_normal((1, 3, 5))
-        gmat = np.array([[1.0, 0.0, 0.0]])
-        w0 = rng.standard_normal((6, 3))
-        w0[:3, 0] = 0.0  # gmat w = 0: a free first z-step; the others stop at once
-        w0 /= np.linalg.norm(w0, axis=1, keepdims=True)
-        z0 = np.ones((6, 1))
-        got, ref = _lockstep_vs_oracle([tensor], gmat, z0, w0, 0.0)
-        assert_same_search(got, ref)
-        [(best, z, w, status)] = certify._descend(tensor[None], gmat, z0, w0, 200, 0.0)
-        start = certify._pair_values(tensor[None], z0, w0, [(0, 0, len(z0))])
-        assert (status[3:] == certify.NO_COMPLEMENT).all()
-        assert np.array_equal(best[3:], start[3:])
-        assert np.array_equal(w[3:], w0[3:]) and np.array_equal(z[3:], z0[3:])
 
     @pytest.mark.parametrize("name", ["t1s3_product", "t1_sphere(3)", "m_kl(2,1,1)",
                                       "sp_example(3)", "su(3)>su(2)"])
@@ -859,21 +822,41 @@ class TestWitnessStop:
             assert bit_equal(got, want)
 
     def test_sweeps_stop_at_witnesses(self, monkeypatch):
-        # every start of sp_example(3)'s fat search is a witness after one sweep:
-        # the probe's one block of 4 starts, and each block of the full search
+        # every start of sp_example(3)'s fat search is a witness after one
+        # sweep: the probe's 4 starts, and all 64 when the full search runs
+        # alone, each in one call
         calls = []
         for fn in ("_sweeps", "_min_eig_vectors"):
             real = getattr(certify, fn)
             monkeypatch.setattr(certify, fn,
                                 lambda *a, _fn=fn, _real=real: calls.append(_fn) or _real(*a))
-        for probe_starts, want_blocks in ((certify._PROBE_STARTS, 1), (64, 2)):
+        for probe_starts in (certify._PROBE_STARTS, 64):
             calls.clear()
             monkeypatch.setattr(certify, "_PROBE_STARTS", probe_starts)
             report = check_fatness(sp_example(3).triple, StartBudget(starts=64, seed=0))
             assert report.verdict is Verdict.REFUTED
-            blocks = calls.count("_sweeps")
-            assert blocks >= want_blocks and (blocks == 1) == (probe_starts < 64)
-            assert calls.count("_min_eig_vectors") == 2 * blocks  # one sweep per block, not two
+            assert calls == ["_sweeps", "_min_eig_vectors", "_min_eig_vectors"]  # one sweep, not two
+
+    def test_a_probe_witness_ends_its_point_after_the_first_sweep(self, monkeypatch):
+        # with probe, a witness after the first sweep (row 1, whose limit is
+        # inf) ends every start of its point there; the other point's starts
+        # take the second sweep, as they do without probe
+        rng = np.random.default_rng(7)
+        t = rng.standard_normal((2, 4, 3, 5))
+        z0, w0 = (x / np.linalg.norm(x, axis=1, keepdims=True)
+                  for x in (rng.standard_normal((6, 4)), rng.standard_normal((6, 3))))
+        point, limit = np.repeat([0, 1], 3), np.where(np.arange(6) == 1, np.inf, 0.0)
+
+        def sweeps(probe):
+            z, w = z0.copy(), w0.copy()
+            certify._sweeps(t, None, z, w, point, limit, probe)
+            return np.concatenate([z, w], axis=1)
+
+        probed, plain = sweeps(True), sweeps(False)
+        monkeypatch.setattr(certify, "_ALS_SWEEPS", 1)
+        once = sweeps(False)
+        assert bit_equal(probed[:3], once[:3]) and bit_equal(probed[3:], plain[3:])
+        assert bit_equal(plain[1], once[1]) and not (plain[[0, 2]] == once[[0, 2]]).all()
 
     def test_levenberg_marquardt_stops_at_witnesses(self, monkeypatch):
         triple = sp_example(2).triple

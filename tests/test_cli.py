@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from curvcert.algebra import FieldTag, basis_element
-from curvcert.catalog import t1_sphere
+from curvcert.catalog import build_entry, list_catalog, t1_sphere
 from curvcert.certify import StartBudget, check_fatness, report_to_json
 from curvcert.cli import build_parser, main
 from curvcert.triple import load_triple, make_triple, save_triple
@@ -206,6 +206,27 @@ class TestExportRoundTrip:
         code, out, err = run(capsys, "check", "--file", str(path), "--method", "part3")
         assert code == 3 and out == ""
         assert f"curvcert: error: {message}" in err
+
+    @pytest.mark.parametrize("drop", ["field", "n", "bases", "g", "h", "k"])
+    def test_missing_key_is_named(self, capsys, tmp_path, drop):
+        # each once ended in the bare KeyError text, as `curvcert: error: 'bases'`
+        path = tmp_path / "triple.json"
+        run(capsys, "export", "--entry", "t1_sphere", "--n", "2", "--out", str(path))
+        doc = json.loads(path.read_text())
+        del (doc if drop in doc else doc["bases"])[drop]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "--file", str(path), "--method", "part3")
+        where = "a triple document" if drop in ("field", "n", "bases") else '"bases"'
+        assert (code, out, err) == (3, "", f'curvcert: error: {where} has no "{drop}"\n')
+
+    def test_unknown_entry_is_error(self, capsys):
+        code, out, err = run(capsys, "check", "--entry", "nope", "--method", "part3")
+        assert (code, out, err) == (3, "", "curvcert: error: unknown catalog entry: nope\n")
+
+    def test_inline_base_point_without_matrix_is_error(self, capsys):
+        code, out, err = run(capsys, "check", "--entry", "t1_sphere", "--n", "2",
+                             "--method", "part3", "--A", '{"n": 2}')
+        assert (code, out, err) == (3, "", 'curvcert: error: an --A object has no "matrix"\n')
 
     @pytest.mark.parametrize("a,message", [
         ('{"n": [2], "matrix": [0]}', "n must be a positive integer, not [2]"),
@@ -442,6 +463,77 @@ class TestDegenerateReports:
         report = check_fatness(load_triple(files["p0"]), StartBudget(starts=4))
         assert report.score == math.inf  # the report object keeps inf
         assert strict_json(report_to_json(report))["score"] is None
+
+
+# Exit codes and stdout digests of fat, part2 and a 2-point scan at 8 starts on
+# every catalog entry that builds at n = 1, taken while a Z-domain with no
+# orthonormal pair still went to the search.  Then pt_projective(R,1), where
+# g minus k is p of dimension 1, had fat and part2 INCONCLUSIVE (score null,
+# "0 of 8 starts converged") after its starts divided by zero; both are now
+# vacuously CERTIFIED, as its scan (over m = 0) was.  No other report moved.
+ONE_DIMENSIONAL_RUNS = {
+    "fat": ["check", "--method", "fat"],
+    "part2": ["check", "--method", "part2"],
+    "scan": ["scan", "--s-values", "0,0.1"],
+}
+ONE_DIMENSIONAL_DIGESTS = {
+    ("pt_projective", "R"): {
+        "scan": (0, "4ee52897d625ae4b342e4fedb0736e78e5fe2cab14c97f49be45e5a809604c47"),
+    },
+    ("pt_projective", "C"): {
+        "fat": (0, "4a697035ac40e839ec4d32bb6499b7bd26fdcb12192b97a93a7b4ba47dafc286"),
+        "part2": (0, "b0e3c9079dff978ec1fe461819b5ca225f2cbcb442b20f7e3462a703efc8749c"),
+        "scan": (0, "c3a3d38510948a8b1034d5752e70211d098d715048fe8b72ceb8effeb131d5fd"),
+    },
+    ("pt_projective", "H"): {
+        "fat": (0, "d7b88aaa1f9addc96c6572a09e92b6c4ff35bbe8fd058635c4a2c9900778a639"),
+        "part2": (0, "dba9d1e82220f8673c0fddab8fdd9746d1e04102ef0dfeb2790e57df11ad7a93"),
+        "scan": (0, "10eb9f19c53672e2760cad38f00d02cee2e68a54642040ac3601309a89514d69"),
+    },
+    ("t1_projective", "C"): {
+        "fat": (0, "a71e96c115ac1a14391e322b0847aaddce43d35a7a83de94146d338414d88925"),
+        "part2": (0, "7973c67b0826e01633ee8b41fac26de9a9fd7612d006c6ddabdca86b85f173b9"),
+        "scan": (0, "4f196dc8f16def97c908404f0024b06457f73d3a4815dc011ec721b07dabcd9c"),
+    },
+    ("t1_projective", "H"): {
+        "fat": (1, "d2382207a3439eddf0d7dc363b15499ac5f4371cf6c70eaa41e9d55045c42d28"),
+        "part2": (0, "ddf3caa9ca0bd17335c58c8aa637aae5741c0d2edb11f9f53acb550d59db59a6"),
+        "scan": (1, "8eb6391d3c067cd6f18a2d9c782c3eeda195072bd10a6956deff8241bcac7371"),
+    },
+}
+
+
+class TestOneDimensionalChains:
+    """n = 1: a search with no admissible pair is vacuous, and every other report stands."""
+
+    def test_the_pinned_entries_are_all_that_build(self):
+        built = set()
+        for row in list_catalog():
+            for field in (None, "R", "C", "H"):
+                try:
+                    build_entry(row["id"], n=1, field=field)
+                except ValueError:
+                    continue
+                built.add((row["id"], field))
+        assert built == set(ONE_DIMENSIONAL_DIGESTS)
+
+    @pytest.mark.parametrize("method", sorted(ONE_DIMENSIONAL_RUNS))
+    @pytest.mark.parametrize("entry", sorted(ONE_DIMENSIONAL_DIGESTS),
+                             ids=lambda entry: f"{entry[0]}({entry[1]},1)")
+    def test_reports(self, capsys, entry, method):
+        # a start that divides by zero warns, and the warning fails the test
+        code, out, _ = run(capsys, *ONE_DIMENSIONAL_RUNS[method], "--entry", entry[0],
+                           "--n", "1", "--field", entry[1], "--starts", "8")
+        if method in ONE_DIMENSIONAL_DIGESTS[entry]:
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+                ONE_DIMENSIONAL_DIGESTS[entry][method]
+            return
+        doc = strict_json(out)
+        note = {"fat": "degenerate triple (empty search domain): vacuously fat",
+                "part2": "degenerate triple (empty search domain): vacuous"}[method]
+        assert code == 0 and doc["verdict"] == "CERTIFIED"
+        assert doc["score"] is None and doc["witness"] is None
+        assert (doc["starts"], doc["notes"]) == (8, [note])
 
 
 def usage_exit_code(*argv):
