@@ -564,14 +564,11 @@ def _search_terms(triple: Triple, z_dom: Subspace, budget: StartBudget):
     return z_comps, w_comps, commutator, gmat, _starts(z_dom, w_dom, gmat, budget)
 
 
-# What a flat-plane search reports on an empty domain and when it refutes.
+# What a flat-plane search reports with no orthonormal pair and when it refutes.
 _SEARCH_NOTES = {
-    Method.FAT: ("degenerate triple (empty search domain): vacuously fat",
-                 "commuting pair found: bundle is not fat"),
-    Method.PART2: ("degenerate triple (empty search domain): vacuous",
-                   "commuting pair with vanishing derivative objective found"),
-    Method.POINT_SCAN: ("degenerate triple (empty search domain): vacuously positive",
-                        "horizontal zero-curvature plane found at this point"),
+    Method.FAT: ("vacuously fat", "commuting pair found: bundle is not fat"),
+    Method.PART2: ("vacuous", "commuting pair with vanishing derivative objective found"),
+    Method.POINT_SCAN: ("vacuously positive", "horizontal zero-curvature plane found at this point"),
 }
 
 
@@ -590,8 +587,9 @@ def _flat_plane_search(
     minimum below refute_tol refutes with the pair as witness, once
     elements[p](Z, W), the same sum on the element path, is below
     refute_tol too (else INCONCLUSIVE); all starts bottoming out above tol
-    give a heuristic CERTIFIED; an empty domain (terms None) is vacuously
-    CERTIFIED.
+    give a heuristic CERTIFIED; no orthonormal pair (terms None) is vacuously
+    CERTIFIED, with a note that tells an empty domain from a Z-domain that
+    holds no Z orthogonal to a W in p.
 
     A budget of more than _PROBE_STARTS starts first descends its first
     _PROBE_STARTS at every point as a probe, which ends, per point, at its
@@ -608,8 +606,10 @@ def _flat_plane_search(
     """
     vacuous, refuted = _SEARCH_NOTES[method]
     if terms is None:
-        return [CertReport(triple.label, method, Verdict.CERTIFIED, float("inf"), tol,
-                           starts=budget.starts, seed=budget.seed, s=s, notes=(vacuous,))
+        empty = 0 in (z_dom.dim, triple.p_basis.dim)
+        why = "empty search domain" if empty else "no Z orthogonal to a W in p"
+        return [CertReport(triple.label, method, Verdict.CERTIFIED, float("inf"), tol, starts=budget.starts,
+                           seed=budget.seed, s=s, notes=(f"degenerate triple ({why}): {vacuous}",))
                 for s in points]
     commutator, gmat, (z0, w0) = terms[2:]
     t = commutator[None] if second is None else np.concatenate(

@@ -136,7 +136,8 @@ class Subspace:
         if span.ndim != 4 or span.shape[1] != span.shape[2] or span.shape[3] != 4:
             raise ValueError(f"expected a stack of shape (r, n, n, 4), got {span.shape}")
         check_skew(field, span)
-        return cls(field, span.shape[1], _orthonormalize(span.reshape(len(span), -1)))
+        n = span.shape[1]
+        return cls(field, n, _orthonormalize(span.reshape(len(span), n * n * 4)))
 
     @property
     def dim(self) -> int:
@@ -514,49 +515,8 @@ def triple_from_dict(doc: dict) -> Triple:
     )
 
 
-_NUMBERS = frozenset({int, float})
-
-
-def _indented_json(obj) -> str:
-    """json.dumps(obj, indent=2) byte for byte, for dicts with string keys, lists, scalars and 2-D float arrays.
-
-    The pure-Python encoder that indent selects is slow on the long rows of
-    numbers in a triple, so each such row goes through the C encoder, with
-    the line break and indentation as its item separator.  An array is
-    written as the nested list of its rows.  The text is collected in pieces
-    and joined once: every concatenation of a megabyte-long string is a copy
-    into a fresh allocation.
-    """
-    out: list[str] = []
-    _write_json(obj, "\n", out)
-    return "".join(out)
-
-
-def _write_json(obj, pad: str, out: list) -> None:
-    """Append the text of obj to out; pad is the line break and indentation of obj's first line."""
-    inner = pad + "  "
-    if isinstance(obj, np.ndarray):
-        _write_rows(obj, pad, out)
-    elif isinstance(obj, list) and obj and set(map(type, obj)) <= _NUMBERS:
-        out += ("[", inner, json.dumps(obj, separators=("," + inner, ": "))[1:-1], pad, "]")
-    elif isinstance(obj, list) and obj:
-        out.append("[")
-        for i, v in enumerate(obj):
-            out.append("," + inner if i else inner)
-            _write_json(v, inner, out)
-        out += (pad, "]")
-    elif isinstance(obj, dict) and obj:
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(f"{',' if i else ''}{inner}{json.dumps(k)}: ")
-            _write_json(v, inner, out)
-        out += (pad, "}")
-    else:
-        out.append(json.dumps(obj))
-
-
 def _write_rows(rows: np.ndarray, pad: str, out: list) -> None:
-    """`_write_json` of a 2-D float array: the nested list of its rows.
+    """Append json.dumps(rows.tolist(), indent=2) to out; pad is the line break and indentation of the closing "]".
 
     All values (the entries that are not +0.0, told by their bits, so -0.0
     is a value) go through the C encoder in one call.  Each row is split
@@ -565,7 +525,7 @@ def _write_rows(rows: np.ndarray, pad: str, out: list) -> None:
     row costs about one string operation per run, not one per number.
     """
     if not rows.size:
-        _write_json(rows.tolist(), pad, out)
+        out.append("[]")
         return
     row_pad = pad + "  "
     value_pad = row_pad + "  "
@@ -590,8 +550,27 @@ def _write_rows(rows: np.ndarray, pad: str, out: list) -> None:
 
 
 def triple_to_json(triple: Triple) -> str:
-    """The triple's document as text, laid out as json.dumps(..., indent=2) lays it out."""
-    return _indented_json(_document(triple))
+    """The triple's document as text, laid out as json.dumps(..., indent=2) lays it out.
+
+    json.dumps lays out the scalars.  Its pure-Python indenting encoder is
+    slow on long lists of numbers, so `_write_rows` writes the bases, and the
+    base point goes through the C encoder with the line break and
+    indentation as its item separator.  The pieces are joined once, since
+    each concatenation of a megabyte-long string copies it.
+    """
+    doc = _document(triple)
+    bases, base = doc.pop("bases"), doc.pop("base_point")
+    out = [json.dumps(doc, indent=2)[:-2], ',\n  "bases": {']
+    for i, (name, rows) in enumerate(bases.items()):
+        out.append(f'{"," if i else ""}\n    "{name}": ')
+        _write_rows(rows, "\n    ", out)
+    out.append('\n  },\n  "base_point": ')
+    if base is None:
+        out.append("null")
+    else:
+        out += ("[\n    ", json.dumps(base, separators=(",\n    ", ": "))[1:-1], "\n  ]")
+    out.append("\n}")
+    return "".join(out)
 
 
 def save_triple(triple: Triple, path: str) -> None:

@@ -529,8 +529,8 @@ class TestOneDimensionalChains:
                 ONE_DIMENSIONAL_DIGESTS[entry][method]
             return
         doc = strict_json(out)
-        note = {"fat": "degenerate triple (empty search domain): vacuously fat",
-                "part2": "degenerate triple (empty search domain): vacuous"}[method]
+        note = {"fat": "degenerate triple (no Z orthogonal to a W in p): vacuously fat",
+                "part2": "degenerate triple (no Z orthogonal to a W in p): vacuous"}[method]
         assert code == 0 and doc["verdict"] == "CERTIFIED"
         assert doc["score"] is None and doc["witness"] is None
         assert (doc["starts"], doc["notes"]) == (8, [note])
