@@ -32,8 +32,9 @@ from .algebra import (
 Span = Union[np.ndarray, Sequence[AlgElement], "Subspace"]
 
 _ORTHO_TOL = 1e-10
-# Product floats held at once by is_symmetric_pair: without this bound, part3 on
-# sp_example(8) peaks at 51.5 MB of RSS instead of 37.8 MB (numpy 2.4, 1 thread).
+# Product floats held at once by the dense path of is_symmetric_pair: without this
+# bound, the check on sp_example(8) conjugated by a random unitary peaks at 57.1 MB
+# of RSS instead of 43.4 MB (numpy 2.4, 1 thread).
 _PAIR_BLOCK_FLOATS = 1 << 18
 
 
@@ -326,31 +327,54 @@ def _check_in_g(triple: Triple, v: np.ndarray) -> None:
         raise NotInSpan(f"element leaves span(g) with residual {resid.max():.2e}")
 
 
+def _support(comp: np.ndarray) -> np.ndarray:
+    """The (n, n) 0/1 pattern of the entries that are nonzero in some matrix of the stack (r, n, n, 4)."""
+    return (comp != 0).any(axis=(0, 3)).astype(np.int64)
+
+
+def _may_reach(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> bool:
+    """False when no product of an a- and a b-matrix, in either order, has an entry where w or w^T has one.
+
+    Then, for finite stacks, every coordinate `pair_bracket_coords(field, a,
+    b, w)` returns is a sum of products with an exact zero factor, so it is
+    a zero.  Both orders are the bracket's two products, so the test does
+    not depend on which one the kernel forms; w^T is there because the
+    kernel reads w^* - w.
+    """
+    sa, sb, sw = _support(a), _support(b), _support(w)
+    return bool(((sb @ sa + sa @ sb) * (sw + sw.T)).any())
+
+
 def is_symmetric_pair(triple: Triple, tol: float = 1e-10) -> bool:
     """Check [p,p] < h and [p,h] < p over all basis pairs.
 
     Only the coordinates of each bracket in the wrong subspace are read, and
     for skew-Hermitian a, b, w they are a trilinear form of the products:
     <[a, b], w> = 2 <a b, w>, so no bracket is built
-    (`algebra.pair_bracket_coords`).  The p-basis is taken in blocks of
-    rows.  Each block is paired with the p vectors from its first row on and
-    with all of h, one batched product each, sized so that a block's
-    products hold about 2^18 floats (at least one row), so memory stays
-    bounded whatever the dimensions.  A bracket whose coordinates in the
-    wrong subspace have norm above tol ends the check at the end of its
-    block.
+    (`algebra.pair_bracket_coords`).  First the entry supports decide: a
+    target ([p,p] along p, [p,h] along h) whose products cannot reach an
+    entry of the wrong subspace (`_may_reach`) would give exact zeros, and
+    is skipped.  On block chains, as every catalog chain but t1s3_product,
+    that settles both targets.  Any other target is read densely, with the
+    p-basis taken in blocks of rows.  Each block is paired with the p
+    vectors from its first row on and with all of h, one batched product
+    each, sized so that a block's products hold about 2^18 floats (at least
+    one row), so memory stays bounded whatever the dimensions.  A bracket
+    whose coordinates in the wrong subspace have norm above tol ends the
+    check at the end of its block.
     """
     p, h = triple.p_basis, triple.h_basis
     p_comp, h_comp = p.comps(), h.comps()
+    wrongs = [w for w in (p_comp, h_comp) if len(w) and _may_reach(p_comp, w, w)]
     pair_floats = triple.n * triple.n * N_COMPONENTS[triple.field]
     rows = max(1, _PAIR_BLOCK_FLOATS // (max(1, p.dim, h.dim) * pair_floats))
     for lo in range(0, p.dim, rows):
         block = p_comp[lo:lo + rows]
-        for others, wrong in ((p_comp[lo:], p_comp), (h_comp, h_comp)):
-            if len(others):
-                coords = pair_bracket_coords(triple.field, block, others, wrong)
-                if np.linalg.norm(coords, axis=2).max() > tol:
-                    return False
+        for wrong in wrongs:
+            others = p_comp[lo:] if wrong is p_comp else h_comp
+            coords = pair_bracket_coords(triple.field, block, others, wrong)
+            if np.linalg.norm(coords, axis=2).max() > tol:
+                return False
     return True
 
 
@@ -508,7 +532,7 @@ def triple_from_dict(doc: dict) -> Triple:
     if missing := [key for key in "ghk" if key not in bases]:
         raise ValueError(f'"bases" has no "{missing[0]}"')
     base = doc.get("base_point")
-    base_point = matrix_from_components(field, n, base) if base else None
+    base_point = matrix_from_components(field, n, base) if base is not None else None
     return _nested_triple(
         decode(bases["g"]), decode(bases["h"]), decode(bases["k"]),
         doc.get("label", ""), base_point,

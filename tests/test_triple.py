@@ -12,8 +12,11 @@ from curvcert.algebra import (
     basis_element,
     block_stack,
     bracket,
+    comp_adjoint,
     from_flat,
+    group_exp,
     inner,
+    pair_bracket_coords,
     random_skew,
 )
 import curvcert.triple as triple_module
@@ -31,6 +34,7 @@ from curvcert.triple import (
     NotInSpan,
     Part,
     Subspace,
+    Triple,
     _orthonormalize,
     is_symmetric_pair,
     make_triple,
@@ -87,6 +91,23 @@ def sp2_sp1_triple():
     """sp(2) > sp(1) on the first slot, a pair that is not symmetric."""
     field = FieldTag.QUATERNION
     return make_triple(block_stack(field, 2, range(2)), block_stack(field, 2, [0]), [], field=field)
+
+
+# chains that are not symmetric pairs, none of them from the catalog
+OFF_CATALOG = [broken_so3_triple, sp2_sp1_triple, lambda: make_triple(*su3_su2_spans(), [])]
+OFF_CATALOG_IDS = ["broken-so3", "sp2-sp1", "su3-su2"]
+
+
+def conjugated(triple, rng):
+    """The triple with every basis row X replaced by u X u^* for a random unitary u, so the entry supports fill."""
+    u = group_exp(random_skew(triple.field, triple.n, rng)).comp
+
+    def conj(sub):
+        comp = comp_adjoint(u, sub.mat.reshape(sub.dim, sub.n, sub.n, 4))
+        return Subspace(sub.field, sub.n, comp.reshape(sub.mat.shape))
+
+    bases = (triple.g_basis, triple.h_basis, triple.k_basis, triple.m_basis, triple.p_basis)
+    return Triple(triple.field, triple.n, *map(conj, bases), label=triple.label)
 
 
 class TestConstruction:
@@ -277,12 +298,11 @@ class TestSymmetricPair:
     def test_one_row_blocks_agree_on_catalog(self, build, monkeypatch):
         triple = build().triple
         want = is_symmetric_pair(triple)
+        monkeypatch.setattr(triple_module, "_may_reach", lambda a, b, w: True)  # the dense path
         monkeypatch.setattr(triple_module, "_PAIR_BLOCK_FLOATS", 1)
         assert is_symmetric_pair(triple) == want
 
-    @pytest.mark.parametrize("build", [broken_so3_triple, sp2_sp1_triple,
-                                       lambda: make_triple(*su3_su2_spans(), [])],
-                             ids=["broken-so3", "sp2-sp1", "su3-su2"])
+    @pytest.mark.parametrize("build", OFF_CATALOG, ids=OFF_CATALOG_IDS)
     def test_one_row_blocks_agree_off_the_catalog(self, build, monkeypatch):
         triple = build()
         assert not is_symmetric_pair(triple)
@@ -290,30 +310,82 @@ class TestSymmetricPair:
         assert not is_symmetric_pair(triple)
 
     @staticmethod
-    def recorded_blocks(triple, monkeypatch) -> list:
-        """The row count of each block that `is_symmetric_pair` hands the kernel, with one-row blocks."""
-        blocks = []
+    def recorded_calls(monkeypatch) -> list:
+        """The (a, b, w) stacks of each call `is_symmetric_pair` makes to the kernel, from now on."""
+        calls = []
         kernel = triple_module.pair_bracket_coords
 
         def recording(field, a, b, w):
-            blocks.append(len(a))
+            calls.append((a, b, w))
             return kernel(field, a, b, w)
 
-        monkeypatch.setattr(triple_module, "_PAIR_BLOCK_FLOATS", 1)
         monkeypatch.setattr(triple_module, "pair_bracket_coords", recording)
+        return calls
+
+    @classmethod
+    def recorded_blocks(cls, triple, monkeypatch) -> list:
+        """The row count of each block that `is_symmetric_pair` hands the kernel, with one-row blocks."""
+        monkeypatch.setattr(triple_module, "_PAIR_BLOCK_FLOATS", 1)
+        calls = cls.recorded_calls(monkeypatch)
         assert not is_symmetric_pair(triple)
-        return blocks
+        return [len(a) for a, _, _ in calls]
 
     def test_one_row_blocks_reach_a_violation_in_the_last_block(self, monkeypatch):
         triple = broken_so3_triple()  # as in test_late_p_h_violation_detected
+        p, h = triple.p_basis.comps(), triple.h_basis.comps()
+        # [p, p] cannot reach p from the supports, so only the [p, h] target runs
+        assert not triple_module._may_reach(p, p, p) and triple_module._may_reach(p, h, h)
         blocks = self.recorded_blocks(triple, monkeypatch)
         assert set(blocks) == {1}
-        assert len(blocks) == 2 * triple.p_basis.dim  # every block ran, the last one failed
+        assert len(blocks) == triple.p_basis.dim  # every block of that target ran, the last one failed
 
     def test_one_row_blocks_stop_at_a_violation_in_the_first_block(self, monkeypatch):
         # p of sp(2)/sp(1) starts with the off-diagonal block, whose brackets
         # with each other have a part on the second diagonal slot, in p
         assert self.recorded_blocks(sp2_sp1_triple(), monkeypatch) == [1]
+
+    @pytest.mark.parametrize("build", FAMILIES[1:] + [lambda: sp_example(8)])
+    def test_block_chains_are_settled_by_their_supports(self, build, monkeypatch):
+        triple = build().triple
+        calls = self.recorded_calls(monkeypatch)
+        assert is_symmetric_pair(triple)
+        assert calls == []
+
+    def test_t1s3_product_is_read_densely(self, t1s3, monkeypatch):
+        # its p and h are sums and differences of the two sp(1) slots, so their products meet both
+        calls = self.recorded_calls(monkeypatch)
+        assert is_symmetric_pair(t1s3)
+        assert [len(w) for _, _, w in calls] == [t1s3.p_basis.dim, t1s3.h_basis.dim]
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["as-built", "conjugated"])
+    @pytest.mark.parametrize("build", [lambda build=build: build().triple for build in FAMILIES]
+                             + OFF_CATALOG)
+    def test_skip_gives_the_dense_verdict(self, build, rotate, monkeypatch):
+        triple = build()
+        want = is_symmetric_pair(triple)
+        if rotate:
+            triple = conjugated(triple, np.random.default_rng(21))
+            p, h = triple.p_basis.comps(), triple.h_basis.comps()
+            assert triple_module._may_reach(p, p, p) and triple_module._may_reach(p, h, h)
+        got = is_symmetric_pair(triple)
+        monkeypatch.setattr(triple_module, "_may_reach", lambda a, b, w: True)
+        assert got == is_symmetric_pair(triple) == want  # a symmetric pair is one in any frame
+
+    def test_support_of_w_is_read_with_its_transpose(self):
+        # h holds a row skew only to within check_skew's tolerance: h_02 = h_10 = 1e-12 with
+        # h_20 = h_01 = 0.  The products of p = e12 - e21 with h lie on (0, 1) and (2, 0), off
+        # the support of h but on its transpose, and the kernel reads w^* - w there.
+        triple = t1_sphere(3).triple
+        field, n = triple.field, triple.n
+        p = block_stack(field, n, [1, 2]) / np.sqrt(2)
+        h = block_stack(field, n, [0, 3]) / np.sqrt(2)
+        h[0, 0, 2, 0] = h[0, 1, 0, 0] = 1e-12
+        assert triple_module._may_reach(p, h, h)
+        assert pair_bracket_coords(field, p, h, h).any()
+        odd = dataclasses.replace(triple, p_basis=Subspace(field, n, p.reshape(1, -1)),
+                                  h_basis=Subspace(field, n, h.reshape(1, -1)))
+        assert is_symmetric_pair(odd)  # the coordinate, about 7e-25, is below tol
+        assert not is_symmetric_pair(odd, tol=0.0)
 
     def test_rejects_non_skew_basis(self, t1s3):
         mat = np.array(t1s3.p_basis.mat)

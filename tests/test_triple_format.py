@@ -134,6 +134,10 @@ def bases_not_an_object(data, doc):
         st.lists(st.floats()), st.just(list(doc["bases"].values()))), label="bases")
 
 
+def base_point_falsy(data, doc):
+    doc["base_point"] = data.draw(st.sampled_from([0, False, [], ""]), label="base_point")
+
+
 def missing_key(data, doc):
     key = data.draw(st.sampled_from(["schema", "field", "n", "bases", "g", "h", "k"]), label="key")
     del (doc if key in doc else doc["bases"])[key]
@@ -142,16 +146,34 @@ def missing_key(data, doc):
 class TestMalformedDocuments:
     @PROPERTY
     @given(data=st.data(), document=st.sampled_from(range(len(DOCUMENTS))),
-           edit=st.sampled_from([wrong_width, numbers_as_strings, bases_not_an_object, missing_key]))
+           edit=st.sampled_from([wrong_width, numbers_as_strings, bases_not_an_object, base_point_falsy,
+                                 missing_key]))
     def test_check_file_exits_3(self, data, document, edit):
         doc = json.loads(json.dumps(DOCUMENTS[document]))
         edit(data, doc)
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "triple.json")
-            with open(path, "w") as fh:
-                fh.write(json.dumps(doc))
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["check", "--file", path, "--method", "part3"])
-        assert (code, out.getvalue()) == (3, "")
-        assert err.getvalue().startswith("curvcert: error: ")
+        code, out, err = check_file(doc, "--method", "part3")
+        assert (code, out) == (3, "")
+        assert err.startswith("curvcert: error: ")
+
+    @pytest.mark.parametrize("method", [["part3"], ["fat", "--starts", "4"]], ids=["part3", "fat"])
+    @pytest.mark.parametrize("base", [0, False, [], ""], ids=repr)
+    def test_falsy_base_point_is_a_malformed_matrix(self, base, method):
+        # not read as "no base point": part3 would then ask for one, and fat would run
+        doc = json.loads(json.dumps(DOCUMENTS[0]))
+        doc["base_point"] = base
+        code, out, err = check_file(doc, "--method", *method)
+        assert (code, out) == (3, "")
+        assert err.startswith("curvcert: error: ")
+        assert "a matrix must hold numbers only" in err or " scalars, got " in err
+
+
+def check_file(doc: dict, *flags: str) -> tuple[int, str, str]:
+    """`check --file` on the document written to a file: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "triple.json")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", "--file", path, *flags])
+    return code, out.getvalue(), err.getvalue()
