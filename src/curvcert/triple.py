@@ -114,7 +114,8 @@ class Subspace:
             raise ValueError(f"basis matrix has wrong shape {mat.shape}")
         if mat.shape[0]:
             gram = mat @ mat.T
-            if np.abs(gram - np.eye(mat.shape[0])).max() > _ORTHO_TOL:
+            gram.flat[::mat.shape[0] + 1] -= 1.0  # gram - I
+            if np.abs(gram).max() > _ORTHO_TOL:
                 raise ValueError("basis is not orthonormal to 1e-10")
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
@@ -124,7 +125,10 @@ class Subspace:
         """Orthonormal basis of the span of AlgElements, or of a stack (r, n, n, 4) over `field`.
 
         An element list is stacked, taking its field from the elements; a
-        stack is validated by one `check_skew`.  A Subspace is its own basis.
+        stack is validated by one `check_skew`.  The orthonormal rows are
+        checked again at the first `comps()`: Gram-Schmidt can magnify a
+        non-skew part that the tolerance let through in nearly dependent
+        rows.  A Subspace is its own basis.
         """
         if isinstance(span, Subspace):
             return span
@@ -150,8 +154,12 @@ class Subspace:
     def comps(self) -> np.ndarray:
         """The basis as a validated stack of component matrices, shape (dim, n, n, 4).
 
-        The basis is immutable, so it is checked by `check_skew` once, on the
-        first call that passes.
+        The basis is immutable, so `check_skew` runs at most once, on the
+        first call that passes, unless the basis carries its stack from
+        where it was made (`_derived`): file rows checked on loading, and
+        bases formed from checked orthonormal rows (m and p,
+        `Triple.gk_basis`, the stabilizer kernel, the empty subspace), whose
+        rows combine skew-Hermitian rows.
         """
         return self._comps
 
@@ -162,6 +170,13 @@ class Subspace:
         return comp
 
     @classmethod
+    def _derived(cls, field: FieldTag, n: int, mat: np.ndarray) -> "Subspace":
+        """The subspace with orthonormal rows mat that were checked or formed from checked rows: `comps()` does not check them."""
+        sub = cls(field, n, mat)
+        object.__setattr__(sub, "_comps", sub.mat.reshape(sub.dim, n, n, 4))
+        return sub
+
+    @classmethod
     def _from_rows(cls, field: FieldTag, comp: np.ndarray) -> "Subspace":
         """The subspace whose basis is the stack comp (r, n, n, 4) as given, checked by `check_skew` before it is built.
 
@@ -169,9 +184,7 @@ class Subspace:
         does not repeat it.
         """
         check_skew(field, comp)
-        sub = cls(field, comp.shape[1], comp.reshape(len(comp), -1))
-        object.__setattr__(sub, "_comps", sub.mat.reshape(comp.shape))
-        return sub
+        return cls._derived(field, comp.shape[1], comp.reshape(len(comp), -1))
 
     def brackets_with(self, a: AlgElement, along: "Subspace") -> np.ndarray:
         """Row i: the coordinates of [b_i, A] along the basis of `along`, shape (dim, along.dim)."""
@@ -194,13 +207,18 @@ class Subspace:
 
 
 def _empty_subspace(field: FieldTag, n: int) -> Subspace:
-    return Subspace(field, n, np.zeros((0, n * n * 4)))
+    return Subspace._derived(field, n, np.zeros((0, n * n * 4)))
 
 
-def _complement(big: Subspace, small: Subspace) -> Subspace:
-    """Orthonormal basis of big minus the span of small."""
-    reduced = big.mat - (big.mat @ small.mat.T) @ small.mat if small.dim else big.mat
-    return Subspace(big.field, big.n, _orthonormalize(reduced))
+def _complement(big: Subspace, small: Subspace, cross: np.ndarray) -> Subspace:
+    """Orthonormal basis of big minus the span of small, given cross = big.mat @ small.mat.T.
+
+    Its rows combine those of big and small, whose `comps()` is taken first,
+    so it carries its stack (see `Subspace.comps`).
+    """
+    big.comps(), small.comps()
+    reduced = big.mat - cross @ small.mat if small.dim else big.mat
+    return Subspace._derived(big.field, big.n, _orthonormalize(reduced))
 
 
 @dataclass(frozen=True)
@@ -250,8 +268,9 @@ class Triple:
         }[which]
 
     def gk_basis(self) -> Subspace:
-        """Orthonormal basis of g minus k (= m + p)."""
-        return Subspace(self.field, self.n, np.vstack([self.m_basis.mat, self.p_basis.mat]))
+        """Orthonormal basis of g minus k (= m + p), carrying the stack of m's and p's checked rows."""
+        self.m_basis.comps(), self.p_basis.comps()
+        return Subspace._derived(self.field, self.n, np.vstack([self.m_basis.mat, self.p_basis.mat]))
 
 
 def make_triple(
@@ -280,15 +299,20 @@ def make_triple(
 def _nested_triple(
     g: Subspace, h: Subspace, k: Subspace, label: str, base_point: Optional[AlgElement]
 ) -> Triple:
-    """Check k < h < g on orthonormal bases and derive the complements m and p."""
-    for name, sub, sup in (("h", h, g), ("k", k, h)):
-        resid = np.linalg.norm(sub.mat - sup.project_flat(sub.mat), axis=1)
+    """Check k < h < g on orthonormal bases and derive the complements m and p.
+
+    Each pair takes one product sup.mat @ sub.mat.T: the nesting residual
+    reads its transpose and the complement the product itself.
+    """
+    gh, hk = g.mat @ h.mat.T, h.mat @ k.mat.T
+    for name, sub, sup, cross in (("h", h, g, gh), ("k", k, h, hk)):
+        resid = np.linalg.norm(sub.mat - cross.T @ sup.mat, axis=1)
         if resid.size and resid.max() > _ORTHO_TOL:
             raise NotInSpan(
                 f"{name}-basis vector leaves its ambient span (residual {resid.max():.2e})"
             )
-    m = _complement(h, k)
-    p = _complement(g, h)
+    m = _complement(h, k, hk)
+    p = _complement(g, h, gh)
     if m.dim != h.dim - k.dim or p.dim != g.dim - h.dim:
         raise ValueError("derived complement dimensions are inconsistent")
     return Triple(g.field, g.n, g, h, k, m, p, label=label, base_point=base_point)
@@ -328,8 +352,14 @@ def _check_in_g(triple: Triple, v: np.ndarray) -> None:
 
 
 def _support(comp: np.ndarray) -> np.ndarray:
-    """The (n, n) 0/1 pattern of the entries that are nonzero in some matrix of the stack (r, n, n, 4)."""
-    return (comp != 0).any(axis=(0, 3)).astype(np.int64)
+    """The (n, n) 0/1 pattern of the entries that are nonzero in some matrix of the stack (r, n, n, 4).
+
+    Read from the flat rows, contiguous in a basis's `comps()`: any over the
+    rows, then over the 4 components of each entry.
+    """
+    n = comp.shape[1]
+    entries = (comp.reshape(len(comp), n * n * 4) != 0).any(axis=0)
+    return entries.reshape(n, n, 4).any(axis=2).astype(np.int64)
 
 
 def _may_reach(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> bool:
@@ -395,7 +425,7 @@ def stabilizer_subalgebra(
     """
     if h_basis.dim == 0:
         return h_basis
-    # u is square: dim h <= dim g
+    # u is square: dim h <= dim g; brackets_with takes h's checked stack
     u, s, _ = np.linalg.svd(h_basis.brackets_with(a, g_basis), full_matrices=False)
     null_mask = s < null_tol
     rank = int(np.count_nonzero(~null_mask))
@@ -410,7 +440,7 @@ def stabilizer_subalgebra(
     if kernel_dim == 0:
         return _empty_subspace(h_basis.field, h_basis.n)
     coeffs = u[:, rank:].T  # rows: kernel coordinates in the h-basis
-    return Subspace(h_basis.field, h_basis.n, _orthonormalize(coeffs @ h_basis.mat))
+    return Subspace._derived(h_basis.field, h_basis.n, _orthonormalize(coeffs @ h_basis.mat))
 
 
 def randomly_rebased(triple: Triple, rng: np.random.Generator) -> Triple:
@@ -514,6 +544,9 @@ def triple_from_dict(doc: dict) -> Triple:
         raise ValueError(f'a triple document has no "{missing[0]}"')
     field = FieldTag(doc["field"])
     n, nc = _size(doc["n"]), N_COMPONENTS[field]
+    label = doc.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError(f'"label" is a JSON string, not {type(label).__name__}')
 
     def decode(rows) -> Subspace:
         if not rows:
@@ -534,8 +567,7 @@ def triple_from_dict(doc: dict) -> Triple:
     base = doc.get("base_point")
     base_point = matrix_from_components(field, n, base) if base is not None else None
     return _nested_triple(
-        decode(bases["g"]), decode(bases["h"]), decode(bases["k"]),
-        doc.get("label", ""), base_point,
+        decode(bases["g"]), decode(bases["h"]), decode(bases["k"]), label, base_point,
     )
 
 
@@ -545,8 +577,9 @@ def _write_rows(rows: np.ndarray, pad: str, out: list) -> None:
     All values (the entries that are not +0.0, told by their bits, so -0.0
     is a value) go through the C encoder in one call.  Each row is split
     into runs of values and runs of +0.0 entries: a run of values is joined
-    from the encoder's output, a run of zeros is one repeated string, so a
-    row costs about one string operation per run, not one per number.
+    from the encoder's output, a run of zeros is one repeated string, joined
+    once per run length in each call, so a row costs about one string
+    operation per run, not one per number.
     """
     if not rows.size:
         out.append("[]")
@@ -563,13 +596,20 @@ def _write_rows(rows: np.ndarray, pad: str, out: list) -> None:
     kinds = zero.ravel()[first].tolist()
     first = first.tolist()
     width = rows.shape[1]
+    zero_runs = {}  # the text of a run of k zeros, by k
     out.append(f"[{row_pad}[{value_pad}")
     for begin, end, is_zero in zip(first, first[1:] + [rows.size], kinds):
         if begin % width:
             out.append(sep)
         elif begin:  # a new row
             out.append(row_break)
-        out.append(sep.join(["0.0"] * (end - begin) if is_zero else itertools.islice(values, end - begin)))
+        k = end - begin
+        if is_zero:
+            if k not in zero_runs:
+                zero_runs[k] = sep.join(["0.0"] * k)
+            out.append(zero_runs[k])
+        else:
+            out.append(sep.join(itertools.islice(values, k)))
     out += (row_pad, "]", pad, "]")
 
 

@@ -327,7 +327,12 @@ class TestValidation:
 class TestBlockStack:
     @pytest.mark.parametrize("field", list(FieldTag))
     @pytest.mark.parametrize("n, indices", [(4, range(4)), (4, []), (3, [2]), (1, [0]),
-                                            (6, range(2, 6)), (7, [1, 3, 4, 6])])
+                                            (6, range(2, 6)), (7, [1, 3, 4, 6])]
+                             # all of the algebra, the catalog's blocks from 1 and
+                             # from 2 on, and each single index, for n = 1..6
+                             + [(n, indices) for n in range(1, 7)
+                                for indices in (range(n), range(1, n), range(2, n),
+                                                *([i] for i in range(n)))])
     def test_matches_basis_elements_bit_for_bit(self, field, n, indices):
         got = block_stack(field, n, indices)
         assert bit_equal(got, reference_block_stack(field, n, indices))

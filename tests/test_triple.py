@@ -183,6 +183,46 @@ class TestConstruction:
             with pytest.raises(InvalidElement):
                 bad.comps()
 
+    @pytest.mark.parametrize("rotate", [False, True], ids=["as-built", "conjugated"])
+    @pytest.mark.parametrize("build", [lambda build=build: build().triple for build in FAMILIES]
+                             + OFF_CATALOG)
+    def test_derived_bases_pass_check_skew(self, build, rotate):
+        # m, p, gk_basis and the stabilizer kernel carry their stack unchecked:
+        # their rows are combinations of checked skew-Hermitian rows
+        triple = build()
+        a = triple.base_point or triple.p_basis.elements()[0]
+        if rotate:
+            rng = np.random.default_rng(22)
+            u = group_exp(random_skew(triple.field, triple.n, rng)).comp
+            triple = conjugated(triple, rng)
+            a = from_flat(a.field, a.n, comp_adjoint(u, a.comp).ravel())
+            triple = make_triple(triple.g_basis, triple.h_basis, triple.k_basis)
+        derived = [triple.m_basis, triple.p_basis, triple.gk_basis(),
+                   stabilizer_subalgebra(triple.h_basis, a, triple.g_basis)]
+        for sub in derived:
+            assert "_comps" in vars(sub)  # comps() will not check it
+            triple_module.check_skew(sub.field, sub.mat.reshape(sub.dim, sub.n, sub.n, 4))
+
+    def test_outside_rows_are_checked_before_a_complement_is_derived(self, t1s3):
+        mat = np.array(t1s3.g_basis.mat)
+        mat[0, 0] = 1.0  # a real diagonal entry: no longer skew-Hermitian
+        mat[0] /= np.linalg.norm(mat[0])
+        with pytest.raises(InvalidElement):
+            make_triple(Subspace(t1s3.field, t1s3.n, mat), [], [])
+
+    def test_near_dependent_span_is_checked_after_orthonormalizing(self):
+        # both rows pass check_skew (defect 8e-10), but Gram-Schmidt keeps
+        # their 4e-10 difference and normalizes it to the real diagonal unit
+        e, d = np.zeros((2, 2, 4)), np.zeros((2, 2, 4))
+        e[0, 1, 0], e[1, 0, 0] = 1.0, -1.0
+        d[0, 0, 0] = 1.0
+        span = np.array([e, e + 4e-10 * d])
+        triple_module.check_skew(FieldTag.REAL, span)
+        with pytest.raises(InvalidElement):
+            Subspace.from_spanning(span, FieldTag.REAL).comps()
+        with pytest.raises(InvalidElement):
+            make_triple(span, [], [], field=FieldTag.REAL)
+
     def test_gk_basis_spans_m_plus_p(self, t1s3):
         gk = t1s3.gk_basis()
         assert gk.dim == t1s3.m_basis.dim + t1s3.p_basis.dim
@@ -386,6 +426,14 @@ class TestSymmetricPair:
                                   h_basis=Subspace(field, n, h.reshape(1, -1)))
         assert is_symmetric_pair(odd)  # the coordinate, about 7e-25, is below tol
         assert not is_symmetric_pair(odd, tol=0.0)
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_support_of_an_empty_stack(self, field):
+        empty = np.zeros((0, 3, 3, 4))
+        assert bit_equal(triple_module._support(empty), np.zeros((3, 3), dtype=np.int64))
+        full = block_stack(field, 3, range(3))
+        assert not triple_module._may_reach(empty, full, full)
+        assert not triple_module._may_reach(full, full, empty)
 
     def test_rejects_non_skew_basis(self, t1s3):
         mat = np.array(t1s3.p_basis.mat)

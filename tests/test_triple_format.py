@@ -138,6 +138,12 @@ def base_point_falsy(data, doc):
     doc["base_point"] = data.draw(st.sampled_from([0, False, [], ""]), label="base_point")
 
 
+def label_not_a_string(data, doc):
+    doc["label"] = data.draw(st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.lists(st.text()),
+        st.dictionaries(st.text(), st.integers())), label="label")
+
+
 def missing_key(data, doc):
     key = data.draw(st.sampled_from(["schema", "field", "n", "bases", "g", "h", "k"]), label="key")
     del (doc if key in doc else doc["bases"])[key]
@@ -147,13 +153,29 @@ class TestMalformedDocuments:
     @PROPERTY
     @given(data=st.data(), document=st.sampled_from(range(len(DOCUMENTS))),
            edit=st.sampled_from([wrong_width, numbers_as_strings, bases_not_an_object, base_point_falsy,
-                                 missing_key]))
+                                 label_not_a_string, missing_key]))
     def test_check_file_exits_3(self, data, document, edit):
         doc = json.loads(json.dumps(DOCUMENTS[document]))
         edit(data, doc)
         code, out, err = check_file(doc, "--method", "part3")
         assert (code, out) == (3, "")
         assert err.startswith("curvcert: error: ")
+
+    @pytest.mark.parametrize("label", [5, ["a"], None, {"x": 1}], ids=repr)
+    def test_label_that_is_not_a_string_is_named(self, label):
+        # not echoed into the report's "triple" field
+        doc = json.loads(json.dumps(DOCUMENTS[0]))
+        doc["label"] = label
+        code, out, err = check_file(doc, "--method", "part3")
+        assert (code, out) == (3, "")
+        assert err.startswith('curvcert: error: "label" ')
+
+    def test_missing_label_is_empty(self):
+        doc = json.loads(json.dumps(DOCUMENTS[0]))
+        del doc["label"]
+        code, out, err = check_file(doc, "--method", "part3")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["triple"] == ""
 
     @pytest.mark.parametrize("method", [["part3"], ["fat", "--starts", "4"]], ids=["part3", "fat"])
     @pytest.mark.parametrize("base", [0, False, [], ""], ids=repr)
