@@ -67,7 +67,7 @@ from .triple import (
     is_symmetric_pair,
     matrix_to_components,
     project,
-    project_comps,
+    project_stack,
 )
 
 DEFAULT_TOL = 1e-6
@@ -559,9 +559,9 @@ def _search_terms(triple: Triple, z_dom: Subspace, budget: StartBudget):
     gmat = _ortho_constraint(z_dom, w_dom)
     if z_dom.dim == 1 and gmat is not None:
         return None
-    z_comps, w_comps = z_dom.comps(), w_dom.comps()
-    commutator = pair_bracket_coords(triple.field, z_comps, w_comps, triple.g_basis.mat)
-    return z_comps, w_comps, commutator, gmat, _starts(z_dom, w_dom, gmat, budget)
+    z_stack, w_stack = z_dom.comps(), w_dom.comps()
+    commutator = pair_bracket_coords(triple.field, z_stack, w_stack, triple.g_basis.mat)
+    return z_stack, w_stack, commutator, gmat, _starts(z_dom, w_dom, gmat, budget)
 
 
 # What a flat-plane search reports with no orthonormal pair and when it refutes.
@@ -705,11 +705,11 @@ def certify_part2(
 
 def _derivative_tensor(triple: Triple, a: AlgElement, terms) -> np.ndarray:
     """The pair tensor [z_i^h, [A, w_k]^h] along h for the domains of terms."""
-    z_comps, w_comps = terms[:2]
+    z_stack, w_stack = terms[:2]
     h = triple.h_basis
-    aw_h = pair_bracket_coords(triple.field, a.comp[None], w_comps, h.mat)[0] @ h.mat
-    return pair_bracket_coords(triple.field, project_comps(triple, z_comps, Part.H),
-                               aw_h.reshape(w_comps.shape), h.mat)
+    aw_h = pair_bracket_coords(triple.field, a.comp[None], w_stack, h.mat)[0] @ h.mat
+    return pair_bracket_coords(triple.field, project_stack(triple, z_stack, Part.H),
+                               aw_h.reshape(w_stack.shape), h.mat)
 
 
 # --- derivative test along exp(-sA) -------------------------------------------
@@ -793,7 +793,7 @@ def _scan_points(triple: Triple, gs: np.ndarray, points: Sequence[Optional[float
     if terms is not None:
         dz = len(terms[0])
         moved = comp_adjoint(gs[:, None], np.concatenate(terms[:2]))
-        zh, wh = (project_comps(triple, part, Part.H) for part in (moved[:, :dz], moved[:, dz:]))
+        zh, wh = (project_stack(triple, part, Part.H) for part in (moved[:, :dz], moved[:, dz:]))
         horizontal = np.stack([pair_bracket_coords(triple.field, z, w, triple.h_basis.mat)
                                for z, w in zip(zh, wh)])
 

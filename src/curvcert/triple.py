@@ -12,7 +12,6 @@ import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -102,7 +101,12 @@ def _normalized_rows(mat: np.ndarray, drop_tol: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Subspace:
-    """An ordered orthonormal basis of a subspace of the flattened algebra."""
+    """An ordered orthonormal basis of a subspace of the flattened algebra.
+
+    Every basis is checked once, when it is built, however it was made: each
+    row must be a finite skew-Hermitian matrix of the field (`check_skew`,
+    InvalidElement), and the rows must be orthonormal to 1e-10 (ValueError).
+    """
 
     field: FieldTag
     n: int
@@ -113,6 +117,8 @@ class Subspace:
         if mat.ndim != 2 or mat.shape[1] != self.n * self.n * 4:
             raise ValueError(f"basis matrix has wrong shape {mat.shape}")
         if mat.shape[0]:
+            # first, so that NaN, which passes the gram test below, is rejected
+            check_skew(self.field, mat.reshape(len(mat), self.n, self.n, 4))
             gram = mat @ mat.T
             gram.flat[::mat.shape[0] + 1] -= 1.0  # gram - I
             if np.abs(gram).max() > _ORTHO_TOL:
@@ -126,7 +132,7 @@ class Subspace:
 
         An element list is stacked, taking its field from the elements; a
         stack is validated by one `check_skew`.  The orthonormal rows are
-        checked again at the first `comps()`: Gram-Schmidt can magnify a
+        checked again when the Subspace is built: Gram-Schmidt can magnify a
         non-skew part that the tolerance let through in nearly dependent
         rows.  A Subspace is its own basis.
         """
@@ -152,39 +158,8 @@ class Subspace:
         return [from_flat(self.field, self.n, row) for row in self.mat]
 
     def comps(self) -> np.ndarray:
-        """The basis as a validated stack of component matrices, shape (dim, n, n, 4).
-
-        The basis is immutable, so `check_skew` runs at most once, on the
-        first call that passes, unless the basis carries its stack from
-        where it was made (`_derived`): file rows checked on loading, and
-        bases formed from checked orthonormal rows (m and p,
-        `Triple.gk_basis`, the stabilizer kernel, the empty subspace), whose
-        rows combine skew-Hermitian rows.
-        """
-        return self._comps
-
-    @cached_property
-    def _comps(self) -> np.ndarray:
-        comp = self.mat.reshape(self.dim, self.n, self.n, 4)
-        check_skew(self.field, comp)
-        return comp
-
-    @classmethod
-    def _derived(cls, field: FieldTag, n: int, mat: np.ndarray) -> "Subspace":
-        """The subspace with orthonormal rows mat that were checked or formed from checked rows: `comps()` does not check them."""
-        sub = cls(field, n, mat)
-        object.__setattr__(sub, "_comps", sub.mat.reshape(sub.dim, n, n, 4))
-        return sub
-
-    @classmethod
-    def _from_rows(cls, field: FieldTag, comp: np.ndarray) -> "Subspace":
-        """The subspace whose basis is the stack comp (r, n, n, 4) as given, checked by `check_skew` before it is built.
-
-        The check is the one `comps()` makes, on the same rows, so `comps()`
-        does not repeat it.
-        """
-        check_skew(field, comp)
-        return cls._derived(field, comp.shape[1], comp.reshape(len(comp), -1))
+        """The basis as a stack of component matrices, shape (dim, n, n, 4): a read-only view of `mat`."""
+        return self.mat.reshape(self.dim, self.n, self.n, 4)
 
     def brackets_with(self, a: AlgElement, along: "Subspace") -> np.ndarray:
         """Row i: the coordinates of [b_i, A] along the basis of `along`, shape (dim, along.dim)."""
@@ -194,7 +169,7 @@ class Subspace:
     def active(self) -> np.ndarray:
         """The basis rows restricted to the field's active components, shape (dim, n*n*nc)."""
         nc, n = N_COMPONENTS[self.field], self.n
-        return self.mat.reshape(self.dim, n, n, 4)[..., :nc].reshape(self.dim, n * n * nc)
+        return self.comps()[..., :nc].reshape(self.dim, n * n * nc)
 
     def project_flat(self, v: np.ndarray) -> np.ndarray:
         if self.dim == 0:
@@ -207,18 +182,13 @@ class Subspace:
 
 
 def _empty_subspace(field: FieldTag, n: int) -> Subspace:
-    return Subspace._derived(field, n, np.zeros((0, n * n * 4)))
+    return Subspace(field, n, np.zeros((0, n * n * 4)))
 
 
 def _complement(big: Subspace, small: Subspace, cross: np.ndarray) -> Subspace:
-    """Orthonormal basis of big minus the span of small, given cross = big.mat @ small.mat.T.
-
-    Its rows combine those of big and small, whose `comps()` is taken first,
-    so it carries its stack (see `Subspace.comps`).
-    """
-    big.comps(), small.comps()
+    """Orthonormal basis of big minus the span of small, given cross = big.mat @ small.mat.T."""
     reduced = big.mat - cross @ small.mat if small.dim else big.mat
-    return Subspace._derived(big.field, big.n, _orthonormalize(reduced))
+    return Subspace(big.field, big.n, _orthonormalize(reduced))
 
 
 @dataclass(frozen=True)
@@ -268,9 +238,8 @@ class Triple:
         }[which]
 
     def gk_basis(self) -> Subspace:
-        """Orthonormal basis of g minus k (= m + p), carrying the stack of m's and p's checked rows."""
-        self.m_basis.comps(), self.p_basis.comps()
-        return Subspace._derived(self.field, self.n, np.vstack([self.m_basis.mat, self.p_basis.mat]))
+        """Orthonormal basis of g minus k (= m + p)."""
+        return Subspace(self.field, self.n, np.vstack([self.m_basis.mat, self.p_basis.mat]))
 
 
 def make_triple(
@@ -325,7 +294,7 @@ def project(triple: Triple, x: AlgElement, part: Part) -> AlgElement:
     return from_flat(triple.field, triple.n, triple.part(part).project_flat(v))
 
 
-def project_comps(triple: Triple, comps: np.ndarray, part: Part) -> np.ndarray:
+def project_stack(triple: Triple, comps: np.ndarray, part: Part) -> np.ndarray:
     """`project` for a stack (..., r, n, n, 4) of component matrices, in the same layout.
 
     Each stack of r matrices is projected by its own products, so it has the
@@ -425,7 +394,7 @@ def stabilizer_subalgebra(
     """
     if h_basis.dim == 0:
         return h_basis
-    # u is square: dim h <= dim g; brackets_with takes h's checked stack
+    # u is square: dim h <= dim g
     u, s, _ = np.linalg.svd(h_basis.brackets_with(a, g_basis), full_matrices=False)
     null_mask = s < null_tol
     rank = int(np.count_nonzero(~null_mask))
@@ -440,7 +409,7 @@ def stabilizer_subalgebra(
     if kernel_dim == 0:
         return _empty_subspace(h_basis.field, h_basis.n)
     coeffs = u[:, rank:].T  # rows: kernel coordinates in the h-basis
-    return Subspace._derived(h_basis.field, h_basis.n, _orthonormalize(coeffs @ h_basis.mat))
+    return Subspace(h_basis.field, h_basis.n, _orthonormalize(coeffs @ h_basis.mat))
 
 
 def randomly_rebased(triple: Triple, rng: np.random.Generator) -> Triple:
@@ -548,7 +517,10 @@ def triple_from_dict(doc: dict) -> Triple:
     if not isinstance(label, str):
         raise ValueError(f'"label" is a JSON string, not {type(label).__name__}')
 
-    def decode(rows) -> Subspace:
+    def decode(name: str) -> Subspace:
+        rows = bases[name]
+        if not isinstance(rows, list):  # not read as empty when falsy: [] is the empty basis
+            raise ValueError(f'basis "{name}" is a JSON list, not {type(rows).__name__}')
         if not rows:
             return _empty_subspace(field, n)
         arr = _numbers(rows, "a basis")
@@ -557,7 +529,7 @@ def triple_from_dict(doc: dict) -> Triple:
         comp = np.zeros((len(arr), n, n, 4))
         comp[..., :nc] = arr.reshape(len(arr), n, n, nc)
         # stored bases are already orthonormal; build directly to stay bit-faithful
-        return Subspace._from_rows(field, comp)
+        return Subspace(field, n, comp.reshape(len(arr), -1))
 
     bases = doc["bases"]
     if not isinstance(bases, dict):
@@ -566,9 +538,7 @@ def triple_from_dict(doc: dict) -> Triple:
         raise ValueError(f'"bases" has no "{missing[0]}"')
     base = doc.get("base_point")
     base_point = matrix_from_components(field, n, base) if base is not None else None
-    return _nested_triple(
-        decode(bases["g"]), decode(bases["h"]), decode(bases["k"]), label, base_point,
-    )
+    return _nested_triple(decode("g"), decode("h"), decode("k"), label, base_point)
 
 
 def _write_rows(rows: np.ndarray, pad: str, out: list) -> None:

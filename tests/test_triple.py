@@ -110,6 +110,50 @@ def conjugated(triple, rng):
     return Triple(triple.field, triple.n, *map(conj, bases), label=triple.label)
 
 
+def _active_stack(active: np.ndarray) -> np.ndarray:
+    """The real 3 x 3 component stack (r, 3, 3, 4) whose rows have the given active components (r, 9)."""
+    comp = np.zeros((len(active), 3, 3, 4))
+    comp[..., 0] = active.reshape(-1, 3, 3)
+    return comp
+
+
+# every way a basis is built, each given the active components of its rows
+def built_directly(active):
+    return Subspace(FieldTag.REAL, 3, _active_stack(active).reshape(len(active), 36))
+
+
+def built_from_span(active):
+    return Subspace.from_spanning(_active_stack(active), FieldTag.REAL)
+
+
+def loaded_as_g(active):
+    doc = triple_to_dict(t1_sphere(2).triple)
+    doc["bases"]["g"] = active.tolist()
+    return triple_from_dict(doc).g_basis
+
+
+def rebased_as_p(active):
+    triple = dataclasses.replace(t1_sphere(2).triple, p_basis=_unchecked_subspace(active))
+    return randomly_rebased(triple, np.random.default_rng(0)).p_basis
+
+
+def _skew_unit(i: int, j: int) -> np.ndarray:
+    """Active components of the real 3 x 3 unit (E_ij - E_ji) / sqrt(2)."""
+    row = np.zeros(9)
+    row[3 * i + j], row[3 * j + i] = math.sqrt(0.5), -math.sqrt(0.5)
+    return row
+
+
+_E01, _E02, _E12 = _skew_unit(0, 1), _skew_unit(0, 2), _skew_unit(1, 2)
+_NAN01 = _E01.copy()
+_NAN01[1] = math.nan
+BAD_ROWS = {  # two rows each, by what is wrong: the rows and the error they raise
+    "non-skew": (np.array([np.eye(3).ravel() / math.sqrt(3), _E12]), InvalidElement),
+    "nan": (np.array([_NAN01, _E12]), InvalidElement),
+    "non-orthonormal": (np.array([_E01, (_E01 + _E02) / math.sqrt(2)]), ValueError),
+}
+
+
 class TestConstruction:
     def test_derived_bases_orthonormal_and_orthogonal(self, t1s3):
         for sub in (t1s3.m_basis, t1s3.p_basis):
@@ -164,31 +208,30 @@ class TestConstruction:
         with pytest.raises(InvalidElement):
             make_triple(bad, bad[:1], [], field=FieldTag.REAL)
 
-    def test_comps_checks_each_basis_once(self, t1s3, monkeypatch):
+    def test_each_basis_is_checked_once_when_built(self, t1s3, monkeypatch):
         calls = []
         check = triple_module.check_skew
         monkeypatch.setattr(triple_module, "check_skew", lambda f, c: calls.append(len(c)) or check(f, c))
         sub = Subspace(t1s3.field, t1s3.n, np.array(t1s3.p_basis.mat))
-        assert bit_equal(sub.comps(), sub.comps())
         assert calls == [sub.dim]
-        loaded = triple_from_dict(triple_to_dict(t1s3))  # loading checks each stored basis
+        assert bit_equal(sub.comps(), sub.comps())  # a view of the rows: no second check
+        assert calls == [sub.dim]
+        calls.clear()
+        loaded = triple_from_dict(triple_to_dict(t1s3))  # g, h and k as stored, then m and p
+        assert calls == [t1s3.dims[name] for name in "ghkmp"]
         calls.clear()
         loaded.h_basis.comps()
         assert calls == []
         mat = np.array(t1s3.p_basis.mat)
         mat[0, 0] = 1.0  # a real diagonal entry: no longer skew-Hermitian
         mat[0] /= np.linalg.norm(mat[0])
-        bad = Subspace(t1s3.field, t1s3.n, mat)
-        for _ in range(2):
-            with pytest.raises(InvalidElement):
-                bad.comps()
+        with pytest.raises(InvalidElement):
+            Subspace(t1s3.field, t1s3.n, mat)
 
     @pytest.mark.parametrize("rotate", [False, True], ids=["as-built", "conjugated"])
     @pytest.mark.parametrize("build", [lambda build=build: build().triple for build in FAMILIES]
                              + OFF_CATALOG)
     def test_derived_bases_pass_check_skew(self, build, rotate):
-        # m, p, gk_basis and the stabilizer kernel carry their stack unchecked:
-        # their rows are combinations of checked skew-Hermitian rows
         triple = build()
         a = triple.base_point or triple.p_basis.elements()[0]
         if rotate:
@@ -200,7 +243,6 @@ class TestConstruction:
         derived = [triple.m_basis, triple.p_basis, triple.gk_basis(),
                    stabilizer_subalgebra(triple.h_basis, a, triple.g_basis)]
         for sub in derived:
-            assert "_comps" in vars(sub)  # comps() will not check it
             triple_module.check_skew(sub.field, sub.mat.reshape(sub.dim, sub.n, sub.n, 4))
 
     def test_outside_rows_are_checked_before_a_complement_is_derived(self, t1s3):
@@ -219,9 +261,21 @@ class TestConstruction:
         span = np.array([e, e + 4e-10 * d])
         triple_module.check_skew(FieldTag.REAL, span)
         with pytest.raises(InvalidElement):
-            Subspace.from_spanning(span, FieldTag.REAL).comps()
+            Subspace.from_spanning(span, FieldTag.REAL)
         with pytest.raises(InvalidElement):
             make_triple(span, [], [], field=FieldTag.REAL)
+
+    @pytest.mark.parametrize("build", [built_directly, built_from_span, loaded_as_g, rebased_as_p])
+    @pytest.mark.parametrize("rows, error", list(BAD_ROWS.values()), ids=list(BAD_ROWS))
+    def test_every_way_of_building_a_basis_rejects_bad_rows(self, build, rows, error):
+        if build is built_from_span and error is not InvalidElement:
+            # a span need not be orthonormal: from_spanning makes it so
+            sub = build(rows)
+            assert np.abs(sub.mat @ sub.mat.T - np.eye(sub.dim)).max() < 1e-10
+            return
+        with pytest.raises(error) as raised:
+            build(rows)
+        assert raised.type is error  # InvalidElement is a ValueError too
 
     def test_gk_basis_spans_m_plus_p(self, t1s3):
         gk = t1s3.gk_basis()
@@ -439,9 +493,8 @@ class TestSymmetricPair:
         mat = np.array(t1s3.p_basis.mat)
         mat[0, 0] = 1.0  # a real diagonal entry: no longer skew-Hermitian
         mat[0] /= np.linalg.norm(mat[0])
-        bad = dataclasses.replace(t1s3, p_basis=Subspace(t1s3.field, t1s3.n, mat))
-        with pytest.raises(InvalidElement):
-            is_symmetric_pair(bad)
+        with pytest.raises(InvalidElement):  # when the basis is built, before any bracket
+            Subspace(t1s3.field, t1s3.n, mat)
 
 
 def _reference_gram_schmidt(mat, drop_tol=1e-10):
@@ -605,11 +658,10 @@ class TestStabilizer:
 
 
 def _unchecked_subspace(active: np.ndarray) -> Subspace:
-    """A real 3 x 3 Subspace whose rows are the given active components, with no orthonormality check."""
-    mat = np.zeros((len(active), 3, 3, 4))
-    mat[..., 0] = active.reshape(-1, 3, 3)
+    """A real 3 x 3 Subspace whose rows are the given active components, built without the checks of `Subspace`."""
+    mat = _active_stack(active).reshape(len(active), 36)
     sub = object.__new__(Subspace)
-    for name, value in (("field", FieldTag.REAL), ("n", 3), ("mat", mat.reshape(len(active), 36))):
+    for name, value in (("field", FieldTag.REAL), ("n", 3), ("mat", mat)):
         object.__setattr__(sub, name, value)
     return sub
 

@@ -138,6 +138,15 @@ def base_point_falsy(data, doc):
     doc["base_point"] = data.draw(st.sampled_from([0, False, [], ""]), label="base_point")
 
 
+# only a list is a basis: a falsy value of another type is not the empty basis
+NOT_A_LIST = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+                       st.dictionaries(st.text(), st.integers()))
+
+
+def basis_not_a_list(data, doc):
+    doc["bases"][data.draw(st.sampled_from("ghk"), label="basis")] = data.draw(NOT_A_LIST, label="rows")
+
+
 def label_not_a_string(data, doc):
     doc["label"] = data.draw(st.one_of(
         st.none(), st.booleans(), st.integers(), st.floats(), st.lists(st.text()),
@@ -153,7 +162,7 @@ class TestMalformedDocuments:
     @PROPERTY
     @given(data=st.data(), document=st.sampled_from(range(len(DOCUMENTS))),
            edit=st.sampled_from([wrong_width, numbers_as_strings, bases_not_an_object, base_point_falsy,
-                                 label_not_a_string, missing_key]))
+                                 basis_not_a_list, label_not_a_string, missing_key]))
     def test_check_file_exits_3(self, data, document, edit):
         doc = json.loads(json.dumps(DOCUMENTS[document]))
         edit(data, doc)
@@ -187,6 +196,17 @@ class TestMalformedDocuments:
         assert (code, out) == (3, "")
         assert err.startswith("curvcert: error: ")
         assert "a matrix must hold numbers only" in err or " scalars, got " in err
+
+    @pytest.mark.parametrize("method", [["part3"], ["fat", "--starts", "4"]], ids=["part3", "fat"])
+    @pytest.mark.parametrize("rows", [None, 0, False, "", {}], ids=repr)
+    @pytest.mark.parametrize("name", "ghk")
+    def test_basis_that_is_not_a_list_is_named(self, name, rows, method):
+        # not read as the empty basis, which would check a different chain
+        doc = json.loads(json.dumps(DOCUMENTS[1]))
+        doc["bases"][name] = rows
+        code, out, err = check_file(doc, "--method", *method)
+        assert (code, out) == (3, "")
+        assert err.startswith(f'curvcert: error: basis "{name}" is a JSON list, not ')
 
 
 def check_file(doc: dict, *flags: str) -> tuple[int, str, str]:
