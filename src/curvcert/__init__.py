@@ -7,7 +7,6 @@ from .algebra import (
     adjoint,
     bracket,
     group_exp,
-    identity,
     inner,
 )
 from .catalog import (
@@ -28,32 +27,23 @@ from .certify import (
     certify_part2,
     certify_part3,
     check_fatness,
-    derivative_test,
-    f_of_s,
     min_ad_singular,
-    point_positivity,
     scan_along_A,
 )
 from .flatness import (
     FlatPairWitness,
-    eschenburg_residual,
     horizontal_flat_residual,
 )
 from .triple import (
-    DeformParam,
     Part,
     Subspace,
     Triple,
     is_symmetric_pair,
     load_triple,
     make_triple,
-    phi,
     project,
-    randomly_rebased,
-    save_triple,
     stabilizer_subalgebra,
     triple_from_dict,
-    triple_to_dict,
     triple_to_json,
 )
 

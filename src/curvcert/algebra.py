@@ -254,14 +254,6 @@ def _identity_comp(n: int) -> np.ndarray:
     return comp
 
 
-def identity(field: FieldTag, n: int) -> GroupElement:
-    return GroupElement(field, n, _identity_comp(n))
-
-
-def zero(field: FieldTag, n: int) -> AlgElement:
-    return AlgElement(field, n, np.zeros((n, n, 4)))
-
-
 def from_flat(field: FieldTag, n: int, v: np.ndarray) -> AlgElement:
     return AlgElement(field, n, np.asarray(v, dtype=np.float64).reshape(n, n, 4))
 
@@ -318,26 +310,6 @@ def adjoint(g: GroupElement, x: AlgElement) -> AlgElement:
     return AlgElement(x.field, x.n, comp_adjoint(g.comp, x.comp))
 
 
-def basis_element(field: FieldTag, n: int, i: int, j: int, c: int) -> AlgElement:
-    """Standard skew-Hermitian generator: scalar unit c at entry (i, j).
-
-    For i != j the entry (j, i) receives -conj(unit); for i == j the component
-    must be imaginary (c >= 1).  Not normalized: off-diagonal generators have
-    norm sqrt(2), diagonal ones norm 1.
-    """
-    if c >= N_COMPONENTS[field]:
-        raise InvalidElement(f"component {c} not available over {field.value}")
-    comp = np.zeros((n, n, 4))
-    if i == j:
-        if c == 0:
-            raise InvalidElement("diagonal entries must be imaginary")
-        comp[i, i, c] = 1.0
-    else:
-        comp[i, j, c] = 1.0
-        comp[j, i, c] = -1.0 if c == 0 else 1.0
-    return AlgElement(field, n, comp)
-
-
 def block_stack(field: FieldTag, n: int, indices) -> np.ndarray:
     """The generators of the subalgebra on an index set (all of so(n), u(n), sp(n) for range(n)).
 
@@ -345,11 +317,11 @@ def block_stack(field: FieldTag, n: int, indices) -> np.ndarray:
     where it enters a subspace (`Subspace.from_spanning`).  Order: for each
     index i in turn, the imaginary units at (i, i), then for each later index
     j the units at (i, j), component by component; each equals the matching
-    `basis_element`.  One Python loop lists the generator units in that
-    order as flat offsets into the stack, split by sign (the mirrored real
-    unit at (j, i) is -1), and two assignments write them: small stacks, as
-    most of the catalog's are, cost a few microseconds instead of a fixed
-    series of numpy index passes.
+    `basis_element` of tests/helpers.py.  One Python loop lists the
+    generator units in that order as flat offsets into the stack, split by
+    sign (the mirrored real unit at (j, i) is -1), and two assignments write
+    them: small stacks, as most of the catalog's are, cost a few
+    microseconds instead of a fixed series of numpy index passes.
     """
     idx, nc, size = list(indices), N_COMPONENTS[field], n * n * 4
     plus, minus = [], []  # flat offsets of the +1 and -1 entries

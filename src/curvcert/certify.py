@@ -38,7 +38,6 @@ the threshold on the element path too (see `_unconfirmed`).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -53,7 +52,6 @@ from .algebra import (
     bracket,
     comp_adjoint,
     from_flat,
-    group_exp,
     group_exps,
     pair_bracket_coords,
     require_same,
@@ -80,6 +78,8 @@ _DAMP_START = 1e-3
 # A search of more starts first descends this many as a probe (see
 # `_flat_plane_search`).
 _PROBE_STARTS = 4
+# Levenberg-Marquardt steps that a start of a search tries.
+_MAX_ITERS = 200
 # Status of a start at the end of `_descend`.
 CONVERGED, CAPPED, STOPPED = 0, 1, 2
 
@@ -99,11 +99,10 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class StartBudget:
-    """Multi-start budget for the nonconvex searches."""
+    """Multi-start budget for the nonconvex searches; each start tries _MAX_ITERS = 200 steps."""
 
     starts: int = 64
     seed: int = 0
-    max_iters: int = 200  # Levenberg-Marquardt steps tried per start
 
     def __post_init__(self):
         if self.starts < 1:
@@ -155,10 +154,6 @@ def _witness_to_dict(w: Optional[FlatPairWitness]) -> Optional[dict]:
         "horizontal_residual": w.horizontal_residual,
         "point_s": w.point_s,
     }
-
-
-def report_to_json(report: CertReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, allow_nan=False)
 
 
 # --- deterministic part-3 certificate ----------------------------------------
@@ -647,13 +642,13 @@ def _flat_plane_search(
     reports: list[Optional[CertReport]] = [None] * len(points)
     if budget.starts > _PROBE_STARTS:
         k = _PROBE_STARTS
-        for p, found in enumerate(_descend(t, gmat, z0[:k], w0[:k], budget.max_iters, target,
+        for p, found in enumerate(_descend(t, gmat, z0[:k], w0[:k], _MAX_ITERS, target,
                                            probe=True)):
             if (report := read(p, *found)).verdict is Verdict.REFUTED:
                 reports[p] = report
     if rest := [p for p, report in enumerate(reports) if report is None]:
         tr = t if len(rest) == len(t) else t[rest]
-        for p, found in zip(rest, _descend(tr, gmat, z0, w0, budget.max_iters, target)):
+        for p, found in zip(rest, _descend(tr, gmat, z0, w0, _MAX_ITERS, target)):
             reports[p] = read(p, *found)
     return reports
 
@@ -712,71 +707,13 @@ def _derivative_tensor(triple: Triple, a: AlgElement, terms) -> np.ndarray:
                                aw_h.reshape(w_stack.shape), h.mat)
 
 
-# --- derivative test along exp(-sA) -------------------------------------------
-
-
-def f_of_s(
-    triple: Triple, z: AlgElement, w: AlgElement, a: AlgElement, s: float,
-    check_commuting: bool = False,
-) -> float:
-    """|[(Ad_{exp(sA)} Z)^h, (Ad_{exp(sA)} W)^h]|^2.
-
-    Vanishes at s = 0 because W in p has no h-part.  The commuting requirement
-    [Z, W] = 0 matters for the flat-plane interpretation, not for evaluating
-    the function, so it is checked only on request.
-    """
-    comm, horiz = horizontal_flat_residual(triple, group_exp(a, s), z, w)
-    if check_commuting and comm > 1e-20:
-        raise ValueError("[Z, W] != 0 beyond tolerance 1e-10")
-    return horiz
-
-
 def _derivative_objective(triple: Triple, a: AlgElement, z: AlgElement, w: AlgElement) -> float:
     """|[Z^h, [A, W]^h]|^2 on the element path, for Z in g; [A, W] may leave g."""
     awh = from_flat(triple.field, triple.n, triple.h_basis.project_flat(bracket(a, w).flat))
     return bracket(project(triple, z, Part.H), awh).norm() ** 2
 
 
-def derivative_test(
-    triple: Triple, z: AlgElement, w: AlgElement, a: AlgElement, step: float = 1e-3
-) -> tuple[float, float]:
-    """Compare the closed form of f''(0)/2 against finite differences.
-
-    Returns (analytic, numeric): analytic = |[Z^h, [A, W]^h]|^2, numeric is a
-    Richardson-extrapolated second central difference of f at 0, halved.
-    Disagreement beyond 1e-3 relative triggers a warning.
-    """
-    analytic = _derivative_objective(triple, a, z, w)
-    f0 = f_of_s(triple, z, w, a, 0.0)
-
-    def second_diff(h: float) -> float:
-        return (f_of_s(triple, z, w, a, h) + f_of_s(triple, z, w, a, -h) - 2.0 * f0) / h**2
-
-    richardson = (4.0 * second_diff(step / 2.0) - second_diff(step)) / 3.0
-    numeric = richardson / 2.0
-    denom = max(abs(analytic), abs(numeric), 1e-300)
-    if analytic > 1e-9 and abs(analytic - numeric) / denom > 1e-3:
-        warnings.warn(
-            f"derivative test disagreement: analytic={analytic:.6e} numeric={numeric:.6e}"
-        )
-    return analytic, numeric
-
-
 # --- per-point positivity ------------------------------------------------------
-
-
-def point_positivity(
-    triple: Triple, g: GroupElement, budget: StartBudget = StartBudget(),
-    tol: float = DEFAULT_TOL, refute_tol: float = DEFAULT_REFUTE_TOL,
-    s: Optional[float] = None,
-) -> CertReport:
-    """Search for horizontal zero-curvature planes at the point reached by g: a scan of one point.
-
-    Minimizes |[Z, W]|^2 + |[(Ad_g Z)^h, (Ad_g W)^h]|^2 over admissible
-    orthonormal pairs; for symmetric pairs the Z-domain shrinks to m.
-    """
-    require_same(triple, g)
-    return _scan_points(triple, g.comp[None], (s,), budget, tol, refute_tol)[0]
 
 
 def _scan_points(triple: Triple, gs: np.ndarray, points: Sequence[Optional[float]],
@@ -817,14 +754,14 @@ def scan_along_A(
 ) -> list[CertReport]:
     """The point search at exp(-s*A) for every s at once, in the order given.
 
-    The reports equal point_positivity's at each point, byte for byte: the
-    points share the Z-domain, the starts and the commutator tensor, their
-    group elements come from one `group_exps`, and every start at every
-    point descends in one lockstep search (see `_descend`), with a probe
-    first when the budget has more than _PROBE_STARTS starts.  Like part2
-    and part3, a scan with A not in p, an empty search domain included,
-    gives every point INCONCLUSIVE with a NaN score and runs no search
-    (`_unmet_preconditions`).
+    Each point's report is byte for byte the one a scan of that point alone
+    gives: the points share the Z-domain, the starts and the commutator
+    tensor, their group elements come from one `group_exps`, and every start
+    at every point descends in one lockstep search (see `_descend`), with a
+    probe first when the budget has more than _PROBE_STARTS starts.  Like
+    part2 and part3, a scan with A not in p, an empty search domain
+    included, gives every point INCONCLUSIVE with a NaN score and runs no
+    search (`_unmet_preconditions`).
     """
     points = [float(s) for s in s_values]
     if unmet := _unmet_preconditions(triple, Method.POINT_SCAN, a, tol, budget, points):

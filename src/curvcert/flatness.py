@@ -1,9 +1,11 @@
-"""Zero-curvature-plane residuals for the deformed left-invariant metric.
+"""The horizontal zero-curvature-plane residual of the deformed left-invariant metric.
 
-All residuals are returned as raw squared norms; verdict-making against
+The residual is returned as raw squared norms; verdict-making against
 tolerances lives in `certify`, which re-evaluates every refuting witness
-here, on single elements.  None of the horizontal residuals depend on the
-deformation parameter t.
+here, on single elements.  It does not depend on the deformation
+parameter t.  The deformed-metric residual |[Phi(X), Phi(Y)]|^2 +
+|[X^h, Y^h]|^2, which no certifier reads, lives with its tests in
+tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import AlgElement, GroupElement, adjoint, bracket, inner
-from .triple import DeformParam, Part, Triple, phi, project
+from .triple import Part, Triple, project
 
 
 class PlaneInputError(ValueError):
@@ -33,23 +35,6 @@ class FlatPairWitness:
     commutator_residual: float
     horizontal_residual: Optional[float] = None
     point_s: Optional[float] = None
-
-
-def _check_independent(x: AlgElement, y: AlgElement) -> None:
-    gram = np.array([[inner(x, x), inner(x, y)], [inner(x, y), inner(y, y)]])
-    if np.linalg.det(gram) < 1e-12 * max(1.0, gram[0, 0] * gram[1, 1]):
-        raise PlaneInputError("vectors are linearly dependent")
-
-
-def eschenburg_residual(triple: Triple, x: AlgElement, y: AlgElement, d: DeformParam) -> float:
-    """|[Phi(X), Phi(Y)]|^2 + |[X^h, Y^h]|^2.
-
-    Vanishes exactly on the zero-curvature planes of the deformed metric.
-    """
-    _check_independent(x, y)
-    px, py = phi(triple, x, d), phi(triple, y, d)
-    xh, yh = project(triple, x, Part.H), project(triple, y, Part.H)
-    return bracket(px, py).norm() ** 2 + bracket(xh, yh).norm() ** 2
 
 
 def horizontal_flat_residual(

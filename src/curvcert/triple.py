@@ -1,9 +1,10 @@
 """Chains k < h < g with orthogonal decompositions m = h - k and p = g - h.
 
 A Triple stores orthonormal bases (under the bi-invariant inner product) for
-the three nested algebras plus the derived complements, and provides the
-Phi operator of the one-parameter deformed metric, symmetric-pair
-verification and stabilizer computations.
+the three nested algebras plus the derived complements; this module also
+verifies symmetric pairs, computes stabilizers and reads and writes the
+curvcert-triple/1 document.  The Phi operator of the one-parameter deformed
+metric, which no certifier reads, lives with its tests in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ from .algebra import (
 Span = Union[np.ndarray, Sequence[AlgElement], "Subspace"]
 
 _ORTHO_TOL = 1e-10
+# Gram-Schmidt drops a row whose norm left is at most this times max(1, its norm).
+_DROP_TOL = 1e-10
+# stabilizer_subalgebra: singular values below _NULL_TOL count as zero, and the
+# smallest kept one must be _KERNEL_GAP times the largest dropped one.
+_NULL_TOL = 1e-9
+_KERNEL_GAP = 1e3
 # Product floats held at once by the dense path of is_symmetric_pair: without this
 # bound, the check on sp_example(8) conjugated by a random unitary peaks at 57.1 MB
 # of RSS instead of 43.4 MB (numpy 2.4, 1 thread).
@@ -52,17 +59,18 @@ class Part(Enum):
     H = "H"
 
 
-def _orthonormalize(mat: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
+def _orthonormalize(mat: np.ndarray) -> np.ndarray:
     """Gram-Schmidt with one re-orthogonalization pass.
 
     Each row is projected off the basis accumulated so far by one matrix
     product, twice.  Rows spanning the same subspace come out orthonormal;
-    near-dependent rows are dropped.  Rows with disjoint supports take the
+    near-dependent rows, whose norm left is at most _DROP_TOL = 1e-10 times
+    max(1, their norm), are dropped.  Rows with disjoint supports take the
     closed form of `_disjoint_rows`, which gives the same bits.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if _disjoint_rows(mat):
-        return _normalized_rows(mat, drop_tol)
+        return _normalized_rows(mat)
     basis = np.empty_like(mat)
     rank = 0
     for v in mat:
@@ -70,7 +78,7 @@ def _orthonormalize(mat: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
         for _ in range(2):
             v = v - (basis[:rank] @ v) @ basis[:rank]
         nrm = float(np.linalg.norm(v))
-        if nrm > drop_tol * scale:
+        if nrm > _DROP_TOL * scale:
             basis[rank] = v / nrm
             rank += 1
     return basis[:rank].copy()
@@ -92,10 +100,10 @@ def _disjoint_rows(mat: np.ndarray) -> bool:
     )
 
 
-def _normalized_rows(mat: np.ndarray, drop_tol: float) -> np.ndarray:
+def _normalized_rows(mat: np.ndarray) -> np.ndarray:
     """The Gram-Schmidt loop on rows with disjoint supports: keep each row above the drop rule, unit length."""
     norms = np.sqrt(row_dots(mat, mat))  # the loop's norm of each 1-D row
-    keep = norms > drop_tol * np.maximum(1.0, norms)
+    keep = norms > _DROP_TOL * np.maximum(1.0, norms)
     return mat[keep] / norms[keep, None]
 
 
@@ -154,9 +162,6 @@ class Subspace:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def elements(self) -> list[AlgElement]:
-        return [from_flat(self.field, self.n, row) for row in self.mat]
-
     def comps(self) -> np.ndarray:
         """The basis as a stack of component matrices, shape (dim, n, n, 4): a read-only view of `mat`."""
         return self.mat.reshape(self.dim, self.n, self.n, 4)
@@ -189,22 +194,6 @@ def _complement(big: Subspace, small: Subspace, cross: np.ndarray) -> Subspace:
     """Orthonormal basis of big minus the span of small, given cross = big.mat @ small.mat.T."""
     reduced = big.mat - cross @ small.mat if small.dim else big.mat
     return Subspace(big.field, big.n, _orthonormalize(reduced))
-
-
-@dataclass(frozen=True)
-class DeformParam:
-    """Shrinking factor t in (0,1) for the h-directions of the metric."""
-
-    t: float
-
-    def __post_init__(self):
-        if not 0.0 < self.t < 1.0:
-            raise ValueError(f"t must lie in (0,1), got {self.t}")
-
-    @property
-    def lam(self) -> float:
-        """Equivalent submersion scaling t/(1-t)."""
-        return self.t / (1.0 - self.t)
 
 
 @dataclass(frozen=True)
@@ -305,14 +294,6 @@ def project_stack(triple: Triple, comps: np.ndarray, part: Part) -> np.ndarray:
     return triple.part(part).project_flat(v).reshape(comps.shape)
 
 
-def phi(triple: Triple, x: AlgElement, d: DeformParam) -> AlgElement:
-    """The self-adjoint operator t*X^h + X^p relating g0 to the deformed metric."""
-    v = x.flat
-    _check_in_g(triple, v)
-    out = d.t * triple.h_basis.project_flat(v) + triple.p_basis.project_flat(v)
-    return from_flat(triple.field, triple.n, out)
-
-
 def _check_in_g(triple: Triple, v: np.ndarray) -> None:
     """Raise NotInSpan unless the flat vector v, or each row of a stack of them, lies in span(g)."""
     resid = np.linalg.norm(v - triple.g_basis.project_flat(v), axis=-1)
@@ -377,31 +358,27 @@ def is_symmetric_pair(triple: Triple, tol: float = 1e-10) -> bool:
     return True
 
 
-def stabilizer_subalgebra(
-    h_basis: Subspace,
-    a: AlgElement,
-    g_basis: Subspace,
-    null_tol: float = 1e-9,
-    gap: float = 1e3,
-) -> Subspace:
+def stabilizer_subalgebra(h_basis: Subspace, a: AlgElement, g_basis: Subspace) -> Subspace:
     """Orthonormal basis of {Y in span(h): [Y, A] = 0}, for h < g and A in a closed g.
 
     Computed as the null space of Y -> [Y, A] in the h-basis, read as
     coordinates along g, which hold all of each bracket.  Singular values
-    below null_tol count as zero; a spectral gap of at least `gap` between the
-    smallest retained and largest discarded value is required, otherwise the
-    kernel dimension is ambiguous and we refuse to guess.
+    below _NULL_TOL = 1e-9 count as zero; a spectral gap of at least
+    _KERNEL_GAP = 1e3 between the smallest retained and largest discarded
+    value is required, otherwise the kernel dimension is ambiguous and we
+    refuse to guess.
     """
     if h_basis.dim == 0:
         return h_basis
     # u is square: dim h <= dim g
     u, s, _ = np.linalg.svd(h_basis.brackets_with(a, g_basis), full_matrices=False)
-    null_mask = s < null_tol
+    null_mask = s < _NULL_TOL
     rank = int(np.count_nonzero(~null_mask))
     if 0 < rank < len(s):
         smallest_kept = s[rank - 1]
         largest_dropped = s[rank]
-        if largest_dropped > 0 and smallest_kept / max(largest_dropped, null_tol * 1e-6) < gap:
+        gap = smallest_kept / max(largest_dropped, _NULL_TOL * 1e-6)
+        if largest_dropped > 0 and gap < _KERNEL_GAP:
             raise DegenerateSpectrum(
                 f"ambiguous kernel: singular values {smallest_kept:.3e} vs {largest_dropped:.3e}"
             )
@@ -410,32 +387,6 @@ def stabilizer_subalgebra(
         return _empty_subspace(h_basis.field, h_basis.n)
     coeffs = u[:, rank:].T  # rows: kernel coordinates in the h-basis
     return Subspace(h_basis.field, h_basis.n, _orthonormalize(coeffs @ h_basis.mat))
-
-
-def randomly_rebased(triple: Triple, rng: np.random.Generator) -> Triple:
-    """Copy of the triple with m and p bases replaced by random orthonormal mixes.
-
-    Downstream verdicts must not depend on the choice of basis inside each
-    subspace; this produces equivalent triples for that property.
-    """
-
-    def _rotate(sub: Subspace) -> Subspace:
-        if sub.dim <= 1:
-            return sub
-        q, _ = np.linalg.qr(rng.standard_normal((sub.dim, sub.dim)))
-        return Subspace(sub.field, sub.n, q @ sub.mat)
-
-    return Triple(
-        triple.field,
-        triple.n,
-        triple.g_basis,
-        triple.h_basis,
-        triple.k_basis,
-        _rotate(triple.m_basis),
-        _rotate(triple.p_basis),
-        label=triple.label,
-        base_point=triple.base_point,
-    )
 
 
 # --- JSON serialization -----------------------------------------------------
@@ -462,6 +413,17 @@ def _size(n) -> int:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, not {n!r}")
     return n
+
+
+def _json_type(value) -> str:
+    """The JSON type of a decoded value: null, boolean, number, string, array or object."""
+    if value is None:
+        return "null"
+    for kind, name in ((bool, "boolean"), ((int, float), "number"), (str, "string"),
+                       (list, "array"), (dict, "object")):  # bool first: it is an int
+        if isinstance(value, kind):
+            return name
+    return type(value).__name__
 
 
 def _numbers(values, what: str) -> np.ndarray:
@@ -498,15 +460,9 @@ def _document(triple: Triple) -> dict:
     }
 
 
-def triple_to_dict(triple: Triple) -> dict:
-    doc = _document(triple)
-    doc["bases"] = {name: rows.tolist() for name, rows in doc["bases"].items()}
-    return doc
-
-
 def triple_from_dict(doc: dict) -> Triple:
     if not isinstance(doc, dict):
-        raise ValueError(f"a triple document is a JSON object, not {type(doc).__name__}")
+        raise ValueError(f"a triple document is a JSON object, not {_json_type(doc)}")
     if doc.get("schema") != SCHEMA_TRIPLE:
         raise ValueError(f"unknown triple schema {doc.get('schema')!r}, expected {SCHEMA_TRIPLE!r}")
     if missing := [key for key in ("field", "n", "bases") if key not in doc]:
@@ -515,12 +471,12 @@ def triple_from_dict(doc: dict) -> Triple:
     n, nc = _size(doc["n"]), N_COMPONENTS[field]
     label = doc.get("label", "")
     if not isinstance(label, str):
-        raise ValueError(f'"label" is a JSON string, not {type(label).__name__}')
+        raise ValueError(f'"label" is a JSON string, not {_json_type(label)}')
 
     def decode(name: str) -> Subspace:
         rows = bases[name]
         if not isinstance(rows, list):  # not read as empty when falsy: [] is the empty basis
-            raise ValueError(f'basis "{name}" is a JSON list, not {type(rows).__name__}')
+            raise ValueError(f'basis "{name}" is a JSON list, not {_json_type(rows)}')
         if not rows:
             return _empty_subspace(field, n)
         arr = _numbers(rows, "a basis")
@@ -533,7 +489,7 @@ def triple_from_dict(doc: dict) -> Triple:
 
     bases = doc["bases"]
     if not isinstance(bases, dict):
-        raise ValueError(f"\"bases\" is a JSON object, not {type(bases).__name__}")
+        raise ValueError(f'"bases" is a JSON object, not {_json_type(bases)}')
     if missing := [key for key in "ghk" if key not in bases]:
         raise ValueError(f'"bases" has no "{missing[0]}"')
     base = doc.get("base_point")
@@ -605,11 +561,6 @@ def triple_to_json(triple: Triple) -> str:
         out += ("[\n    ", json.dumps(base, separators=(",\n    ", ": "))[1:-1], "\n  ]")
     out.append("\n}")
     return "".join(out)
-
-
-def save_triple(triple: Triple, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(triple_to_json(triple) + "\n")
 
 
 def load_triple(path: str) -> Triple:

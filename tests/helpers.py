@@ -1,24 +1,234 @@
-"""Shared test utilities: independent oracles and random-input generators."""
+"""Shared test utilities: independent oracles, random-input generators, and
+the constructors, readers and writers that only tests call.
+
+The library (src/) holds only what the CLI and the benchmark reach
+(tests/test_src_reach.py); the helpers below that tests alone call build
+on it.
+"""
 
 from __future__ import annotations
 
+import json
 import math
+import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from curvcert.algebra import (
     AlgElement,
     FieldTag,
+    GroupElement,
     N_COMPONENTS,
-    basis_element,
+    InvalidElement,
+    bracket,
     comp_bracket,
     comp_norm,
     conj_transpose,
     from_flat,
+    group_exp,
+    inner,
     qmul,
+    require_same,
 )
-from curvcert.triple import Triple
+from curvcert.certify import (
+    DEFAULT_REFUTE_TOL,
+    DEFAULT_TOL,
+    CertReport,
+    StartBudget,
+    _derivative_objective,
+    _scan_points,
+    report_to_dict,
+)
+from curvcert.flatness import PlaneInputError, horizontal_flat_residual
+from curvcert.triple import Part, Subspace, Triple, _check_in_g, _document, project, triple_to_json
+
+
+# --- algebra ------------------------------------------------------------------
+
+
+def identity(field: FieldTag, n: int) -> GroupElement:
+    comp = np.zeros((n, n, 4))
+    comp[..., 0] = np.eye(n)
+    return GroupElement(field, n, comp)
+
+
+def zero(field: FieldTag, n: int) -> AlgElement:
+    return AlgElement(field, n, np.zeros((n, n, 4)))
+
+
+def basis_element(field: FieldTag, n: int, i: int, j: int, c: int) -> AlgElement:
+    """Standard skew-Hermitian generator: scalar unit c at entry (i, j).
+
+    For i != j the entry (j, i) receives -conj(unit); for i == j the component
+    must be imaginary (c >= 1).  Not normalized: off-diagonal generators have
+    norm sqrt(2), diagonal ones norm 1.
+    """
+    if c >= N_COMPONENTS[field]:
+        raise InvalidElement(f"component {c} not available over {field.value}")
+    comp = np.zeros((n, n, 4))
+    if i == j:
+        if c == 0:
+            raise InvalidElement("diagonal entries must be imaginary")
+        comp[i, i, c] = 1.0
+    else:
+        comp[i, j, c] = 1.0
+        comp[j, i, c] = -1.0 if c == 0 else 1.0
+    return AlgElement(field, n, comp)
+
+
+# --- triples --------------------------------------------------------------------
+
+
+def elements(sub: Subspace) -> list[AlgElement]:
+    """The basis rows of a Subspace as AlgElements."""
+    return [from_flat(sub.field, sub.n, row) for row in sub.mat]
+
+
+def randomly_rebased(triple: Triple, rng: np.random.Generator) -> Triple:
+    """Copy of the triple with m and p bases replaced by random orthonormal mixes.
+
+    Downstream verdicts must not depend on the choice of basis inside each
+    subspace; this produces equivalent triples for that property.
+    """
+
+    def _rotate(sub: Subspace) -> Subspace:
+        if sub.dim <= 1:
+            return sub
+        q, _ = np.linalg.qr(rng.standard_normal((sub.dim, sub.dim)))
+        return Subspace(sub.field, sub.n, q @ sub.mat)
+
+    return Triple(
+        triple.field,
+        triple.n,
+        triple.g_basis,
+        triple.h_basis,
+        triple.k_basis,
+        _rotate(triple.m_basis),
+        _rotate(triple.p_basis),
+        label=triple.label,
+        base_point=triple.base_point,
+    )
+
+
+def triple_to_dict(triple: Triple) -> dict:
+    """The triple's document with the bases as lists: the `json.dumps` oracle of `triple_to_json`."""
+    doc = _document(triple)
+    doc["bases"] = {name: rows.tolist() for name, rows in doc["bases"].items()}
+    return doc
+
+
+def save_triple(triple: Triple, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(triple_to_json(triple) + "\n")
+
+
+# --- the deformed metric ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DeformParam:
+    """Shrinking factor t in (0,1) for the h-directions of the metric."""
+
+    t: float
+
+    def __post_init__(self):
+        if not 0.0 < self.t < 1.0:
+            raise ValueError(f"t must lie in (0,1), got {self.t}")
+
+    @property
+    def lam(self) -> float:
+        """Equivalent submersion scaling t/(1-t)."""
+        return self.t / (1.0 - self.t)
+
+
+def phi(triple: Triple, x: AlgElement, d: DeformParam) -> AlgElement:
+    """The self-adjoint operator t*X^h + X^p relating g0 to the deformed metric."""
+    v = x.flat
+    _check_in_g(triple, v)
+    out = d.t * triple.h_basis.project_flat(v) + triple.p_basis.project_flat(v)
+    return from_flat(triple.field, triple.n, out)
+
+
+def _check_independent(x: AlgElement, y: AlgElement) -> None:
+    gram = np.array([[inner(x, x), inner(x, y)], [inner(x, y), inner(y, y)]])
+    if np.linalg.det(gram) < 1e-12 * max(1.0, gram[0, 0] * gram[1, 1]):
+        raise PlaneInputError("vectors are linearly dependent")
+
+
+def eschenburg_residual(triple: Triple, x: AlgElement, y: AlgElement, d: DeformParam) -> float:
+    """|[Phi(X), Phi(Y)]|^2 + |[X^h, Y^h]|^2.
+
+    Vanishes exactly on the zero-curvature planes of the deformed metric.
+    """
+    _check_independent(x, y)
+    px, py = phi(triple, x, d), phi(triple, y, d)
+    xh, yh = project(triple, x, Part.H), project(triple, y, Part.H)
+    return bracket(px, py).norm() ** 2 + bracket(xh, yh).norm() ** 2
+
+
+# --- certificates -----------------------------------------------------------------
+
+
+def report_to_json(report: CertReport) -> str:
+    return json.dumps(report_to_dict(report), indent=2, allow_nan=False)
+
+
+def f_of_s(
+    triple: Triple, z: AlgElement, w: AlgElement, a: AlgElement, s: float,
+    check_commuting: bool = False,
+) -> float:
+    """|[(Ad_{exp(sA)} Z)^h, (Ad_{exp(sA)} W)^h]|^2.
+
+    Vanishes at s = 0 because W in p has no h-part.  The commuting requirement
+    [Z, W] = 0 matters for the flat-plane interpretation, not for evaluating
+    the function, so it is checked only on request.
+    """
+    comm, horiz = horizontal_flat_residual(triple, group_exp(a, s), z, w)
+    if check_commuting and comm > 1e-20:
+        raise ValueError("[Z, W] != 0 beyond tolerance 1e-10")
+    return horiz
+
+
+def derivative_test(
+    triple: Triple, z: AlgElement, w: AlgElement, a: AlgElement, step: float = 1e-3
+) -> tuple[float, float]:
+    """Compare the closed form of f''(0)/2 against finite differences.
+
+    Returns (analytic, numeric): analytic = |[Z^h, [A, W]^h]|^2, the
+    objective of `curvcert.certify`'s part2, numeric is a
+    Richardson-extrapolated second central difference of f at 0, halved.
+    Disagreement beyond 1e-3 relative triggers a warning.
+    """
+    analytic = _derivative_objective(triple, a, z, w)
+    f0 = f_of_s(triple, z, w, a, 0.0)
+
+    def second_diff(h: float) -> float:
+        return (f_of_s(triple, z, w, a, h) + f_of_s(triple, z, w, a, -h) - 2.0 * f0) / h**2
+
+    richardson = (4.0 * second_diff(step / 2.0) - second_diff(step)) / 3.0
+    numeric = richardson / 2.0
+    denom = max(abs(analytic), abs(numeric), 1e-300)
+    if analytic > 1e-9 and abs(analytic - numeric) / denom > 1e-3:
+        warnings.warn(
+            f"derivative test disagreement: analytic={analytic:.6e} numeric={numeric:.6e}"
+        )
+    return analytic, numeric
+
+
+def point_positivity(
+    triple: Triple, g: GroupElement, budget: StartBudget = StartBudget(),
+    tol: float = DEFAULT_TOL, refute_tol: float = DEFAULT_REFUTE_TOL,
+    s: Optional[float] = None,
+) -> CertReport:
+    """Search for horizontal zero-curvature planes at the point reached by g: a scan of one point.
+
+    Minimizes |[Z, W]|^2 + |[(Ad_g Z)^h, (Ad_g W)^h]|^2 over admissible
+    orthonormal pairs; for symmetric pairs the Z-domain shrinks to m.
+    """
+    require_same(triple, g)
+    return _scan_points(triple, g.comp[None], (s,), budget, tol, refute_tol)[0]
 
 
 def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:

@@ -17,7 +17,6 @@ from curvcert.algebra import (
     comp_norm,
     from_flat,
     group_exp,
-    identity,
     inner,
 )
 from curvcert.catalog import (
@@ -33,19 +32,21 @@ from curvcert.certify import (
     Verdict,
     certify_part3,
     check_fatness,
-    derivative_test,
     min_ad_singular,
-    point_positivity,
-    report_to_json,
     scan_along_A,
 )
 from curvcert.cli import main as cli_main
-from curvcert.triple import is_symmetric_pair, randomly_rebased
+from curvcert.triple import is_symmetric_pair
 
 from helpers import (
+    derivative_test,
+    identity,
+    point_positivity,
     random_admissible_pair,
     random_block_diag_sp1_batch,
     random_skew_batch,
+    randomly_rebased,
+    report_to_json,
     sampled_min_ad,
     t1s3_commuting_pair,
 )

@@ -10,7 +10,6 @@ from curvcert.algebra import (
     FieldTag,
     InvalidElement,
     adjoint,
-    basis_element,
     block_stack,
     bracket,
     check_skew,
@@ -20,24 +19,26 @@ from curvcert.algebra import (
     from_flat,
     group_exp,
     group_exps,
-    identity,
     inner,
     pair_bracket_coords,
     qmul,
     random_skew,
-    zero,
 )
-from curvcert.triple import make_triple, randomly_rebased
+from curvcert.triple import make_triple
 
 from helpers import (
     Quaternion,
+    basis_element,
     bit_equal,
     exp_squarings,
     full_algebra_basis,
+    identity,
     random_skew_batch,
+    randomly_rebased,
     reference_block_stack,
     reference_group_exp,
     sp1_pair,
+    zero,
 )
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curvcert.algebra import FieldTag, bracket, inner
+from curvcert.algebra import FieldTag, bracket
 from curvcert.catalog import (
     build_entry,
     list_catalog,

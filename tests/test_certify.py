@@ -10,13 +10,9 @@ import curvcert.certify as certify
 from curvcert.algebra import (
     FieldTag,
     adjoint,
-    basis_element,
     bracket,
     group_exp,
-    identity,
     inner,
-    pair_bracket_coords,
-    zero,
 )
 from curvcert.catalog import (
     m_kl,
@@ -27,36 +23,40 @@ from curvcert.catalog import (
     t1s3_product,
 )
 from curvcert.certify import (
-    CertReport,
     Method,
     StartBudget,
     Verdict,
     certify_part2,
     certify_part3,
     check_fatness,
-    derivative_test,
-    f_of_s,
     min_ad_singular,
-    point_positivity,
     report_to_dict,
-    report_to_json,
     scan_along_A,
 )
 from curvcert.cli import main
 from curvcert.flatness import horizontal_flat_residual
-from curvcert.triple import Part, make_triple, project, save_triple
+from curvcert.triple import Part, make_triple, project
 
 from helpers import (
+    basis_element,
     bit_equal,
+    derivative_test,
     descend_one,
+    elements,
+    f_of_s,
     full_algebra_basis,
+    identity,
     pair_tensor,
+    point_positivity,
     random_admissible_pair,
     reference_starts,
+    report_to_json,
     sampled_min_ad,
+    save_triple,
     sp1_pair,
     su3_su2_spans,
     t1s3_commuting_pair,
+    zero,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -110,7 +110,7 @@ class TestPart3:
         g, h = su3_su2_spans()
         triple = make_triple(g, h, h, label="su3/su2, k = h")
         assert triple.m_basis.dim == 0
-        a = triple.p_basis.elements()[0]
+        a = elements(triple.p_basis)[0]
         report = certify_part3(triple, a)
         assert report.verdict is Verdict.INCONCLUSIVE
         assert "precondition failed: (g, h) is not a symmetric pair" in report.notes
@@ -472,8 +472,8 @@ class TestPointPositivity:
 def h_equals_g():
     """t1_sphere(3) with h = g: p = 0, so every search over W in p has an empty domain."""
     t = t1_sphere(3).triple
-    g = t.g_basis.elements()
-    return make_triple(g, g, t.k_basis.elements(), label="t1_sphere(3), h = g")
+    g = elements(t.g_basis)
+    return make_triple(g, g, elements(t.k_basis), label="t1_sphere(3), h = g")
 
 
 class TestRefutationsHoldOnTheElementPath:
@@ -575,7 +575,7 @@ def su3_su2_entry():
     """su(2) < su(3) with k = 0 and A the first p-basis vector: closed, but not a symmetric pair."""
     g, h = su3_su2_spans()
     triple = make_triple(g, h, [])
-    return SimpleNamespace(triple=triple, base_point_A=triple.p_basis.elements()[0])
+    return SimpleNamespace(triple=triple, base_point_A=elements(triple.p_basis)[0])
 
 
 ENTRIES = {
@@ -679,7 +679,7 @@ class TestLockstepSearch:
     def test_fat_matches_one_start_oracle(self, name, target):
         triple = ENTRIES[name]().triple
         z_dom, w_dom = triple.gk_basis(), triple.p_basis
-        tensor = pair_tensor(z_dom.elements(), w_dom.elements(), bracket)
+        tensor = pair_tensor(elements(z_dom), elements(w_dom), bracket)
         gmat = certify._ortho_constraint(z_dom, w_dom)
         z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=0))
         got, ref = _lockstep_vs_oracle([tensor], gmat, z0, w0, target, triple)
@@ -693,7 +693,7 @@ class TestLockstepSearch:
         # cut short, the values still fall: they pin the sweeps and each step
         triple = ENTRIES[name]().triple
         z_dom, w_dom = triple.gk_basis(), triple.p_basis
-        tensor = pair_tensor(z_dom.elements(), w_dom.elements(), bracket)
+        tensor = pair_tensor(elements(z_dom), elements(w_dom), bracket)
         gmat = certify._ortho_constraint(z_dom, w_dom)
         z0, w0 = certify._starts(z_dom, w_dom, gmat, StartBudget(starts=16, seed=0))
         got, ref = _lockstep_vs_oracle([tensor], gmat, z0, w0, 0.0, triple, max_iters)
@@ -710,7 +710,7 @@ class TestLockstepSearch:
             return bracket(project(triple, adjoint(g, z), Part.H),
                            project(triple, adjoint(g, w), Part.H))
 
-        tensors = [pair_tensor(z_dom.elements(), w_dom.elements(), fn)
+        tensors = [pair_tensor(elements(z_dom), elements(w_dom), fn)
                    for fn in (bracket, horizontal_map)]
         gmat = certify._ortho_constraint(z_dom, w_dom)
         assert gmat is None  # m is orthogonal to p: no orthogonality constraint
@@ -786,7 +786,7 @@ class TestLockstepSearch:
             return bracket(project(triple, adjoint(g, z), Part.H),
                            project(triple, adjoint(g, w), Part.H))
 
-        w_el = triple.p_basis.elements()
+        w_el = elements(triple.p_basis)
         for z_dom, got, basis, fn in (
             (triple.gk_basis(), fat, triple.g_basis, bracket),
             (triple.gk_basis(), part2[:, :, :dim_g], triple.g_basis, bracket),
@@ -794,7 +794,7 @@ class TestLockstepSearch:
             (certify._scan_z_domain(triple), scan[:, :, :dim_g], triple.g_basis, bracket),
             (certify._scan_z_domain(triple), scan[:, :, dim_g:], triple.h_basis, scan_map),
         ):
-            want = pair_tensor(z_dom.elements(), w_el, fn)
+            want = pair_tensor(elements(z_dom), w_el, fn)
             np.testing.assert_allclose(got @ basis.mat, want, rtol=0, atol=1e-14)
 
 

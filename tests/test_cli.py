@@ -7,11 +7,13 @@ import re
 import numpy as np
 import pytest
 
-from curvcert.algebra import FieldTag, basis_element
+from curvcert.algebra import FieldTag
 from curvcert.catalog import build_entry, list_catalog, t1_sphere
-from curvcert.certify import StartBudget, check_fatness, report_to_json
+from curvcert.certify import StartBudget, check_fatness
 from curvcert.cli import build_parser, main
-from curvcert.triple import load_triple, make_triple, save_triple
+from curvcert.triple import load_triple, make_triple
+
+from helpers import basis_element, elements, report_to_json, save_triple
 
 
 SQ2 = math.sqrt(2.0)
@@ -179,8 +181,9 @@ class TestExportRoundTrip:
         assert out == ""
         assert "non-finite" in err
 
-    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '{"schema": "curvcert-triple/1", '
-                                      '"field": "real", "n": 2, "bases": [1, 2]}'])
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", *(
+        '{"schema": "curvcert-triple/1", "field": "real", "n": 2, "bases": %s}' % bases
+        for bases in ("[1, 2]", "null", "true", '"ghk"'))])
     def test_document_that_is_not_an_object_is_error(self, capsys, tmp_path, text):
         path = tmp_path / "triple.json"
         path.write_text(text)
@@ -188,6 +191,10 @@ class TestExportRoundTrip:
         assert code == 3
         assert out == ""
         assert "is a JSON object, not" in err
+        doc = json.loads(text)  # the message names the JSON type
+        what, value = ('"bases"', doc["bases"]) if isinstance(doc, dict) else ("a triple document", doc)
+        kind = {"[1, 2]": "array", "3": "number", "None": "null", "True": "boolean", "'ghk'": "string"}
+        assert err == f"curvcert: error: {what} is a JSON object, not {kind[repr(value)]}\n"
 
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc.update(n=[2]), "n must be a positive integer, not [2]"),
@@ -422,8 +429,8 @@ class TestDegenerateReports:
     def files(self, tmp_path_factory):
         # t1_sphere(3) with h = g (p = 0, empty search domains) and with k = h (dim m = 0)
         t = t1_sphere(3)
-        g, h = t.triple.g_basis.elements(), t.triple.h_basis.elements()
-        k = t.triple.k_basis.elements()
+        g, h = elements(t.triple.g_basis), elements(t.triple.h_basis)
+        k = elements(t.triple.k_basis)
         out = {}
         for name, (hs, ks) in {"p0": (g, k), "m0": (h, h)}.items():
             out[name] = str(tmp_path_factory.mktemp("triples") / f"{name}.json")

@@ -7,20 +7,26 @@ from curvcert.algebra import (
     AlgElement,
     FieldTag,
     adjoint,
-    basis_element,
     bracket,
     group_exp,
 )
-from curvcert.catalog import m_kl, t1_sphere, t1s3_product
+from curvcert.catalog import m_kl, t1s3_product
 from curvcert.flatness import (
     FlatPairWitness,
     PlaneInputError,
-    eschenburg_residual,
     horizontal_flat_residual,
 )
-from curvcert.triple import DeformParam, Part, project
+from curvcert.triple import Part, project
 
-from helpers import Quaternion, sp1_pair
+from helpers import (
+    DeformParam,
+    Quaternion,
+    basis_element,
+    eschenburg_residual,
+    identity,
+    phi,
+    sp1_pair,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -71,7 +77,6 @@ class TestEschenburg:
         for _ in range(5):
             x = sp1_pair(rng.standard_normal(3), 1.0) + sp1_pair(rng.standard_normal(3), -1.0)
             y = sp1_pair(rng.standard_normal(3), 1.0) + sp1_pair(rng.standard_normal(3), -1.0)
-            from curvcert.triple import phi
 
             expected = (
                 bracket(phi(t1s3, x, d), phi(t1s3, y, d)).norm() ** 2
@@ -103,7 +108,6 @@ def quat_conj_oracle(s, z_quats):
 class TestHorizontalResidual:
     def test_known_flat_pair_flat_at_identity(self, t1s3):
         z, w, _ = known_flat_pair()
-        from curvcert.algebra import identity
 
         r1, r2 = horizontal_flat_residual(t1s3, identity(FieldTag.QUATERNION, 2), z, w)
         assert r1 < 1e-28
@@ -132,7 +136,6 @@ class TestHorizontalResidual:
 
     def test_precondition_violations(self, t1s3, mkl):
         z, w, a = known_flat_pair()
-        from curvcert.algebra import identity
 
         e = identity(FieldTag.QUATERNION, 2)
         with pytest.raises(PlaneInputError):

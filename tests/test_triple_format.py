@@ -19,15 +19,9 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from curvcert.algebra import AlgElement, FieldTag  # noqa: E402
 from curvcert.catalog import m_kl, t1_sphere  # noqa: E402
 from curvcert.cli import main  # noqa: E402
-from curvcert.triple import (  # noqa: E402
-    load_triple,
-    randomly_rebased,
-    save_triple,
-    triple_to_dict,
-    triple_to_json,
-)
+from curvcert.triple import load_triple, triple_to_json  # noqa: E402
 
-from helpers import bit_equal  # noqa: E402
+from helpers import bit_equal, randomly_rebased, save_triple, triple_to_dict  # noqa: E402
 from test_triple import FAMILIES, _unchecked_subspace  # noqa: E402
 
 # deterministic, and nothing written to disk between runs
@@ -170,7 +164,7 @@ class TestMalformedDocuments:
         assert (code, out) == (3, "")
         assert err.startswith("curvcert: error: ")
 
-    @pytest.mark.parametrize("label", [5, ["a"], None, {"x": 1}], ids=repr)
+    @pytest.mark.parametrize("label", [5, ["a"], None, {"x": 1}, True, 1.5], ids=repr)
     def test_label_that_is_not_a_string_is_named(self, label):
         # not echoed into the report's "triple" field
         doc = json.loads(json.dumps(DOCUMENTS[0]))
@@ -178,6 +172,9 @@ class TestMalformedDocuments:
         code, out, err = check_file(doc, "--method", "part3")
         assert (code, out) == (3, "")
         assert err.startswith('curvcert: error: "label" ')
+        kind = {"5": "number", "['a']": "array", "None": "null", "{'x': 1}": "object",
+                "True": "boolean", "1.5": "number"}[repr(label)]
+        assert err == f'curvcert: error: "label" is a JSON string, not {kind}\n'
 
     def test_missing_label_is_empty(self):
         doc = json.loads(json.dumps(DOCUMENTS[0]))
@@ -207,6 +204,8 @@ class TestMalformedDocuments:
         code, out, err = check_file(doc, "--method", *method)
         assert (code, out) == (3, "")
         assert err.startswith(f'curvcert: error: basis "{name}" is a JSON list, not ')
+        kind = {"None": "null", "0": "number", "False": "boolean", "''": "string", "{}": "object"}
+        assert err == f'curvcert: error: basis "{name}" is a JSON list, not {kind[repr(rows)]}\n'
 
 
 def check_file(doc: dict, *flags: str) -> tuple[int, str, str]:
