@@ -13,6 +13,7 @@ on the componentwise product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -150,24 +151,52 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_components(field: FieldTag, comp: np.ndarray) -> None:
-    # every later `> tol` test is False on NaN, so a non-finite matrix would pass them all
-    if not np.isfinite(comp).all():
+def _check_components(field: FieldTag, comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stack (..., n, n, 4) as flat rows, and the scale max(1, largest |component|) of each.
+
+    Raises InvalidElement unless every component is finite and those beyond
+    the field's are zero.  A NaN or inf makes its row's maximum non-finite,
+    so the one reduction also finds non-finite matrices, which would pass
+    every later `> tol` test, since each is False on NaN.
+    """
+    n = comp.shape[-2]
+    flat = comp.reshape(math.prod(comp.shape[:-3]), n * n * 4)
+    scale = np.abs(flat).max(axis=1, initial=1.0)
+    if not np.isfinite(scale).all():
         raise InvalidElement("matrix has non-finite components")
     nc = N_COMPONENTS[field]
-    if nc < 4 and np.any(comp[..., nc:] != 0.0):
+    if nc < 4 and flat.reshape(len(flat), n * n, 4)[:, :, nc:].any():
         raise InvalidElement(f"{field.value} matrix has nonzero components beyond index {nc - 1}")
+    return flat, scale
+
+
+@functools.cache
+def _upper_pairs(field: FieldTag, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat offsets of each active component (i, j, c) with i <= j, of its mirror (j, i, c), and the sign of conj at c."""
+    nc = N_COMPONENTS[field]
+    i, j = np.triu_indices(n)
+    ij = ((i * n + j)[:, None] * 4 + np.arange(nc)).ravel()
+    ji = ((j * n + i)[:, None] * 4 + np.arange(nc)).ravel()
+    pairs = ij, ji, np.tile(_CONJ_SIGNS[:nc], len(i))
+    for arr in pairs:
+        arr.flags.writeable = False  # one copy serves every call
+    return pairs
 
 
 def check_skew(field: FieldTag, comp: np.ndarray) -> None:
     """Raise InvalidElement unless every matrix of the stack (..., n, n, 4) lies in the algebra.
 
-    Each matrix is tested on its own scale, max(1, largest component).
+    Each matrix is tested on its own scale, max(1, largest component), as
+    one flat row (`_check_components`).  The components beyond the field's
+    are zero by then, so the residual |X_ij + conj(X_ji)| is read on the
+    active ones only, and for i <= j only: IEEE addition commutes and
+    a - b = -(b - a) exactly, so the (j, i) residual is the same number.
     """
-    _check_components(field, comp)
-    axes = (-3, -2, -1)
-    scale = np.abs(comp).max(axis=axes, initial=1.0)
-    if (np.abs(comp + conj_transpose(comp)).max(axis=axes, initial=0.0) > _SKEW_TOL * scale).any():
+    flat, scale = _check_components(field, comp)
+    ij, ji, signs = _upper_pairs(field, comp.shape[-2])
+    resid = flat[:, ji] * signs
+    resid += flat[:, ij]
+    if (np.abs(resid, out=resid).max(axis=1, initial=0.0) > _SKEW_TOL * scale).any():
         raise InvalidElement("matrix is not skew-Hermitian")
 
 
@@ -204,9 +233,6 @@ class AlgElement:
     def __sub__(self, other: "AlgElement") -> "AlgElement":
         require_same(self, other)
         return AlgElement(self.field, self.n, self.comp - other.comp)
-
-    def __neg__(self) -> "AlgElement":
-        return AlgElement(self.field, self.n, -self.comp)
 
     def __rmul__(self, c: float) -> "AlgElement":
         return AlgElement(self.field, self.n, float(c) * self.comp)

@@ -1,6 +1,7 @@
 """Command-line front end: list catalog entries, run checks, scan along exp(-sA).
 
-Exit codes: 0 = CERTIFIED, 1 = REFUTED, 2 = INCONCLUSIVE, 3 = error.
+Exit codes: 0 = CERTIFIED, 1 = REFUTED, 2 = INCONCLUSIVE, 3 = error, an
+input error or an internal one (say, MemoryError), never read as a verdict.
 Configuration precedence: command-line flags > config file > built-in defaults.
 """
 
@@ -13,6 +14,7 @@ import json
 import math
 import sys
 import time
+import traceback
 
 from .algebra import FieldTag
 from .catalog import build_entry, list_catalog
@@ -314,6 +316,10 @@ def main(argv=None) -> int:
     # KeyError is a backstop: an input error must exit 3, never 1 (REFUTED)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"curvcert: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # an internal error (MemoryError, DegenerateSpectrum, ...)
+        traceback.print_exc()
+        print(f"curvcert: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -90,11 +90,13 @@ def _disjoint_rows(mat: np.ndarray) -> bool:
     Then every projection coefficient of the Gram-Schmidt loop is an exact
     zero and subtracting its products leaves each row's bits as they are.
     A -0.0 could turn into +0.0 there, depending on the sign of a zero sum,
-    and inf * 0 is NaN, so such inputs keep the loop.
+    and inf * 0 is NaN, so such inputs keep the loop.  A column holds at
+    most one nonzero exactly when the nonzeros are as many as the columns
+    that hold one.
     """
     nonzero = mat != 0.0
     return bool(
-        (nonzero.sum(axis=0) <= 1).all()
+        np.count_nonzero(nonzero) == np.count_nonzero(nonzero.any(axis=0))
         and np.isfinite(mat).all()
         and not (np.signbit(mat) & ~nonzero).any()
     )
@@ -104,6 +106,8 @@ def _normalized_rows(mat: np.ndarray) -> np.ndarray:
     """The Gram-Schmidt loop on rows with disjoint supports: keep each row above the drop rule, unit length."""
     norms = np.sqrt(row_dots(mat, mat))  # the loop's norm of each 1-D row
     keep = norms > _DROP_TOL * np.maximum(1.0, norms)
+    if keep.all():  # no masked copy: the same quotients
+        return mat / norms[:, None]
     return mat[keep] / norms[keep, None]
 
 

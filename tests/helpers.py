@@ -8,6 +8,7 @@ on it.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import warnings
@@ -31,6 +32,7 @@ from curvcert.algebra import (
     inner,
     qmul,
     require_same,
+    row_dots,
 )
 from curvcert.certify import (
     DEFAULT_REFUTE_TOL,
@@ -255,6 +257,48 @@ def reference_orthonormalize(mat: np.ndarray, drop_tol: float = 1e-10) -> np.nda
             basis[rank] = v / nrm
             rank += 1
     return basis[:rank].copy()
+
+
+def reference_check_components(field: FieldTag, comp: np.ndarray) -> None:
+    """The component tests that open `curvcert.algebra.check_skew` and `check_unitary`, as whole-stack passes.
+
+    Non-finite components first, then nonzero components beyond the field's.
+    """
+    if not np.isfinite(comp).all():
+        raise InvalidElement("matrix has non-finite components")
+    nc = N_COMPONENTS[field]
+    if nc < 4 and np.any(comp[..., nc:] != 0.0):
+        raise InvalidElement(f"{field.value} matrix has nonzero components beyond index {nc - 1}")
+
+
+def reference_check_skew(field: FieldTag, comp: np.ndarray) -> None:
+    """`curvcert.algebra.check_skew` as whole-stack reductions over (n, n, 4), with the same tests, order and messages.
+
+    After `reference_check_components`, |X + X^*| over every entry and
+    component against 1e-9 max(1, largest component) per matrix.
+    """
+    reference_check_components(field, comp)
+    axes = (-3, -2, -1)
+    scale = np.abs(comp).max(axis=axes, initial=1.0)
+    if (np.abs(comp + conj_transpose(comp)).max(axis=axes, initial=0.0) > 1e-9 * scale).any():
+        raise InvalidElement("matrix is not skew-Hermitian")
+
+
+def reference_disjoint_rows(mat: np.ndarray) -> bool:
+    """`curvcert.triple._disjoint_rows` with the nonzeros of each column summed along axis 0."""
+    nonzero = mat != 0.0
+    return bool(
+        (nonzero.sum(axis=0) <= 1).all()
+        and np.isfinite(mat).all()
+        and not (np.signbit(mat) & ~nonzero).any()
+    )
+
+
+def reference_normalized_rows(mat: np.ndarray) -> np.ndarray:
+    """`curvcert.triple._normalized_rows` with the kept rows always taken by a boolean mask."""
+    norms = np.sqrt(row_dots(mat, mat))
+    keep = norms > 1e-10 * np.maximum(1.0, norms)
+    return mat[keep] / norms[keep, None]
 
 
 def exp_squarings(x: AlgElement, s: float) -> int:
@@ -551,3 +595,29 @@ def descend_one(tensors, gmat, z0, w0, max_iters, target):
             if damp > 1e12:
                 return val, z, w, 0
     return val, z, w, 1
+
+
+# --- the BLAS kernel --------------------------------------------------------------
+
+
+def openblas_corename() -> Optional[str]:
+    """The core type of the OpenBLAS library that numpy loaded, as OpenBLAS names it, or None where it cannot be read.
+
+    The library is found among the process's mapped files (Linux only); with
+    DYNAMIC_ARCH it picks its kernel for the CPU at start-up, and
+    OPENBLAS_CORETYPE picks another one for the process.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    return None

@@ -34,33 +34,17 @@ VERDICT_ONLY = {
 }
 
 # Runs every job and prints {"kernel": name or null, "jobs": {id: [exit code, stdout]}}.
-# The kernel's name is read from the OpenBLAS library numpy loaded, where it can be found.
 RUNNER = '''
-import contextlib, ctypes, io, json, sys
+import contextlib, io, json, sys
 from curvcert.cli import main
-
-def kernel():
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                     "openblas_get_corename64_", "openblas_get_corename"):
-            if hasattr(lib, name):
-                get = getattr(lib, name)
-                get.restype = ctypes.c_char_p
-                return get().decode()
-    return None
+from helpers import openblas_corename
 
 jobs = {}
 for job, argv in json.loads(sys.argv[1]).items():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         jobs[job] = [main(argv), out.getvalue()]
-print(json.dumps({"kernel": kernel(), "jobs": jobs}))
+print(json.dumps({"kernel": openblas_corename(), "jobs": jobs}))
 '''
 
 
@@ -74,7 +58,8 @@ def _dynamic_openblas() -> bool:
 
 
 def _run(coretype: str) -> dict:
-    path = [os.path.join(ROOT, "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    path = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+    path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(path))
     env.pop("OPENBLAS_CORETYPE", None)
     if coretype:

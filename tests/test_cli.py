@@ -7,11 +7,12 @@ import re
 import numpy as np
 import pytest
 
+import curvcert.cli as cli_module
 from curvcert.algebra import FieldTag
 from curvcert.catalog import build_entry, list_catalog, t1_sphere
 from curvcert.certify import StartBudget, check_fatness
 from curvcert.cli import build_parser, main
-from curvcert.triple import load_triple, make_triple
+from curvcert.triple import DegenerateSpectrum, load_triple, make_triple
 
 from helpers import basis_element, elements, report_to_json, save_triple
 
@@ -108,6 +109,23 @@ class TestCheckExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["check", "--method", "bogus", "--entry", "t1s3_product"])
         assert info.value.code == 3
+
+    # part3 on t1_sphere(500) once ran out of memory in the build and exited 1, as if REFUTED;
+    # the failures are raised by stand-ins, since a real huge allocation depends on the host
+    @pytest.mark.parametrize("stage", ["build_entry", "certify_part3"])
+    @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 937. GiB"), RuntimeError("boom"),
+                                     DegenerateSpectrum("ambiguous kernel")],
+                             ids=["MemoryError", "RuntimeError", "DegenerateSpectrum"])
+    def test_internal_error_exits_3_with_its_traceback(self, capsys, monkeypatch, stage, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli_module, stage, fail)
+        n = "500" if stage == "build_entry" else "3"  # t1_sphere(500) is never built
+        code, out, err = run(capsys, "check", "--entry", "t1_sphere", "--n", n, "--method", "part3")
+        assert (code, out) == (3, "")
+        assert err.startswith("Traceback") and ", in fail\n" in err  # down to the raising frame
+        assert err.endswith(f"curvcert: internal error: {type(exc).__name__}: {exc}\n")
 
 
 class TestScan:
