@@ -165,8 +165,9 @@ def _unmet_preconditions(triple: Triple, method: Method, a: AlgElement, tol: flo
                          points: Sequence[Optional[float]] = (None,)) -> list[CertReport]:
     """The reports of a run whose preconditions fail, one per scan point; [] when they hold.
 
-    part2, part3 and the scans need A in p (`require_same` raises first if A
-    is not of the triple's algebra), part3 a symmetric pair too.  A report is
+    part2, part3 and the scans need A in p, to `Subspace.contains`'s fixed
+    1e-8 whatever the curvature tolerance tol (`require_same` raises first if
+    A is not of the triple's algebra), part3 a symmetric pair too.  A report is
     INCONCLUSIVE with score NaN (null in JSON), no witness and the failed
     preconditions as notes (after part3's rank-one note), built before any
     tensor, SVD or search.
@@ -175,7 +176,7 @@ def _unmet_preconditions(triple: Triple, method: Method, a: AlgElement, tol: flo
     failed = []
     if method is Method.PART3 and not is_symmetric_pair(triple):
         failed.append("precondition failed: (g, h) is not a symmetric pair")
-    if not triple.p_basis.contains(a, tol=max(tol, 1e-8)):
+    if not triple.p_basis.contains(a):
         failed.append("precondition failed: A does not lie in p")
     if not failed:
         return []

@@ -2,7 +2,13 @@
 
 Exit codes: 0 = CERTIFIED, 1 = REFUTED, 2 = INCONCLUSIVE, 3 = error, an
 input error or an internal one (say, MemoryError), never read as a verdict.
+A reader that closes stdout early changes neither: the run keeps its exit
+code and writes nothing to stderr.
 Configuration precedence: command-line flags > config file > built-in defaults.
+
+check and scan share one body, `cmd_run`: each run (`fat`, `part2`, `part3`,
+`scan`) calls one certifier, and refuses a setting, as a flag or a config
+key, that its certifier takes no argument for (see `_ARGUMENT`).
 """
 
 from __future__ import annotations
@@ -10,8 +16,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import math
+import os
 import sys
 import time
 import traceback
@@ -19,6 +27,8 @@ import traceback
 from .algebra import FieldTag
 from .catalog import build_entry, list_catalog
 from .certify import (
+    DEFAULT_REFUTE_TOL,
+    DEFAULT_TOL,
     CertReport,
     StartBudget,
     Verdict,
@@ -40,12 +50,13 @@ EXIT_ERROR = 3
 
 @dataclasses.dataclass
 class RunConfig:
-    seed: int = 0
-    starts: int = 64
-    tol: float = 1e-6
-    refute_tol: float = 1e-12
+    """The settings of a check or scan: what its report's config block records."""
+
+    seed: int = StartBudget.seed
+    starts: int = StartBudget.starts
+    tol: float = DEFAULT_TOL
+    refute_tol: float = DEFAULT_REFUTE_TOL
     s_values: list = dataclasses.field(default_factory=list)
-    output_path: str = ""
     format: str = "json"
 
     def __post_init__(self):
@@ -56,11 +67,29 @@ class RunConfig:
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format: {self.format}")
 
-    def to_dict(self) -> dict:
-        """The report's config block: every field but output_path, so --out changes no byte."""
-        doc = dataclasses.asdict(self)
-        del doc["output_path"]
-        return doc
+
+#: how a flag or config value of each RunConfig setting is read
+_READ = {"seed": int, "starts": int, "tol": float, "refute_tol": float,
+         "s_values": lambda text: [float(v) for v in text.split(",") if v.strip()],
+         "format": str}
+#: the certifier argument that reads each setting; a run whose certifier lacks it refuses
+#: the setting.  format goes with s_values: CSV rows are scan points, check writes JSON only.
+_ARGUMENT = {"A": "a", "refute_tol": "refute_tol", "seed": "budget", "starts": "budget",
+             "tol": "tol", "format": "s_values", "s_values": "s_values"}
+#: why check refuses the settings of scan's points
+_SCAN_ONLY = {"format": "JSON only", "s_values": "scan only"}
+
+
+def _certifiers() -> dict:
+    """The certifier of each run, looked up when the run is made: a stand-in put in place
+    of one (a test's, or a profiler's timing wrapper) is the one called."""
+    return {"fat": check_fatness, "part2": certify_part2, "part3": certify_part3,
+            "scan": scan_along_A}
+
+
+#: the argument names of each run's certifier, read once from the library's own functions,
+#: so that a stand-in taking (*args, **kwargs) is called with the arguments of the original
+_TAKES = {run: frozenset(inspect.signature(fn).parameters) for run, fn in _certifiers().items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,16 +116,6 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-def _coerce(key: str, value: str):
-    if key in ("seed", "starts"):
-        return int(value)
-    if key in ("tol", "refute_tol"):
-        return float(value)
-    if key == "s_values":
-        return [float(v) for v in value.split(",") if v.strip()]
-    return value
-
-
 def _settings(args) -> tuple[dict, dict]:
     """RunConfig's arguments, flags over config keys, and how each setting was given.
 
@@ -105,13 +124,11 @@ def _settings(args) -> tuple[dict, dict]:
     settings, given = {}, {}
     if args.config:
         for key, value in _parse_config_file(args.config).items():
-            if key not in RunConfig.__dataclass_fields__:
+            if key not in _READ:
                 raise ValueError(f"unknown config key: {key}")
-            settings[key], given[key] = _coerce(key, value), f"config key {key}"
-    flags = {key: getattr(args, key, None) for key in RunConfig.__dataclass_fields__}
-    flags["output_path"] = args.out
-    for key, value in flags.items():
-        if value is not None:
+            settings[key], given[key] = _READ[key](value), f"config key {key}"
+    for key in _READ:
+        if (value := getattr(args, key, None)) is not None:
             settings[key], given[key] = value, "--" + key.replace("_", "-")
     if args.A is not None:
         given["A"] = "--A"
@@ -135,10 +152,10 @@ def _add_run(parser: argparse.ArgumentParser) -> None:
     _add_triple(parser)
     parser.add_argument("--A", help="inline JSON base point: "
                         '{"field": ..., "n": ..., "matrix": [...]} or a bare component list')
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--starts", type=int)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--refute-tol", dest="refute_tol", type=float)
+    parser.add_argument("--seed", type=_READ["seed"])
+    parser.add_argument("--starts", type=_READ["starts"])
+    parser.add_argument("--tol", type=_READ["tol"])
+    parser.add_argument("--refute-tol", dest="refute_tol", type=_READ["refute_tol"])
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--timing", action="store_true",
                         help="include wall_time_ms in reports (breaks byte-reproducibility)")
@@ -166,17 +183,23 @@ def _parse_inline_a(raw: str, triple: Triple):
     return matrix_from_components(triple.field, triple.n, doc)
 
 
-def _emit(text: str, out_path: str) -> None:
+def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed its end: the rest goes to devnull, so the flush at exit writes nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
-def _report_doc(report: CertReport, config: RunConfig, wall_ms=None) -> dict:
+def _report_doc(report: CertReport, config: RunConfig, wall_ms) -> dict:
     doc = report_to_dict(report)
-    doc["config"] = config.to_dict()
+    doc["config"] = dataclasses.asdict(config)
     if wall_ms is not None:
         doc["wall_time_ms"] = wall_ms
     return doc
@@ -185,83 +208,54 @@ def _report_doc(report: CertReport, config: RunConfig, wall_ms=None) -> dict:
 def cmd_list(args) -> int:
     entries = list_catalog()
     if (args.format or "json") == "json":
-        _emit(json.dumps(entries, indent=2), args.out or "")
+        _emit(json.dumps(entries, indent=2), args.out)
     else:
         lines = []
         for e in entries:
             lines.append(f"{e['id']}: {e['parameters']}")
             lines.append(f"    example {e['sample']} dims {e['dimensions']}")
-        _emit("\n".join(lines), args.out or "")
+        _emit("\n".join(lines), args.out)
     return 0
 
 
-#: run settings that a check method never reads, refused as flags and as config keys
-_UNUSED = {"fat": ("A",), "part2": ("refute_tol",), "part3": ("refute_tol", "seed", "starts")}
-#: scan settings that check never reads, only config keys there, with why
-_SCAN_ONLY = {"format": "JSON only", "s_values": "scan only"}
+def cmd_run(args) -> int:
+    """check or scan: run args.method's certifier on the triple, its A and the settings given.
 
-
-def _setup(args) -> tuple[RunConfig, Triple, object, StartBudget]:
-    """The settings, triple, base point A and budget of a check or scan, or its input error.
-
-    A setting that the run does not read, as a flag or a config key, is an
-    error, raised before the triple is built, as is a missing A after it.
+    A setting that the certifier takes no argument for, as a flag or a config
+    key, is an error, raised before the triple is built, as is a missing A
+    after it.
     """
-    run = "scan" if args.command == "scan" else f"check --method {args.method}"
+    name = "scan" if args.method == "scan" else f"check --method {args.method}"
+    certify, takes = _certifiers()[args.method], _TAKES[args.method]
     settings, given = _settings(args)
-    unused = _UNUSED.get(getattr(args, "method", None), ())
-    if args.command != "scan":
-        unused += tuple(_SCAN_ONLY)
-    if clash := [key for key in unused if key in given]:
-        why = f" ({_SCAN_ONLY[clash[0]]})" if clash[0] in _SCAN_ONLY else ""
-        raise ValueError(f"{given[clash[0]]} does not apply to {run}{why}")
+    if refused := [key for key, arg in _ARGUMENT.items() if key in given and arg not in takes]:
+        why = f" ({_SCAN_ONLY[refused[0]]})" if refused[0] in _SCAN_ONLY else ""
+        raise ValueError(f"{given[refused[0]]} does not apply to {name}{why}")
     config = RunConfig(**settings)
-    budget = StartBudget(starts=config.starts, seed=config.seed)
-    if args.command == "scan" and not config.s_values:
+    offered = {"budget": StartBudget(starts=config.starts, seed=config.seed), "tol": config.tol,
+               "refute_tol": config.refute_tol, "s_values": config.s_values}
+    if "s_values" in takes and not config.s_values:
         raise ValueError("scan requires a nonempty --s-values list")
     triple = _resolve(args)
-    a = triple.base_point if args.A is None else _parse_inline_a(args.A, triple)
-    if a is None and "A" not in unused:
-        raise ValueError(f"{run} requires a base point A (--A or entry default)")
-    return config, triple, a, budget
-
-
-def cmd_check(args) -> int:
-    config, triple, a, budget = _setup(args)
+    offered["a"] = triple.base_point if args.A is None else _parse_inline_a(args.A, triple)
+    if offered["a"] is None and "a" in takes:
+        raise ValueError(f"{name} requires a base point A (--A or entry default)")
     started = time.monotonic()
-    if args.method == "part3":
-        report = certify_part3(triple, a, tol=config.tol)
-    elif args.method == "part2":
-        report = certify_part2(triple, a, budget=budget, tol=config.tol)
-    else:
-        report = check_fatness(triple, budget=budget, tol=config.tol,
-                               refute_tol=config.refute_tol)
+    result = certify(triple, **{arg: offered[arg] for arg in takes if arg in offered})
     wall_ms = int((time.monotonic() - started) * 1000) if args.timing else None
-    doc = _report_doc(report, config, wall_ms)
-    _emit(json.dumps(doc, indent=2, allow_nan=False), config.output_path)
-    return _exit_code(report.verdict)
-
-
-def cmd_scan(args) -> int:
-    config, triple, a, budget = _setup(args)
-    started = time.monotonic()
-    reports = scan_along_A(triple, a, config.s_values, budget=budget,
-                           tol=config.tol, refute_tol=config.refute_tol)
-    wall_ms = int((time.monotonic() - started) * 1000) if args.timing else None
+    reports = result if isinstance(result, list) else [result]
     if config.format == "csv":
-        lines = ["s,verdict,score"]
-        for rep in reports:
-            lines.append(f"{rep.s},{rep.verdict.value},{rep.score}")
-        _emit("\n".join(lines) + "\n", config.output_path)
+        rows = [f"{rep.s},{rep.verdict.value},{rep.score}" for rep in reports]
+        _emit("\n".join(["s,verdict,score", *rows]) + "\n", args.out)
     else:
         docs = [_report_doc(rep, config, wall_ms) for rep in reports]
-        _emit(json.dumps(docs, indent=2, allow_nan=False), config.output_path)
-    worst = max(reports, key=lambda r: _exit_code(r.verdict))
-    return _exit_code(worst.verdict)
+        _emit(json.dumps(docs if isinstance(result, list) else docs[0], indent=2,
+                         allow_nan=False), args.out)
+    return max(_exit_code(rep.verdict) for rep in reports)
 
 
 def cmd_export(args) -> int:
-    _emit(triple_to_json(_resolve(args)), args.out or "")
+    _emit(triple_to_json(_resolve(args)), args.out)
     return 0
 
 
@@ -285,15 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run a certification method on a triple")
     _add_run(p_check)
     p_check.add_argument("--method", choices=["fat", "part2", "part3"], required=True)
-    p_check.set_defaults(fn=cmd_check)
+    p_check.set_defaults(fn=cmd_run)
 
     p_scan = sub.add_parser("scan", help="scan point positivity along exp(-sA)")
     _add_run(p_scan)
     p_scan.add_argument("--format", choices=["json", "csv"])
-    p_scan.add_argument("--s-values", dest="s_values",
-                        type=lambda v: [float(x) for x in v.split(",") if x.strip()],
+    p_scan.add_argument("--s-values", dest="s_values", type=_READ["s_values"],
                         help="comma-separated scan positions, e.g. 0,0.1,0.2")
-    p_scan.set_defaults(fn=cmd_scan)
+    p_scan.set_defaults(fn=cmd_run, method="scan")
 
     p_export = sub.add_parser("export", help="export a triple in the JSON schema")
     _add_triple(p_export)
@@ -314,7 +307,7 @@ def main(argv=None) -> int:
     except SystemExit:
         raise
     # KeyError is a backstop: an input error must exit 3, never 1 (REFUTED)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"curvcert: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # an internal error (MemoryError, DegenerateSpectrum, ...)

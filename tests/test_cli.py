@@ -2,7 +2,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,14 @@ import pytest
 import curvcert.cli as cli_module
 from curvcert.algebra import FieldTag
 from curvcert.catalog import build_entry, list_catalog, t1_sphere
-from curvcert.certify import StartBudget, check_fatness
+from curvcert.certify import (
+    StartBudget,
+    certify_part2,
+    certify_part3,
+    check_fatness,
+    report_to_dict,
+    scan_along_A,
+)
 from curvcert.cli import build_parser, main
 from curvcert.triple import DegenerateSpectrum, load_triple, make_triple
 
@@ -796,6 +806,159 @@ class TestInlineA:
         code, _, err = run(capsys, "check", "--file", str(path), "--method", "part3")
         assert code == 3
         assert "A" in err
+
+
+
+def _tilted_a(eps: float) -> str:
+    """t1s3_product's A plus eps times h's first basis vector, normalized, as a component list."""
+    triple = build_entry("t1s3_product").triple
+    v = triple.base_point.flat + eps * triple.h_basis.mat[0]
+    return json.dumps((v / np.linalg.norm(v)).tolist())
+
+
+class TestBasePointOffP:
+    """Whether A lies in p is read to a fixed 1e-8, whatever the curvature tolerance tol."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--method", "part3", "--tol", "1e-2"],
+        ["check", "--method", "part2", "--starts", "8", "--tol", "1e-2"],
+        ["scan", "--s-values", "0.1", "--starts", "4", "--tol", "1e-2"],
+        ["check", "--method", "part3"],  # the default tol, 1e-6, above the tilt of 1e-7
+    ])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+    def test_a_tilted_into_h_is_inconclusive(self, capsys, argv, eps):
+        code, out, _ = run(capsys, *argv, "--entry", "t1s3_product", "--A", _tilted_a(eps))
+        assert code == 2
+        docs = json.loads(out)
+        for doc in docs if isinstance(docs, list) else [docs]:
+            assert doc["verdict"] == "INCONCLUSIVE" and doc["score"] is None
+            assert doc["notes"][-1] == "precondition failed: A does not lie in p"
+
+
+def _closing_reader(*argv):
+    """Exit code, first 10 bytes and stderr of `python -m curvcert.cli argv` whose reader
+    closes its end after 10 bytes."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join([src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])
+    proc = subprocess.Popen([sys.executable, "-m", "curvcert.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=path))
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=120), head, err
+
+
+class TestClosedPipe:
+    """A reader that stops early is not an input error: the run keeps its exit code, quietly."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["check", "--entry", "sp_example", "--n", "4", "--method", "part3"], 0),
+        (["check", "--entry", "sp_example", "--n", "2", "--method", "fat", "--starts", "8"], 1),
+        # the next two write more than a pipe holds (64 KiB on Linux), so they meet the
+        # closed end for certain
+        (["export", "--entry", "sp_example", "--n", "4"], 0),
+        (["scan", "--entry", "t1s3_product", "--starts", "1",
+          "--s-values", ",".join(str(i / 100) for i in range(1, 41))], 0),
+        (["list"], 0),
+    ])
+    def test_run_keeps_its_exit_code_and_writes_no_error(self, argv, code):
+        got, head, err = _closing_reader(*argv)
+        assert (got, err.decode()) == (code, "")
+        assert len(head) == 10
+
+
+# the config block of a run given no setting
+_DEFAULT_CONFIG = {"seed": 0, "starts": 64, "tol": 1e-6, "refute_tol": 1e-12, "s_values": [],
+                   "format": "json"}
+# a value other than the default for each setting that a certifier reads
+_GIVEN = {"seed": 5, "starts": 3, "tol": 1e-5, "refute_tol": 1e-20, "s_values": [0.0, 0.3]}
+_BUDGET = StartBudget(starts=3, seed=5)
+_PARITY = {  # each run: its command, the settings it reads, and the library call with _GIVEN
+    "fat": (["check", "--method", "fat"], ("seed", "starts", "tol", "refute_tol"),
+            lambda t: check_fatness(t, budget=_BUDGET, tol=1e-5, refute_tol=1e-20)),
+    "part2": (["check", "--method", "part2"], ("seed", "starts", "tol"),
+              lambda t: certify_part2(t, t.base_point, budget=_BUDGET, tol=1e-5)),
+    "part3": (["check", "--method", "part3"], ("tol",),
+              lambda t: certify_part3(t, t.base_point, tol=1e-5)),
+    "scan": (["scan"], ("seed", "starts", "tol", "refute_tol", "s_values"),
+             lambda t: scan_along_A(t, t.base_point, [0.0, 0.3], budget=_BUDGET, tol=1e-5,
+                                    refute_tol=1e-20)),
+}
+
+
+def _given_argv(method: str, source: str, tmp_path) -> list:
+    """The argv of a run on sp_example(2) given the _GIVEN settings it reads, as flags or config."""
+    command, reads, _ = _PARITY[method]
+    text = {key: ",".join(map(str, v)) if isinstance(v, list) else str(v)
+            for key, v in _GIVEN.items() if key in reads}
+    if source == "flag":
+        extra = [x for key, v in text.items() for x in ("--" + key.replace("_", "-"), v)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {v}\n" for key, v in text.items()))
+        extra = ["--config", str(cfg)]
+    return [*command, "--entry", "sp_example", "--n", "2", *extra]
+
+
+class TestSettingsReachTheirArgument:
+    """Each setting a run is given reaches the certifier argument of the same meaning."""
+
+    @pytest.mark.parametrize("source", ["flag", "config key"])
+    @pytest.mark.parametrize("method", sorted(_PARITY))
+    def test_report_is_the_library_call_with_the_same_arguments(self, capsys, tmp_path,
+                                                                method, source):
+        _, reads, call = _PARITY[method]
+        code, out, err = run(capsys, *_given_argv(method, source, tmp_path))
+        assert code != 3, err
+        docs = json.loads(out)
+        docs = docs if isinstance(docs, list) else [docs]
+        result = call(build_entry("sp_example", n=2).triple)
+        want = [report_to_dict(rep) for rep in (result if isinstance(result, list) else [result])]
+        assert [{k: v for k, v in doc.items() if k != "config"} for doc in docs] == want
+        given = {key: v for key, v in _GIVEN.items() if key in reads}
+        assert all(doc["config"] == {**_DEFAULT_CONFIG, **given} for doc in docs)
+
+    # a profiler's timing wrapper takes (*args, **kwargs), as perfbench's tracer does
+    @pytest.mark.parametrize("method,name", [("fat", "check_fatness"), ("part2", "certify_part2"),
+                                             ("part3", "certify_part3"), ("scan", "scan_along_A")])
+    def test_a_wrapped_certifier_is_called_with_the_same_arguments(self, capsys, monkeypatch,
+                                                                   tmp_path, method, name):
+        argv = _given_argv(method, "flag", tmp_path)
+        want = run(capsys, *argv)
+        original = getattr(cli_module, name)
+        monkeypatch.setattr(cli_module, name, lambda *args, **kwargs: original(*args, **kwargs))
+        assert run(capsys, *argv) == want
+
+
+class TestScanOutput:
+    """--out, --timing and the config keys of a scan, through the body that check shares."""
+
+    ARGV = ["scan", "--entry", "t1s3_product", "--s-values", "0,0.1", "--starts", "4"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_writes_the_file_and_nothing_to_stdout(self, capsys, tmp_path, fmt):
+        path = tmp_path / f"scan.{fmt}"
+        code, out, _ = run(capsys, *self.ARGV, "--format", fmt, "--out", str(path))
+        assert (code, out) == (1, "")  # the s = 0 point refutes
+        code, stdout, _ = run(capsys, *self.ARGV, "--format", fmt)
+        assert code == 1 and path.read_text() + "\n" == stdout
+
+    def test_timing_adds_wall_time_to_every_report(self, capsys):
+        _, out, _ = run(capsys, *self.ARGV, "--timing")
+        assert all("wall_time_ms" in doc for doc in json.loads(out))
+        _, out, _ = run(capsys, *self.ARGV)
+        assert not any("wall_time_ms" in doc for doc in json.loads(out))
+
+    def test_output_path_is_not_a_config_key(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"output_path = {path}\n")
+        code, out, err = run(capsys, *self.ARGV, "--config", str(cfg))
+        assert (code, out) == (3, "")
+        assert "unknown config key: output_path" in err
+        assert not path.exists()
 
 
 # sha256 of the stdout of `export` and `check --method part3`, taken before the
