@@ -35,13 +35,11 @@ from .flatness import (
     horizontal_flat_residual,
 )
 from .triple import (
-    Part,
     Subspace,
     Triple,
     is_symmetric_pair,
     load_triple,
     make_triple,
-    project,
     stabilizer_subalgebra,
     triple_from_dict,
     triple_to_json,

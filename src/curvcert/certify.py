@@ -59,15 +59,7 @@ from .algebra import (
     row_dots,
 )
 from .flatness import FlatPairWitness, horizontal_flat_residual
-from .triple import (
-    Part,
-    Subspace,
-    Triple,
-    is_symmetric_pair,
-    matrix_to_components,
-    project,
-    project_stack,
-)
+from .triple import Subspace, Triple, is_symmetric_pair, matrix_to_components, project
 
 DEFAULT_TOL = 1e-6
 DEFAULT_REFUTE_TOL = 1e-12
@@ -108,6 +100,8 @@ class StartBudget:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -207,7 +201,9 @@ def _unconfirmed(search: float, element: float, threshold: float) -> tuple[str, 
     hold all of each bracket only when g and h are closed; otherwise they can
     only be smaller.  So a refutation stands only once its witness is
     re-evaluated by `bracket`, `project` and
-    `flatness.horizontal_flat_residual`, which share no kernel with them.
+    `flatness.horizontal_flat_residual`.  Both paths project through
+    `Subspace.project_flat`; the element path does not share their bracket:
+    it forms `comp_bracket`, not `pair_bracket_coords`.
     """
     if element < threshold:
         return ()
@@ -700,14 +696,15 @@ def _derivative_tensor(triple: Triple, a: AlgElement, z_stack: np.ndarray,
     """The pair tensor [z_i^h, [A, w_k]^h] along h of the component stacks of two domains."""
     h = triple.h_basis
     aw_h = pair_bracket_coords(triple.field, a.comp[None], w_stack, h.mat)[0] @ h.mat
-    return pair_bracket_coords(triple.field, project_stack(triple, z_stack, Part.H),
+    return pair_bracket_coords(triple.field, project(triple, z_stack),
                                aw_h.reshape(w_stack.shape), h.mat)
 
 
 def _derivative_objective(triple: Triple, a: AlgElement, z: AlgElement, w: AlgElement) -> float:
     """|[Z^h, [A, W]^h]|^2 on the element path, for Z in g; [A, W] may leave g."""
     awh = from_flat(triple.field, triple.n, triple.h_basis.project_flat(bracket(a, w).flat))
-    return bracket(project(triple, z, Part.H), awh).norm() ** 2
+    zh = AlgElement(triple.field, triple.n, project(triple, z.comp))
+    return bracket(zh, awh).norm() ** 2
 
 
 # --- per-point positivity ------------------------------------------------------
@@ -724,7 +721,7 @@ def _scan_points(triple: Triple, gs: np.ndarray, points: Sequence[Optional[float
     def horizontal(z_stack: np.ndarray, w_stack: np.ndarray) -> np.ndarray:
         dz = len(z_stack)
         moved = comp_adjoint(gs[:, None], np.concatenate([z_stack, w_stack]))
-        zh, wh = (project_stack(triple, part, Part.H) for part in (moved[:, :dz], moved[:, dz:]))
+        zh, wh = project(triple, moved[:, :dz]), project(triple, moved[:, dz:])
         return np.stack([pair_bracket_coords(triple.field, z, w, triple.h_basis.mat)
                          for z, w in zip(zh, wh)])
 

@@ -60,8 +60,9 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if not (0.0 < self.refute_tol < self.tol < math.inf):
-            raise ValueError("need 0 < refute_tol < tol < inf")
+        for key in ("tol", "refute_tol"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ValueError(f"need 0 < {key} < inf")
         if not all(math.isfinite(s) for s in self.s_values):
             raise ValueError("s_values must be finite")
         if self.format not in ("json", "csv"):
@@ -222,8 +223,9 @@ def cmd_run(args) -> int:
     """check or scan: run args.method's certifier on the triple, its A and the settings given.
 
     A setting that the certifier takes no argument for, as a flag or a config
-    key, is an error, raised before the triple is built, as is a missing A
-    after it.
+    key, is an error, raised before the triple is built, as is a value out of
+    range (a negative seed; refute_tol at or above tol, on the runs that read
+    refute_tol), and a missing A after it.
     """
     name = "scan" if args.method == "scan" else f"check --method {args.method}"
     certify, takes = _certifiers()[args.method], _TAKES[args.method]
@@ -232,6 +234,8 @@ def cmd_run(args) -> int:
         why = f" ({_SCAN_ONLY[refused[0]]})" if refused[0] in _SCAN_ONLY else ""
         raise ValueError(f"{given[refused[0]]} does not apply to {name}{why}")
     config = RunConfig(**settings)
+    if "refute_tol" in takes and not config.refute_tol < config.tol:
+        raise ValueError("need 0 < refute_tol < tol < inf")
     offered = {"budget": StartBudget(starts=config.starts, seed=config.seed), "tol": config.tol,
                "refute_tol": config.refute_tol, "s_values": config.s_values}
     if "s_values" in takes and not config.s_values:

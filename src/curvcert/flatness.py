@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import AlgElement, GroupElement, adjoint, bracket, inner
-from .triple import Part, Triple, project
+from .triple import Triple, project
 
 
 class PlaneInputError(ValueError):
@@ -47,8 +47,8 @@ def horizontal_flat_residual(
     (Z, W) orthonormal.
     """
     _check_pair(triple, z, w)
-    azh = project(triple, adjoint(g, z), Part.H)
-    awh = project(triple, adjoint(g, w), Part.H)
+    azh, awh = (AlgElement(triple.field, triple.n, project(triple, adjoint(g, x).comp))
+                for x in (z, w))
     return bracket(z, w).norm() ** 2, bracket(azh, awh).norm() ** 2
 
 
@@ -56,7 +56,7 @@ def _check_pair(triple: Triple, z: AlgElement, w: AlgElement) -> None:
     tol = 1e-8
     if abs(z.norm() - 1.0) > tol or abs(w.norm() - 1.0) > tol or abs(inner(z, w)) > tol:
         raise PlaneInputError("pair (Z, W) is not orthonormal")
-    if not triple.p_basis.contains(w, tol):
+    if not triple.p_basis.contains(w):
         raise PlaneInputError("W does not lie in p")
     if np.linalg.norm(triple.k_basis.project_flat(z.flat)) > tol:
         raise PlaneInputError("Z is not orthogonal to k")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -22,7 +21,6 @@ from .algebra import (
     FieldTag,
     N_COMPONENTS,
     check_skew,
-    from_flat,
     pair_bracket_coords,
     require_same,
     row_dots,
@@ -32,6 +30,8 @@ from .algebra import (
 Span = Union[np.ndarray, Sequence[AlgElement], "Subspace"]
 
 _ORTHO_TOL = 1e-10
+# A vector lies in a span when its residual off it is at most this times max(1, its norm).
+_IN_SPAN_TOL = 1e-8
 # Coordinates of [p, p] along p or of [p, h] along h above this break a symmetric pair.
 SYMMETRIC_PAIR_TOL = 1e-8
 # Gram-Schmidt drops a row whose norm left is at most this times max(1, its norm).
@@ -52,13 +52,6 @@ class NotInSpan(ValueError):
 
 class DegenerateSpectrum(RuntimeError):
     """Singular-value gap too small to decide a null-space dimension."""
-
-
-class Part(Enum):
-    K = "K"
-    M = "M"
-    P = "P"
-    H = "H"
 
 
 def _orthonormalize(mat: np.ndarray) -> np.ndarray:
@@ -130,13 +123,12 @@ class Subspace:
         mat = np.ascontiguousarray(np.asarray(self.mat, dtype=np.float64))
         if mat.ndim != 2 or mat.shape[1] != self.n * self.n * 4:
             raise ValueError(f"basis matrix has wrong shape {mat.shape}")
-        if mat.shape[0]:
-            # first, so that NaN, which passes the gram test below, is rejected
-            check_skew(self.field, mat.reshape(len(mat), self.n, self.n, 4))
-            gram = mat @ mat.T
-            gram.flat[::mat.shape[0] + 1] -= 1.0  # gram - I
-            if np.abs(gram).max() > _ORTHO_TOL:
-                raise ValueError("basis is not orthonormal to 1e-10")
+        # first, so that NaN, which passes the gram test below, is rejected
+        check_skew(self.field, mat.reshape(len(mat), self.n, self.n, 4))
+        gram = mat @ mat.T
+        gram.flat[::mat.shape[0] + 1] -= 1.0  # gram - I
+        if np.abs(gram).max(initial=0.0) > _ORTHO_TOL:
+            raise ValueError("basis is not orthonormal to 1e-10")
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
 
@@ -183,13 +175,12 @@ class Subspace:
         return self.comps()[..., :nc].reshape(self.dim, n * n * nc)
 
     def project_flat(self, v: np.ndarray) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros_like(v)
+        """Orthogonal projection of a flat vector, or of each row of a stack of them; +0.0 on an empty basis."""
         return (v @ self.mat.T) @ self.mat
 
-    def contains(self, x: AlgElement, tol: float = 1e-8) -> bool:
+    def contains(self, x: AlgElement) -> bool:
         v = x.flat
-        return float(np.linalg.norm(v - self.project_flat(v))) <= tol * max(1.0, x.norm())
+        return float(np.linalg.norm(v - self.project_flat(v))) <= _IN_SPAN_TOL * max(1.0, x.norm())
 
 
 def _empty_subspace(field: FieldTag, n: int) -> Subspace:
@@ -198,8 +189,7 @@ def _empty_subspace(field: FieldTag, n: int) -> Subspace:
 
 def _complement(big: Subspace, small: Subspace, cross: np.ndarray) -> Subspace:
     """Orthonormal basis of big minus the span of small, given cross = big.mat @ small.mat.T."""
-    reduced = big.mat - cross @ small.mat if small.dim else big.mat
-    return Subspace(big.field, big.n, _orthonormalize(reduced))
+    return Subspace(big.field, big.n, _orthonormalize(big.mat - cross @ small.mat))
 
 
 @dataclass(frozen=True)
@@ -223,14 +213,6 @@ class Triple:
             "m": self.m_basis.dim,
             "p": self.p_basis.dim,
         }
-
-    def part(self, which: Part) -> Subspace:
-        return {
-            Part.K: self.k_basis,
-            Part.M: self.m_basis,
-            Part.P: self.p_basis,
-            Part.H: self.h_basis,
-        }[which]
 
     def gk_basis(self) -> Subspace:
         """Orthonormal basis of g minus k (= m + p)."""
@@ -271,7 +253,7 @@ def _nested_triple(
     gh, hk = g.mat @ h.mat.T, h.mat @ k.mat.T
     for name, sub, sup, cross in (("h", h, g, gh), ("k", k, h, hk)):
         resid = np.linalg.norm(sub.mat - cross.T @ sup.mat, axis=1)
-        if resid.size and resid.max() > _ORTHO_TOL:
+        if resid.max(initial=0.0) > _ORTHO_TOL:
             raise NotInSpan(
                 f"{name}-basis vector leaves its ambient span (residual {resid.max():.2e})"
             )
@@ -282,28 +264,21 @@ def _nested_triple(
     return Triple(g.field, g.n, g, h, k, m, p, label=label, base_point=base_point)
 
 
-def project(triple: Triple, x: AlgElement, part: Part) -> AlgElement:
-    """Orthogonal projection of x onto the named subspace; x must lie in span(g)."""
-    v = x.flat
-    _check_in_g(triple, v)
-    return from_flat(triple.field, triple.n, triple.part(part).project_flat(v))
+def project(triple: Triple, comps: np.ndarray) -> np.ndarray:
+    """The h-part of one component matrix (n, n, 4) or of a stack (..., r, n, n, 4), in the same layout.
 
-
-def project_stack(triple: Triple, comps: np.ndarray, part: Part) -> np.ndarray:
-    """`project` for a stack (..., r, n, n, 4) of component matrices, in the same layout.
-
-    Each stack of r matrices is projected by its own products, so it has the
-    bits of a call on it alone.
+    Each matrix must lie in span(g).  Each stack of r matrices is projected
+    by its own products, so it has the bits of a call on it alone.
     """
     v = comps.reshape(*comps.shape[:-3], -1)
     _check_in_g(triple, v)
-    return triple.part(part).project_flat(v).reshape(comps.shape)
+    return triple.h_basis.project_flat(v).reshape(comps.shape)
 
 
 def _check_in_g(triple: Triple, v: np.ndarray) -> None:
     """Raise NotInSpan unless the flat vector v, or each row of a stack of them, lies in span(g)."""
     resid = np.linalg.norm(v - triple.g_basis.project_flat(v), axis=-1)
-    if (resid > 1e-8 * np.maximum(1.0, np.linalg.norm(v, axis=-1))).any():
+    if (resid > _IN_SPAN_TOL * np.maximum(1.0, np.linalg.norm(v, axis=-1))).any():
         raise NotInSpan(f"element leaves span(g) with residual {resid.max():.2e}")
 
 
@@ -351,7 +326,7 @@ def is_symmetric_pair(triple: Triple, tol: float = SYMMETRIC_PAIR_TOL) -> bool:
     """
     p, h = triple.p_basis, triple.h_basis
     p_comp, h_comp = p.comps(), h.comps()
-    wrongs = [w for w in (p_comp, h_comp) if len(w) and _may_reach(p_comp, w, w)]
+    wrongs = [w for w in (p_comp, h_comp) if _may_reach(p_comp, w, w)]
     pair_floats = triple.n * triple.n * N_COMPONENTS[triple.field]
     rows = max(1, _PAIR_BLOCK_FLOATS // (max(1, p.dim, h.dim) * pair_floats))
     for lo in range(0, p.dim, rows):
@@ -359,7 +334,7 @@ def is_symmetric_pair(triple: Triple, tol: float = SYMMETRIC_PAIR_TOL) -> bool:
         for wrong in wrongs:
             others = p_comp[lo:] if wrong is p_comp else h_comp
             coords = pair_bracket_coords(triple.field, block, others, wrong)
-            if np.linalg.norm(coords, axis=2).max() > tol:
+            if np.linalg.norm(coords, axis=2).max(initial=0.0) > tol:
                 return False
     return True
 
@@ -374,8 +349,6 @@ def stabilizer_subalgebra(h_basis: Subspace, a: AlgElement, g_basis: Subspace) -
     value is required, otherwise the kernel dimension is ambiguous and we
     refuse to guess.
     """
-    if h_basis.dim == 0:
-        return h_basis
     # u is square: dim h <= dim g
     u, s, _ = np.linalg.svd(h_basis.brackets_with(a, g_basis), full_matrices=False)
     null_mask = s < _NULL_TOL
@@ -388,9 +361,6 @@ def stabilizer_subalgebra(h_basis: Subspace, a: AlgElement, g_basis: Subspace) -
             raise DegenerateSpectrum(
                 f"ambiguous kernel: singular values {smallest_kept:.3e} vs {largest_dropped:.3e}"
             )
-    kernel_dim = h_basis.dim - rank
-    if kernel_dim == 0:
-        return _empty_subspace(h_basis.field, h_basis.n)
     coeffs = u[:, rank:].T  # rows: kernel coordinates in the h-basis
     return Subspace(h_basis.field, h_basis.n, _orthonormalize(coeffs @ h_basis.mat))
 

@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -44,7 +45,7 @@ from curvcert.certify import (
     report_to_dict,
 )
 from curvcert.flatness import PlaneInputError, horizontal_flat_residual
-from curvcert.triple import Part, Subspace, Triple, _check_in_g, _document, project, triple_to_json
+from curvcert.triple import Subspace, Triple, _check_in_g, _document, triple_to_json
 
 
 # --- algebra ------------------------------------------------------------------
@@ -124,6 +125,30 @@ def triple_to_dict(triple: Triple) -> dict:
 def save_triple(triple: Triple, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(triple_to_json(triple) + "\n")
+
+
+# --- projections -------------------------------------------------------------
+
+
+class Part(Enum):
+    """A subspace of the chain k < h < g: k, m = h - k, p = g - h or h."""
+
+    K = "K"
+    M = "M"
+    P = "P"
+    H = "H"
+
+
+def project(triple: Triple, x: AlgElement, part: Part) -> AlgElement:
+    """Orthogonal projection of x onto the named subspace; x must lie in span(g).
+
+    The library projects onto h only (`curvcert.triple.project`).
+    """
+    v = x.flat
+    _check_in_g(triple, v)
+    sub = {Part.K: triple.k_basis, Part.M: triple.m_basis, Part.P: triple.p_basis,
+           Part.H: triple.h_basis}[part]
+    return from_flat(triple.field, triple.n, sub.project_flat(v))
 
 
 # --- the deformed metric ------------------------------------------------------

@@ -217,7 +217,7 @@ def test_c6_fatness_contrast():
                 and abs(w.W.norm() - 1.0) < 1e-8
                 and abs(inner(w.Z, w.W)) < 1e-8
                 and np.linalg.norm(triple.k_basis.project_flat(w.Z.flat)) < 1e-8
-                and triple.p_basis.contains(w.W, 1e-8)
+                and triple.p_basis.contains(w.W)
             )
         ok = ok and good
     _finish("C6 fatness-contrast", ok, f"(grid minimum {grid_min:.4f})")

@@ -15,9 +15,9 @@ from curvcert.catalog import (
     t1s3_product,
 )
 from curvcert.certify import min_ad_singular
-from curvcert.triple import Part, is_symmetric_pair, project, stabilizer_subalgebra
+from curvcert.triple import is_symmetric_pair, stabilizer_subalgebra
 
-from helpers import Quaternion, sampled_min_ad
+from helpers import Part, Quaternion, project, sampled_min_ad
 
 ALL_ENTRIES = [
     t1s3_product(),

@@ -35,9 +35,10 @@ from curvcert.certify import (
 )
 from curvcert.cli import main
 from curvcert.flatness import horizontal_flat_residual
-from curvcert.triple import SYMMETRIC_PAIR_TOL, Part, is_symmetric_pair, make_triple, project
+from curvcert.triple import SYMMETRIC_PAIR_TOL, is_symmetric_pair, make_triple
 
 from helpers import (
+    Part,
     basis_element,
     bit_equal,
     derivative_test,
@@ -49,6 +50,7 @@ from helpers import (
     ortho_constraint,
     pair_tensor,
     point_positivity,
+    project,
     random_admissible_pair,
     reference_starts,
     report_to_json,
@@ -148,7 +150,7 @@ class TestFatness:
         assert abs(w.W.norm() - 1.0) < 1e-8
         assert abs(inner(w.Z, w.W)) < 1e-8
         assert np.linalg.norm(triple.k_basis.project_flat(w.Z.flat)) < 1e-8
-        assert triple.p_basis.contains(w.W, 1e-8)
+        assert triple.p_basis.contains(w.W)
 
 
 def assert_flat_pair(triple, w, refute_tol=1e-12):
@@ -159,7 +161,7 @@ def assert_flat_pair(triple, w, refute_tol=1e-12):
     assert abs(w.W.norm() - 1.0) < 1e-8
     assert abs(inner(w.Z, w.W)) < 1e-8
     assert np.linalg.norm(triple.k_basis.project_flat(w.Z.flat)) < 1e-8
-    assert triple.p_basis.contains(w.W, 1e-8)
+    assert triple.p_basis.contains(w.W)
 
 
 class TestStalledSearches:

@@ -652,6 +652,46 @@ class TestFlagSets:
         assert code == 3 and out == ""
 
 
+_SEARCH_RUNS = {"fat": ["check", "--method", "fat"], "part2": ["check", "--method", "part2"],
+                "scan": ["scan", "--s-values", "0,0.1"]}
+
+
+class TestSettingRanges:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("method", sorted(_SEARCH_RUNS))
+    def test_negative_seed_exits_3_before_the_triple_is_built(self, capsys, monkeypatch,
+                                                             tmp_path, method, source):
+        built = []
+        monkeypatch.setattr(cli_module, "build_entry", lambda *a, **kw: built.append(a) or 1 / 0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        seed = ["--seed", "-1"] if source == "flag" else ["--config", str(cfg)]
+        code, out, err = run(capsys, *_SEARCH_RUNS[method], "--entry", "t1s3_product",
+                             "--starts", "4", *seed)
+        assert (code, out, built) == (3, "", [])
+        assert "seed must be >= 0" in err
+
+    @pytest.mark.parametrize("method,extra", [("part3", []), ("part2", ["--starts", "8"])])
+    def test_tol_below_the_default_refute_tol_runs_where_refute_tol_is_not_read(
+            self, capsys, method, extra):
+        code, out, err = run(capsys, "check", "--entry", "t1s3_product", "--method", method,
+                             "--tol", "1e-13", *extra)
+        doc = json.loads(out)
+        assert (code, err, doc["verdict"]) == (0, "", "CERTIFIED")
+        assert doc["tolerance"] == doc["config"]["tol"] == 1e-13
+
+    @pytest.mark.parametrize("method,tols", [
+        ("fat", ["--tol", "1e-13"]),
+        ("fat", ["--tol", "1e-6", "--refute-tol", "1e-6"]),
+        ("scan", ["--refute-tol", "1e-5"]),
+    ])
+    def test_refute_tol_at_or_above_tol_exits_3_where_it_is_read(self, capsys, method, tols):
+        code, out, err = run(capsys, *_SEARCH_RUNS[method], "--entry", "t1s3_product",
+                             "--starts", "4", *tols)
+        assert code == 3 and out == ""
+        assert "need 0 < refute_tol < tol < inf" in err
+
+
 def _content(out: str):
     """A run's output without its config block: the JSON report(s), or the text of a CSV scan."""
     try:

@@ -16,15 +16,16 @@ from curvcert.flatness import (
     PlaneInputError,
     horizontal_flat_residual,
 )
-from curvcert.triple import Part, project
 
 from helpers import (
     DeformParam,
+    Part,
     Quaternion,
     basis_element,
     eschenburg_residual,
     identity,
     phi,
+    project,
     sp1_pair,
 )
 

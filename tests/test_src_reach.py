@@ -9,7 +9,8 @@ imports with `from .module import name`; a load of a name that the
 enclosing function binds (a local variable, an argument) refers to that
 local; an import alone is no use.  Methods are used by an attribute load of
 their name on any object.  Tests are not callers: code that only tests call
-belongs in tests/helpers.py.
+belongs in tests/helpers.py.  A top-level import that its module
+never loads fails too, outside `__init__.py`.
 """
 
 from __future__ import annotations
@@ -175,6 +176,27 @@ def _is_live(owner: str, live: set[str]) -> bool:
     return all(f"{module}.{'.'.join(path[:i + 1])}" in live for i in range(len(path)))
 
 
+def unused_imports(src: Path = SRC) -> list[str]:
+    """The names, as "module.name", that a top-level import of a non-__init__ module binds and the module never loads.
+
+    `from __future__ import annotations` binds no name that code loads, so it is exempt.
+    """
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused += [f"{path.stem}.{name}" for name in bound if name not in loaded]
+    return unused
+
+
 def test_every_src_definition_has_a_src_caller():
     dead = unreached()
     assert dead == [], "only tests reach these; move them to tests/helpers.py: " + ", ".join(dead)
@@ -207,3 +229,22 @@ def test_imports_self_loads_dead_callers_and_locals_are_no_use(tmp_path):
     )
     assert unreached(tmp_path) == ["a.C", "a.C.method", "a.dead_callee", "a.dead_caller",
                                    "a.recursive", "a.shadowed"]
+
+
+def test_every_src_import_is_loaded():
+    unused = unused_imports()
+    assert unused == [], "imported but never loaded: " + ", ".join(unused)
+
+
+def test_an_import_that_its_module_never_loads_is_unused(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import used\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from enum import Enum\n"
+        "from .b import loaded, only_imported as renamed\n"
+        "def used(x: np.ndarray):\n"
+        "    return os.sep, loaded\n"
+    )
+    assert unused_imports(tmp_path) == ["a.Enum", "a.renamed"]

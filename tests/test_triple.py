@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,13 +31,11 @@ from curvcert.catalog import (
 from curvcert.triple import (
     SCHEMA_TRIPLE,
     NotInSpan,
-    Part,
     Subspace,
     Triple,
     _orthonormalize,
     is_symmetric_pair,
     make_triple,
-    project,
     stabilizer_subalgebra,
     triple_from_dict,
     triple_to_json,
@@ -44,10 +43,13 @@ from curvcert.triple import (
 
 from helpers import (
     DeformParam,
+    Part,
     basis_element,
     bit_equal,
     elements,
+    full_algebra_basis,
     phi,
+    project,
     randomly_rebased,
     reference_orthonormalize,
     sp1_pair,
@@ -661,6 +663,51 @@ class TestStabilizer:
         out = stabilizer_subalgebra(entry.triple.h_basis, entry.base_point_A, entry.triple.g_basis)
         for e in elements(out):
             assert bracket(e, entry.base_point_A).norm() < 1e-9
+
+
+def _diagonal_i(field: FieldTag, n: int) -> np.ndarray:
+    """An abelian algebra: i on each diagonal entry, or so(2) over R, as a stack."""
+    if field is FieldTag.REAL:
+        return basis_element(field, 2, 0, 1, 0).comp[None]
+    return np.array([basis_element(field, n, j, j, 1).comp for j in range(n)])
+
+
+@pytest.mark.parametrize("field", list(FieldTag))
+class TestEmptyBases:
+    """A basis of 0 rows goes through the general products, which give what a special case would."""
+
+    def test_projection_onto_an_empty_basis_is_positive_zero(self, field):
+        empty = Subspace(field, 3, np.zeros((0, 36)))
+        assert empty.dim == 0 and empty.comps().shape == (0, 3, 3, 4)
+        rng = np.random.default_rng(3)
+        for v in (rng.standard_normal(36), rng.standard_normal((5, 36))):
+            assert bit_equal(empty.project_flat(v), np.zeros_like(v))
+
+    def test_complement_of_an_empty_basis_keeps_the_bits(self, field):
+        rng = np.random.default_rng(4)
+        big = Subspace.from_spanning([random_skew(field, 3, rng) for _ in range(4)])
+        empty = Subspace(field, 3, np.zeros((0, 36)))
+        got = triple_module._complement(big, empty, big.mat @ empty.mat.T)
+        assert bit_equal(got.mat, _orthonormalize(big.mat))
+
+    def test_stabilizer_of_an_empty_or_injective_h_has_no_rows(self, field):
+        g = Subspace.from_spanning(full_algebra_basis(field, 3), field)
+        a = basis_element(field, 3, 0, 1, 0)
+        injective = Subspace.from_spanning([basis_element(field, 3, 0, 2, 0)])  # [Y, A] != 0
+        for h in (Subspace(field, 3, np.zeros((0, 36))), injective):
+            assert stabilizer_subalgebra(h, a, g).mat.shape == (0, 36)
+
+    @pytest.mark.parametrize("chain", ["h = g", "h = 0 in abelian g"])
+    def test_symmetric_pair_with_an_empty_part_takes_the_dense_path_too(self, field, chain):
+        if chain == "h = g":
+            g = full_algebra_basis(field, 3)
+            triple = make_triple(g, g, [], field=field)
+        else:
+            triple = make_triple(_diagonal_i(field, 3), [], [], field=field)
+        assert 0 in (triple.p_basis.dim, triple.h_basis.dim)
+        assert is_symmetric_pair(triple)
+        with mock.patch.object(triple_module, "_may_reach", lambda a, b, w: True):
+            assert is_symmetric_pair(triple)
 
 
 def _unchecked_subspace(active: np.ndarray) -> Subspace:
