@@ -336,35 +336,50 @@ def adjoint(g: GroupElement, x: AlgElement) -> AlgElement:
     return AlgElement(x.field, x.n, comp_adjoint(g.comp, x.comp))
 
 
+def block_labels(field: FieldTag, *index_sets) -> list[tuple[int, int, int]]:
+    """The label (i, j, c) of each generator of the block subalgebras on the index sets.
+
+    In `block_stack`'s order, set by set, and for each index i of a set in
+    turn: the imaginary units c >= 1 at (i, i), then for each later index j
+    the units at (i, j), component by component.
+    """
+    nc, labels = N_COMPONENTS[field], []
+    for idx in map(list, index_sets):
+        for a, i in enumerate(idx):
+            labels += [(i, i, c) for c in range(1, nc)]
+            for j in idx[a + 1:]:
+                labels += [(i, j, c) for c in range(nc)]
+    return labels
+
+
+def generator_stack(n: int, labels) -> np.ndarray:
+    """The generator of each label (i, j, c), stacked (r, n, n, 4): unit c at (i, j), mirrored to stay skew.
+
+    Skew-Hermitian by construction; it is validated where it enters a
+    subspace.  Each equals the matching `basis_element` of tests/helpers.py.
+    One Python loop lists the generator units as flat offsets into the
+    stack, split by sign (the mirrored real unit at (j, i) is -1), and two
+    assignments write them: small stacks, as most of the catalog's are, cost
+    a few microseconds instead of a fixed series of numpy index passes.
+    """
+    size = n * n * 4
+    plus, minus = [], []  # flat offsets of the +1 and -1 entries
+    for r, (i, j, c) in enumerate(labels):
+        plus.append(r * size + (i * n + j) * 4 + c)
+        if i != j:
+            (plus if c else minus).append(r * size + (j * n + i) * 4 + c)
+    comp = np.zeros(len(labels) * size)
+    comp[plus] = 1.0
+    comp[minus] = -1.0
+    return comp.reshape(len(labels), n, n, 4)
+
+
 def block_stack(field: FieldTag, n: int, indices) -> np.ndarray:
     """The generators of the subalgebra on an index set (all of so(n), u(n), sp(n) for range(n)).
 
-    A stack (r, n, n, 4), skew-Hermitian by construction; it is validated
-    where it enters a subspace (`Subspace.from_spanning`).  Order: for each
-    index i in turn, the imaginary units at (i, i), then for each later index
-    j the units at (i, j), component by component; each equals the matching
-    `basis_element` of tests/helpers.py.  One Python loop lists the
-    generator units in that order as flat offsets into the stack, split by
-    sign (the mirrored real unit at (j, i) is -1), and two assignments write
-    them: small stacks, as most of the catalog's are, cost a few
-    microseconds instead of a fixed series of numpy index passes.
+    A stack (r, n, n, 4) in the order of `block_labels`.
     """
-    idx, nc, size = list(indices), N_COMPONENTS[field], n * n * 4
-    plus, minus = [], []  # flat offsets of the +1 and -1 entries
-    r = 0  # the generator being listed
-    for a, i in enumerate(idx):
-        for c in range(1, nc):
-            plus.append(r * size + (i * n + i) * 4 + c)
-            r += 1
-        for j in idx[a + 1:]:
-            for c in range(nc):
-                plus.append(r * size + (i * n + j) * 4 + c)
-                (plus if c else minus).append(r * size + (j * n + i) * 4 + c)
-                r += 1
-    comp = np.zeros(r * size)
-    comp[plus] = 1.0
-    comp[minus] = -1.0
-    return comp.reshape(r, n, n, 4)
+    return generator_stack(n, block_labels(field, indices))
 
 
 def random_skew(field: FieldTag, n: int, rng: np.random.Generator) -> AlgElement:

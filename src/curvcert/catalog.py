@@ -2,11 +2,15 @@
 
 Every builder returns a fully populated Triple (with the chain k < h < g)
 that carries the designated vector A in p as its base point, and metadata
-recording known structural facts.  Each span is built as one stack
-(r, n, n, 4) of generators and handed to `make_triple`.  All entries go
-through one constructor, `_entry`, which declares once that every catalog
-chain is a rank-one symmetric pair.  The metadata is descriptive: part3 and
-scan recompute the symmetric pair with `is_symmetric_pair`.
+recording known structural facts.  Every family but t1s3_product is a chain
+of block subalgebras, built by index (`_block_triple`): g, h and a k of
+blocks only are generator rows named by index sets, nested by index with no
+projection; a k with other rows is spanned and nested by projection.
+t1s3_product's h is made of slot sums, so its spans go to `make_triple`.
+All entries go through one constructor, `_entry`, which declares once that
+every catalog chain is a rank-one symmetric pair.  The metadata is
+descriptive: part3 and scan recompute the symmetric pair with
+`is_symmetric_pair`.
 
 Conventions: H and K occupy lower-right diagonal blocks, p is the first
 row/column band, so the explicit matrices of the worked examples transcribe
@@ -21,8 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import AlgElement, FieldTag, block_stack
-from .triple import Subspace, Triple, make_triple, stabilizer_subalgebra
+from .algebra import AlgElement, FieldTag, block_labels, block_stack, generator_stack
+from .triple import Subspace, Triple, _nested_triple, make_triple, stabilizer_subalgebra
 
 
 @dataclass(frozen=True)
@@ -38,18 +42,52 @@ class CatalogEntry:
         return self.triple.base_point
 
 
-def _entry(entry_id: str, params: dict, label: str, spans: tuple, a: AlgElement,
-           field: FieldTag, known_result: str, **extra: Optional[str]) -> CatalogEntry:
-    """The entry with triple (g, h, k) and base point A; an extra of None is left out."""
-    triple = make_triple(*spans, label=label, base_point=a, field=field)
+def _entry(entry_id: str, params: dict, triple: Triple, known_result: str,
+           **extra: Optional[str]) -> CatalogEntry:
+    """The entry of a triple; an extra of None is left out of its metadata."""
     metadata = {"symmetric_pair": True, "rank_one": True, "known_result": known_result}
     metadata.update((key, value) for key, value in extra.items() if value is not None)
     return CatalogEntry(entry_id, params, triple, metadata)
 
 
-def _blocks(field: FieldTag, n: int, *index_sets) -> np.ndarray:
-    """Generators of the block subalgebras on the given index sets, stacked in order."""
-    return np.concatenate([block_stack(field, n, idx) for idx in index_sets])
+def _named_rows(sup: Subspace, sup_labels: list, labels: list, sub_name: str,
+                sup_name: str) -> tuple[Subspace, np.ndarray]:
+    """The basis of the sup rows that the labels name, in the labels' order, and the mask of those rows.
+
+    A label that sup lacks is a ValueError naming both bases.
+    """
+    position = {label: r for r, label in enumerate(sup_labels)}
+    if missing := [label for label in labels if label not in position]:
+        raise ValueError(f"{sub_name} names generator {missing[0]}, which {sup_name} lacks")
+    rows = [position[label] for label in labels]
+    mask = np.zeros(sup.dim, dtype=bool)
+    mask[rows] = True
+    return Subspace(sup.field, sup.n, sup.mat[rows]), mask
+
+
+def _block_triple(field: FieldTag, size: int, g_sets: tuple, h_sets: tuple,
+                  k_span: tuple | np.ndarray | None, label: str, a: AlgElement) -> Triple:
+    """The chain k < h < g of a block description, with base point A.
+
+    g and h are given as index sets, each naming the generators of its block
+    subalgebra (`block_labels`, labelled (i, j, c)).  g is their normalized
+    generator rows; h is the rows of g that its labels name, so the pair is
+    nested by index.  k is given the same way when it is blocks only.  A k
+    with rows that are not generators (a weight row, tied blocks) is given
+    as a stack (r, n, n, 4), spanned and nested by projection, as is
+    k = None: the stabilizer of A in h.  A label of h missing from g, or of
+    k from h, is a ValueError.
+    """
+    g_labels, h_labels = block_labels(field, *g_sets), block_labels(field, *h_sets)
+    g = Subspace.from_generators(generator_stack(size, g_labels), field)
+    h, h_in_g = _named_rows(g, g_labels, h_labels, "h", "g")
+    if k_span is None:
+        k, k_in_h = stabilizer_subalgebra(h, a, g), None
+    elif isinstance(k_span, np.ndarray):
+        k, k_in_h = Subspace.from_spanning(k_span, field), None
+    else:
+        k, k_in_h = _named_rows(h, h_labels, block_labels(field, *k_span), "k", "h")
+    return _nested_triple(g, h, k, label, a, h_in_g=h_in_g, k_in_h=k_in_h)
 
 
 def _first_row_vector(field: FieldTag, n_total: int, entries: dict[int, float]) -> AlgElement:
@@ -65,13 +103,16 @@ def _first_row_vector(field: FieldTag, n_total: int, entries: dict[int, float]) 
 def t1s3_product() -> CatalogEntry:
     """Unit tangent bundle of S^3 via the product sp(1) + sp(1), diagonal h.
 
-    k = span{(i, i)}, base point A = (i, -i)/sqrt(2).
+    k = span{(i, i)}, base point A = (i, -i)/sqrt(2).  h is made of slot
+    sums, not generators, so the chain is nested by projection.
     """
     field = FieldTag.QUATERNION
-    g_span = _blocks(field, 2, [0], [1])  # i, j, k at slot 0, then at slot 1
+    g_span = generator_stack(2, block_labels(field, [0], [1]))  # i, j, k at slot 0, then at slot 1
     h_span = g_span[:3] + g_span[3:]  # (z, z)
     a = AlgElement(field, 2, (1.0 / math.sqrt(2.0)) * (g_span[0] - g_span[3]))
-    return _entry("t1s3_product", {}, "t1s3_product", (g_span, h_span, h_span[:1]), a, field,
+    triple = make_triple(g_span, h_span, h_span[:1], label="t1s3_product", base_point=a,
+                         field=field)
+    return _entry("t1s3_product", {}, triple,
                   "S^2 x S^3 (unit tangent bundle of S^3): quasi-positive curvature")
 
 
@@ -81,11 +122,10 @@ def t1_sphere(n: int) -> CatalogEntry:
         raise ValueError("t1_sphere requires n >= 2")
     size = n + 1
     field = FieldTag.REAL
-    g = Subspace.from_spanning(block_stack(field, size, range(size)), field)
-    h = Subspace.from_spanning(block_stack(field, size, range(1, size)), field)
     a = _first_row_vector(field, size, {1: 1.0})
-    return _entry("t1_sphere", {"n": n}, f"t1_sphere(n={n})",
-                  (g, h, stabilizer_subalgebra(h, a, g)), a, field,
+    triple = _block_triple(field, size, (range(size),), (range(1, size),), None,
+                           f"t1_sphere(n={n})", a)
+    return _entry("t1_sphere", {"n": n}, triple,
                   "T^1 S^n: quasi-positive curvature; for n even the"
                   " diagonal SO(2) subgroup acts freely and the quotient inherits it")
 
@@ -102,11 +142,9 @@ _FIELD_BY_NAME = {name: tag for tag, letter in _PROJ_FIELDS.items()
 
 def _projective_entry(field: FieldTag, n: int, projective: bool) -> CatalogEntry:
     size = n + 1
-    g_span = block_stack(field, size, range(size))
-    h_span = _blocks(field, size, [0], range(1, size))
     if projective:
         # {diag(z1, z2, B)}: independent scalar blocks at slots 0 and 1
-        k_span = _blocks(field, size, range(2, size), [0], [1])
+        k_span = (range(2, size), [0], [1])
     else:
         # {diag(z, z, B)}: tied scalar blocks
         tied = block_stack(field, size, [0]) + block_stack(field, size, [1])
@@ -114,8 +152,9 @@ def _projective_entry(field: FieldTag, n: int, projective: bool) -> CatalogEntry
     a = _first_row_vector(field, size, {1: 1.0})
     kind, letter = ("pt" if projective else "t1"), _PROJ_FIELDS[field]
     bundle = "projective tangent bundle over" if projective else "unit tangent bundle of"
-    return _entry(f"{kind}_projective", {"field": letter, "n": n},
-                  f"{kind}_projective({letter},n={n})", (g_span, h_span, k_span), a, field,
+    triple = _block_triple(field, size, (range(size),), ([0], range(1, size)), k_span,
+                           f"{kind}_projective({letter},n={n})", a)
+    return _entry(f"{kind}_projective", {"field": letter, "n": n}, triple,
                   f"{bundle} {letter}P^{n}: quasi-positive curvature",
                   warning="n < 2 is degenerate (empty G(n-1) block)" if n < 2 else None)
 
@@ -140,21 +179,24 @@ def m_kl(n: int, k: int, l: int) -> CatalogEntry:
     """Lens-space bundle over CP^n: u(n+1) with k spanned by diag(ki, li, 0) + u(n-1).
 
     Base point A = {W_1 = 1, W_2 = 1, 0, ...} normalized.  k = 0 falls outside
-    the certified family and is flagged in metadata.
+    the certified family and is flagged in metadata.  (k, l) = (0, 0) is a
+    ValueError: its weight row is zero, and the chain would lose a dimension of k.
     """
     if n < 2:
         raise ValueError("m_kl requires n >= 2")
+    if k == 0 and l == 0:
+        raise ValueError("m_kl requires (k, l) != (0, 0): with k = 0 and l = 0 the weight"
+                         " row diag(ki, li, 0) is zero")
     size = n + 1
     field = FieldTag.COMPLEX
-    g_span = block_stack(field, size, range(size))
-    h_span = _blocks(field, size, [0], range(1, size))
     kl = np.zeros((1, size, size, 4))
     kl[0, 0, 0, 1] = float(k)
     kl[0, 1, 1, 1] = float(l)
-    k_span = np.concatenate([kl, block_stack(field, size, range(2, size))])
     a = _first_row_vector(field, size, {1: 1.0, 2: 1.0})
-    return _entry("m_kl", {"n": n, "k": k, "l": l}, f"m_kl(n={n},k={k},l={l})",
-                  (g_span, h_span, k_span), a, field,
+    triple = _block_triple(field, size, (range(size),), ([0], range(1, size)),
+                           np.concatenate([kl, block_stack(field, size, range(2, size))]),
+                           f"m_kl(n={n},k={k},l={l})", a)
+    return _entry("m_kl", {"n": n, "k": k, "l": l}, triple,
                   f"lens space bundle over CP^{n}: quasi-positive curvature for k != 0",
                   warning="k = 0 lies outside the certified family; verdict left to the"
                   " numerics" if k == 0 else None)
@@ -170,12 +212,11 @@ def sp_example(n: int) -> CatalogEntry:
         raise ValueError("sp_example requires n >= 2")
     size = n + 1
     field = FieldTag.QUATERNION
-    g_span = block_stack(field, size, range(size))
-    h_span = _blocks(field, size, [0], range(1, size))
-    k_span = _blocks(field, size, [0], range(2, size))
     a = _first_row_vector(field, size, {1: 1.0})
-    return _entry("sp_example", {"n": n}, f"sp_example(n={n})", (g_span, h_span, k_span), a,
-                  field, f"S^{4 * n - 1} bundle over HP^{n}: quasi-positive curvature;"
+    triple = _block_triple(field, size, (range(size),), ([0], range(1, size)),
+                           ([0], range(2, size)), f"sp_example(n={n})", a)
+    return _entry("sp_example", {"n": n}, triple,
+                  f"S^{4 * n - 1} bundle over HP^{n}: quasi-positive curvature;"
                   " free diagonal Sp(1) subgroup {z * I} gives a quasi-positively curved quotient",
                   free_subgroup="diagonal Sp(1) = {z * I}")
 

@@ -127,7 +127,11 @@ def _settings(args) -> tuple[dict, dict]:
         for key, value in _parse_config_file(args.config).items():
             if key not in _READ:
                 raise ValueError(f"unknown config key: {key}")
-            settings[key], given[key] = _READ[key](value), f"config key {key}"
+            try:
+                settings[key] = _READ[key](value)
+            except ValueError as exc:
+                raise ValueError(f"config key {key}: {exc}") from None
+            given[key] = f"config key {key}"
     for key in _READ:
         if (value := getattr(args, key, None)) is not None:
             settings[key], given[key] = value, "--" + key.replace("_", "-")

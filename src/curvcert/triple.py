@@ -156,6 +156,18 @@ class Subspace:
         n = span.shape[1]
         return cls(field, n, _orthonormalize(span.reshape(len(span), n * n * 4)))
 
+    @classmethod
+    def from_generators(cls, stack: np.ndarray, field: FieldTag) -> "Subspace":
+        """Orthonormal basis of generator rows (`algebra.generator_stack`), a stack (r, n, n, 4).
+
+        Generator rows are skew, have disjoint supports and norm at least 1
+        by construction, so each is scaled to unit length in closed form
+        (`_normalized_rows`, the bits of `_orthonormalize`), with no input
+        check and no disjointness test; the Subspace checks the result.
+        """
+        n = stack.shape[1]
+        return cls(field, n, _normalized_rows(stack.reshape(len(stack), n * n * 4)))
+
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
@@ -243,22 +255,32 @@ def make_triple(
 
 
 def _nested_triple(
-    g: Subspace, h: Subspace, k: Subspace, label: str, base_point: Optional[AlgElement]
+    g: Subspace, h: Subspace, k: Subspace, label: str, base_point: Optional[AlgElement],
+    h_in_g: Optional[np.ndarray] = None, k_in_h: Optional[np.ndarray] = None,
 ) -> Triple:
     """Check k < h < g on orthonormal bases and derive the complements m and p.
 
-    Each pair takes one product sup.mat @ sub.mat.T: the nesting residual
-    reads its transpose and the complement the product itself.
+    Each pair (sub, sup) is nested by index or by projection.  By index, a
+    boolean mask marks the sup rows that sub's rows are, bit for bit (the
+    catalog's block chains): no residual is read, and the complement is the
+    unmarked rows, scaled as `_complement`'s closed form scales them, in sup's
+    order.  By projection (mask None), the pair takes one product
+    sup.mat @ sub.mat.T: the nesting residual reads its transpose and
+    `_complement` the product itself.
     """
-    gh, hk = g.mat @ h.mat.T, h.mat @ k.mat.T
-    for name, sub, sup, cross in (("h", h, g, gh), ("k", k, h, hk)):
-        resid = np.linalg.norm(sub.mat - cross.T @ sup.mat, axis=1)
-        if resid.max(initial=0.0) > _ORTHO_TOL:
-            raise NotInSpan(
-                f"{name}-basis vector leaves its ambient span (residual {resid.max():.2e})"
-            )
-    m = _complement(h, k, hk)
-    p = _complement(g, h, gh)
+    pairs = (("h", h, g, h_in_g), ("k", k, h, k_in_h))
+    cross = {}
+    for name, sub, sup, mask in pairs:
+        if mask is None:
+            cross[name] = sup.mat @ sub.mat.T
+            resid = np.linalg.norm(sub.mat - cross[name].T @ sup.mat, axis=1)
+            if resid.max(initial=0.0) > _ORTHO_TOL:
+                raise NotInSpan(
+                    f"{name}-basis vector leaves its ambient span (residual {resid.max():.2e})"
+                )
+    m, p = (_complement(sup, sub, cross[name]) if mask is None
+            else Subspace(sup.field, sup.n, _normalized_rows(sup.mat[~mask]))
+            for name, sub, sup, mask in reversed(pairs))
     if m.dim != h.dim - k.dim or p.dim != g.dim - h.dim:
         raise ValueError("derived complement dimensions are inconsistent")
     return Triple(g.field, g.n, g, h, k, m, p, label=label, base_point=base_point)

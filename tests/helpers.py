@@ -24,6 +24,7 @@ from curvcert.algebra import (
     GroupElement,
     N_COMPONENTS,
     InvalidElement,
+    block_stack,
     bracket,
     comp_bracket,
     comp_norm,
@@ -45,7 +46,15 @@ from curvcert.certify import (
     report_to_dict,
 )
 from curvcert.flatness import PlaneInputError, horizontal_flat_residual
-from curvcert.triple import Subspace, Triple, _check_in_g, _document, triple_to_json
+from curvcert.triple import (
+    Subspace,
+    Triple,
+    _check_in_g,
+    _document,
+    make_triple,
+    stabilizer_subalgebra,
+    triple_to_json,
+)
 
 
 # --- algebra ------------------------------------------------------------------
@@ -401,6 +410,50 @@ def full_algebra_basis(field: FieldTag, n: int) -> np.ndarray:
     """
     stack = reference_block_stack(field, n, range(n))
     return stack / np.sqrt(np.sum(stack * stack, axis=(1, 2, 3)))[:, None, None, None]
+
+
+def reference_block_triple(entry_id: str, **params) -> Triple:
+    """The triple of a block-family catalog entry built as arbitrary spans, by `make_triple`.
+
+    The same generator stacks, base point and label as the catalog's
+    builder, taken as spans: each is checked, orthonormalized and nested by
+    projection.  entry_id is t1_sphere, t1_projective, pt_projective, m_kl
+    or sp_example, with the builder's parameters (field a FieldTag).
+    """
+    n, size = params["n"], params["n"] + 1
+    field = {"t1_sphere": FieldTag.REAL, "m_kl": FieldTag.COMPLEX,
+             "sp_example": FieldTag.QUATERNION}.get(entry_id) or params["field"]
+
+    def blocks(*index_sets):
+        return np.concatenate([block_stack(field, size, idx) for idx in index_sets])
+
+    a_cols = [1, 2] if entry_id == "m_kl" else [1]
+    comp = np.zeros((size, size, 4))
+    for j in a_cols:
+        comp[0, j, 0], comp[j, 0, 0] = 1.0, -1.0
+    a = AlgElement(field, size, comp / math.sqrt(2.0 * len(a_cols)))
+    g_span, h_span = blocks(range(size)), blocks([0], range(1, size))
+    if entry_id == "t1_sphere":
+        g = Subspace.from_spanning(g_span, field)
+        h = Subspace.from_spanning(blocks(range(1, size)), field)
+        return make_triple(g, h, stabilizer_subalgebra(h, a, g), label=f"t1_sphere(n={n})",
+                           base_point=a)
+    if entry_id == "sp_example":
+        k_span, label = blocks([0], range(2, size)), f"sp_example(n={n})"
+    elif entry_id == "m_kl":
+        kl = np.zeros((1, size, size, 4))
+        kl[0, 0, 0, 1], kl[0, 1, 1, 1] = float(params["k"]), float(params["l"])
+        k_span = np.concatenate([kl, blocks(range(2, size))])
+        label = f"m_kl(n={n},k={params['k']},l={params['l']})"
+    else:
+        letter = {FieldTag.REAL: "R", FieldTag.COMPLEX: "C", FieldTag.QUATERNION: "H"}[field]
+        label = f"{entry_id}({letter},n={n})"
+        if entry_id == "pt_projective":
+            k_span = blocks(range(2, size), [0], [1])
+        else:
+            tied = block_stack(field, size, [0]) + block_stack(field, size, [1])
+            k_span = np.concatenate([blocks(range(2, size)), tied])
+    return make_triple(g_span, h_span, k_span, label=label, base_point=a, field=field)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from curvcert.algebra import (
     FieldTag,
     InvalidElement,
     adjoint,
+    block_labels,
     block_stack,
     bracket,
     check_skew,
@@ -338,3 +339,12 @@ class TestBlockStack:
         got = block_stack(field, n, indices)
         assert bit_equal(got, reference_block_stack(field, n, indices))
         assert got.shape[1:] == (n, n, 4)
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_each_label_names_its_generator(self, field):
+        labels = block_labels(field, [3, 0, 2])
+        assert len(set(labels)) == len(labels) == len(block_stack(field, 4, [3, 0, 2]))
+        for row, (i, j, c) in zip(block_stack(field, 4, [3, 0, 2]), labels):
+            assert bit_equal(row, basis_element(field, 4, i, j, c).comp)
+        assert block_labels(field, [3], [0, 2]) == block_labels(field, [3]) + block_labels(
+            field, [0, 2])

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import curvcert.triple as triple_module
 from curvcert.algebra import FieldTag, bracket
 from curvcert.catalog import (
+    _block_triple,
     build_entry,
     list_catalog,
     m_kl,
@@ -17,7 +19,14 @@ from curvcert.catalog import (
 from curvcert.certify import min_ad_singular
 from curvcert.triple import is_symmetric_pair, stabilizer_subalgebra
 
-from helpers import Part, Quaternion, project, sampled_min_ad
+from helpers import (
+    Part,
+    Quaternion,
+    bit_equal,
+    project,
+    reference_block_triple,
+    sampled_min_ad,
+)
 
 ALL_ENTRIES = [
     t1s3_product(),
@@ -146,6 +155,15 @@ class TestValidationAndDispatch:
         with pytest.raises(ValueError):
             pt_projective(FieldTag.COMPLEX, 0)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_m_kl_with_a_zero_weight_row_is_refused(self, n):
+        # Gram-Schmidt would drop the zero row: k 1 and m 4 on n = 2, not k 2 and m 3
+        with pytest.raises(ValueError, match=r"m_kl requires \(k, l\) != \(0, 0\): with k = 0"
+                           " and l = 0"):
+            build_entry("m_kl", n=n, k=0, l=0)
+        for k, l in ((0, 1), (1, 0), (2, -3)):
+            assert build_entry("m_kl", n=n, k=k, l=l).triple.dims["k"] == (n - 1) ** 2 + 1
+
     def test_build_entry_dispatch(self):
         assert build_entry("t1s3_product").id == "t1s3_product"
         assert build_entry("t1_sphere", n=3).params == {"n": 3}
@@ -211,3 +229,79 @@ def test_pinned_metadata(label):
     entry = build()
     assert entry.triple.label == label
     assert list(entry.metadata.items()) == list(want.items())
+
+
+# the block families over the sizes, fields and weights their index path must match
+# `make_triple` on: the builder, its parameters
+BLOCK_CASES = (
+    [(t1_sphere, {"n": n}) for n in range(2, 11)]
+    + [(t1_projective, {"field": f, "n": n}) for f in (FieldTag.COMPLEX, FieldTag.QUATERNION)
+       for n in range(1, 5)]
+    + [(pt_projective, {"field": f, "n": n}) for f in FieldTag for n in range(1, 5)]
+    + [(m_kl, {"n": n, "k": k, "l": l}) for n in (2, 3)
+       for k, l in ((1, 1), (0, 1), (1, 0), (2, -3), (0, -2))]
+    + [(sp_example, {"n": n}) for n in range(2, 9)]
+)
+
+
+def _case_id(case) -> str:
+    builder, params = case
+    return builder.__name__ + "(" + ",".join(
+        f"{v.name if isinstance(v, FieldTag) else v}" for v in params.values()) + ")"
+
+
+class TestIndexPath:
+    """Block chains are built by index, with the bits of the projection path."""
+
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=_case_id)
+    def test_bases_label_and_base_point_match_make_triple(self, case):
+        builder, params = case
+        got, want = builder(**params).triple, reference_block_triple(builder.__name__, **params)
+        assert got.label == want.label
+        assert bit_equal(got.base_point.comp, want.base_point.comp)
+        for name in ("g_basis", "h_basis", "k_basis", "m_basis", "p_basis"):
+            assert bit_equal(getattr(got, name).mat, getattr(want, name).mat), name
+
+    @pytest.mark.parametrize("build,by_projection", [
+        (lambda: sp_example(3), False),
+        (lambda: pt_projective(FieldTag.REAL, 3), False),
+        (lambda: pt_projective(FieldTag.QUATERNION, 2), False),
+        (lambda: t1_sphere(4), True),
+        (lambda: t1_projective(FieldTag.COMPLEX, 2), True),
+        (lambda: t1_projective(FieldTag.QUATERNION, 3), True),
+        (lambda: m_kl(2, 1, 1), True),
+    ])
+    def test_only_a_k_of_non_generator_rows_takes_a_projection(self, monkeypatch, build,
+                                                               by_projection):
+        calls = []
+        complement = triple_module._complement
+        monkeypatch.setattr(triple_module, "_complement",
+                            lambda big, small, cross: calls.append((big, small))
+                            or complement(big, small, cross))
+        triple = build().triple
+        assert len(calls) == by_projection
+        if by_projection:  # the (h, k) pair only
+            assert calls[0][0] is triple.h_basis and calls[0][1] is triple.k_basis
+
+    def test_generator_rows_skip_the_input_checks(self, monkeypatch):
+        # sp_example's g, h and k are generator rows: no check_skew before the bases are
+        # built and no disjointness test; each of the five bases is still checked once
+        skews, disjoint = [], []
+        check, test = triple_module.check_skew, triple_module._disjoint_rows
+        monkeypatch.setattr(triple_module, "check_skew",
+                            lambda f, c: skews.append(len(c)) or check(f, c))
+        monkeypatch.setattr(triple_module, "_disjoint_rows",
+                            lambda mat: disjoint.append(1) or test(mat))
+        triple = sp_example(3).triple
+        assert skews == [triple.dims[name] for name in "ghkmp"]
+        assert disjoint == []
+
+    def test_a_sub_basis_naming_a_generator_its_ambient_lacks_raises(self):
+        field, a = FieldTag.COMPLEX, m_kl(2, 1, 1).base_point_A
+        with pytest.raises(ValueError, match=r"^h names generator \(2, 2, 1\), which g lacks$"):
+            _block_triple(field, 3, (range(2),), ([0], [2]), ([0],), "x", a)
+        with pytest.raises(ValueError, match=r"^k names generator \(0, 0, 1\), which h lacks$"):
+            _block_triple(field, 3, (range(3),), (range(1, 3),), ([0],), "x", a)
+        # sets given in another order than g's still nest by index
+        triple = _block_triple(field, 3, (range(3),), (range(1, 3), [0]), ([2], [0]), "x", a)
+        assert triple.dims == {"g": 9, "h": 5, "k": 2, "m": 3, "p": 4}

@@ -137,6 +137,13 @@ class TestCheckExitCodes:
         assert err.startswith("Traceback") and ", in fail\n" in err  # down to the raising frame
         assert err.endswith(f"curvcert: internal error: {type(exc).__name__}: {exc}\n")
 
+    def test_m_kl_with_a_zero_weight_row_exits_3(self, capsys):
+        code, out, err = run(capsys, "check", "--entry", "m_kl", "--n", "2", "--k", "0", "--l", "0",
+                             "--method", "part3")
+        assert (code, out) == (3, "")
+        assert err == ("curvcert: error: m_kl requires (k, l) != (0, 0): with k = 0 and l = 0"
+                       " the weight row diag(ki, li, 0) is zero\n")
+
 
 class TestScan:
     def test_csv_scan(self, capsys):
@@ -177,6 +184,23 @@ class TestExportRoundTrip:
         code, out, _ = run(capsys, "check", "--file", str(path), "--method", "part3")
         assert code == 0
         assert json.loads(out)["verdict"] == "CERTIFIED"
+
+    # every entry of perfbench's catalog-part3 workload: built by index from the
+    # entry, by projection from its export
+    @pytest.mark.parametrize("entry", [
+        ["--entry", "t1s3_product"],
+        *(["--entry", "t1_sphere", "--n", str(n)] for n in range(2, 11)),
+        *(["--entry", "t1_projective", "--field", f, "--n", str(n)] for f in "CH" for n in (2, 3)),
+        *(["--entry", "pt_projective", "--field", f, "--n", "2"] for f in "RCH"),
+        *(["--entry", "m_kl", "--n", str(n), "--k", "1", "--l", "1"] for n in (2, 3)),
+        *(["--entry", "sp_example", "--n", str(n)] for n in range(2, 9)),
+    ], ids=lambda argv: "-".join(argv[1::2]))
+    def test_part3_report_of_the_entry_and_of_its_export_agree(self, capsys, tmp_path, entry):
+        path = tmp_path / "triple.json"
+        code, by_entry, _ = run(capsys, "check", *entry, "--method", "part3")
+        assert code == 0
+        assert run(capsys, "export", *entry, "--out", str(path)) == (0, "", "")
+        assert run(capsys, "check", "--file", str(path), "--method", "part3") == (0, by_entry, "")
 
     def test_invalid_file_is_error(self, capsys, tmp_path):
         path = tmp_path / "triple.json"
@@ -690,6 +714,23 @@ class TestSettingRanges:
                              "--starts", "4", *tols)
         assert code == 3 and out == ""
         assert "need 0 < refute_tol < tol < inf" in err
+
+    @pytest.mark.parametrize("key,value,argv", [
+        ("seed", "x", _SEARCH_RUNS["fat"]),
+        ("starts", "4.5", _SEARCH_RUNS["part2"]),
+        ("tol", "small", ["check", "--method", "part3"]),
+        ("s_values", "0,x", ["scan"]),
+    ])
+    def test_config_value_that_does_not_parse_names_its_key(self, capsys, tmp_path, key, value,
+                                                            argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code, out, err = run(capsys, *argv, "--entry", "t1s3_product", "--config", str(cfg))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"curvcert: error: config key {key}: ")
+        if key == "seed":
+            assert err == ("curvcert: error: config key seed: invalid literal for int() with"
+                           " base 10: 'x'\n")
 
 
 def _content(out: str):

@@ -554,18 +554,23 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("build", FAMILIES + [lambda: t1_sphere(7), lambda: sp_example(4)])
     def test_every_catalog_span_and_complement(self, monkeypatch, build):
-        inputs = []
-        orthonormalize = triple_module._orthonormalize
+        # every normalization a build makes: Gram-Schmidt, and the closed form that
+        # generator rows and complements by index go to without it
+        inputs = []  # (the normalization, its input)
 
-        def record(mat, *args):
-            inputs.append(np.array(mat, dtype=np.float64))
-            return orthonormalize(mat, *args)
+        def recorder(normalize):
+            def record(mat, *args):
+                inputs.append((normalize, np.array(mat, dtype=np.float64)))
+                return normalize(mat, *args)
+            return record
 
-        monkeypatch.setattr(triple_module, "_orthonormalize", record)
+        for name in ("_orthonormalize", "_normalized_rows"):
+            monkeypatch.setattr(triple_module, name, recorder(getattr(triple_module, name)))
         build()
-        assert any(triple_module._disjoint_rows(mat) for mat in inputs)
-        for mat in inputs:
-            assert bit_equal(orthonormalize(mat), reference_orthonormalize(mat))
+        monkeypatch.undo()
+        assert any(triple_module._disjoint_rows(mat) for _, mat in inputs)
+        for normalize, mat in inputs:
+            assert bit_equal(normalize(mat), reference_orthonormalize(mat))
 
     @pytest.mark.parametrize("field", list(FieldTag))
     def test_generator_stacks_take_the_closed_form(self, field):
