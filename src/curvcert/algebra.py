@@ -260,10 +260,15 @@ class GroupElement:
 
 def check_unitary(field: FieldTag, comp: np.ndarray) -> None:
     """Raise InvalidElement unless every matrix of the stack (..., n, n, 4) is unitary to 1e-10."""
+    if (_unitary_residuals(field, comp) > _UNITARY_TOL).any():
+        raise InvalidElement("matrix is not unitary to 1e-10")
+
+
+def _unitary_residuals(field: FieldTag, comp: np.ndarray) -> np.ndarray:
+    """The largest |component| of g g^* - I for each matrix g of the stack (..., n, n, 4), after `_check_components`."""
     _check_components(field, comp)
     resid = qmul(comp, conj_transpose(comp)) - _identity_comp(comp.shape[-2])
-    if np.abs(resid).max(initial=0.0) > _UNITARY_TOL:
-        raise InvalidElement("matrix is not unitary to 1e-10")
+    return np.abs(resid).max(axis=(-3, -2, -1), initial=0.0)
 
 
 def require_same(a, b) -> None:
@@ -308,11 +313,19 @@ def group_exps(x: AlgElement, s_values) -> np.ndarray:
     term's norm falls below 1e-16, well past the 1e-12 accuracy target for
     the matrix sizes used here.  The series of all s run as one stack, and
     every product acts on each matrix alone, so each has the bits of a stack
-    of one.  Raises InvalidElement unless every matrix is unitary.
+    of one.  Raises InvalidElement naming the first s whose |s X| is not
+    finite, or whose exp(s X) is not unitary to 1e-10 (rounding grows with
+    the squarings).
     """
-    m = np.asarray(s_values, dtype=np.float64)[:, None, None, None] * x.comp
+    s_values = np.asarray(s_values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflow is the error below
+        m = s_values[:, None, None, None] * x.comp
+        norms = comp_norm(m)
+    if not (finite := np.isfinite(norms)).all():
+        raise InvalidElement(f"exp(s X) at s = {float(s_values[~finite][0])!r}:"
+                             " the norm of s X overflows")
     squarings = np.array([math.ceil(math.log2(nrm / 0.25)) if nrm > 0.25 else 0
-                          for nrm in comp_norm(m)], dtype=int)
+                          for nrm in norms], dtype=int)
     m = m / (2.0**squarings)[:, None, None, None]
     result = np.broadcast_to(_identity_comp(x.n), m.shape).copy()
     term, act = result.copy(), np.arange(len(m))
@@ -326,7 +339,9 @@ def group_exps(x: AlgElement, s_values) -> np.ndarray:
     for k in range(squarings.max(initial=0)):
         sq = np.flatnonzero(squarings > k)
         result[sq] = qmul(result[sq], result[sq])
-    check_unitary(x.field, result)
+    if (off := _unitary_residuals(x.field, result) > _UNITARY_TOL).any():
+        raise InvalidElement(f"exp(s X) at s = {float(s_values[off][0])!r}"
+                             " is not unitary to 1e-10")
     return result
 
 
@@ -374,12 +389,12 @@ def generator_stack(n: int, labels) -> np.ndarray:
     return comp.reshape(len(labels), n, n, 4)
 
 
-def block_stack(field: FieldTag, n: int, indices) -> np.ndarray:
-    """The generators of the subalgebra on an index set (all of so(n), u(n), sp(n) for range(n)).
+def block_stack(field: FieldTag, n: int, *index_sets) -> np.ndarray:
+    """The generators of the block subalgebras on the index sets, set by set (all of so(n), u(n), sp(n) for range(n)).
 
     A stack (r, n, n, 4) in the order of `block_labels`.
     """
-    return generator_stack(n, block_labels(field, indices))
+    return generator_stack(n, block_labels(field, *index_sets))
 
 
 def random_skew(field: FieldTag, n: int, rng: np.random.Generator) -> AlgElement:

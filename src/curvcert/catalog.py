@@ -3,10 +3,12 @@
 Every builder returns a fully populated Triple (with the chain k < h < g)
 that carries the designated vector A in p as its base point, and metadata
 recording known structural facts.  Every family but t1s3_product is a chain
-of block subalgebras, built by index (`_block_triple`): g, h and a k of
-blocks only are generator rows named by index sets, nested by index with no
-projection; a k with other rows is spanned and nested by projection.
-t1s3_product's h is made of slot sums, so its spans go to `make_triple`.
+of block subalgebras (`_block_triple`): g, h and k are generator stacks
+(`block_stack`, plus m_kl's weight row and t1_projective's tied blocks),
+each scaled to unit rows by `Subspace.from_generators`, and the chain layer
+nests each pair by index wherever its rows say so, as it does for the
+export files.  t1s3_product's h is made of slot sums, so its spans go to
+`make_triple`.
 All entries go through one constructor, `_entry`, which declares once that
 every catalog chain is a rank-one symmetric pair.  The metadata is
 descriptive: part3 and scan recompute the symmetric pair with
@@ -25,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import AlgElement, FieldTag, block_labels, block_stack, generator_stack
+from .algebra import AlgElement, FieldTag, block_stack
 from .triple import Subspace, Triple, _nested_triple, make_triple, stabilizer_subalgebra
 
 
@@ -50,44 +52,20 @@ def _entry(entry_id: str, params: dict, triple: Triple, known_result: str,
     return CatalogEntry(entry_id, params, triple, metadata)
 
 
-def _named_rows(sup: Subspace, sup_labels: list, labels: list, sub_name: str,
-                sup_name: str) -> tuple[Subspace, np.ndarray]:
-    """The basis of the sup rows that the labels name, in the labels' order, and the mask of those rows.
+def _block_triple(field: FieldTag, g: np.ndarray, h: np.ndarray, k: Optional[np.ndarray],
+                  label: str, a: AlgElement) -> Triple:
+    """The chain k < h < g of generator stacks (r, n, n, 4), with base point A; k None is the stabilizer of A in h.
 
-    A label that sup lacks is a ValueError naming both bases.
+    Every stack meets `Subspace.from_generators`' contract: skew rows with
+    disjoint supports and norm at least 1, as `block_stack`'s generators,
+    m_kl's weight row and t1_projective's tied blocks are.  The pairs nest
+    by the one rule of `_nested_triple`: by index where the sub rows are
+    rows of the sup, by projection otherwise.
     """
-    position = {label: r for r, label in enumerate(sup_labels)}
-    if missing := [label for label in labels if label not in position]:
-        raise ValueError(f"{sub_name} names generator {missing[0]}, which {sup_name} lacks")
-    rows = [position[label] for label in labels]
-    mask = np.zeros(sup.dim, dtype=bool)
-    mask[rows] = True
-    return Subspace(sup.field, sup.n, sup.mat[rows]), mask
-
-
-def _block_triple(field: FieldTag, size: int, g_sets: tuple, h_sets: tuple,
-                  k_span: tuple | np.ndarray | None, label: str, a: AlgElement) -> Triple:
-    """The chain k < h < g of a block description, with base point A.
-
-    g and h are given as index sets, each naming the generators of its block
-    subalgebra (`block_labels`, labelled (i, j, c)).  g is their normalized
-    generator rows; h is the rows of g that its labels name, so the pair is
-    nested by index.  k is given the same way when it is blocks only.  A k
-    with rows that are not generators (a weight row, tied blocks) is given
-    as a stack (r, n, n, 4), spanned and nested by projection, as is
-    k = None: the stabilizer of A in h.  A label of h missing from g, or of
-    k from h, is a ValueError.
-    """
-    g_labels, h_labels = block_labels(field, *g_sets), block_labels(field, *h_sets)
-    g = Subspace.from_generators(generator_stack(size, g_labels), field)
-    h, h_in_g = _named_rows(g, g_labels, h_labels, "h", "g")
-    if k_span is None:
-        k, k_in_h = stabilizer_subalgebra(h, a, g), None
-    elif isinstance(k_span, np.ndarray):
-        k, k_in_h = Subspace.from_spanning(k_span, field), None
-    else:
-        k, k_in_h = _named_rows(h, h_labels, block_labels(field, *k_span), "k", "h")
-    return _nested_triple(g, h, k, label, a, h_in_g=h_in_g, k_in_h=k_in_h)
+    g_basis, h_basis = Subspace.from_generators(g, field), Subspace.from_generators(h, field)
+    k_basis = (stabilizer_subalgebra(h_basis, a, g_basis) if k is None
+               else Subspace.from_generators(k, field))
+    return _nested_triple(g_basis, h_basis, k_basis, label, a)
 
 
 def _first_row_vector(field: FieldTag, n_total: int, entries: dict[int, float]) -> AlgElement:
@@ -107,7 +85,7 @@ def t1s3_product() -> CatalogEntry:
     sums, not generators, so the chain is nested by projection.
     """
     field = FieldTag.QUATERNION
-    g_span = generator_stack(2, block_labels(field, [0], [1]))  # i, j, k at slot 0, then at slot 1
+    g_span = block_stack(field, 2, [0], [1])  # i, j, k at slot 0, then at slot 1
     h_span = g_span[:3] + g_span[3:]  # (z, z)
     a = AlgElement(field, 2, (1.0 / math.sqrt(2.0)) * (g_span[0] - g_span[3]))
     triple = make_triple(g_span, h_span, h_span[:1], label="t1s3_product", base_point=a,
@@ -123,8 +101,8 @@ def t1_sphere(n: int) -> CatalogEntry:
     size = n + 1
     field = FieldTag.REAL
     a = _first_row_vector(field, size, {1: 1.0})
-    triple = _block_triple(field, size, (range(size),), (range(1, size),), None,
-                           f"t1_sphere(n={n})", a)
+    triple = _block_triple(field, block_stack(field, size, range(size)),
+                           block_stack(field, size, range(1, size)), None, f"t1_sphere(n={n})", a)
     return _entry("t1_sphere", {"n": n}, triple,
                   "T^1 S^n: quasi-positive curvature; for n even the"
                   " diagonal SO(2) subgroup acts freely and the quotient inherits it")
@@ -144,15 +122,16 @@ def _projective_entry(field: FieldTag, n: int, projective: bool) -> CatalogEntry
     size = n + 1
     if projective:
         # {diag(z1, z2, B)}: independent scalar blocks at slots 0 and 1
-        k_span = (range(2, size), [0], [1])
+        k = block_stack(field, size, range(2, size), [0], [1])
     else:
         # {diag(z, z, B)}: tied scalar blocks
         tied = block_stack(field, size, [0]) + block_stack(field, size, [1])
-        k_span = np.concatenate([block_stack(field, size, range(2, size)), tied])
+        k = np.concatenate([block_stack(field, size, range(2, size)), tied])
     a = _first_row_vector(field, size, {1: 1.0})
     kind, letter = ("pt" if projective else "t1"), _PROJ_FIELDS[field]
     bundle = "projective tangent bundle over" if projective else "unit tangent bundle of"
-    triple = _block_triple(field, size, (range(size),), ([0], range(1, size)), k_span,
+    triple = _block_triple(field, block_stack(field, size, range(size)),
+                           block_stack(field, size, [0], range(1, size)), k,
                            f"{kind}_projective({letter},n={n})", a)
     return _entry(f"{kind}_projective", {"field": letter, "n": n}, triple,
                   f"{bundle} {letter}P^{n}: quasi-positive curvature",
@@ -193,7 +172,8 @@ def m_kl(n: int, k: int, l: int) -> CatalogEntry:
     kl[0, 0, 0, 1] = float(k)
     kl[0, 1, 1, 1] = float(l)
     a = _first_row_vector(field, size, {1: 1.0, 2: 1.0})
-    triple = _block_triple(field, size, (range(size),), ([0], range(1, size)),
+    triple = _block_triple(field, block_stack(field, size, range(size)),
+                           block_stack(field, size, [0], range(1, size)),
                            np.concatenate([kl, block_stack(field, size, range(2, size))]),
                            f"m_kl(n={n},k={k},l={l})", a)
     return _entry("m_kl", {"n": n, "k": k, "l": l}, triple,
@@ -213,8 +193,9 @@ def sp_example(n: int) -> CatalogEntry:
     size = n + 1
     field = FieldTag.QUATERNION
     a = _first_row_vector(field, size, {1: 1.0})
-    triple = _block_triple(field, size, (range(size),), ([0], range(1, size)),
-                           ([0], range(2, size)), f"sp_example(n={n})", a)
+    triple = _block_triple(field, block_stack(field, size, range(size)),
+                           block_stack(field, size, [0], range(1, size)),
+                           block_stack(field, size, [0], range(2, size)), f"sp_example(n={n})", a)
     return _entry("sp_example", {"n": n}, triple,
                   f"S^{4 * n - 1} bundle over HP^{n}: quasi-positive curvature;"
                   " free diagonal Sp(1) subgroup {z * I} gives a quasi-positively curved quotient",

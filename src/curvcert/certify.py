@@ -59,7 +59,7 @@ from .algebra import (
     row_dots,
 )
 from .flatness import FlatPairWitness, horizontal_flat_residual
-from .triple import Subspace, Triple, is_symmetric_pair, matrix_to_components, project
+from .triple import _IN_SPAN_TOL, Subspace, Triple, is_symmetric_pair, matrix_to_components, project
 
 DEFAULT_TOL = 1e-6
 DEFAULT_REFUTE_TOL = 1e-12
@@ -159,9 +159,11 @@ def _unmet_preconditions(triple: Triple, method: Method, a: AlgElement, tol: flo
                          points: Sequence[Optional[float]] = (None,)) -> list[CertReport]:
     """The reports of a run whose preconditions fail, one per scan point; [] when they hold.
 
-    part2, part3 and the scans need A in p, to `Subspace.contains`'s fixed
-    1e-8 whatever the curvature tolerance tol (`require_same` raises first if
-    A is not of the triple's algebra), part3 a symmetric pair too.  A report is
+    part2, part3 and the scans need A a unit vector in p, both to
+    `Subspace.contains`'s fixed 1e-8 whatever the curvature tolerance tol
+    (`require_same` raises first if A is not of the triple's algebra), part3
+    a symmetric pair too: the criteria scale with |A|, so a short A reads as
+    flat and A = 0 refutes everywhere.  A report is
     INCONCLUSIVE with score NaN (null in JSON), no witness and the failed
     preconditions as notes (after part3's rank-one note), built before any
     tensor, SVD or search.
@@ -172,6 +174,8 @@ def _unmet_preconditions(triple: Triple, method: Method, a: AlgElement, tol: flo
         failed.append("precondition failed: (g, h) is not a symmetric pair")
     if not triple.p_basis.contains(a):
         failed.append("precondition failed: A does not lie in p")
+    if abs(a.norm() - 1.0) > _IN_SPAN_TOL:
+        failed.append(f"precondition failed: A is not a unit vector (|A| = {a.norm()!r})")
     if not failed:
         return []
     notes = ((_RANK_ONE_NOTE,) if method is Method.PART3 else ()) + tuple(failed)
@@ -759,5 +763,5 @@ def scan_along_A(
         return unmet
     if not points:
         return []
-    return _scan_points(triple, group_exps(a, [-s for s in points]), points, budget, tol,
-                        refute_tol)
+    # exp(-sA) as exp(s (-A)): the same bits, and an error names the s given
+    return _scan_points(triple, group_exps(-1.0 * a, points), points, budget, tol, refute_tol)

@@ -1,7 +1,8 @@
 """Chains k < h < g with orthogonal decompositions m = h - k and p = g - h.
 
 A Triple stores orthonormal bases (under the bi-invariant inner product) for
-the three nested algebras plus the derived complements; this module also
+the three nested algebras plus the derived complements, each pair nested by
+one rule, however the chain was made (`_nested_complement`); it also
 verifies symmetric pairs, computes stabilizers and reads and writes the
 curvcert-triple/1 document.  The Phi operator of the one-parameter deformed
 metric, which no certifier reads, lives with its tests in tests/helpers.py.
@@ -256,34 +257,37 @@ def make_triple(
 
 def _nested_triple(
     g: Subspace, h: Subspace, k: Subspace, label: str, base_point: Optional[AlgElement],
-    h_in_g: Optional[np.ndarray] = None, k_in_h: Optional[np.ndarray] = None,
 ) -> Triple:
-    """Check k < h < g on orthonormal bases and derive the complements m and p.
-
-    Each pair (sub, sup) is nested by index or by projection.  By index, a
-    boolean mask marks the sup rows that sub's rows are, bit for bit (the
-    catalog's block chains): no residual is read, and the complement is the
-    unmarked rows, scaled as `_complement`'s closed form scales them, in sup's
-    order.  By projection (mask None), the pair takes one product
-    sup.mat @ sub.mat.T: the nesting residual reads its transpose and
-    `_complement` the product itself.
-    """
-    pairs = (("h", h, g, h_in_g), ("k", k, h, k_in_h))
-    cross = {}
-    for name, sub, sup, mask in pairs:
-        if mask is None:
-            cross[name] = sup.mat @ sub.mat.T
-            resid = np.linalg.norm(sub.mat - cross[name].T @ sup.mat, axis=1)
-            if resid.max(initial=0.0) > _ORTHO_TOL:
-                raise NotInSpan(
-                    f"{name}-basis vector leaves its ambient span (residual {resid.max():.2e})"
-                )
-    m, p = (_complement(sup, sub, cross[name]) if mask is None
-            else Subspace(sup.field, sup.n, _normalized_rows(sup.mat[~mask]))
-            for name, sub, sup, mask in reversed(pairs))
+    """Check k < h, then h < g, on orthonormal bases, and derive the complements m and p (`_nested_complement`)."""
+    m, p = (_nested_complement(name, sub, sup) for name, sub, sup in (("k", k, h), ("h", h, g)))
     if m.dim != h.dim - k.dim or p.dim != g.dim - h.dim:
         raise ValueError("derived complement dimensions are inconsistent")
     return Triple(g.field, g.n, g, h, k, m, p, label=label, base_point=base_point)
+
+
+def _nested_complement(name: str, sub: Subspace, sup: Subspace) -> Subspace:
+    """sup minus sub, nested by index when every row of a non-empty sub is, bit for bit, a row of sup.
+
+    Each sub row gets one candidate, the (last) sup row whose largest |entry|
+    sits at the same position, and one bitwise compare settles it: the
+    catalog's block chains and their export files nest so.  Then no residual
+    is read, and the complement is sup's other rows, scaled as
+    `_complement`'s closed form scales them, in sup's order.  Any other pair
+    (a wrong or missing candidate, an empty sub) nests by projection: one
+    product sup.mat @ sub.mat.T, whose transpose the nesting residual reads
+    and `_complement` the product itself.
+    """
+    if sub.dim:
+        peak_row = dict(zip(np.abs(sup.mat).argmax(axis=1).tolist(), range(sup.dim)))
+        rows = [peak_row.get(peak, -1) for peak in np.abs(sub.mat).argmax(axis=1).tolist()]
+        if -1 not in rows and np.array_equal(sub.mat.view(np.uint64),
+                                             sup.mat[rows].view(np.uint64)):
+            return Subspace(sup.field, sup.n, _normalized_rows(np.delete(sup.mat, rows, axis=0)))
+    cross = sup.mat @ sub.mat.T
+    resid = np.linalg.norm(sub.mat - cross.T @ sup.mat, axis=1)
+    if resid.max(initial=0.0) > _ORTHO_TOL:
+        raise NotInSpan(f"{name}-basis vector leaves its ambient span (residual {resid.max():.2e})")
+    return _complement(sup, sub, cross)
 
 
 def project(triple: Triple, comps: np.ndarray) -> np.ndarray:

@@ -50,8 +50,8 @@ from curvcert.triple import (
     Subspace,
     Triple,
     _check_in_g,
+    _complement,
     _document,
-    make_triple,
     stabilizer_subalgebra,
     triple_to_json,
 )
@@ -413,12 +413,15 @@ def full_algebra_basis(field: FieldTag, n: int) -> np.ndarray:
 
 
 def reference_block_triple(entry_id: str, **params) -> Triple:
-    """The triple of a block-family catalog entry built as arbitrary spans, by `make_triple`.
+    """The triple of a block-family catalog entry built as arbitrary spans, nested by projection only.
 
     The same generator stacks, base point and label as the catalog's
-    builder, taken as spans: each is checked, orthonormalized and nested by
-    projection.  entry_id is t1_sphere, t1_projective, pt_projective, m_kl
-    or sp_example, with the builder's parameters (field a FieldTag).
+    builder, taken as spans: each is checked and orthonormalized
+    (`Subspace.from_spanning`), and m and p are the complements from the
+    cross products (`triple._complement`), whatever rows the bases share, so
+    the catalog's index path is compared with the projection path.
+    entry_id is t1_sphere, t1_projective, pt_projective, m_kl or
+    sp_example, with the builder's parameters (field a FieldTag).
     """
     n, size = params["n"], params["n"] + 1
     field = {"t1_sphere": FieldTag.REAL, "m_kl": FieldTag.COMPLEX,
@@ -436,8 +439,7 @@ def reference_block_triple(entry_id: str, **params) -> Triple:
     if entry_id == "t1_sphere":
         g = Subspace.from_spanning(g_span, field)
         h = Subspace.from_spanning(blocks(range(1, size)), field)
-        return make_triple(g, h, stabilizer_subalgebra(h, a, g), label=f"t1_sphere(n={n})",
-                           base_point=a)
+        return _by_projection(g, h, stabilizer_subalgebra(h, a, g), f"t1_sphere(n={n})", a)
     if entry_id == "sp_example":
         k_span, label = blocks([0], range(2, size)), f"sp_example(n={n})"
     elif entry_id == "m_kl":
@@ -453,7 +455,14 @@ def reference_block_triple(entry_id: str, **params) -> Triple:
         else:
             tied = block_stack(field, size, [0]) + block_stack(field, size, [1])
             k_span = np.concatenate([blocks(range(2, size)), tied])
-    return make_triple(g_span, h_span, k_span, label=label, base_point=a, field=field)
+    g, h, k = (Subspace.from_spanning(span, field) for span in (g_span, h_span, k_span))
+    return _by_projection(g, h, k, label, a)
+
+
+def _by_projection(g: Subspace, h: Subspace, k: Subspace, label: str, a: AlgElement) -> Triple:
+    """The chain with m and p from the cross products of its pairs, as the projection path forms them."""
+    m, p = (_complement(sup, sub, sup.mat @ sub.mat.T) for sub, sup in ((k, h), (h, g)))
+    return Triple(g.field, g.n, g, h, k, m, p, label=label, base_point=a)
 
 
 @dataclass(frozen=True)

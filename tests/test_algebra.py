@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +256,17 @@ class TestGroupExp:
         for s, got in zip(s_values, stack):
             want = reference_group_exp(x, s)
             assert bit_equal(got, want) and bit_equal(group_exp(x, s).comp, want)
+
+    @pytest.mark.parametrize("s,message", [
+        (1e200, "exp(s X) at s = 1e+200: the norm of s X overflows"),
+        (-1e200, "exp(s X) at s = -1e+200: the norm of s X overflows"),
+        (1e6, "exp(s X) at s = 1000000.0 is not unitary to 1e-10"),
+    ])
+    def test_an_s_out_of_reach_is_named(self, s, message):
+        # the offending s among good ones; |1e200 X|^2 overflows, and math.ceil takes no inf
+        x = basis_element(FieldTag.QUATERNION, 3, 0, 1, 0)
+        with pytest.raises(InvalidElement, match=f"^{re.escape(message)}$"):
+            group_exps((1.0 / math.sqrt(2.0)) * x, [0.1, s, 0.2])
 
     def test_one_unitarity_check_covers_the_stack(self):
         x = random_skew(FieldTag.QUATERNION, 2, np.random.default_rng(12))

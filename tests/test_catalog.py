@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import curvcert.triple as triple_module
-from curvcert.algebra import FieldTag, bracket
+from curvcert.algebra import FieldTag, block_stack, bracket
 from curvcert.catalog import (
     _block_triple,
     build_entry,
@@ -17,7 +17,7 @@ from curvcert.catalog import (
     t1s3_product,
 )
 from curvcert.certify import min_ad_singular
-from curvcert.triple import is_symmetric_pair, stabilizer_subalgebra
+from curvcert.triple import is_symmetric_pair, load_triple, stabilizer_subalgebra, triple_to_json
 
 from helpers import (
     Part,
@@ -244,8 +244,22 @@ BLOCK_CASES = (
 )
 
 
+# the entries of the benchmark's catalog-part3 workload, each with the `_complement` calls of
+# its build: one for a k that is not generator rows (t1_sphere's stabilizer, t1_projective's
+# tied blocks, m_kl's weight row) or is empty (pt_projective(R, 2): a real 1 x 1 block has no
+# generator), and one for t1s3_product's h of slot sums
+PART3_CASES = (
+    [(t1s3_product, {}, 1)] + [(t1_sphere, {"n": n}, 1) for n in range(2, 11)]
+    + [(t1_projective, {"field": f, "n": n}, 1) for f in (FieldTag.COMPLEX, FieldTag.QUATERNION)
+       for n in (2, 3)]
+    + [(pt_projective, {"field": f, "n": 2}, int(f is FieldTag.REAL)) for f in FieldTag]
+    + [(m_kl, {"n": n, "k": 1, "l": 1}, 1) for n in (2, 3)]
+    + [(sp_example, {"n": n}, 0) for n in range(2, 9)]
+)
+
+
 def _case_id(case) -> str:
-    builder, params = case
+    builder, params = case[:2]
     return builder.__name__ + "(" + ",".join(
         f"{v.name if isinstance(v, FieldTag) else v}" for v in params.values()) + ")"
 
@@ -283,6 +297,23 @@ class TestIndexPath:
         if by_projection:  # the (h, k) pair only
             assert calls[0][0] is triple.h_basis and calls[0][1] is triple.k_basis
 
+    @pytest.mark.parametrize("case", PART3_CASES, ids=_case_id)
+    def test_an_export_loads_by_the_projections_of_its_build(self, monkeypatch, tmp_path, case):
+        # the file's h and k rows are the bits of the build's, so the same pairs nest by index
+        builder, params, projections = case
+        calls = []
+        complement = triple_module._complement
+        monkeypatch.setattr(triple_module, "_complement",
+                            lambda big, small, cross: calls.append(1) or complement(big, small, cross))
+        built = builder(**params).triple
+        assert len(calls) == projections
+        path = tmp_path / "triple.json"
+        path.write_text(triple_to_json(built))
+        loaded = load_triple(str(path))
+        assert len(calls) == 2 * projections
+        for name in ("g_basis", "h_basis", "k_basis", "m_basis", "p_basis"):
+            assert bit_equal(getattr(loaded, name).mat, getattr(built, name).mat), name
+
     def test_generator_rows_skip_the_input_checks(self, monkeypatch):
         # sp_example's g, h and k are generator rows: no check_skew before the bases are
         # built and no disjointness test; each of the five bases is still checked once
@@ -297,11 +328,18 @@ class TestIndexPath:
         assert disjoint == []
 
     def test_a_sub_basis_naming_a_generator_its_ambient_lacks_raises(self):
+        # such a pair has a row that is no row of its ambient, so it goes to the projection
+        # path, whose residual rejects it
         field, a = FieldTag.COMPLEX, m_kl(2, 1, 1).base_point_A
-        with pytest.raises(ValueError, match=r"^h names generator \(2, 2, 1\), which g lacks$"):
-            _block_triple(field, 3, (range(2),), ([0], [2]), ([0],), "x", a)
-        with pytest.raises(ValueError, match=r"^k names generator \(0, 0, 1\), which h lacks$"):
-            _block_triple(field, 3, (range(3),), (range(1, 3),), ([0],), "x", a)
+
+        def blocks(*index_sets):
+            return block_stack(field, 3, *index_sets)
+
+        with pytest.raises(ValueError, match=r"^h-basis vector leaves its ambient span"):
+            _block_triple(field, blocks(range(2)), blocks([0], [2]), blocks([0]), "x", a)
+        with pytest.raises(ValueError, match=r"^k-basis vector leaves its ambient span"):
+            _block_triple(field, blocks(range(3)), blocks(range(1, 3)), blocks([0]), "x", a)
         # sets given in another order than g's still nest by index
-        triple = _block_triple(field, 3, (range(3),), (range(1, 3), [0]), ([2], [0]), "x", a)
+        triple = _block_triple(field, blocks(range(3)), blocks(range(1, 3), [0]),
+                               blocks([2], [0]), "x", a)
         assert triple.dims == {"g": 9, "h": 5, "k": 2, "m": 3, "p": 4}

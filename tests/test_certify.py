@@ -125,12 +125,12 @@ class TestPart3:
         assert report.verdict is Verdict.INCONCLUSIVE
         assert any("p" in n for n in report.notes)
 
-    def test_zero_point_refuted_with_kernel_witness(self, mkl):
+    def test_zero_point_is_inconclusive(self, mkl):
+        # A = 0 commutes with all of m: every vector of m would be a kernel witness
         report = certify_part3(mkl.triple, zero(FieldTag.COMPLEX, 3))
-        assert report.verdict is Verdict.REFUTED
-        assert report.witness is not None
-        z = report.witness.Z
-        assert bracket(z, zero(FieldTag.COMPLEX, 3)).norm() < 1e-12
+        assert report.verdict is Verdict.INCONCLUSIVE and math.isnan(report.score)
+        assert report.witness is None
+        assert report.notes[-1] == "precondition failed: A is not a unit vector (|A| = 0.0)"
 
 
 class TestFatness:
@@ -235,11 +235,13 @@ class TestPart2:
         assert report.verdict is Verdict.CERTIFIED
         assert math.isclose(report.score, 2.0, rel_tol=1e-12)
 
-    def test_zero_point_refuted(self, t1s3):
+    def test_zero_point_is_inconclusive(self, t1s3):
+        # A = 0 zeroes the derivative term: every commuting pair would be a witness
         report = certify_part2(
             t1s3.triple, zero(FieldTag.QUATERNION, 2), StartBudget(starts=16, seed=0)
         )
-        assert report.verdict is Verdict.REFUTED
+        assert report.verdict is Verdict.INCONCLUSIVE and math.isnan(report.score)
+        assert report.notes == ("precondition failed: A is not a unit vector (|A| = 0.0)",)
 
     def test_point_in_h_is_inconclusive(self, t1s3):
         # A = (i, i)/sqrt(2) lies in h (indeed in k), so the criterion does not apply
@@ -578,7 +580,9 @@ class TestEmptyDomains:
         assert report.notes == ("degenerate triple (empty search domain): vacuously fat",)
 
     def test_point_search_and_scan_are_vacuously_positive(self):
-        triple, a = h_equals_g(), zero(FieldTag.REAL, 4)  # 0 is the one A in p = 0
+        # k = h: m = 0, the Z-domain of a symmetric pair's scans, while p holds the unit A
+        t = t1_sphere(2).triple
+        triple, a = make_triple(t.g_basis, t.h_basis, t.h_basis, label="k = h"), t.base_point
         budget = StartBudget(starts=4, seed=0)
         point = point_positivity(triple, group_exp(a, -0.3), budget, s=0.3)
         scan = scan_along_A(triple, a, [0.0, 0.3], budget)
@@ -591,12 +595,13 @@ class TestEmptyDomains:
                 "degenerate triple (empty search domain): vacuously positive",)
         assert report_to_json(point) == report_to_json(scan[1])
 
-    def test_part2_is_vacuous_but_gated_on_a_in_p(self):
+    def test_part2_on_an_empty_p_is_gated_on_a_unit_a_in_p(self):
+        # p = 0 holds no unit A, so part2 never reaches its vacuous search there
         triple, a = h_equals_g(), t1_sphere(3).base_point_A
         budget = StartBudget(starts=4, seed=0)
         report = certify_part2(triple, zero(FieldTag.REAL, 4), budget)
-        assert report.verdict is Verdict.CERTIFIED and report.score == math.inf
-        assert report.notes == ("degenerate triple (empty search domain): vacuous",)
+        assert report.verdict is Verdict.INCONCLUSIVE and math.isnan(report.score)
+        assert report.notes == ("precondition failed: A is not a unit vector (|A| = 0.0)",)
         report = certify_part2(triple, a, budget)  # p = 0 cannot hold A
         assert report.verdict is Verdict.INCONCLUSIVE and math.isnan(report.score)
         assert report.notes == ("precondition failed: A does not lie in p",)

@@ -173,6 +173,19 @@ class TestScan:
         assert "s-values" in err
 
 
+class TestScanPositionOutOfReach:
+    """An s whose exp(s X) cannot be formed is an input error naming s, with no traceback."""
+
+    @pytest.mark.parametrize("s,message", [
+        ("1e200", "exp(s X) at s = 1e+200: the norm of s X overflows"),
+        ("1e6", "exp(s X) at s = 1000000.0 is not unitary to 1e-10"),
+    ])
+    def test_exits_3_naming_s(self, capsys, s, message):
+        code, out, err = run(capsys, "scan", "--entry", "sp_example", "--n", "2",
+                             "--s-values", f"0.1,{s}", "--starts", "4")
+        assert (code, out, err) == (3, "", f"curvcert: error: {message}\n")
+
+
 class TestExportRoundTrip:
     def test_export_then_check_file(self, capsys, tmp_path):
         path = tmp_path / "triple.json"
@@ -185,8 +198,8 @@ class TestExportRoundTrip:
         assert code == 0
         assert json.loads(out)["verdict"] == "CERTIFIED"
 
-    # every entry of perfbench's catalog-part3 workload: built by index from the
-    # entry, by projection from its export
+    # every entry of perfbench's catalog-part3 workload: the entry and its export nest
+    # the same pairs by index and the rest by projection
     @pytest.mark.parametrize("entry", [
         ["--entry", "t1s3_product"],
         *(["--entry", "t1_sphere", "--n", str(n)] for n in range(2, 11)),
@@ -914,6 +927,48 @@ class TestBasePointOffP:
         for doc in docs if isinstance(docs, list) else [docs]:
             assert doc["verdict"] == "INCONCLUSIVE" and doc["score"] is None
             assert doc["notes"][-1] == "precondition failed: A does not lie in p"
+
+
+def _scaled_a(c: float) -> str:
+    """t1_sphere(3)'s A, the unit (E_01 - E_10)/sqrt(2), times c, as an --A list."""
+    comp = np.zeros(16)
+    comp[1], comp[4] = c / SQ2, -c / SQ2
+    return json.dumps(comp.tolist())
+
+
+class TestBasePointNotUnit:
+    """A must be a unit vector, to the fixed 1e-8 of the A-in-p check: every criterion scales with |A|.
+
+    A short A reads as flat: at |A| = 1e-8, part3's sigma_min is 7.07e-9 and
+    part2's minimum 2.5e-17, both below their thresholds, and A = 0 would
+    refute part3 and every scan point.
+    """
+
+    RUNS = [
+        ["check", "--method", "part3"],
+        ["check", "--method", "part2", "--starts", "8"],
+        ["scan", "--s-values", "0,0.1", "--starts", "4"],
+    ]
+
+    @pytest.mark.parametrize("argv", RUNS)
+    @pytest.mark.parametrize("c", [0.0, 1e-8, 1e-6, 1.0 - 1e-6, 2.0])
+    def test_a_not_of_unit_length_is_inconclusive(self, capsys, argv, c):
+        code, out, _ = run(capsys, *argv, "--entry", "t1_sphere", "--n", "3", "--A", _scaled_a(c))
+        assert code == 2
+        docs = json.loads(out)
+        for doc in docs if isinstance(docs, list) else [docs]:
+            assert doc["verdict"] == "INCONCLUSIVE" and doc["score"] is None
+            assert doc["witness"] is None
+            note = re.fullmatch(r"precondition failed: A is not a unit vector \(\|A\| = (.*)\)",
+                                doc["notes"][-1])
+            assert note and math.isclose(float(note[1]), c, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("argv", RUNS)
+    def test_a_unit_to_1e_8_runs(self, capsys, argv):
+        by_entry = run(capsys, *argv, "--entry", "t1_sphere", "--n", "3")
+        code, out, _ = run(capsys, *argv, "--entry", "t1_sphere", "--n", "3",
+                           "--A", _scaled_a(1.0 + 5e-9))
+        assert code == by_entry[0] and "unit vector" not in out
 
 
 def _closing_reader(*argv):

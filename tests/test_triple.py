@@ -33,6 +33,8 @@ from curvcert.triple import (
     NotInSpan,
     Subspace,
     Triple,
+    _complement,
+    _nested_triple,
     _orthonormalize,
     is_symmetric_pair,
     make_triple,
@@ -634,6 +636,72 @@ class TestClosedForm:
         tied = np.zeros((2, 4))
         tied[0, :2] = tied[1, 1:3] = 1.0
         assert bit_equal(_orthonormalize(tied), reference_orthonormalize(tied))
+
+
+def _rotated_so4_chain():
+    """g = so(4) and h = so(3) on slots 1..3, each part in a random orthonormal frame: h's rows are rows of g.
+
+    g's rows are h's rows, then those of the rest of so(4), each set mixed by
+    a random rotation, so no row has a disjoint support; the largest |entry|
+    of every row of g sits at its own position.
+    """
+    rng = np.random.default_rng(3)
+    field = FieldTag.REAL
+    so4 = Subspace.from_generators(block_stack(field, 4, range(4)), field).mat
+    # in block_stack's order, the rows (0, j) come first, then so(3) on slots 1..3
+    h_rows, rest = (np.linalg.qr(rng.standard_normal((3, 3)))[0] @ part
+                    for part in (so4[3:], so4[:3]))
+    g = Subspace(field, 4, np.concatenate([h_rows, rest]))
+    peaks = np.abs(g.mat).argmax(axis=1)
+    assert len(set(peaks.tolist())) == g.dim
+    return g, Subspace(field, 4, h_rows)
+
+
+class TestNestingRule:
+    """A pair nests by index exactly when every row of a non-empty sub is, bit for bit, a row of its sup."""
+
+    @staticmethod
+    def count_complements(monkeypatch):
+        calls = []
+        complement = triple_module._complement
+        monkeypatch.setattr(triple_module, "_complement",
+                            lambda big, small, cross: calls.append((big, small))
+                            or complement(big, small, cross))
+        return calls
+
+    def test_rows_of_g_in_a_rotated_frame_nest_by_index(self, monkeypatch):
+        g, h = _rotated_so4_chain()
+        k = Subspace(h.field, h.n, h.mat[1:])  # rows of h: also by index
+        calls = self.count_complements(monkeypatch)
+        triple = _nested_triple(g, h, k, "rotated", None)
+        assert calls == []
+        assert bit_equal(triple.m_basis.mat, triple_module._normalized_rows(h.mat[:1]))
+        # by index, p is g's other rows; by projection, Gram-Schmidt of their residuals
+        by_projection = _complement(g, h, g.mat @ h.mat.T)
+        assert not bit_equal(triple.p_basis.mat, by_projection.mat)
+        projector = triple.p_basis.mat.T @ triple.p_basis.mat
+        assert np.abs(projector - by_projection.mat.T @ by_projection.mat).max() <= 1e-12
+
+    def test_a_row_off_the_sup_sends_only_its_pair_to_projection(self, monkeypatch):
+        g, h = _rotated_so4_chain()
+        c, s = math.cos(1e-3), math.sin(1e-3)  # rows 0 and 1 turned in their plane: no rows of g
+        h = Subspace(h.field, h.n, np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]) @ h.mat)
+        k = Subspace(h.field, h.n, h.mat[1:])
+        calls = self.count_complements(monkeypatch)
+        triple = _nested_triple(g, h, k, "tilted", None)
+        assert [(big, small) for big, small in calls] == [(g, h)]
+        assert triple.dims == {"g": 6, "h": 3, "k": 2, "m": 1, "p": 3}
+
+    def test_an_empty_k_keeps_the_projection_bits(self, monkeypatch):
+        # by index, an empty k would leave m = h's rows rescaled; by projection, m is
+        # Gram-Schmidt of h's rows, the bits an empty k has always given
+        g, h = _rotated_so4_chain()
+        k = Subspace(h.field, h.n, np.zeros((0, h.mat.shape[1])))
+        calls = self.count_complements(monkeypatch)
+        triple = _nested_triple(g, h, k, "empty k", None)
+        assert len(calls) == 1 and calls[0][0] is h and calls[0][1] is k
+        assert bit_equal(triple.m_basis.mat, _orthonormalize(h.mat))
+        assert not bit_equal(triple.m_basis.mat, triple_module._normalized_rows(h.mat))
 
 
 class TestStabilizer:
