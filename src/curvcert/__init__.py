@@ -39,8 +39,6 @@ from .triple import (
     Triple,
     is_symmetric_pair,
     load_triple,
-    make_triple,
-    stabilizer_subalgebra,
     triple_from_dict,
     triple_to_json,
 )

@@ -2,13 +2,12 @@
 
 Every builder returns a fully populated Triple (with the chain k < h < g)
 that carries the designated vector A in p as its base point, and metadata
-recording known structural facts.  Every family but t1s3_product is a chain
-of block subalgebras (`_block_triple`): g, h and k are generator stacks
-(`block_stack`, plus m_kl's weight row and t1_projective's tied blocks),
-each scaled to unit rows by `Subspace.from_generators`, and the chain layer
-nests each pair by index wherever its rows say so, as it does for the
-export files.  t1s3_product's h is made of slot sums, so its spans go to
-`make_triple`.
+recording known structural facts.  Every family builds its chain with
+`_block_triple` from generator stacks: `block_stack`'s generators, plus
+m_kl's weight row, t1_projective's tied blocks and t1s3_product's slot
+sums.  Each stack is scaled to unit rows by
+`Subspace.from_generators`, and the chain layer nests each pair by index
+wherever its rows say so, as it does for the export files.
 All entries go through one constructor, `_entry`, which declares once that
 every catalog chain is a rank-one symmetric pair.  The metadata is
 descriptive: part3 and scan recompute the symmetric pair with
@@ -28,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import AlgElement, FieldTag, block_stack
-from .triple import Subspace, Triple, _nested_triple, make_triple, stabilizer_subalgebra
+from .triple import Subspace, Triple, _nested_triple
 
 
 @dataclass(frozen=True)
@@ -52,20 +51,18 @@ def _entry(entry_id: str, params: dict, triple: Triple, known_result: str,
     return CatalogEntry(entry_id, params, triple, metadata)
 
 
-def _block_triple(field: FieldTag, g: np.ndarray, h: np.ndarray, k: Optional[np.ndarray],
-                  label: str, a: AlgElement) -> Triple:
-    """The chain k < h < g of generator stacks (r, n, n, 4), with base point A; k None is the stabilizer of A in h.
+def _block_triple(field: FieldTag, g: np.ndarray, h: np.ndarray, k: np.ndarray, label: str,
+                  a: AlgElement) -> Triple:
+    """The chain k < h < g of generator stacks (r, n, n, 4), with base point A.
 
     Every stack meets `Subspace.from_generators`' contract: skew rows with
     disjoint supports and norm at least 1, as `block_stack`'s generators,
-    m_kl's weight row and t1_projective's tied blocks are.  The pairs nest
-    by the one rule of `_nested_triple`: by index where the sub rows are
-    rows of the sup, by projection otherwise.
+    m_kl's weight row, t1_projective's tied blocks and t1s3_product's slot
+    sums are.  The pairs nest by the one rule of `_nested_triple`: by index
+    where the sub rows are rows of the sup, by projection otherwise.
     """
-    g_basis, h_basis = Subspace.from_generators(g, field), Subspace.from_generators(h, field)
-    k_basis = (stabilizer_subalgebra(h_basis, a, g_basis) if k is None
-               else Subspace.from_generators(k, field))
-    return _nested_triple(g_basis, h_basis, k_basis, label, a)
+    return _nested_triple(*(Subspace.from_generators(stack, field) for stack in (g, h, k)),
+                          label, a)
 
 
 def _first_row_vector(field: FieldTag, n_total: int, entries: dict[int, float]) -> AlgElement:
@@ -81,28 +78,29 @@ def _first_row_vector(field: FieldTag, n_total: int, entries: dict[int, float]) 
 def t1s3_product() -> CatalogEntry:
     """Unit tangent bundle of S^3 via the product sp(1) + sp(1), diagonal h.
 
-    k = span{(i, i)}, base point A = (i, -i)/sqrt(2).  h is made of slot
-    sums, not generators, so the chain is nested by projection.
+    h is spanned by the slot sums (z, z), k = span{(i, i)}, base point
+    A = (i, -i)/sqrt(2).  h's rows are no rows of g, so (g, h) nests by
+    projection.
     """
     field = FieldTag.QUATERNION
-    g_span = block_stack(field, 2, [0], [1])  # i, j, k at slot 0, then at slot 1
-    h_span = g_span[:3] + g_span[3:]  # (z, z)
-    a = AlgElement(field, 2, (1.0 / math.sqrt(2.0)) * (g_span[0] - g_span[3]))
-    triple = make_triple(g_span, h_span, h_span[:1], label="t1s3_product", base_point=a,
-                         field=field)
+    g = block_stack(field, 2, [0], [1])  # i, j, k at slot 0, then at slot 1
+    h = g[:3] + g[3:]  # (z, z)
+    a = AlgElement(field, 2, (1.0 / math.sqrt(2.0)) * (g[0] - g[3]))
+    triple = _block_triple(field, g, h, h[:1], "t1s3_product", a)
     return _entry("t1s3_product", {}, triple,
                   "S^2 x S^3 (unit tangent bundle of S^3): quasi-positive curvature")
 
 
 def t1_sphere(n: int) -> CatalogEntry:
-    """T^1 S^n from so(n-1) < so(n) < so(n+1); k is the stabilizer of A."""
+    """T^1 S^n from so(n-1) < so(n) < so(n+1); k = so(n-1) on slots 2..n is the stabilizer of A."""
     if n < 2:
         raise ValueError("t1_sphere requires n >= 2")
     size = n + 1
     field = FieldTag.REAL
     a = _first_row_vector(field, size, {1: 1.0})
     triple = _block_triple(field, block_stack(field, size, range(size)),
-                           block_stack(field, size, range(1, size)), None, f"t1_sphere(n={n})", a)
+                           block_stack(field, size, range(1, size)),
+                           block_stack(field, size, range(2, size)), f"t1_sphere(n={n})", a)
     return _entry("t1_sphere", {"n": n}, triple,
                   "T^1 S^n: quasi-positive curvature; for n even the"
                   " diagonal SO(2) subgroup acts freely and the quotient inherits it")

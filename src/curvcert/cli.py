@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"curvcert: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except Exception as exc:  # an internal error (MemoryError, DegenerateSpectrum, ...)
+    except Exception as exc:  # an internal error (MemoryError, RuntimeError, ...)
         traceback.print_exc()
         print(f"curvcert: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -2,10 +2,13 @@
 
 A Triple stores orthonormal bases (under the bi-invariant inner product) for
 the three nested algebras plus the derived complements, each pair nested by
-one rule, however the chain was made (`_nested_complement`); it also
-verifies symmetric pairs, computes stabilizers and reads and writes the
-curvcert-triple/1 document.  The Phi operator of the one-parameter deformed
-metric, which no certifier reads, lives with its tests in tests/helpers.py.
+one rule (`_nested_complement`).  A chain enters as generator rows
+(`Subspace.from_generators`, the catalog) or as the rows of a
+curvcert-triple/1 document, which this module reads and writes; it also
+verifies symmetric pairs.  The constructors from arbitrary spans
+(`make_triple`), the stabilizer of A in h and the Phi operator of the
+one-parameter deformed metric, which no certifier reads, live with their
+tests in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,9 +30,6 @@ from .algebra import (
     row_dots,
 )
 
-#: a spanning set: AlgElements, a stack (r, n, n, 4) of component matrices, or a Subspace
-Span = Union[np.ndarray, Sequence[AlgElement], "Subspace"]
-
 _ORTHO_TOL = 1e-10
 # A vector lies in a span when its residual off it is at most this times max(1, its norm).
 _IN_SPAN_TOL = 1e-8
@@ -37,10 +37,6 @@ _IN_SPAN_TOL = 1e-8
 SYMMETRIC_PAIR_TOL = 1e-8
 # Gram-Schmidt drops a row whose norm left is at most this times max(1, its norm).
 _DROP_TOL = 1e-10
-# stabilizer_subalgebra: singular values below _NULL_TOL count as zero, and the
-# smallest kept one must be _KERNEL_GAP times the largest dropped one.
-_NULL_TOL = 1e-9
-_KERNEL_GAP = 1e3
 # Product floats held at once by the dense path of is_symmetric_pair: without this
 # bound, the check on sp_example(8) conjugated by a random unitary peaks at 57.1 MB
 # of RSS instead of 43.4 MB (numpy 2.4, 1 thread).
@@ -51,22 +47,15 @@ class NotInSpan(ValueError):
     """Vector falls outside the subspace it was claimed to live in."""
 
 
-class DegenerateSpectrum(RuntimeError):
-    """Singular-value gap too small to decide a null-space dimension."""
-
-
 def _orthonormalize(mat: np.ndarray) -> np.ndarray:
     """Gram-Schmidt with one re-orthogonalization pass.
 
     Each row is projected off the basis accumulated so far by one matrix
     product, twice.  Rows spanning the same subspace come out orthonormal;
     near-dependent rows, whose norm left is at most _DROP_TOL = 1e-10 times
-    max(1, their norm), are dropped.  Rows with disjoint supports take the
-    closed form of `_disjoint_rows`, which gives the same bits.
+    max(1, their norm), are dropped.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    if _disjoint_rows(mat):
-        return _normalized_rows(mat)
     basis = np.empty_like(mat)
     rank = 0
     for v in mat:
@@ -78,24 +67,6 @@ def _orthonormalize(mat: np.ndarray) -> np.ndarray:
             basis[rank] = v / nrm
             rank += 1
     return basis[:rank].copy()
-
-
-def _disjoint_rows(mat: np.ndarray) -> bool:
-    """True when each column has at most one nonzero, every entry is finite and no zero is -0.0.
-
-    Then every projection coefficient of the Gram-Schmidt loop is an exact
-    zero and subtracting its products leaves each row's bits as they are.
-    A -0.0 could turn into +0.0 there, depending on the sign of a zero sum,
-    and inf * 0 is NaN, so such inputs keep the loop.  A column holds at
-    most one nonzero exactly when the nonzeros are as many as the columns
-    that hold one.
-    """
-    nonzero = mat != 0.0
-    return bool(
-        np.count_nonzero(nonzero) == np.count_nonzero(nonzero.any(axis=0))
-        and np.isfinite(mat).all()
-        and not (np.signbit(mat) & ~nonzero).any()
-    )
 
 
 def _normalized_rows(mat: np.ndarray) -> np.ndarray:
@@ -134,37 +105,14 @@ class Subspace:
         object.__setattr__(self, "mat", mat)
 
     @classmethod
-    def from_spanning(cls, span: Span, field: Optional[FieldTag] = None) -> "Subspace":
-        """Orthonormal basis of the span of AlgElements, or of a stack (r, n, n, 4) over `field`.
-
-        An element list is stacked, taking its field from the elements; a
-        stack is validated by one `check_skew`.  The orthonormal rows are
-        checked again when the Subspace is built: Gram-Schmidt can magnify a
-        non-skew part that the tolerance let through in nearly dependent
-        rows.  A Subspace is its own basis.
-        """
-        if isinstance(span, Subspace):
-            return span
-        if not isinstance(span, np.ndarray):
-            if not span:
-                raise ValueError("cannot infer field/size from an empty spanning set")
-            field, span = span[0].field, np.array([e.comp for e in span])
-        if field is None:
-            raise ValueError("a stack of component matrices needs its field")
-        if span.ndim != 4 or span.shape[1] != span.shape[2] or span.shape[3] != 4:
-            raise ValueError(f"expected a stack of shape (r, n, n, 4), got {span.shape}")
-        check_skew(field, span)
-        n = span.shape[1]
-        return cls(field, n, _orthonormalize(span.reshape(len(span), n * n * 4)))
-
-    @classmethod
     def from_generators(cls, stack: np.ndarray, field: FieldTag) -> "Subspace":
         """Orthonormal basis of generator rows (`algebra.generator_stack`), a stack (r, n, n, 4).
 
         Generator rows are skew, have disjoint supports and norm at least 1
-        by construction, so each is scaled to unit length in closed form
-        (`_normalized_rows`, the bits of `_orthonormalize`), with no input
-        check and no disjointness test; the Subspace checks the result.
+        by construction (the caller's contract), so each is scaled to unit
+        length in closed form (`_normalized_rows`, the bits of
+        `_orthonormalize`), with no input check; the Subspace checks the
+        result.
         """
         n = stack.shape[1]
         return cls(field, n, _normalized_rows(stack.reshape(len(stack), n * n * 4)))
@@ -230,29 +178,6 @@ class Triple:
     def gk_basis(self) -> Subspace:
         """Orthonormal basis of g minus k (= m + p)."""
         return Subspace(self.field, self.n, np.vstack([self.m_basis.mat, self.p_basis.mat]))
-
-
-def make_triple(
-    g_span: Span,
-    h_span: Span,
-    k_span: Span,
-    label: str = "",
-    base_point: Optional[AlgElement] = None,
-    field: Optional[FieldTag] = None,
-) -> Triple:
-    """Build a Triple from spanning sets, orthonormalizing and validating nesting.
-
-    Each span is a list of AlgElements, a stack (r, n, n, 4) of component
-    matrices (stacks need `field`), or a Subspace, taken as it is.
-    """
-    g = Subspace.from_spanning(g_span, field)
-
-    def sub(span: Span) -> Subspace:
-        if isinstance(span, Subspace) or len(span):
-            return Subspace.from_spanning(span, g.field)
-        return _empty_subspace(g.field, g.n)
-
-    return _nested_triple(g, sub(h_span), sub(k_span), label, base_point)
 
 
 def _nested_triple(
@@ -363,32 +288,6 @@ def is_symmetric_pair(triple: Triple, tol: float = SYMMETRIC_PAIR_TOL) -> bool:
             if np.linalg.norm(coords, axis=2).max(initial=0.0) > tol:
                 return False
     return True
-
-
-def stabilizer_subalgebra(h_basis: Subspace, a: AlgElement, g_basis: Subspace) -> Subspace:
-    """Orthonormal basis of {Y in span(h): [Y, A] = 0}, for h < g and A in a closed g.
-
-    Computed as the null space of Y -> [Y, A] in the h-basis, read as
-    coordinates along g, which hold all of each bracket.  Singular values
-    below _NULL_TOL = 1e-9 count as zero; a spectral gap of at least
-    _KERNEL_GAP = 1e3 between the smallest retained and largest discarded
-    value is required, otherwise the kernel dimension is ambiguous and we
-    refuse to guess.
-    """
-    # u is square: dim h <= dim g
-    u, s, _ = np.linalg.svd(h_basis.brackets_with(a, g_basis), full_matrices=False)
-    null_mask = s < _NULL_TOL
-    rank = int(np.count_nonzero(~null_mask))
-    if 0 < rank < len(s):
-        smallest_kept = s[rank - 1]
-        largest_dropped = s[rank]
-        gap = smallest_kept / max(largest_dropped, _NULL_TOL * 1e-6)
-        if largest_dropped > 0 and gap < _KERNEL_GAP:
-            raise DegenerateSpectrum(
-                f"ambiguous kernel: singular values {smallest_kept:.3e} vs {largest_dropped:.3e}"
-            )
-    coeffs = u[:, rank:].T  # rows: kernel coordinates in the h-basis
-    return Subspace(h_basis.field, h_basis.n, _orthonormalize(coeffs @ h_basis.mat))
 
 
 # --- JSON serialization -----------------------------------------------------

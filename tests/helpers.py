@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from curvcert.algebra import (
     InvalidElement,
     block_stack,
     bracket,
+    check_skew,
     comp_bracket,
     comp_norm,
     conj_transpose,
@@ -52,7 +53,9 @@ from curvcert.triple import (
     _check_in_g,
     _complement,
     _document,
-    stabilizer_subalgebra,
+    _empty_subspace,
+    _nested_triple,
+    _orthonormalize,
     triple_to_json,
 )
 
@@ -134,6 +137,98 @@ def triple_to_dict(triple: Triple) -> dict:
 def save_triple(triple: Triple, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(triple_to_json(triple) + "\n")
+
+
+# --- spans and stabilizers -----------------------------------------------------
+#
+# The library builds chains from generator rows and from triple files only;
+# these build them from arbitrary spans, and the stabilizer is the oracle of
+# the catalog's k.
+
+#: a spanning set: AlgElements, a stack (r, n, n, 4) of component matrices, or a Subspace
+Span = Union[np.ndarray, Sequence[AlgElement], "Subspace"]
+
+# stabilizer_subalgebra: singular values below _NULL_TOL count as zero, and the
+# smallest kept one must be _KERNEL_GAP times the largest dropped one.
+_NULL_TOL = 1e-9
+_KERNEL_GAP = 1e3
+
+
+class DegenerateSpectrum(RuntimeError):
+    """Singular-value gap too small to decide a null-space dimension."""
+
+
+def from_spanning(span: Span, field: Optional[FieldTag] = None) -> Subspace:
+    """Orthonormal basis of the span of AlgElements, or of a stack (r, n, n, 4) over `field`.
+
+    An element list is stacked, taking its field from the elements; a
+    stack is validated by one `check_skew`.  The orthonormal rows are
+    checked again when the Subspace is built: Gram-Schmidt can magnify a
+    non-skew part that the tolerance let through in nearly dependent
+    rows.  A Subspace is its own basis.
+    """
+    if isinstance(span, Subspace):
+        return span
+    if not isinstance(span, np.ndarray):
+        if not span:
+            raise ValueError("cannot infer field/size from an empty spanning set")
+        field, span = span[0].field, np.array([e.comp for e in span])
+    if field is None:
+        raise ValueError("a stack of component matrices needs its field")
+    if span.ndim != 4 or span.shape[1] != span.shape[2] or span.shape[3] != 4:
+        raise ValueError(f"expected a stack of shape (r, n, n, 4), got {span.shape}")
+    check_skew(field, span)
+    n = span.shape[1]
+    return Subspace(field, n, _orthonormalize(span.reshape(len(span), n * n * 4)))
+
+
+def make_triple(
+    g_span: Span,
+    h_span: Span,
+    k_span: Span,
+    label: str = "",
+    base_point: Optional[AlgElement] = None,
+    field: Optional[FieldTag] = None,
+) -> Triple:
+    """Build a Triple from spanning sets, orthonormalizing and validating nesting.
+
+    Each span is a list of AlgElements, a stack (r, n, n, 4) of component
+    matrices (stacks need `field`), or a Subspace, taken as it is.
+    """
+    g = from_spanning(g_span, field)
+
+    def sub(span: Span) -> Subspace:
+        if isinstance(span, Subspace) or len(span):
+            return from_spanning(span, g.field)
+        return _empty_subspace(g.field, g.n)
+
+    return _nested_triple(g, sub(h_span), sub(k_span), label, base_point)
+
+
+def stabilizer_subalgebra(h_basis: Subspace, a: AlgElement, g_basis: Subspace) -> Subspace:
+    """Orthonormal basis of {Y in span(h): [Y, A] = 0}, for h < g and A in a closed g.
+
+    Computed as the null space of Y -> [Y, A] in the h-basis, read as
+    coordinates along g, which hold all of each bracket.  Singular values
+    below _NULL_TOL = 1e-9 count as zero; a spectral gap of at least
+    _KERNEL_GAP = 1e3 between the smallest retained and largest discarded
+    value is required, otherwise the kernel dimension is ambiguous and we
+    refuse to guess.
+    """
+    # u is square: dim h <= dim g
+    u, s, _ = np.linalg.svd(h_basis.brackets_with(a, g_basis), full_matrices=False)
+    null_mask = s < _NULL_TOL
+    rank = int(np.count_nonzero(~null_mask))
+    if 0 < rank < len(s):
+        smallest_kept = s[rank - 1]
+        largest_dropped = s[rank]
+        gap = smallest_kept / max(largest_dropped, _NULL_TOL * 1e-6)
+        if largest_dropped > 0 and gap < _KERNEL_GAP:
+            raise DegenerateSpectrum(
+                f"ambiguous kernel: singular values {smallest_kept:.3e} vs {largest_dropped:.3e}"
+            )
+    coeffs = u[:, rank:].T  # rows: kernel coordinates in the h-basis
+    return Subspace(h_basis.field, h_basis.n, _orthonormalize(coeffs @ h_basis.mat))
 
 
 # --- projections -------------------------------------------------------------
@@ -272,27 +367,6 @@ def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def reference_orthonormalize(mat: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
-    """The Gram-Schmidt row loop of `curvcert.triple._orthonormalize`, without its closed form.
-
-    Each row is projected off the basis accumulated so far by one matrix
-    product, twice; rows whose remaining norm is at most drop_tol times
-    max(1, original norm) are dropped.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    basis = np.empty_like(mat)
-    rank = 0
-    for v in mat:
-        scale = max(1.0, float(np.linalg.norm(v)))
-        for _ in range(2):
-            v = v - (basis[:rank] @ v) @ basis[:rank]
-        nrm = float(np.linalg.norm(v))
-        if nrm > drop_tol * scale:
-            basis[rank] = v / nrm
-            rank += 1
-    return basis[:rank].copy()
-
-
 def reference_check_components(field: FieldTag, comp: np.ndarray) -> None:
     """The component tests that open `curvcert.algebra.check_skew` and `check_unitary`, as whole-stack passes.
 
@@ -318,8 +392,15 @@ def reference_check_skew(field: FieldTag, comp: np.ndarray) -> None:
         raise InvalidElement("matrix is not skew-Hermitian")
 
 
-def reference_disjoint_rows(mat: np.ndarray) -> bool:
-    """`curvcert.triple._disjoint_rows` with the nonzeros of each column summed along axis 0."""
+def disjoint_rows(mat: np.ndarray) -> bool:
+    """True when each column has at most one nonzero, every entry is finite and no zero is -0.0.
+
+    On such rows every projection coefficient of the Gram-Schmidt loop
+    (`curvcert.triple._orthonormalize`) is an exact zero and subtracting its
+    products leaves each row's bits as they are, so the loop gives the bits
+    of `_normalized_rows`.  A -0.0 could turn into +0.0 there, depending on
+    the sign of a zero sum, and inf * 0 is NaN.
+    """
     nonzero = mat != 0.0
     return bool(
         (nonzero.sum(axis=0) <= 1).all()
@@ -413,16 +494,25 @@ def full_algebra_basis(field: FieldTag, n: int) -> np.ndarray:
 
 
 def reference_block_triple(entry_id: str, **params) -> Triple:
-    """The triple of a block-family catalog entry built as arbitrary spans, nested by projection only.
+    """The triple of a catalog entry built as arbitrary spans.
 
-    The same generator stacks, base point and label as the catalog's
-    builder, taken as spans: each is checked and orthonormalized
-    (`Subspace.from_spanning`), and m and p are the complements from the
-    cross products (`triple._complement`), whatever rows the bases share, so
-    the catalog's index path is compared with the projection path.
-    entry_id is t1_sphere, t1_projective, pt_projective, m_kl or
-    sp_example, with the builder's parameters (field a FieldTag).
+    For the block families, the same generator stacks, base point and label
+    as the catalog's builder, taken as spans: each is checked and
+    orthonormalized (`from_spanning`), and m and p are the complements from
+    the cross products (`triple._complement`), whatever rows the bases
+    share, so the catalog's index path is compared with the projection
+    path.  entry_id is t1_sphere, t1_projective, pt_projective, m_kl or
+    sp_example, with the builder's parameters (field a FieldTag), or
+    t1s3_product, whose triple is its build through `make_triple` from
+    before the catalog took its slot sums as generator rows.
     """
+    if entry_id == "t1s3_product":
+        field = FieldTag.QUATERNION
+        g_span = block_stack(field, 2, [0], [1])
+        h_span = g_span[:3] + g_span[3:]
+        a = AlgElement(field, 2, (1.0 / math.sqrt(2.0)) * (g_span[0] - g_span[3]))
+        return make_triple(g_span, h_span, h_span[:1], label="t1s3_product", base_point=a,
+                           field=field)
     n, size = params["n"], params["n"] + 1
     field = {"t1_sphere": FieldTag.REAL, "m_kl": FieldTag.COMPLEX,
              "sp_example": FieldTag.QUATERNION}.get(entry_id) or params["field"]
@@ -437,10 +527,8 @@ def reference_block_triple(entry_id: str, **params) -> Triple:
     a = AlgElement(field, size, comp / math.sqrt(2.0 * len(a_cols)))
     g_span, h_span = blocks(range(size)), blocks([0], range(1, size))
     if entry_id == "t1_sphere":
-        g = Subspace.from_spanning(g_span, field)
-        h = Subspace.from_spanning(blocks(range(1, size)), field)
-        return _by_projection(g, h, stabilizer_subalgebra(h, a, g), f"t1_sphere(n={n})", a)
-    if entry_id == "sp_example":
+        h_span, k_span, label = blocks(range(1, size)), blocks(range(2, size)), f"t1_sphere(n={n})"
+    elif entry_id == "sp_example":
         k_span, label = blocks([0], range(2, size)), f"sp_example(n={n})"
     elif entry_id == "m_kl":
         kl = np.zeros((1, size, size, 4))
@@ -455,7 +543,7 @@ def reference_block_triple(entry_id: str, **params) -> Triple:
         else:
             tied = block_stack(field, size, [0]) + block_stack(field, size, [1])
             k_span = np.concatenate([blocks(range(2, size)), tied])
-    g, h, k = (Subspace.from_spanning(span, field) for span in (g_span, h_span, k_span))
+    g, h, k = (from_spanning(span, field) for span in (g_span, h_span, k_span))
     return _by_projection(g, h, k, label, a)
 
 

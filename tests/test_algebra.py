@@ -26,8 +26,6 @@ from curvcert.algebra import (
     qmul,
     random_skew,
 )
-from curvcert.triple import make_triple
-
 from helpers import (
     Quaternion,
     basis_element,
@@ -35,6 +33,7 @@ from helpers import (
     exp_squarings,
     full_algebra_basis,
     identity,
+    make_triple,
     random_skew_batch,
     randomly_rebased,
     reference_block_stack,

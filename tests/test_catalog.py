@@ -17,7 +17,7 @@ from curvcert.catalog import (
     t1s3_product,
 )
 from curvcert.certify import min_ad_singular
-from curvcert.triple import is_symmetric_pair, load_triple, stabilizer_subalgebra, triple_to_json
+from curvcert.triple import is_symmetric_pair, load_triple, triple_to_json
 
 from helpers import (
     Part,
@@ -26,6 +26,7 @@ from helpers import (
     project,
     reference_block_triple,
     sampled_min_ad,
+    stabilizer_subalgebra,
 )
 
 ALL_ENTRIES = [
@@ -75,13 +76,15 @@ class TestEntryInvariants:
 
 class TestStructure:
     def test_t1_entries_have_stabilizer_k(self):
-        for entry in (t1_sphere(3), t1_projective(FieldTag.COMPLEX, 2),
+        # t1_sphere's k, so(n-1) on slots 2..n as generator rows, spans the stabilizer of A
+        # in h, the SVD's null space (empty for n = 2)
+        for entry in (*map(t1_sphere, range(2, 11)), t1_projective(FieldTag.COMPLEX, 2),
                       t1_projective(FieldTag.QUATERNION, 2)):
             t = entry.triple
             stab = stabilizer_subalgebra(t.h_basis, entry.base_point_A, t.g_basis)
-            assert stab.dim == t.k_basis.dim
+            assert stab.dim == t.k_basis.dim, t.label
             resid = t.k_basis.mat - (t.k_basis.mat @ stab.mat.T) @ stab.mat
-            assert np.abs(resid).max() < 1e-8
+            assert np.abs(resid).max(initial=0.0) < 1e-8, t.label
 
     def test_pt_k_strictly_contains_t1_k(self):
         for field, n in ((FieldTag.COMPLEX, 2), (FieldTag.QUATERNION, 2)):
@@ -231,10 +234,10 @@ def test_pinned_metadata(label):
     assert list(entry.metadata.items()) == list(want.items())
 
 
-# the block families over the sizes, fields and weights their index path must match
-# `make_triple` on: the builder, its parameters
+# the catalog families over the sizes, fields and weights whose bits must match their
+# span builds (`reference_block_triple`): the builder, its parameters
 BLOCK_CASES = (
-    [(t1_sphere, {"n": n}) for n in range(2, 11)]
+    [(t1s3_product, {})] + [(t1_sphere, {"n": n}) for n in range(2, 11)]
     + [(t1_projective, {"field": f, "n": n}) for f in (FieldTag.COMPLEX, FieldTag.QUATERNION)
        for n in range(1, 5)]
     + [(pt_projective, {"field": f, "n": n}) for f in FieldTag for n in range(1, 5)]
@@ -245,11 +248,11 @@ BLOCK_CASES = (
 
 
 # the entries of the benchmark's catalog-part3 workload, each with the `_complement` calls of
-# its build: one for a k that is not generator rows (t1_sphere's stabilizer, t1_projective's
-# tied blocks, m_kl's weight row) or is empty (pt_projective(R, 2): a real 1 x 1 block has no
-# generator), and one for t1s3_product's h of slot sums
+# its build: one for a k whose rows are no rows of h (t1_projective's tied blocks, m_kl's
+# weight row) or that is empty (t1_sphere(2) and pt_projective(R, 2): a real 1 x 1 block has
+# no generator), and one for t1s3_product's h of slot sums
 PART3_CASES = (
-    [(t1s3_product, {}, 1)] + [(t1_sphere, {"n": n}, 1) for n in range(2, 11)]
+    [(t1s3_product, {}, 1)] + [(t1_sphere, {"n": n}, int(n == 2)) for n in range(2, 11)]
     + [(t1_projective, {"field": f, "n": n}, 1) for f in (FieldTag.COMPLEX, FieldTag.QUATERNION)
        for n in (2, 3)]
     + [(pt_projective, {"field": f, "n": 2}, int(f is FieldTag.REAL)) for f in FieldTag]
@@ -280,7 +283,7 @@ class TestIndexPath:
         (lambda: sp_example(3), False),
         (lambda: pt_projective(FieldTag.REAL, 3), False),
         (lambda: pt_projective(FieldTag.QUATERNION, 2), False),
-        (lambda: t1_sphere(4), True),
+        (lambda: t1_sphere(4), False),
         (lambda: t1_projective(FieldTag.COMPLEX, 2), True),
         (lambda: t1_projective(FieldTag.QUATERNION, 3), True),
         (lambda: m_kl(2, 1, 1), True),
@@ -316,16 +319,16 @@ class TestIndexPath:
 
     def test_generator_rows_skip_the_input_checks(self, monkeypatch):
         # sp_example's g, h and k are generator rows: no check_skew before the bases are
-        # built and no disjointness test; each of the five bases is still checked once
-        skews, disjoint = [], []
-        check, test = triple_module.check_skew, triple_module._disjoint_rows
+        # built and no Gram-Schmidt; each of the five bases is still checked once
+        skews, loops = [], []
+        check, loop = triple_module.check_skew, triple_module._orthonormalize
         monkeypatch.setattr(triple_module, "check_skew",
                             lambda f, c: skews.append(len(c)) or check(f, c))
-        monkeypatch.setattr(triple_module, "_disjoint_rows",
-                            lambda mat: disjoint.append(1) or test(mat))
+        monkeypatch.setattr(triple_module, "_orthonormalize",
+                            lambda mat: loops.append(1) or loop(mat))
         triple = sp_example(3).triple
         assert skews == [triple.dims[name] for name in "ghkmp"]
-        assert disjoint == []
+        assert loops == []
 
     def test_a_sub_basis_naming_a_generator_its_ambient_lacks_raises(self):
         # such a pair has a row that is no row of its ambient, so it goes to the projection

@@ -35,7 +35,7 @@ from curvcert.certify import (
 )
 from curvcert.cli import main
 from curvcert.flatness import horizontal_flat_residual
-from curvcert.triple import SYMMETRIC_PAIR_TOL, is_symmetric_pair, make_triple
+from curvcert.triple import SYMMETRIC_PAIR_TOL, is_symmetric_pair
 
 from helpers import (
     Part,
@@ -47,6 +47,7 @@ from helpers import (
     f_of_s,
     full_algebra_basis,
     identity,
+    make_triple,
     ortho_constraint,
     pair_tensor,
     point_positivity,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import curvcert.cli as cli_module
-from curvcert.algebra import FieldTag
+from curvcert.algebra import FieldTag, block_stack
 from curvcert.catalog import build_entry, list_catalog, t1_sphere
 from curvcert.certify import (
     StartBudget,
@@ -22,12 +22,30 @@ from curvcert.certify import (
     scan_along_A,
 )
 from curvcert.cli import build_parser, main
-from curvcert.triple import DegenerateSpectrum, load_triple, make_triple
+from curvcert.triple import load_triple, triple_to_json
 
-from helpers import basis_element, elements, report_to_json, save_triple
+from helpers import (
+    DegenerateSpectrum,
+    basis_element,
+    bit_equal,
+    elements,
+    from_spanning,
+    make_triple,
+    report_to_json,
+    save_triple,
+    stabilizer_subalgebra,
+)
 
 
 SQ2 = math.sqrt(2.0)
+
+# sha256 of the stdout of `export --entry t1_sphere --n N` while its k was the stabilizer
+# of A in h, the null space of an SVD
+OLD_T1_SPHERE_EXPORTS = {
+    3: "893fb2e1ab4566026a7798689daf20ecc2f0e81506e4784613aeb30dfb6979fd",
+    4: "033d5cdd7846b93f4a371aa6ce61aeeb567fb711462544249a5e0c98e7bd0e74",
+    10: "dc5b1fc00022d6510334f8114528d8ebbf78919add34c5d40f878df7c5615870",
+}
 
 
 def run(capsys, *argv):
@@ -214,6 +232,26 @@ class TestExportRoundTrip:
         assert code == 0
         assert run(capsys, "export", *entry, "--out", str(path)) == (0, "", "")
         assert run(capsys, "check", "--file", str(path), "--method", "part3") == (0, by_entry, "")
+
+    @pytest.mark.parametrize("n", sorted(OLD_T1_SPHERE_EXPORTS))
+    def test_an_old_t1_sphere_file_gives_the_reports_of_the_entry(self, capsys, tmp_path, n):
+        # the export from when k was the stabilizer of A in h: the SVD's null space, in
+        # another frame of the same span than the generator rows the entry has now
+        entry = t1_sphere(n)
+        field, size = FieldTag.REAL, n + 1
+        g, h = (from_spanning(block_stack(field, size, idx), field)
+                for idx in (range(size), range(1, size)))
+        old = make_triple(g, h, stabilizer_subalgebra(h, entry.base_point_A, g),
+                          label=entry.triple.label, base_point=entry.base_point_A)
+        text = triple_to_json(old)
+        assert hashlib.sha256((text + "\n").encode()).hexdigest() == OLD_T1_SPHERE_EXPORTS[n]
+        assert not bit_equal(old.k_basis.mat, entry.triple.k_basis.mat)
+        path = tmp_path / "old.json"
+        path.write_text(text)
+        for method in ("part3", "fat"):
+            by_entry = run(capsys, "check", "--entry", "t1_sphere", "--n", str(n), "--method", method)
+            assert by_entry[0] in (0, 1)
+            assert run(capsys, "check", "--file", str(path), "--method", method) == by_entry
 
     def test_invalid_file_is_error(self, capsys, tmp_path):
         path = tmp_path / "triple.json"
@@ -1102,14 +1140,17 @@ class TestScanOutput:
 # digests were re-taken for the report schema curvcert-report/2, which dropped
 # the no-op `t` and `workers` keys from the config block, and again when part3
 # began to read [m_i, A] as coordinates along g: a different summation order
-# moves the last digit of the score (WHOLE_BRACKET_SCORES below).
+# moves the last digit of the score (WHOLE_BRACKET_SCORES below).  The t1_sphere
+# export digests were re-taken when its k became so(n-1) on slots 2..n as
+# generator rows instead of the stabilizer's null-space rows (its digests before
+# are OLD_T1_SPHERE_EXPORTS); their part3 digests did not move.
 PINNED_DIGESTS = {
     ("t1s3_product",): (
         "0cf3c78e15f9bea425f5d1a752a36e8f97773a7792a1d39b150f48f7802106ef",
         "7fe2600819776952ec9dd2ceddcbf037911c7b51940efa2f1e2421b86f27ec20",
     ),
     ("t1_sphere", "--n", "4"): (
-        "033d5cdd7846b93f4a371aa6ce61aeeb567fb711462544249a5e0c98e7bd0e74",
+        "6cff2680d23eca35bb8c7ea17baae3c33ea99e2800820ff864bd105edf6bed09",
         "fd0bd08df7dc681c47522ca3305173b900cba6fac82e5ce71c998e501bf109ad",
     ),
     ("sp_example", "--n", "3"): (
@@ -1147,7 +1188,7 @@ PINNED_DIGESTS = {
         "5a2c397566498b89cef4d668806eb66e351d52620d8d71f97a04fdf3294e8afa",
     ),
     ("t1_sphere", "--n", "10"): (
-        "dc5b1fc00022d6510334f8114528d8ebbf78919add34c5d40f878df7c5615870",
+        "df9796c611113db27ecf7ba6bd87655ee8b54bc8f23fa2a6ff37d30cf3409429",
         "13facab33f6f0eac4ca533eedf9eabc4d3f838fe79a16b7206435613cadf4bbf",
     ),
     ("sp_example", "--n", "8"): (

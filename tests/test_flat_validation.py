@@ -3,9 +3,11 @@
 `algebra.check_skew` reads each matrix as one flat row and the skew
 residual on the upper triangle of the active components only (its
 component tests open `check_unitary` too);
-`triple._disjoint_rows` counts nonzeros instead of summing them per column,
 and `triple._normalized_rows` divides without a masked copy when every row
 is kept.  The oracles in tests/helpers.py keep the previous expressions.
+On rows with disjoint supports, `_normalized_rows` gives the bits of the
+Gram-Schmidt loop `triple._orthonormalize`: a pair nested by index and one
+nested by projection then agree.
 """
 
 import math
@@ -24,13 +26,13 @@ from curvcert.algebra import (  # noqa: E402
     check_unitary,
     conj_transpose,
 )
-from curvcert.triple import _disjoint_rows, _normalized_rows  # noqa: E402
+from curvcert.triple import _normalized_rows, _orthonormalize  # noqa: E402
 
 from helpers import (  # noqa: E402
     bit_equal,
+    disjoint_rows,
     reference_check_components,
     reference_check_skew,
-    reference_disjoint_rows,
     reference_normalized_rows,
 )
 
@@ -149,15 +151,18 @@ class TestCheckSkew:
 
 
 @st.composite
-def row_sets(draw):
-    """Rows (r, m) whose columns mostly hold one nonzero at most, some with two, with -0.0, NaN or inf."""
+def row_sets(draw, specials=True):
+    """Rows (r, m) whose columns mostly hold one nonzero at most, some with two, with -0.0, NaN or inf.
+
+    Without specials, every column holds one finite nonzero at most and no -0.0.
+    """
     r, m = draw(st.integers(0, 5)), draw(st.integers(1, 12))
     mat = np.zeros((r, m))
     values = st.sampled_from([1.0, -2.5, 3e-11, 1e-300, 5e-324, 1e200, 0.1])
     for col in range(m):
         if r and draw(st.booleans()):
             mat[draw(st.integers(0, r - 1)), col] = draw(values)
-    for _ in range(draw(st.integers(0, 2)) if r else 0):
+    for _ in range(draw(st.integers(0, 2)) if r and specials else 0):
         mat[draw(st.integers(0, r - 1)), draw(st.integers(0, m - 1))] = \
             draw(st.sampled_from(SPECIAL[:4]) | values)
     if draw(st.booleans()):  # the same values, not contiguous
@@ -170,19 +175,13 @@ def row_sets(draw):
 class TestDisjointRows:
     @PROPERTY
     @given(mat=row_sets())
-    def test_agrees_with_the_column_sums(self, mat):
-        assert _disjoint_rows(mat) == reference_disjoint_rows(mat)
-
-    @PROPERTY
-    @given(mat=row_sets())
     def test_normalized_rows_have_the_masked_bits(self, mat):
         with np.errstate(all="ignore"):  # inf / inf and the like on the non-finite rows
             assert bit_equal(_normalized_rows(mat), reference_normalized_rows(mat))
 
-    def test_two_nonzeros_in_a_column_are_not_disjoint(self):
-        mat = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 3.0, 4.0]])
-        assert not _disjoint_rows(mat) and not reference_disjoint_rows(mat)
-        mat[1, 1] = 0.0
-        assert _disjoint_rows(mat) and reference_disjoint_rows(mat)
-        mat[1, 1] = -0.0
-        assert not _disjoint_rows(mat) and not reference_disjoint_rows(mat)
+    @PROPERTY
+    @given(mat=row_sets(specials=False))
+    def test_disjoint_rows_have_the_bits_of_the_loop(self, mat):
+        assert disjoint_rows(mat)
+        with np.errstate(over="ignore"):  # the square of 1e200
+            assert bit_equal(_normalized_rows(mat), _orthonormalize(mat))

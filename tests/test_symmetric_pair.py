@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import curvcert.triple as triple_module  # noqa: E402
 from curvcert.algebra import FieldTag, block_stack, pair_bracket_coords  # noqa: E402
-from curvcert.triple import is_symmetric_pair, make_triple  # noqa: E402
+from curvcert.triple import is_symmetric_pair  # noqa: E402
+
+from helpers import make_triple  # noqa: E402
 
 # deterministic, and nothing written to disk between runs
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -37,8 +37,6 @@ from curvcert.triple import (
     _nested_triple,
     _orthonormalize,
     is_symmetric_pair,
-    make_triple,
-    stabilizer_subalgebra,
     triple_from_dict,
     triple_to_json,
 )
@@ -48,13 +46,16 @@ from helpers import (
     Part,
     basis_element,
     bit_equal,
+    disjoint_rows,
     elements,
+    from_spanning,
     full_algebra_basis,
+    make_triple,
     phi,
     project,
     randomly_rebased,
-    reference_orthonormalize,
     sp1_pair,
+    stabilizer_subalgebra,
     su3_su2_spans,
     triple_to_dict,
     zero,
@@ -134,7 +135,7 @@ def built_directly(active):
 
 
 def built_from_span(active):
-    return Subspace.from_spanning(_active_stack(active), FieldTag.REAL)
+    return from_spanning(_active_stack(active), FieldTag.REAL)
 
 
 def loaded_as_g(active):
@@ -194,7 +195,7 @@ class TestConstruction:
                  block_stack(field, 4, [2, 3])]
         from_stacks = make_triple(*spans, field=field)
         from_lists = make_triple(*[[from_flat(field, 4, c.ravel()) for c in s] for s in spans])
-        subspaces = [Subspace.from_spanning(s, field) for s in spans]
+        subspaces = [from_spanning(s, field) for s in spans]
         from_subspaces = make_triple(*subspaces)  # each taken as it is
         assert from_subspaces.h_basis is subspaces[1]
         for other in (from_lists, from_subspaces):
@@ -204,14 +205,14 @@ class TestConstruction:
     def test_empty_stack_spans_the_zero_subspace(self):
         # reshaping an empty stack to (0, -1) once failed in numpy
         empty = np.zeros((0, 3, 3, 4))
-        sub = Subspace.from_spanning(empty, FieldTag.REAL)
+        sub = from_spanning(empty, FieldTag.REAL)
         assert (sub.field, sub.n, sub.mat.shape) == (FieldTag.REAL, 3, (0, 36))
         triple = make_triple(empty, [], [], field=FieldTag.REAL)
         assert triple.dims == {"g": 0, "h": 0, "k": 0, "m": 0, "p": 0}
 
     def test_stack_needs_its_field(self):
         with pytest.raises(ValueError, match="needs its field"):
-            Subspace.from_spanning(block_stack(FieldTag.REAL, 3, range(3)))
+            from_spanning(block_stack(FieldTag.REAL, 3, range(3)))
 
     def test_stack_is_validated(self):
         bad = block_stack(FieldTag.REAL, 3, range(3))
@@ -272,7 +273,7 @@ class TestConstruction:
         span = np.array([e, e + 4e-10 * d])
         triple_module.check_skew(FieldTag.REAL, span)
         with pytest.raises(InvalidElement):
-            Subspace.from_spanning(span, FieldTag.REAL)
+            from_spanning(span, FieldTag.REAL)
         with pytest.raises(InvalidElement):
             make_triple(span, [], [], field=FieldTag.REAL)
 
@@ -552,33 +553,31 @@ class TestOrthonormalize:
 
 
 class TestClosedForm:
-    """Rows with disjoint supports are normalized in closed form, bit for bit as the loop."""
+    """On rows with disjoint supports, `_normalized_rows` gives the bits of the Gram-Schmidt loop.
+
+    Generator rows and complements by index are scaled so; the projection
+    path orthonormalizes the same rows by the loop, so both nestings of a
+    pair give the same bits.
+    """
 
     @pytest.mark.parametrize("build", FAMILIES + [lambda: t1_sphere(7), lambda: sp_example(4)])
     def test_every_catalog_span_and_complement(self, monkeypatch, build):
-        # every normalization a build makes: Gram-Schmidt, and the closed form that
-        # generator rows and complements by index go to without it
-        inputs = []  # (the normalization, its input)
-
-        def recorder(normalize):
-            def record(mat, *args):
-                inputs.append((normalize, np.array(mat, dtype=np.float64)))
-                return normalize(mat, *args)
-            return record
-
-        for name in ("_orthonormalize", "_normalized_rows"):
-            monkeypatch.setattr(triple_module, name, recorder(getattr(triple_module, name)))
+        inputs = []  # every closed-form normalization a build makes
+        normalize = triple_module._normalized_rows
+        monkeypatch.setattr(triple_module, "_normalized_rows",
+                            lambda mat: inputs.append(np.array(mat)) or normalize(mat))
         build()
         monkeypatch.undo()
-        assert any(triple_module._disjoint_rows(mat) for _, mat in inputs)
-        for normalize, mat in inputs:
-            assert bit_equal(normalize(mat), reference_orthonormalize(mat))
+        assert inputs
+        for mat in inputs:
+            assert disjoint_rows(mat)
+            assert bit_equal(normalize(mat), _orthonormalize(mat))
 
     @pytest.mark.parametrize("field", list(FieldTag))
     def test_generator_stacks_take_the_closed_form(self, field):
         mat = block_stack(field, 5, range(5)).reshape(-1, 100)
-        assert triple_module._disjoint_rows(mat)
-        assert bit_equal(_orthonormalize(mat), reference_orthonormalize(mat))
+        assert disjoint_rows(mat)
+        assert bit_equal(triple_module._normalized_rows(mat), _orthonormalize(mat))
 
     def test_wide_rows_use_the_loops_norm(self):
         # with 50 nonzeros a row, the order of summation shows in the last bits
@@ -586,8 +585,8 @@ class TestClosedForm:
         mat = np.zeros((8, 400))
         for r in range(8):
             mat[r, r::8] = rng.standard_normal(50)
-        assert triple_module._disjoint_rows(mat)
-        assert bit_equal(_orthonormalize(mat), reference_orthonormalize(mat))
+        assert disjoint_rows(mat)
+        assert bit_equal(triple_module._normalized_rows(mat), _orthonormalize(mat))
 
     @pytest.mark.parametrize("layout", ["strided", "F"])
     def test_wide_rows_in_other_layouts_use_the_loops_norm(self, layout):
@@ -597,45 +596,16 @@ class TestClosedForm:
         for r in range(8):
             wide[r, 2 * r::16] = rng.standard_normal(50)
         mat = wide[:, ::2] if layout == "strided" else np.asfortranarray(wide[:, ::2])
-        assert not mat.flags.c_contiguous and triple_module._disjoint_rows(mat)
-        assert bit_equal(_orthonormalize(mat), reference_orthonormalize(mat))
-
-    @pytest.mark.parametrize("row", [0, 2])
-    def test_negative_zero(self, row):
-        mat = np.zeros((4, 8))
-        mat[0, :2] = 3.0, -4.0
-        mat[2, 3] = 0.5
-        mat[3, 5:] = 1.0, 2.0, 2.0
-        mat[row, 7 if row else 4] = -0.0
-        got = _orthonormalize(mat)
-        assert bit_equal(got, reference_orthonormalize(mat))
-        assert got.shape == (3, 8)  # the all-zero row 1 is dropped
+        assert not mat.flags.c_contiguous and disjoint_rows(mat)
+        assert bit_equal(triple_module._normalized_rows(mat), _orthonormalize(mat))
 
     def test_all_zero_and_tiny_rows_are_dropped(self):
         mat = np.zeros((4, 6))
         mat[0, 0], mat[2, 1], mat[3, 2] = 1e-12, 2.0, 1e-300
-        got = _orthonormalize(mat)
-        assert triple_module._disjoint_rows(mat)
-        assert bit_equal(got, reference_orthonormalize(mat))
+        got = triple_module._normalized_rows(mat)
+        assert disjoint_rows(mat)
+        assert bit_equal(got, _orthonormalize(mat))
         assert bit_equal(got, np.eye(6)[1:2])
-
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the loop
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_keeps_the_loop(self, bad):
-        mat = np.eye(5)[:4].copy()
-        mat[2, 4] = bad
-        assert not triple_module._disjoint_rows(mat)
-        assert bit_equal(_orthonormalize(mat), reference_orthonormalize(mat))
-
-    def test_overlapping_rows_keep_the_loop(self):
-        rng = np.random.default_rng(11)
-        rows = rng.standard_normal((4, 12))
-        mat = np.vstack([rows, rows[0] - 3.0 * rows[1], np.eye(12)[:3]])
-        assert not triple_module._disjoint_rows(mat)
-        assert bit_equal(_orthonormalize(mat), reference_orthonormalize(mat))
-        tied = np.zeros((2, 4))
-        tied[0, :2] = tied[1, 1:3] = 1.0
-        assert bit_equal(_orthonormalize(tied), reference_orthonormalize(tied))
 
 
 def _rotated_so4_chain():
@@ -717,8 +687,8 @@ class TestStabilizer:
                                   t1s3.g_basis)
 
     def test_so4_stabilizer_dimension(self):
-        g = Subspace.from_spanning(block_stack(FieldTag.REAL, 4, range(4)), FieldTag.REAL)
-        h = Subspace.from_spanning(block_stack(FieldTag.REAL, 4, [1, 2, 3]), FieldTag.REAL)
+        g = from_spanning(block_stack(FieldTag.REAL, 4, range(4)), FieldTag.REAL)
+        h = from_spanning(block_stack(FieldTag.REAL, 4, [1, 2, 3]), FieldTag.REAL)
         a = basis_element(FieldTag.REAL, 4, 0, 1, 0)
         out = stabilizer_subalgebra(h, a, g)
         assert out.dim == 1  # rotations of the (e2, e3) plane
@@ -758,15 +728,15 @@ class TestEmptyBases:
 
     def test_complement_of_an_empty_basis_keeps_the_bits(self, field):
         rng = np.random.default_rng(4)
-        big = Subspace.from_spanning([random_skew(field, 3, rng) for _ in range(4)])
+        big = from_spanning([random_skew(field, 3, rng) for _ in range(4)])
         empty = Subspace(field, 3, np.zeros((0, 36)))
         got = triple_module._complement(big, empty, big.mat @ empty.mat.T)
         assert bit_equal(got.mat, _orthonormalize(big.mat))
 
     def test_stabilizer_of_an_empty_or_injective_h_has_no_rows(self, field):
-        g = Subspace.from_spanning(full_algebra_basis(field, 3), field)
+        g = from_spanning(full_algebra_basis(field, 3), field)
         a = basis_element(field, 3, 0, 1, 0)
-        injective = Subspace.from_spanning([basis_element(field, 3, 0, 2, 0)])  # [Y, A] != 0
+        injective = from_spanning([basis_element(field, 3, 0, 2, 0)])  # [Y, A] != 0
         for h in (Subspace(field, 3, np.zeros((0, 36))), injective):
             assert stabilizer_subalgebra(h, a, g).mat.shape == (0, 36)
 
