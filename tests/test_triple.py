@@ -607,6 +607,43 @@ class TestClosedForm:
         assert bit_equal(got, _orthonormalize(mat))
         assert bit_equal(got, np.eye(6)[1:2])
 
+    # rows outside `disjoint_rows` keep the loop: its bits are not pinned to the closed form's
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_negative_zero(self, row):
+        mat = np.zeros((4, 8))
+        mat[0, :2] = 3.0, -4.0
+        mat[2, 3] = 0.5
+        mat[3, 5:] = 1.0, 2.0, 2.0
+        mat[row, 7 if row else 4] = -0.0
+        assert not disjoint_rows(mat)
+        got = _orthonormalize(mat)
+        assert got.shape == (3, 8)  # the all-zero row 1 is dropped
+        assert np.array_equal(got, triple_module._normalized_rows(mat))  # the sign of a zero aside
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the loop
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_keeps_the_loop(self, bad):
+        mat = np.eye(5)[:4].copy()
+        mat[2, 4] = bad
+        assert not disjoint_rows(mat)
+        assert bit_equal(_orthonormalize(mat), np.eye(5)[[0, 1, 3]])  # the non-finite row is dropped
+
+    def test_overlapping_rows_keep_the_loop(self):
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((4, 12))
+        mat = np.vstack([rows, rows[0] - 3.0 * rows[1], np.eye(12)[:3]])
+        assert not disjoint_rows(mat)
+        got = _orthonormalize(mat)
+        assert got.shape == (7, 12)  # the dependent row 4 is dropped
+        assert np.allclose(got @ got.T, np.eye(7), rtol=0.0, atol=1e-12)
+        assert np.linalg.matrix_rank(np.vstack([got, mat]), tol=1e-8) == 7
+        tied = np.zeros((2, 4))
+        tied[0, :2] = tied[1, 1:3] = 1.0
+        assert not disjoint_rows(tied)
+        expected = np.array([[1.0, 1.0, 0.0, 0.0], [-1.0, 1.0, 2.0, 0.0]])
+        assert np.allclose(_orthonormalize(tied), expected / np.sqrt([[2.0], [6.0]]), rtol=0.0, atol=1e-15)
+
 
 def _rotated_so4_chain():
     """g = so(4) and h = so(3) on slots 1..3, each part in a random orthonormal frame: h's rows are rows of g.
