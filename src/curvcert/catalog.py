@@ -6,8 +6,8 @@ recording known structural facts.  Every family builds its chain with
 `_block_triple` from generator stacks: `block_stack`'s generators, plus
 m_kl's weight row, t1_projective's tied blocks and t1s3_product's slot
 sums.  Each stack is scaled to unit rows by
-`Subspace.from_generators`, and the chain layer nests each pair by index
-wherever its rows say so, as it does for the export files.
+`Subspace.from_generators`, and the chain layer nests each pair as it does
+for the export files: rows the sub names by index, its own rows by projection.
 All entries go through one constructor, `_entry`, which declares once that
 every catalog chain is a rank-one symmetric pair.  The metadata is
 descriptive: part3 and scan recompute the symmetric pair with
@@ -58,8 +58,8 @@ def _block_triple(field: FieldTag, g: np.ndarray, h: np.ndarray, k: np.ndarray, 
     Every stack meets `Subspace.from_generators`' contract: skew rows with
     disjoint supports and norm at least 1, as `block_stack`'s generators,
     m_kl's weight row, t1_projective's tied blocks and t1s3_product's slot
-    sums are.  The pairs nest by the one rule of `_nested_triple`: by index
-    where the sub rows are rows of the sup, by projection otherwise.
+    sums are.  Each pair nests by `_nested_triple`'s one rule: rows the sub
+    names by index, its own rows (tied blocks, weight rows, slot sums) by projection.
     """
     return _nested_triple(*(Subspace.from_generators(stack, field) for stack in (g, h, k)),
                           label, a)
@@ -79,8 +79,8 @@ def t1s3_product() -> CatalogEntry:
     """Unit tangent bundle of S^3 via the product sp(1) + sp(1), diagonal h.
 
     h is spanned by the slot sums (z, z), k = span{(i, i)}, base point
-    A = (i, -i)/sqrt(2).  h's rows are no rows of g, so (g, h) nests by
-    projection.
+    A = (i, -i)/sqrt(2).  h's rows are no rows of g, so all of them are own
+    rows of (g, h), projected off all of g.
     """
     field = FieldTag.QUATERNION
     g = block_stack(field, 2, [0], [1])  # i, j, k at slot 0, then at slot 1

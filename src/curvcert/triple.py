@@ -2,13 +2,13 @@
 
 A Triple stores orthonormal bases (under the bi-invariant inner product) for
 the three nested algebras plus the derived complements, each pair nested by
-one rule (`_nested_complement`).  A chain enters as generator rows
-(`Subspace.from_generators`, the catalog) or as the rows of a
-curvcert-triple/1 document, which this module reads and writes; it also
-verifies symmetric pairs.  The constructors from arbitrary spans
-(`make_triple`), the stabilizer of A in h and the Phi operator of the
-one-parameter deformed metric, which no certifier reads, live with their
-tests in tests/helpers.py.
+one rule (`_nested_complement`: rows the sub names by index, its own rows by
+projection).  A chain enters as generator rows (`Subspace.from_generators`,
+the catalog) or as the rows of a curvcert-triple/1 document, which this
+module reads and writes; it also verifies symmetric pairs.  The constructors
+from arbitrary spans (`make_triple`), the stabilizer of A in h and the Phi
+operator of the one-parameter deformed metric, which no certifier reads,
+live with their tests in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -148,11 +148,6 @@ def _empty_subspace(field: FieldTag, n: int) -> Subspace:
     return Subspace(field, n, np.zeros((0, n * n * 4)))
 
 
-def _complement(big: Subspace, small: Subspace, cross: np.ndarray) -> Subspace:
-    """Orthonormal basis of big minus the span of small, given cross = big.mat @ small.mat.T."""
-    return Subspace(big.field, big.n, _orthonormalize(big.mat - cross @ small.mat))
-
-
 @dataclass(frozen=True)
 class Triple:
     field: FieldTag
@@ -183,7 +178,7 @@ class Triple:
 def _nested_triple(
     g: Subspace, h: Subspace, k: Subspace, label: str, base_point: Optional[AlgElement],
 ) -> Triple:
-    """Check k < h, then h < g, on orthonormal bases, and derive the complements m and p (`_nested_complement`)."""
+    """Check k < h, then h < g, on orthonormal bases, and derive m and p, each by the one rule of `_nested_complement`."""
     m, p = (_nested_complement(name, sub, sup) for name, sub, sup in (("k", k, h), ("h", h, g)))
     if m.dim != h.dim - k.dim or p.dim != g.dim - h.dim:
         raise ValueError("derived complement dimensions are inconsistent")
@@ -191,28 +186,27 @@ def _nested_triple(
 
 
 def _nested_complement(name: str, sub: Subspace, sup: Subspace) -> Subspace:
-    """sup minus sub, nested by index when every row of a non-empty sub is, bit for bit, a row of sup.
+    """sup minus sub: the sup rows the sub names drop out by index, the sub's own rows by projection.
 
     Each sub row gets one candidate, the (last) sup row whose largest |entry|
-    sits at the same position, and one bitwise compare settles it: the
-    catalog's block chains and their export files nest so.  Then no residual
-    is read, and the complement is sup's other rows, scaled as
-    `_complement`'s closed form scales them, in sup's order.  Any other pair
-    (a wrong or missing candidate, an empty sub) nests by projection: one
-    product sup.mat @ sub.mat.T, whose transpose the nesting residual reads
-    and `_complement` the product itself.
+    sits at the same position, and one bitwise compare says whether the sub
+    names it.  The sub's other rows, its own rows, must lie in span(sup)
+    (else NotInSpan) and are projected off the sup rows left by one product.
+    The rows left, in sup's order, are the complement: Gram-Schmidt when
+    there are own rows, else the loop's closed form for disjoint rows.
     """
-    if sub.dim:
-        peak_row = dict(zip(np.abs(sup.mat).argmax(axis=1).tolist(), range(sup.dim)))
-        rows = [peak_row.get(peak, -1) for peak in np.abs(sub.mat).argmax(axis=1).tolist()]
-        if -1 not in rows and np.array_equal(sub.mat.view(np.uint64),
-                                             sup.mat[rows].view(np.uint64)):
-            return Subspace(sup.field, sup.n, _normalized_rows(np.delete(sup.mat, rows, axis=0)))
-    cross = sup.mat @ sub.mat.T
-    resid = np.linalg.norm(sub.mat - cross.T @ sup.mat, axis=1)
-    if resid.max(initial=0.0) > _ORTHO_TOL:
+    peak_row = dict(zip(np.abs(sup.mat).argmax(axis=1).tolist(), range(sup.dim)))
+    rows = np.array([peak_row.get(peak, -1) for peak in np.abs(sub.mat).argmax(axis=1).tolist()],
+                    dtype=np.intp)
+    named = rows >= 0  # the sub rows with a candidate, then those that equal it
+    named[named] = (sub.mat[named].view(np.uint64) == sup.mat[rows[named]].view(np.uint64)).all(axis=1)
+    own, rest = sub.mat[~named], np.delete(sup.mat, rows[named], axis=0)
+    if not len(own):
+        return Subspace(sup.field, sup.n, _normalized_rows(rest))
+    resid = np.linalg.norm(own - (own @ sup.mat.T) @ sup.mat, axis=1)
+    if resid.max() > _ORTHO_TOL:
         raise NotInSpan(f"{name}-basis vector leaves its ambient span (residual {resid.max():.2e})")
-    return _complement(sup, sub, cross)
+    return Subspace(sup.field, sup.n, _orthonormalize(rest - (rest @ own.T) @ own))
 
 
 def project(triple: Triple, comps: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+import curvcert.triple as triple_module
 from curvcert.algebra import (
     AlgElement,
     FieldTag,
@@ -51,7 +52,6 @@ from curvcert.triple import (
     Subspace,
     Triple,
     _check_in_g,
-    _complement,
     _document,
     _empty_subspace,
     _nested_triple,
@@ -499,9 +499,9 @@ def reference_block_triple(entry_id: str, **params) -> Triple:
     For the block families, the same generator stacks, base point and label
     as the catalog's builder, taken as spans: each is checked and
     orthonormalized (`from_spanning`), and m and p are the complements from
-    the cross products (`triple._complement`), whatever rows the bases
-    share, so the catalog's index path is compared with the projection
-    path.  entry_id is t1_sphere, t1_projective, pt_projective, m_kl or
+    the cross products (`projection_complement`), whatever rows the bases
+    share, so the catalog's nesting by index is compared with projection
+    alone.  entry_id is t1_sphere, t1_projective, pt_projective, m_kl or
     sp_example, with the builder's parameters (field a FieldTag), or
     t1s3_product, whose triple is its build through `make_triple` from
     before the catalog took its slot sums as generator rows.
@@ -547,9 +547,29 @@ def reference_block_triple(entry_id: str, **params) -> Triple:
     return _by_projection(g, h, k, label, a)
 
 
+def projection_complement(sup: Subspace, sub: Subspace) -> Subspace:
+    """sup minus sub by projection alone: Gram-Schmidt of every sup row less its projection on sub.
+
+    The rows that sub shares with sup project to residuals the loop drops,
+    so on block chains this gives the bits of `triple._nested_complement`,
+    which drops them by index and projects only the sub's other rows.
+    """
+    cross = sup.mat @ sub.mat.T
+    return Subspace(sup.field, sup.n, _orthonormalize(sup.mat - cross @ sub.mat))
+
+
+def count_loop_rows(monkeypatch) -> list:
+    """The row count of each Gram-Schmidt loop (`triple._orthonormalize`) run from here on, in order."""
+    rows = []
+    loop = triple_module._orthonormalize
+    monkeypatch.setattr(triple_module, "_orthonormalize",
+                        lambda mat: rows.append(len(mat)) or loop(mat))
+    return rows
+
+
 def _by_projection(g: Subspace, h: Subspace, k: Subspace, label: str, a: AlgElement) -> Triple:
-    """The chain with m and p from the cross products of its pairs, as the projection path forms them."""
-    m, p = (_complement(sup, sub, sup.mat @ sub.mat.T) for sub, sup in ((k, h), (h, g)))
+    """The chain with m and p from the cross products of its pairs (`projection_complement`)."""
+    m, p = (projection_complement(sup, sub) for sub, sup in ((k, h), (h, g)))
     return Triple(g.field, g.n, g, h, k, m, p, label=label, base_point=a)
 
 

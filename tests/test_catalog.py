@@ -23,6 +23,7 @@ from helpers import (
     Part,
     Quaternion,
     bit_equal,
+    count_loop_rows,
     project,
     reference_block_triple,
     sampled_min_ad,
@@ -247,18 +248,26 @@ BLOCK_CASES = (
 )
 
 
-# the entries of the benchmark's catalog-part3 workload, each with the `_complement` calls of
-# its build: one for a k whose rows are no rows of h (t1_projective's tied blocks, m_kl's
-# weight row) or that is empty (t1_sphere(2) and pt_projective(R, 2): a real 1 x 1 block has
-# no generator), and one for t1s3_product's h of slot sums
+# the entries of the benchmark's catalog-part3 workload, each with the rows its build sends
+# through the Gram-Schmidt loop: h's rows that k does not name, for a k with rows of its own
+# (t1_projective's tied blocks, m_kl's weight row), and g's rows for t1s3_product's h of slot
+# sums; an empty k (t1_sphere(2) and pt_projective(R, 2): a real 1 x 1 block has no
+# generator) names no row and has no own row
 PART3_CASES = (
-    [(t1s3_product, {}, 1)] + [(t1_sphere, {"n": n}, int(n == 2)) for n in range(2, 11)]
-    + [(t1_projective, {"field": f, "n": n}, 1) for f in (FieldTag.COMPLEX, FieldTag.QUATERNION)
-       for n in (2, 3)]
-    + [(pt_projective, {"field": f, "n": 2}, int(f is FieldTag.REAL)) for f in FieldTag]
-    + [(m_kl, {"n": n, "k": 1, "l": 1}, 1) for n in (2, 3)]
+    [(t1s3_product, {}, 6)] + [(t1_sphere, {"n": n}, 0) for n in range(2, 11)]
+    + [(t1_projective, {"field": f, "n": n}, rows) for f, n, rows in (
+        (FieldTag.COMPLEX, 2, 4), (FieldTag.COMPLEX, 3, 6),
+        (FieldTag.QUATERNION, 2, 10), (FieldTag.QUATERNION, 3, 14))]
+    + [(pt_projective, {"field": f, "n": 2}, 0) for f in FieldTag]
+    + [(m_kl, {"n": n, "k": 1, "l": 1}, 2 * n) for n in (2, 3)]
     + [(sp_example, {"n": n}, 0) for n in range(2, 9)]
 )
+
+
+def named_rows(sub, sup) -> int:
+    """The rows of sub that are, bit for bit, rows of sup."""
+    return sum(any(np.array_equal(r.view(np.uint64), s.view(np.uint64)) for s in sup.mat)
+               for r in sub.mat)
 
 
 def _case_id(case) -> str:
@@ -290,32 +299,40 @@ class TestIndexPath:
     ])
     def test_only_a_k_of_non_generator_rows_takes_a_projection(self, monkeypatch, build,
                                                                by_projection):
-        calls = []
-        complement = triple_module._complement
-        monkeypatch.setattr(triple_module, "_complement",
-                            lambda big, small, cross: calls.append((big, small))
-                            or complement(big, small, cross))
+        rows = count_loop_rows(monkeypatch)
         triple = build().triple
-        assert len(calls) == by_projection
-        if by_projection:  # the (h, k) pair only
-            assert calls[0][0] is triple.h_basis and calls[0][1] is triple.k_basis
+        assert len(rows) == by_projection
+        if by_projection:  # the (h, k) pair only, less the rows of h that k names
+            assert rows == [triple.h_basis.dim - named_rows(triple.k_basis, triple.h_basis)]
 
     @pytest.mark.parametrize("case", PART3_CASES, ids=_case_id)
     def test_an_export_loads_by_the_projections_of_its_build(self, monkeypatch, tmp_path, case):
-        # the file's h and k rows are the bits of the build's, so the same pairs nest by index
-        builder, params, projections = case
-        calls = []
-        complement = triple_module._complement
-        monkeypatch.setattr(triple_module, "_complement",
-                            lambda big, small, cross: calls.append(1) or complement(big, small, cross))
+        # the file's h and k rows are the bits of the build's, so the same rows nest by index
+        builder, params, loop_rows = case
+        rows = count_loop_rows(monkeypatch)
         built = builder(**params).triple
-        assert len(calls) == projections
+        assert sum(rows) == loop_rows
         path = tmp_path / "triple.json"
         path.write_text(triple_to_json(built))
         loaded = load_triple(str(path))
-        assert len(calls) == 2 * projections
+        assert sum(rows) == 2 * loop_rows
         for name in ("g_basis", "h_basis", "k_basis", "m_basis", "p_basis"):
             assert bit_equal(getattr(loaded, name).mat, getattr(built, name).mat), name
+
+    @pytest.mark.parametrize("build,loop_rows", [
+        (lambda: t1_projective(FieldTag.QUATERNION, 8), 34),  # h's 139 rows less the 105 k names
+        (lambda: m_kl(8, 1, 1), 16),  # h's 65 rows less k's 49 block rows
+        (lambda: t1_projective(FieldTag.COMPLEX, 2), 4),  # h's 5 rows less k's 1 block row
+        (lambda: m_kl(2, 1, 1), 4),  # the same, with the weight row as k's own row
+        (lambda: pt_projective(FieldTag.REAL, 2), 0),  # an empty k: no own rows
+        (t1s3_product, 6),  # all of g: none of h's slot sums is a row of g
+        (lambda: sp_example(8), 0),  # k's and h's rows are all rows of h and g
+    ], ids=["t1_projective(H,8)", "m_kl(8,1,1)", "t1_projective(C,2)", "m_kl(2,1,1)",
+            "pt_projective(R,2)", "t1s3_product", "sp_example(8)"])
+    def test_the_loop_takes_only_the_rows_that_no_sub_names(self, monkeypatch, build, loop_rows):
+        rows = count_loop_rows(monkeypatch)
+        build()
+        assert sum(rows) == loop_rows
 
     def test_generator_rows_skip_the_input_checks(self, monkeypatch):
         # sp_example's g, h and k are generator rows: no check_skew before the bases are
@@ -331,8 +348,8 @@ class TestIndexPath:
         assert loops == []
 
     def test_a_sub_basis_naming_a_generator_its_ambient_lacks_raises(self):
-        # such a pair has a row that is no row of its ambient, so it goes to the projection
-        # path, whose residual rejects it
+        # such a row is no row of its ambient, so it is an own row of the sub, whose residual
+        # rejects it
         field, a = FieldTag.COMPLEX, m_kl(2, 1, 1).base_point_A
 
         def blocks(*index_sets):

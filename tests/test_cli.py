@@ -216,8 +216,8 @@ class TestExportRoundTrip:
         assert code == 0
         assert json.loads(out)["verdict"] == "CERTIFIED"
 
-    # every entry of perfbench's catalog-part3 workload: the entry and its export nest
-    # the same pairs by index and the rest by projection
+    # every entry of perfbench's catalog-part3 workload: the entry and its export name the
+    # same sup rows, and project the same own rows of their subs
     @pytest.mark.parametrize("entry", [
         ["--entry", "t1s3_product"],
         *(["--entry", "t1_sphere", "--n", str(n)] for n in range(2, 11)),
@@ -232,6 +232,28 @@ class TestExportRoundTrip:
         assert code == 0
         assert run(capsys, "export", *entry, "--out", str(path)) == (0, "", "")
         assert run(capsys, "check", "--file", str(path), "--method", "part3") == (0, by_entry, "")
+
+    # the entries whose pairs have rows of their own, projected off the rows that the sub
+    # does not name, in g (t1s3_product's slot sums) or in h (tied blocks, weight rows)
+    @pytest.mark.parametrize("entry", [
+        ["--entry", "t1s3_product"],
+        *(["--entry", "t1_projective", "--field", f, "--n", "2"] for f in "CH"),
+        ["--entry", "m_kl", "--n", "2", "--k", "1", "--l", "1"],
+        ["--entry", "m_kl", "--n", "3", "--k", "2", "--l", "-3"],
+        ["--entry", "pt_projective", "--field", "R", "--n", "2"],
+    ], ids=lambda argv: "-".join(argv[1::2]))
+    @pytest.mark.parametrize("search", [
+        ["check", "--method", "fat", "--starts", "16"],
+        ["scan", "--s-values", "0,0.1", "--starts", "4"],
+    ], ids=["fat", "scan"])
+    def test_search_report_of_the_entry_and_of_its_export_agree(self, capsys, tmp_path, entry,
+                                                                search):
+        path = tmp_path / "triple.json"
+        command, *flags = search
+        by_entry = run(capsys, command, *entry, *flags)
+        assert by_entry[0] in (0, 1) and by_entry[1]
+        assert run(capsys, "export", *entry, "--out", str(path)) == (0, "", "")
+        assert run(capsys, command, "--file", str(path), *flags) == by_entry
 
     @pytest.mark.parametrize("n", sorted(OLD_T1_SPHERE_EXPORTS))
     def test_an_old_t1_sphere_file_gives_the_reports_of_the_entry(self, capsys, tmp_path, n):

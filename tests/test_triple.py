@@ -33,7 +33,7 @@ from curvcert.triple import (
     NotInSpan,
     Subspace,
     Triple,
-    _complement,
+    _nested_complement,
     _nested_triple,
     _orthonormalize,
     is_symmetric_pair,
@@ -46,6 +46,7 @@ from helpers import (
     Part,
     basis_element,
     bit_equal,
+    count_loop_rows,
     disjoint_rows,
     elements,
     from_spanning,
@@ -53,6 +54,7 @@ from helpers import (
     make_triple,
     phi,
     project,
+    projection_complement,
     randomly_rebased,
     sp1_pair,
     stabilizer_subalgebra,
@@ -665,26 +667,17 @@ def _rotated_so4_chain():
 
 
 class TestNestingRule:
-    """A pair nests by index exactly when every row of a non-empty sub is, bit for bit, a row of its sup."""
-
-    @staticmethod
-    def count_complements(monkeypatch):
-        calls = []
-        complement = triple_module._complement
-        monkeypatch.setattr(triple_module, "_complement",
-                            lambda big, small, cross: calls.append((big, small))
-                            or complement(big, small, cross))
-        return calls
+    """The sup rows a sub names, bit for bit, drop out by index; only the sub's own rows are projected off the rest."""
 
     def test_rows_of_g_in_a_rotated_frame_nest_by_index(self, monkeypatch):
         g, h = _rotated_so4_chain()
         k = Subspace(h.field, h.n, h.mat[1:])  # rows of h: also by index
-        calls = self.count_complements(monkeypatch)
+        rows = count_loop_rows(monkeypatch)
         triple = _nested_triple(g, h, k, "rotated", None)
-        assert calls == []
+        assert rows == []
         assert bit_equal(triple.m_basis.mat, triple_module._normalized_rows(h.mat[:1]))
         # by index, p is g's other rows; by projection, Gram-Schmidt of their residuals
-        by_projection = _complement(g, h, g.mat @ h.mat.T)
+        by_projection = projection_complement(g, h)
         assert not bit_equal(triple.p_basis.mat, by_projection.mat)
         projector = triple.p_basis.mat.T @ triple.p_basis.mat
         assert np.abs(projector - by_projection.mat.T @ by_projection.mat).max() <= 1e-12
@@ -694,21 +687,36 @@ class TestNestingRule:
         c, s = math.cos(1e-3), math.sin(1e-3)  # rows 0 and 1 turned in their plane: no rows of g
         h = Subspace(h.field, h.n, np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]) @ h.mat)
         k = Subspace(h.field, h.n, h.mat[1:])
-        calls = self.count_complements(monkeypatch)
+        rows = count_loop_rows(monkeypatch)
         triple = _nested_triple(g, h, k, "tilted", None)
-        assert [(big, small) for big, small in calls] == [(g, h)]
+        assert rows == [g.dim - 1]  # h's row 2 is still a row of g, and drops out by index
         assert triple.dims == {"g": 6, "h": 3, "k": 2, "m": 1, "p": 3}
+        by_projection = projection_complement(g, h)
+        projector = triple.p_basis.mat.T @ triple.p_basis.mat
+        assert np.abs(projector - by_projection.mat.T @ by_projection.mat).max() <= 1e-12
 
-    def test_an_empty_k_keeps_the_projection_bits(self, monkeypatch):
-        # by index, an empty k would leave m = h's rows rescaled; by projection, m is
-        # Gram-Schmidt of h's rows, the bits an empty k has always given
+    def test_an_empty_k_leaves_the_rows_of_h_rescaled(self, monkeypatch):
+        # an empty k names no row and has no own row: m is h's rows rescaled, where
+        # projection alone takes Gram-Schmidt of them; the span is the same
         g, h = _rotated_so4_chain()
         k = Subspace(h.field, h.n, np.zeros((0, h.mat.shape[1])))
-        calls = self.count_complements(monkeypatch)
+        rows = count_loop_rows(monkeypatch)
         triple = _nested_triple(g, h, k, "empty k", None)
-        assert len(calls) == 1 and calls[0][0] is h and calls[0][1] is k
-        assert bit_equal(triple.m_basis.mat, _orthonormalize(h.mat))
-        assert not bit_equal(triple.m_basis.mat, triple_module._normalized_rows(h.mat))
+        assert rows == []
+        assert bit_equal(triple.m_basis.mat, triple_module._normalized_rows(h.mat))
+        by_projection = projection_complement(h, k)
+        assert not bit_equal(triple.m_basis.mat, by_projection.mat)
+        projector = triple.m_basis.mat.T @ triple.m_basis.mat
+        assert np.abs(projector - by_projection.mat.T @ by_projection.mat).max() <= 1e-12
+
+
+    def test_rows_over_an_empty_sup_leave_its_span(self):
+        # no sup row is a candidate: every sub row is an own row, with residual 1
+        g, h = _rotated_so4_chain()
+        empty = Subspace(h.field, h.n, np.zeros((0, h.mat.shape[1])))
+        with pytest.raises(NotInSpan, match=r"^h-basis vector leaves its ambient span \(residual 1"):
+            _nested_triple(empty, h, Subspace(h.field, h.n, h.mat[:0]), "empty g", None)
+        assert _nested_complement("k", empty, empty).mat.shape == (0, h.mat.shape[1])
 
 
 class TestStabilizer:
@@ -764,11 +772,13 @@ class TestEmptyBases:
             assert bit_equal(empty.project_flat(v), np.zeros_like(v))
 
     def test_complement_of_an_empty_basis_keeps_the_bits(self, field):
+        # an empty sub names no row and has no own row: its complement is big's rows rescaled
         rng = np.random.default_rng(4)
         big = from_spanning([random_skew(field, 3, rng) for _ in range(4)])
         empty = Subspace(field, 3, np.zeros((0, 36)))
-        got = triple_module._complement(big, empty, big.mat @ empty.mat.T)
-        assert bit_equal(got.mat, _orthonormalize(big.mat))
+        got = _nested_complement("k", empty, big)
+        assert bit_equal(got.mat, triple_module._normalized_rows(big.mat))
+        assert np.abs(got.mat - big.mat).max() <= 1e-15
 
     def test_stabilizer_of_an_empty_or_injective_h_has_no_rows(self, field):
         g = from_spanning(full_algebra_basis(field, 3), field)

@@ -19,9 +19,22 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from curvcert.algebra import AlgElement, FieldTag  # noqa: E402
 from curvcert.catalog import m_kl, t1_sphere  # noqa: E402
 from curvcert.cli import main  # noqa: E402
-from curvcert.triple import load_triple, triple_to_json  # noqa: E402
+from curvcert.triple import (  # noqa: E402
+    NotInSpan,
+    Subspace,
+    _nested_complement,
+    load_triple,
+    triple_to_json,
+)
 
-from helpers import bit_equal, randomly_rebased, save_triple, triple_to_dict  # noqa: E402
+from helpers import (  # noqa: E402
+    bit_equal,
+    full_algebra_basis,
+    projection_complement,
+    randomly_rebased,
+    save_triple,
+    triple_to_dict,
+)
 from test_triple import FAMILIES, _unchecked_subspace  # noqa: E402
 
 # deterministic, and nothing written to disk between runs
@@ -95,6 +108,59 @@ class TestRoundTrip:
         # a file holds no m or p: loading derives them as the catalog did, whatever their basis
         for name in ("m_basis", "p_basis"):
             assert bit_equal(getattr(loaded, name).mat, getattr(original, name).mat)
+
+
+class TestNesting:
+    """Subs of rows of their sup (bit for bit) and unit combinations of its other rows, in a random frame."""
+
+    @staticmethod
+    def pair(field, dim, subset, combos, seed):
+        """(sup, sub, out) over the algebra of 3 x 3 matrices, in a random orthonormal frame of it.
+
+        sup is the frame's first dim rows; sub is sup's rows at subset, then
+        combos orthonormal combinations of sup's other rows; out is the
+        frame's next row, a unit vector orthogonal to span(sup).
+        """
+        rng = np.random.default_rng(seed)
+        algebra = full_algebra_basis(field, 3).reshape(-1, 36)
+        frame = np.linalg.qr(rng.standard_normal((len(algebra), len(algebra))))[0] @ algebra
+        sup = frame[:dim]
+        rest = np.delete(sup, subset, axis=0)
+        mix = np.linalg.qr(rng.standard_normal((len(rest), len(rest))))[0][:combos]
+        sub = np.concatenate([sup[subset], mix @ rest])
+        return Subspace(field, 3, sup), Subspace(field, 3, sub), frame[dim]
+
+    @staticmethod
+    def draws(data):
+        field = data.draw(st.sampled_from(list(FieldTag)), label="field")
+        dim = data.draw(st.integers(1, {FieldTag.REAL: 2, FieldTag.COMPLEX: 8,
+                                        FieldTag.QUATERNION: 20}[field]), label="dim")
+        subset = data.draw(st.lists(st.integers(0, dim - 1), unique=True), label="subset")
+        combos = data.draw(st.integers(0, min(3, dim - len(subset))), label="combos")
+        return field, dim, subset, combos, data.draw(st.integers(0, 2**32 - 1), label="seed")
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_the_complement_spans_the_projection(self, data):
+        field, dim, subset, combos, seed = self.draws(data)
+        sup, sub, _ = self.pair(field, dim, subset, combos, seed)
+        got = _nested_complement("k", sub, sup)
+        assert got.mat.shape == (sup.dim - sub.dim, sup.mat.shape[1])
+        want = projection_complement(sup, sub)
+        assert np.abs(got.mat.T @ got.mat - want.mat.T @ want.mat).max() <= 1e-12
+
+    @PROPERTY
+    @given(data=st.data(), tilt=st.floats(1e-6, 1.5))
+    def test_a_sub_row_tilted_off_the_sup_raises(self, data, tilt):
+        field, dim, subset, combos, seed = self.draws(data)
+        if not subset and not combos:
+            combos = 1
+        sup, sub, out = self.pair(field, dim, subset, combos, seed)
+        row = data.draw(st.integers(0, sub.dim - 1), label="row")
+        mat = np.array(sub.mat)
+        mat[row] = math.cos(tilt) * mat[row] + math.sin(tilt) * out
+        with pytest.raises(NotInSpan, match=r"^k-basis vector leaves its ambient span"):
+            _nested_complement("k", Subspace(field, 3, mat), sup)
 
 
 # one document with an empty k, one with every basis filled
