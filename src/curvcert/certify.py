@@ -34,7 +34,8 @@ probe does not refute (see `_flat_plane_search`).
 part3 and the searches read brackets as coordinates along g or h
 (`algebra.pair_bracket_coords`).  These never exceed the bracket, so
 CERTIFIED stays sound; a REFUTED verdict stands only once its witness meets
-the threshold on the element path too (see `_unconfirmed`).
+the threshold on the element path too (see `_unconfirmed`): the search
+re-checks |[Z, W]|^2 itself, plus the element form of the second term.
 """
 
 from __future__ import annotations
@@ -242,11 +243,7 @@ def certify_part3(triple: Triple, a: AlgElement, tol: float = DEFAULT_TOL) -> Ce
         if unconfirmed := _unconfirmed(sigma_min, bracket(x, a).norm(), tol / 10.0):
             notes.extend(unconfirmed)
         else:
-            witness = FlatPairWitness(
-                Z=x,
-                W=(1.0 / max(a.norm(), 1e-300)) * a,
-                commutator_residual=sigma_min**2,
-            )
+            witness = FlatPairWitness(Z=x, W=(1.0 / a.norm()) * a, commutator_residual=sigma_min**2)
             verdict = Verdict.REFUTED
             notes.append("near-kernel vector of X -> [X, A] attached as witness")
     return CertReport(
@@ -561,25 +558,27 @@ _SEARCH_NOTES = {
 
 def _flat_plane_search(
     triple: Triple, method: Method, z_dom: Subspace,
-    second: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]],
-    elements: Sequence[Callable[[AlgElement, AlgElement], float]], budget: StartBudget,
-    tol: float, refute_tol: float, points: Sequence[Optional[float]] = (None,),
+    second: Optional[tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
+                           Callable[[int, AlgElement, AlgElement], float]]],
+    budget: StartBudget, tol: float, refute_tol: float,
+    points: Sequence[Optional[float]] = (None,),
 ) -> list[CertReport]:
     """The one search of fatness, part2 and the point scans, one report per point, set up here only.
 
     Minimizes |[Z, W]|^2 (along g) over orthonormal Z in z_dom, W in p, plus
-    |second_p(Z, W)|^2 when second, a map from the component stacks of the
-    two domains to a stack (P, dz, dw, dh) of pair tensors, is given
-    (part2's derivative objective, the horizontal term at each scan point,
-    both along h), at each point s of points at once.  The constraint
-    z^T gmat w = 0, the starts and the pair tensors, laid out once
-    (`_PairTensor`), serve every descent; a start stops at its first value
-    below refute_tol/2.  A point's minimum below refute_tol refutes with
-    the pair as witness, once elements[p](Z, W), the same sum on the element
-    path, is below refute_tol too (else INCONCLUSIVE); all starts bottoming
-    out above tol give a heuristic CERTIFIED; no orthonormal pair (a domain
-    is empty, or the Z-domain is one vector not orthogonal to p) is
-    vacuously CERTIFIED, with a note that says which.
+    a second term (part2's derivative objective, the horizontal term at each
+    scan point, both along h) when second gives its two forms: a map from
+    the component stacks of the two domains to a stack (P, dz, dw, dh) of
+    pair tensors, and its value at point p for elements Z, W.  The
+    constraint z^T gmat w = 0, the starts and the pair tensors, laid out
+    once (`_PairTensor`), serve every descent; a start stops at its first
+    value below refute_tol/2.  A point's minimum below refute_tol refutes
+    with the pair as witness, holding the search's term values, once
+    |[Z, W]|^2 by `bracket` plus the element form is below refute_tol too
+    (else INCONCLUSIVE); all starts bottoming out above tol give a
+    heuristic CERTIFIED; no orthonormal pair (a domain is empty, or the
+    Z-domain is one vector not orthogonal to p) is vacuously CERTIFIED,
+    with a note that says which.
 
     A budget of more than _PROBE_STARTS starts first descends its first
     _PROBE_STARTS at every point as a probe, which ends, per point, at its
@@ -606,7 +605,8 @@ def _flat_plane_search(
     gmat = gmat if constrained else None
     z_stack, w_stack = z_dom.comps(), w_dom.comps()
     commutator = pair_bracket_coords(triple.field, z_stack, w_stack, triple.g_basis.mat)
-    other = None if second is None else second(z_stack, w_stack)
+    tensor_form, element_form = second or (None, None)
+    other = None if tensor_form is None else tensor_form(z_stack, w_stack)
     tensor = _PairTensor(commutator[None] if other is None else np.concatenate(
         [np.broadcast_to(commutator, (len(other), *commutator.shape)), other], axis=3))
     z0, w0 = _starts(z_dom, w_dom, gmat, budget)
@@ -626,8 +626,11 @@ def _flat_plane_search(
                 W=from_flat(triple.field, triple.n, w @ w_dom.mat),
                 commutator_residual=comm, horizontal_residual=extra, point_s=s,
             )
+            element = bracket(witness.Z, witness.W).norm() ** 2
+            if element_form is not None:
+                element += element_form(p, witness.Z, witness.W)
             verdict, notes = Verdict.REFUTED, (refuted,)
-            if unconfirmed := _unconfirmed(val, elements[p](witness.Z, witness.W), refute_tol):
+            if unconfirmed := _unconfirmed(val, element, refute_tol):
                 verdict, witness, notes = Verdict.INCONCLUSIVE, None, unconfirmed
         elif val > tol:
             verdict = Verdict.CERTIFIED
@@ -653,11 +656,6 @@ def _flat_plane_search(
     return reports
 
 
-def _commutator_residual(z: AlgElement, w: AlgElement) -> float:
-    """|[Z, W]|^2 on the element path."""
-    return bracket(z, w).norm() ** 2
-
-
 def check_fatness(
     triple: Triple, budget: StartBudget = StartBudget(), tol: float = DEFAULT_TOL,
     refute_tol: float = DEFAULT_REFUTE_TOL,
@@ -667,8 +665,8 @@ def check_fatness(
     A pair with |[Z, W]|^2 below the refutation tolerance refutes fatness;
     all starts bottoming out above tol yields a heuristic CERTIFIED.
     """
-    return _flat_plane_search(triple, Method.FAT, triple.gk_basis(), None, (_commutator_residual,),
-                              budget, tol, refute_tol)[0]
+    return _flat_plane_search(triple, Method.FAT, triple.gk_basis(), None, budget, tol,
+                              refute_tol)[0]
 
 
 def certify_part2(
@@ -686,13 +684,10 @@ def certify_part2(
     """
     if unmet := _unmet_preconditions(triple, Method.PART2, a, tol, budget):
         return unmet[0]
-
-    def element(z: AlgElement, w: AlgElement) -> float:
-        return _commutator_residual(z, w) + _derivative_objective(triple, a, z, w)
-
-    return _flat_plane_search(triple, Method.PART2, triple.gk_basis(),
-                              lambda z, w: _derivative_tensor(triple, a, z, w)[None], (element,),
-                              budget, tol, DEFAULT_REFUTE_TOL)[0]
+    derivative = (lambda z, w: _derivative_tensor(triple, a, z, w)[None],
+                  lambda p, z, w: _derivative_objective(triple, a, z, w))
+    return _flat_plane_search(triple, Method.PART2, triple.gk_basis(), derivative, budget, tol,
+                              DEFAULT_REFUTE_TOL)[0]
 
 
 def _derivative_tensor(triple: Triple, a: AlgElement, z_stack: np.ndarray,
@@ -718,9 +713,9 @@ def _scan_points(triple: Triple, gs: np.ndarray, points: Sequence[Optional[float
                  budget: StartBudget, tol: float, refute_tol: float) -> list[CertReport]:
     """The flat-plane search at the points reached by the unitary stack gs (P, n, n, 4), as one search.
 
-    Only the horizontal tensor depends on the point: one stacked adjoint of
-    the Z- and W-domains, their projections to h, and their brackets along
-    h at each point.
+    Only the horizontal term depends on the point: as tensors, one stacked
+    adjoint of the Z- and W-domains, their projections to h and brackets
+    along h at each point; on elements, `horizontal_flat_residual` at gs[p].
     """
     def horizontal(z_stack: np.ndarray, w_stack: np.ndarray) -> np.ndarray:
         dz = len(z_stack)
@@ -729,12 +724,11 @@ def _scan_points(triple: Triple, gs: np.ndarray, points: Sequence[Optional[float
         return np.stack([pair_bracket_coords(triple.field, z, w, triple.h_basis.mat)
                          for z, w in zip(zh, wh)])
 
-    def element(g: np.ndarray):
-        return lambda z, w: sum(horizontal_flat_residual(
-            triple, GroupElement(triple.field, triple.n, g), z, w))
+    def element(p: int, z: AlgElement, w: AlgElement) -> float:
+        return horizontal_flat_residual(triple, GroupElement(triple.field, triple.n, gs[p]), z, w)[1]
 
-    return _flat_plane_search(triple, Method.POINT_SCAN, _scan_z_domain(triple), horizontal,
-                              [element(g) for g in gs], budget, tol, refute_tol, points)
+    return _flat_plane_search(triple, Method.POINT_SCAN, _scan_z_domain(triple),
+                              (horizontal, element), budget, tol, refute_tol, points)
 
 
 def _scan_z_domain(triple: Triple) -> Subspace:

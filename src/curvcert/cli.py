@@ -212,7 +212,7 @@ def _report_doc(report: CertReport, config: RunConfig, wall_ms) -> dict:
 
 def cmd_list(args) -> int:
     entries = list_catalog()
-    if (args.format or "json") == "json":
+    if args.format == "json":
         _emit(json.dumps(entries, indent=2), args.out)
     else:
         lines = []
@@ -312,8 +312,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
     # KeyError is a backstop: an input error must exit 3, never 1 (REFUTED)
     except (ValueError, KeyError, OSError) as exc:
         print(f"curvcert: error: {exc}", file=sys.stderr)

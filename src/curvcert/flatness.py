@@ -1,11 +1,11 @@
 """The horizontal zero-curvature-plane residual of the deformed left-invariant metric.
 
 The residual is returned as raw squared norms; verdict-making against
-tolerances lives in `certify`, which re-evaluates every refuting witness
-here, on single elements.  It does not depend on the deformation
-parameter t.  The deformed-metric residual |[Phi(X), Phi(Y)]|^2 +
-|[X^h, Y^h]|^2, which no certifier reads, lives with its tests in
-tests/helpers.py.
+tolerances lives in `certify`, which re-evaluates the horizontal term of
+a refuting scan witness here, on single elements (the commutator it
+re-checks by `bracket`).  It does not depend on the deformation parameter
+t.  The deformed-metric residual |[Phi(X), Phi(Y)]|^2 + |[X^h, Y^h]|^2,
+which no certifier reads, lives with its tests in tests/helpers.py.
 """
 
 from __future__ import annotations

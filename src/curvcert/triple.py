@@ -189,15 +189,15 @@ def _nested_complement(name: str, sub: Subspace, sup: Subspace) -> Subspace:
     """sup minus sub: the sup rows the sub names drop out by index, the sub's own rows by projection.
 
     Each sub row gets one candidate, the (last) sup row whose largest |entry|
-    sits at the same position, and one bitwise compare says whether the sub
-    names it.  The sub's other rows, its own rows, must lie in span(sup)
-    (else NotInSpan) and are projected off the sup rows left by one product.
-    The rows left, in sup's order, are the complement: Gram-Schmidt when
-    there are own rows, else the loop's closed form for disjoint rows.
+    has the same position and value, and one bitwise compare says whether
+    the sub names it.  The sub's other rows, its own rows, must lie in
+    span(sup) (else NotInSpan) and are projected off the sup rows left by
+    one product.  The rows left, in sup's order, are the complement:
+    Gram-Schmidt when there are own rows, else the loop's closed form for
+    disjoint rows.
     """
-    peak_row = dict(zip(np.abs(sup.mat).argmax(axis=1).tolist(), range(sup.dim)))
-    rows = np.array([peak_row.get(peak, -1) for peak in np.abs(sub.mat).argmax(axis=1).tolist()],
-                    dtype=np.intp)
+    peak_row = dict(zip(_peaks(sup.mat), range(sup.dim)))
+    rows = np.array([peak_row.get(peak, -1) for peak in _peaks(sub.mat)], dtype=np.intp)
     named = rows >= 0  # the sub rows with a candidate, then those that equal it
     named[named] = (sub.mat[named].view(np.uint64) == sup.mat[rows[named]].view(np.uint64)).all(axis=1)
     own, rest = sub.mat[~named], np.delete(sup.mat, rows[named], axis=0)
@@ -207,6 +207,12 @@ def _nested_complement(name: str, sub: Subspace, sup: Subspace) -> Subspace:
     if resid.max() > _ORTHO_TOL:
         raise NotInSpan(f"{name}-basis vector leaves its ambient span (residual {resid.max():.2e})")
     return Subspace(sup.field, sup.n, _orthonormalize(rest - (rest @ own.T) @ own))
+
+
+def _peaks(mat: np.ndarray):
+    """(position, value) of the largest |entry| of each row, the first such entry on a tie."""
+    pos = np.abs(mat).argmax(axis=1)
+    return zip(pos.tolist(), mat[np.arange(len(mat)), pos].tolist())
 
 
 def project(triple: Triple, comps: np.ndarray) -> np.ndarray:

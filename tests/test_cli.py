@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+import curvcert.certify as certify
 import curvcert.cli as cli_module
-from curvcert.algebra import FieldTag, block_stack
+from curvcert.algebra import FieldTag, block_stack, bracket
 from curvcert.catalog import build_entry, list_catalog, t1_sphere
 from curvcert.certify import (
     StartBudget,
@@ -547,6 +548,50 @@ class TestUnconfirmedRefutation:
         search, below, got = map(float, found[0])
         assert search == 0.0 and below == threshold
         assert math.isclose(got, element, rel_tol=1e-12)
+
+
+class TestSecondTermOnTheElementPath:
+    """A scan's and part2's refutation stands only once |[Z, W]|^2 plus the element form of their second term meets it.
+
+    Both refute on the catalog (the scan at s = 0); with 1.0 added to the
+    element form of the second term, the witness misses the threshold
+    there, and the note gives |[Z, W]|^2 plus the patched term.
+    """
+
+    @pytest.mark.parametrize("search", ["scan", "part2"])
+    def test_a_patched_term_leaves_the_refutation_unconfirmed(self, capsys, monkeypatch, search):
+        parts = []
+        if search == "scan":
+            real = certify.horizontal_flat_residual
+
+            def patched(triple, g, z, w):
+                comm, horiz = real(triple, g, z, w)
+                parts.append((comm, horiz + 1.0))
+                return comm, horiz + 1.0
+
+            monkeypatch.setattr(certify, "horizontal_flat_residual", patched)
+            argv = ["scan", "--entry", "t1s3_product", "--s-values", "0", "--starts", "4"]
+        else:
+            real = certify._derivative_objective
+
+            def patched(triple, a, z, w):
+                parts.append((bracket(z, w).norm() ** 2, real(triple, a, z, w) + 1.0))
+                return parts[-1][1]
+
+            monkeypatch.setattr(certify, "_derivative_objective", patched)
+            argv = ["check", "--entry", "m_kl", "--n", "2", "--k", "0", "--l", "1",
+                    "--method", "part2", "--starts", "8"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        doc = json.loads(out)
+        report = doc[0] if search == "scan" else doc
+        assert report["verdict"] == "INCONCLUSIVE" and report["witness"] is None
+        assert report["score"] < 1e-12
+        found = [m.groups() for m in map(TestUnconfirmedRefutation.NOTE.match, report["notes"]) if m]
+        # an unconfirmed probe (part2's 8 starts) is discarded and all starts descend
+        assert len(parts) == (1 if search == "scan" else 2) and len(found) == 1
+        comm, term = parts[-1]
+        assert found[0] == (repr(report["score"]), repr(1e-12), repr(comm + term))
 
 
 class TestDegenerateReports:

@@ -23,6 +23,7 @@ from curvcert.triple import (  # noqa: E402
     NotInSpan,
     Subspace,
     _nested_complement,
+    _normalized_rows,
     load_triple,
     triple_to_json,
 )
@@ -148,6 +149,16 @@ class TestNesting:
         assert got.mat.shape == (sup.dim - sub.dim, sup.mat.shape[1])
         want = projection_complement(sup, sub)
         assert np.abs(got.mat.T @ got.mat - want.mat.T @ want.mat).max() <= 1e-12
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_a_sub_of_sup_rows_leaves_the_other_rows_by_index(self, data):
+        # each sub row is, bit for bit, a row of sup, whichever other sup
+        # rows peak at the same position
+        field, dim, subset, _, seed = self.draws(data)
+        sup, sub, _ = self.pair(field, dim, subset, 0, seed)
+        got = _nested_complement("k", sub, sup)
+        assert bit_equal(got.mat, _normalized_rows(np.delete(sup.mat, subset, axis=0)))
 
     @PROPERTY
     @given(data=st.data(), tilt=st.floats(1e-6, 1.5))
