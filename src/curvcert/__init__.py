@@ -4,10 +4,8 @@ from .algebra import (
     AlgElement,
     FieldTag,
     GroupElement,
-    adjoint,
     bracket,
     group_exp,
-    inner,
 )
 from .catalog import (
     CatalogEntry,
@@ -30,10 +28,7 @@ from .certify import (
     min_ad_singular,
     scan_along_A,
 )
-from .flatness import (
-    FlatPairWitness,
-    horizontal_flat_residual,
-)
+from .flatness import FlatPairWitness
 from .triple import (
     Subspace,
     Triple,

@@ -192,6 +192,8 @@ def check_skew(field: FieldTag, comp: np.ndarray) -> None:
     active ones only, and for i <= j only: IEEE addition commutes and
     a - b = -(b - a) exactly, so the (j, i) residual is the same number.
     """
+    if not comp.size:  # no matrices: build no pairs, whatever n
+        return
     flat, scale = _check_components(field, comp)
     ij, ji, signs = _upper_pairs(field, comp.shape[-2])
     resid = flat[:, ji] * signs
@@ -220,7 +222,7 @@ class AlgElement:
 
     @property
     def flat(self) -> np.ndarray:
-        """Row-major component vector; Euclidean dot of flats equals `inner`."""
+        """Row-major component vector; the dot of two flats is their inner product."""
         return self.comp.ravel()
 
     def norm(self) -> float:
@@ -295,12 +297,6 @@ def bracket(x: AlgElement, y: AlgElement) -> AlgElement:
     return AlgElement(x.field, x.n, comp_bracket(x.comp, y.comp))
 
 
-def inner(x: AlgElement, y: AlgElement) -> float:
-    """Bi-invariant inner product Re tr(X * conj(Y)^T)."""
-    require_same(x, y)
-    return float(np.dot(x.flat, y.flat))
-
-
 def group_exp(x: AlgElement, s: float = 1.0) -> GroupElement:
     """exp(s*X); see `group_exps`."""
     return GroupElement(x.field, x.n, group_exps(x, [s])[0])
@@ -343,12 +339,6 @@ def group_exps(x: AlgElement, s_values) -> np.ndarray:
         raise InvalidElement(f"exp(s X) at s = {float(s_values[off][0])!r}"
                              " is not unitary to 1e-10")
     return result
-
-
-def adjoint(g: GroupElement, x: AlgElement) -> AlgElement:
-    """Adjoint action Ad_g X = g X g^{-1} (inverse = conjugate transpose)."""
-    require_same(g, x)
-    return AlgElement(x.field, x.n, comp_adjoint(g.comp, x.comp))
 
 
 def block_labels(field: FieldTag, *index_sets) -> list[tuple[int, int, int]]:

@@ -35,7 +35,8 @@ part3 and the searches read brackets as coordinates along g or h
 (`algebra.pair_bracket_coords`).  These never exceed the bracket, so
 CERTIFIED stays sound; a REFUTED verdict stands only once its witness meets
 the threshold on the element path too (see `_unconfirmed`): the search
-re-checks |[Z, W]|^2 itself, plus the element form of the second term.
+re-checks |[Z, W]|^2 + |[X^h, Y^h]|^2 itself, from the h-parts of the two
+images that part2 and the scans hand it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ import numpy as np
 
 from .algebra import (
     AlgElement,
-    GroupElement,
     bracket,
     comp_adjoint,
     from_flat,
@@ -59,7 +59,7 @@ from .algebra import (
     require_same,
     row_dots,
 )
-from .flatness import FlatPairWitness, horizontal_flat_residual
+from .flatness import FlatPairWitness
 from .triple import _IN_SPAN_TOL, Subspace, Triple, is_symmetric_pair, matrix_to_components, project
 
 DEFAULT_TOL = 1e-6
@@ -205,9 +205,8 @@ def _unconfirmed(search: float, element: float, threshold: float) -> tuple[str, 
     The searches and part3 read brackets as coordinates along g or h, which
     hold all of each bracket only when g and h are closed; otherwise they can
     only be smaller.  So a refutation stands only once its witness is
-    re-evaluated by `bracket`, `project` and
-    `flatness.horizontal_flat_residual`.  Both paths project through
-    `Subspace.project_flat`; the element path does not share their bracket:
+    re-evaluated on single elements by `bracket`.  Both paths take h-parts
+    by `Subspace.project_flat`; the element path does not share their bracket:
     it forms `comp_bracket`, not `pair_bracket_coords`.
     """
     if element < threshold:
@@ -558,26 +557,28 @@ _SEARCH_NOTES = {
 
 def _flat_plane_search(
     triple: Triple, method: Method, z_dom: Subspace,
-    second: Optional[tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
-                           Callable[[int, AlgElement, AlgElement], float]]],
+    second: Optional[tuple[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+                           Callable[[int, AlgElement, AlgElement], tuple[AlgElement, AlgElement]]]],
     budget: StartBudget, tol: float, refute_tol: float,
     points: Sequence[Optional[float]] = (None,),
 ) -> list[CertReport]:
     """The one search of fatness, part2 and the point scans, one report per point, set up here only.
 
     Minimizes |[Z, W]|^2 (along g) over orthonormal Z in z_dom, W in p, plus
-    a second term (part2's derivative objective, the horizontal term at each
-    scan point, both along h) when second gives its two forms: a map from
-    the component stacks of the two domains to a stack (P, dz, dw, dh) of
-    pair tensors, and its value at point p for elements Z, W.  The
-    constraint z^T gmat w = 0, the starts and the pair tensors, laid out
-    once (`_PairTensor`), serve every descent; a start stops at its first
-    value below refute_tol/2.  A point's minimum below refute_tol refutes
-    with the pair as witness, holding the search's term values, once
-    |[Z, W]|^2 by `bracket` plus the element form is below refute_tol too
-    (else INCONCLUSIVE); all starts bottoming out above tol give a
-    heuristic CERTIFIED; no orthonormal pair (a domain is empty, or the
-    Z-domain is one vector not orthogonal to p) is vacuously CERTIFIED,
+    a second term |[X^h, Y^h]|^2 (along h) for images X of Z and Y of W
+    (part2's Z and [A, W], a scan point's Ad_g Z and Ad_g W) when second
+    gives the h-parts of the images in two forms: a map from the component
+    stacks of the two domains to the stacks (P, dz, n, n, 4) and
+    (P, dw, n, n, 4) of their images' h-parts at each point, and a map from
+    point p and elements Z, W to the elements X^h, Y^h.  The search brackets
+    both forms itself.  The constraint z^T gmat w = 0, the starts and the
+    pair tensors, laid out once (`_PairTensor`), serve every descent; a
+    start stops at its first value below refute_tol/2.  A point's minimum
+    below refute_tol refutes with the pair as witness, holding the search's
+    term values, once |[Z, W]|^2 + |[X^h, Y^h]|^2 by `bracket` is below
+    refute_tol too (else INCONCLUSIVE); all starts bottoming out above tol
+    give a heuristic CERTIFIED; no orthonormal pair (a domain is empty, or
+    the Z-domain is one vector not orthogonal to p) is vacuously CERTIFIED,
     with a note that says which.
 
     A budget of more than _PROBE_STARTS starts first descends its first
@@ -605,8 +606,10 @@ def _flat_plane_search(
     gmat = gmat if constrained else None
     z_stack, w_stack = z_dom.comps(), w_dom.comps()
     commutator = pair_bracket_coords(triple.field, z_stack, w_stack, triple.g_basis.mat)
-    tensor_form, element_form = second or (None, None)
-    other = None if tensor_form is None else tensor_form(z_stack, w_stack)
+    images, element_images = second or (None, None)
+    other = None if images is None else np.stack([
+        pair_bracket_coords(triple.field, x, y, triple.h_basis.mat)
+        for x, y in zip(*images(z_stack, w_stack))])
     tensor = _PairTensor(commutator[None] if other is None else np.concatenate(
         [np.broadcast_to(commutator, (len(other), *commutator.shape)), other], axis=3))
     z0, w0 = _starts(z_dom, w_dom, gmat, budget)
@@ -627,8 +630,8 @@ def _flat_plane_search(
                 commutator_residual=comm, horizontal_residual=extra, point_s=s,
             )
             element = bracket(witness.Z, witness.W).norm() ** 2
-            if element_form is not None:
-                element += element_form(p, witness.Z, witness.W)
+            if element_images is not None:
+                element += bracket(*element_images(p, witness.Z, witness.W)).norm() ** 2
             verdict, notes = Verdict.REFUTED, (refuted,)
             if unconfirmed := _unconfirmed(val, element, refute_tol):
                 verdict, witness, notes = Verdict.INCONCLUSIVE, None, unconfirmed
@@ -679,31 +682,25 @@ def certify_part2(
     to k, W in p: a common zero is a commuting pair on which the criterion
     fails.  The verdict rule is fatness's with the fixed refutation
     threshold DEFAULT_REFUTE_TOL, so the score is the joint minimum, above
-    tol for a heuristic CERTIFIED.  Like part3, a run with A not in p is
-    INCONCLUSIVE, with a NaN score and no search (`_unmet_preconditions`).
+    tol for a heuristic CERTIFIED.  The search gets the h-parts of Z and
+    [A, W]; on elements [A, W] comes from `bracket` and may leave g.  Like
+    part3, a run with A not in p is INCONCLUSIVE, with a NaN score and no
+    search (`_unmet_preconditions`).
     """
     if unmet := _unmet_preconditions(triple, Method.PART2, a, tol, budget):
         return unmet[0]
-    derivative = (lambda z, w: _derivative_tensor(triple, a, z, w)[None],
-                  lambda p, z, w: _derivative_objective(triple, a, z, w))
-    return _flat_plane_search(triple, Method.PART2, triple.gk_basis(), derivative, budget, tol,
-                              DEFAULT_REFUTE_TOL)[0]
-
-
-def _derivative_tensor(triple: Triple, a: AlgElement, z_stack: np.ndarray,
-                       w_stack: np.ndarray) -> np.ndarray:
-    """The pair tensor [z_i^h, [A, w_k]^h] along h of the component stacks of two domains."""
     h = triple.h_basis
-    aw_h = pair_bracket_coords(triple.field, a.comp[None], w_stack, h.mat)[0] @ h.mat
-    return pair_bracket_coords(triple.field, project(triple, z_stack),
-                               aw_h.reshape(w_stack.shape), h.mat)
 
+    def images(z_stack: np.ndarray, w_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        aw_h = pair_bracket_coords(triple.field, a.comp[None], w_stack, h.mat)[0] @ h.mat
+        return project(triple, z_stack)[None], aw_h.reshape(w_stack.shape)[None]
 
-def _derivative_objective(triple: Triple, a: AlgElement, z: AlgElement, w: AlgElement) -> float:
-    """|[Z^h, [A, W]^h]|^2 on the element path, for Z in g; [A, W] may leave g."""
-    awh = from_flat(triple.field, triple.n, triple.h_basis.project_flat(bracket(a, w).flat))
-    zh = AlgElement(triple.field, triple.n, project(triple, z.comp))
-    return bracket(zh, awh).norm() ** 2
+    def element_images(p: int, z: AlgElement, w: AlgElement) -> tuple[AlgElement, AlgElement]:
+        return tuple(from_flat(triple.field, triple.n, h.project_flat(v))
+                     for v in (z.flat, bracket(a, w).flat))
+
+    return _flat_plane_search(triple, Method.PART2, triple.gk_basis(), (images, element_images),
+                              budget, tol, DEFAULT_REFUTE_TOL)[0]
 
 
 # --- per-point positivity ------------------------------------------------------
@@ -713,22 +710,22 @@ def _scan_points(triple: Triple, gs: np.ndarray, points: Sequence[Optional[float
                  budget: StartBudget, tol: float, refute_tol: float) -> list[CertReport]:
     """The flat-plane search at the points reached by the unitary stack gs (P, n, n, 4), as one search.
 
-    Only the horizontal term depends on the point: as tensors, one stacked
-    adjoint of the Z- and W-domains, their projections to h and brackets
-    along h at each point; on elements, `horizontal_flat_residual` at gs[p].
+    Only the images of Z and W depend on the point: as stacks, one stacked
+    adjoint of the Z- and W-domains and their projections to h at each
+    point; on elements, `comp_adjoint` at gs[p] and the projection to h.
     """
-    def horizontal(z_stack: np.ndarray, w_stack: np.ndarray) -> np.ndarray:
+    def images(z_stack: np.ndarray, w_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dz = len(z_stack)
         moved = comp_adjoint(gs[:, None], np.concatenate([z_stack, w_stack]))
-        zh, wh = project(triple, moved[:, :dz]), project(triple, moved[:, dz:])
-        return np.stack([pair_bracket_coords(triple.field, z, w, triple.h_basis.mat)
-                         for z, w in zip(zh, wh)])
+        return project(triple, moved[:, :dz]), project(triple, moved[:, dz:])
 
-    def element(p: int, z: AlgElement, w: AlgElement) -> float:
-        return horizontal_flat_residual(triple, GroupElement(triple.field, triple.n, gs[p]), z, w)[1]
+    def element_images(p: int, z: AlgElement, w: AlgElement) -> tuple[AlgElement, AlgElement]:
+        return tuple(from_flat(triple.field, triple.n,
+                               triple.h_basis.project_flat(comp_adjoint(gs[p], x.comp).ravel()))
+                     for x in (z, w))
 
     return _flat_plane_search(triple, Method.POINT_SCAN, _scan_z_domain(triple),
-                              (horizontal, element), budget, tol, refute_tol, points)
+                              (images, element_images), budget, tol, refute_tol, points)
 
 
 def _scan_z_domain(triple: Triple) -> Subspace:

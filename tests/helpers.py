@@ -28,12 +28,12 @@ from curvcert.algebra import (
     block_stack,
     bracket,
     check_skew,
+    comp_adjoint,
     comp_bracket,
     comp_norm,
     conj_transpose,
     from_flat,
     group_exp,
-    inner,
     qmul,
     require_same,
     row_dots,
@@ -43,11 +43,9 @@ from curvcert.certify import (
     DEFAULT_TOL,
     CertReport,
     StartBudget,
-    _derivative_objective,
     _scan_points,
     report_to_dict,
 )
-from curvcert.flatness import PlaneInputError, horizontal_flat_residual
 from curvcert.triple import (
     Subspace,
     Triple,
@@ -67,6 +65,18 @@ def identity(field: FieldTag, n: int) -> GroupElement:
     comp = np.zeros((n, n, 4))
     comp[..., 0] = np.eye(n)
     return GroupElement(field, n, comp)
+
+
+def inner(x: AlgElement, y: AlgElement) -> float:
+    """Bi-invariant inner product Re tr(X * conj(Y)^T)."""
+    require_same(x, y)
+    return float(np.dot(x.flat, y.flat))
+
+
+def adjoint(g: GroupElement, x: AlgElement) -> AlgElement:
+    """Adjoint action Ad_g X = g X g^{-1} (inverse = conjugate transpose)."""
+    require_same(g, x)
+    return AlgElement(x.field, x.n, comp_adjoint(g.comp, x.comp))
 
 
 def zero(field: FieldTag, n: int) -> AlgElement:
@@ -255,6 +265,45 @@ def project(triple: Triple, x: AlgElement, part: Part) -> AlgElement:
     return from_flat(triple.field, triple.n, sub.project_flat(v))
 
 
+# --- flat-plane residuals -------------------------------------------------------
+
+
+class PlaneInputError(ValueError):
+    """Arguments violate a flat-plane precondition (dependence, wrong subspace)."""
+
+
+def horizontal_flat_residual(
+    triple: Triple, g: GroupElement, z: AlgElement, w: AlgElement
+) -> tuple[float, float]:
+    """Residual pair (|[Z,W]|^2, |[(Ad_g Z)^h, (Ad_g W)^h]|^2).
+
+    Both vanishing certifies an (approximate) horizontal zero-curvature plane
+    at the point reached by g.  Preconditions: Z orthogonal to k, W in p,
+    (Z, W) orthonormal.
+    """
+    _check_pair(triple, z, w)
+    azh, awh = (AlgElement(triple.field, triple.n,
+                           triple_module.project(triple, adjoint(g, x).comp)) for x in (z, w))
+    return bracket(z, w).norm() ** 2, bracket(azh, awh).norm() ** 2
+
+
+def _check_pair(triple: Triple, z: AlgElement, w: AlgElement) -> None:
+    tol = 1e-8
+    if abs(z.norm() - 1.0) > tol or abs(w.norm() - 1.0) > tol or abs(inner(z, w)) > tol:
+        raise PlaneInputError("pair (Z, W) is not orthonormal")
+    if not triple.p_basis.contains(w):
+        raise PlaneInputError("W does not lie in p")
+    if np.linalg.norm(triple.k_basis.project_flat(z.flat)) > tol:
+        raise PlaneInputError("Z is not orthogonal to k")
+
+
+def derivative_objective(triple: Triple, a: AlgElement, z: AlgElement, w: AlgElement) -> float:
+    """|[Z^h, [A, W]^h]|^2 on single elements, for Z in g; [A, W] may leave g."""
+    awh = from_flat(triple.field, triple.n, triple.h_basis.project_flat(bracket(a, w).flat))
+    zh = AlgElement(triple.field, triple.n, triple_module.project(triple, z.comp))
+    return bracket(zh, awh).norm() ** 2
+
+
 # --- the deformed metric ------------------------------------------------------
 
 
@@ -328,11 +377,11 @@ def derivative_test(
     """Compare the closed form of f''(0)/2 against finite differences.
 
     Returns (analytic, numeric): analytic = |[Z^h, [A, W]^h]|^2, the
-    objective of `curvcert.certify`'s part2, numeric is a
+    second term of `curvcert.certify`'s part2, numeric is a
     Richardson-extrapolated second central difference of f at 0, halved.
     Disagreement beyond 1e-3 relative triggers a warning.
     """
-    analytic = _derivative_objective(triple, a, z, w)
+    analytic = derivative_objective(triple, a, z, w)
     f0 = f_of_s(triple, z, w, a, 0.0)
 
     def second_diff(h: float) -> float:

@@ -17,7 +17,6 @@ from curvcert.algebra import (
     comp_norm,
     from_flat,
     group_exp,
-    inner,
 )
 from curvcert.catalog import (
     m_kl,
@@ -41,6 +40,7 @@ from curvcert.triple import is_symmetric_pair
 from helpers import (
     derivative_test,
     identity,
+    inner,
     point_positivity,
     random_admissible_pair,
     random_block_diag_sp1_batch,

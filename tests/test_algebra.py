@@ -10,7 +10,6 @@ from curvcert.algebra import (
     DimensionMismatch,
     FieldTag,
     InvalidElement,
-    adjoint,
     block_labels,
     block_stack,
     bracket,
@@ -21,18 +20,19 @@ from curvcert.algebra import (
     from_flat,
     group_exp,
     group_exps,
-    inner,
     pair_bracket_coords,
     qmul,
     random_skew,
 )
 from helpers import (
     Quaternion,
+    adjoint,
     basis_element,
     bit_equal,
     exp_squarings,
     full_algebra_basis,
     identity,
+    inner,
     make_triple,
     random_skew_batch,
     randomly_rebased,

@@ -9,10 +9,8 @@ import pytest
 import curvcert.certify as certify
 from curvcert.algebra import (
     FieldTag,
-    adjoint,
     bracket,
     group_exp,
-    inner,
 )
 from curvcert.catalog import (
     m_kl,
@@ -34,19 +32,22 @@ from curvcert.certify import (
     scan_along_A,
 )
 from curvcert.cli import main
-from curvcert.flatness import horizontal_flat_residual
 from curvcert.triple import SYMMETRIC_PAIR_TOL, is_symmetric_pair
 
 from helpers import (
     Part,
+    adjoint,
     basis_element,
     bit_equal,
+    derivative_objective,
     derivative_test,
     descend_one,
     elements,
     f_of_s,
     full_algebra_basis,
+    horizontal_flat_residual,
     identity,
+    inner,
     make_triple,
     ortho_constraint,
     pair_tensor,
@@ -546,7 +547,9 @@ class TestRefutationsHoldOnTheElementPath:
 
     The searches and part3 read brackets along g or h; on closed chains that
     is all of each bracket, so the guard that re-checks a refutation through
-    `bracket` and `horizontal_flat_residual` never turns a catalog verdict.
+    `bracket` never turns a catalog verdict.  The h-parts that the scans and
+    part2 hand the search on elements bracket to the bits of the oracles in
+    tests/helpers.py.
     """
 
     @pytest.mark.parametrize("name,make", [
@@ -563,6 +566,27 @@ class TestRefutationsHoldOnTheElementPath:
         element = sum(horizontal_flat_residual(e.triple, at_identity, scan.witness.Z,
                                                scan.witness.W))
         assert element < certify.DEFAULT_REFUTE_TOL
+
+    def test_the_element_images_bracket_to_the_bits_of_the_oracles(self, monkeypatch):
+        # |[X^h, Y^h]|^2 from the h-parts that a scan and part2 hand the search on elements
+        e, s = m_kl(2, 1, 1), 0.3
+        a, seen, real = e.base_point_A, [], certify._flat_plane_search
+
+        def record(triple, method, z_dom, second, *rest):
+            seen.append(second[1])
+            return real(triple, method, z_dom, second, *rest)
+
+        monkeypatch.setattr(certify, "_flat_plane_search", record)
+        scan_along_A(e.triple, a, [0.0, s], StartBudget(starts=1))
+        certify_part2(e.triple, a, StartBudget(starts=1))
+        scan, part2 = seen
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            z, w = random_admissible_pair(e.triple, rng)
+            for p, t in enumerate([0.0, s]):
+                horizontal = horizontal_flat_residual(e.triple, group_exp(-1.0 * a, t), z, w)[1]
+                assert bracket(*scan(p, z, w)).norm() ** 2 == horizontal
+            assert bracket(*part2(0, z, w)).norm() ** 2 == derivative_objective(e.triple, a, z, w)
 
     def test_part3_witness(self):
         e = m_kl(2, 0, 1)

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import hashlib
 import json
 import math
@@ -10,8 +11,12 @@ import sys
 import numpy as np
 import pytest
 
+import curvcert.algebra as algebra
+import curvcert.catalog as catalog
 import curvcert.certify as certify
 import curvcert.cli as cli_module
+import curvcert.flatness as flatness
+import curvcert.triple as triple_module
 from curvcert.algebra import FieldTag, block_stack, bracket
 from curvcert.catalog import build_entry, list_catalog, t1_sphere
 from curvcert.certify import (
@@ -551,34 +556,35 @@ class TestUnconfirmedRefutation:
 
 
 class TestSecondTermOnTheElementPath:
-    """A scan's and part2's refutation stands only once |[Z, W]|^2 plus the element form of their second term meets it.
+    """A scan's and part2's refutation stands only once |[Z, W]|^2 + |[X^h, Y^h]|^2 meets it on the element path.
 
-    Both refute on the catalog (the scan at s = 0); with 1.0 added to the
-    element form of the second term, the witness misses the threshold
-    there, and the note gives |[Z, W]|^2 plus the patched term.
+    Both refute on the catalog (the scan at s = 0).  With two generators that
+    do not commute added to the h-parts X^h, Y^h that the caller hands the
+    search on elements, the witness misses the threshold there, and the note
+    gives |[Z, W]|^2 plus the patched term.
     """
 
     @pytest.mark.parametrize("search", ["scan", "part2"])
     def test_a_patched_term_leaves_the_refutation_unconfirmed(self, capsys, monkeypatch, search):
-        parts = []
+        parts, real = [], certify._flat_plane_search
+
+        def patched(triple, method, z_dom, second, *rest):
+            images, element_images = second
+            # the real unit at (0, 1) and the imaginary unit i at (0, 0) do not commute
+            e01, i00 = (basis_element(triple.field, triple.n, 0, j, c) for j, c in ((1, 0), (0, 1)))
+
+            def shifted(p, z, w):
+                xh, yh = element_images(p, z, w)
+                xh, yh = xh + e01, yh + i00
+                parts.append((bracket(z, w).norm() ** 2, bracket(xh, yh).norm() ** 2))
+                return xh, yh
+
+            return real(triple, method, z_dom, (images, shifted), *rest)
+
+        monkeypatch.setattr(certify, "_flat_plane_search", patched)
         if search == "scan":
-            real = certify.horizontal_flat_residual
-
-            def patched(triple, g, z, w):
-                comm, horiz = real(triple, g, z, w)
-                parts.append((comm, horiz + 1.0))
-                return comm, horiz + 1.0
-
-            monkeypatch.setattr(certify, "horizontal_flat_residual", patched)
             argv = ["scan", "--entry", "t1s3_product", "--s-values", "0", "--starts", "4"]
         else:
-            real = certify._derivative_objective
-
-            def patched(triple, a, z, w):
-                parts.append((bracket(z, w).norm() ** 2, real(triple, a, z, w) + 1.0))
-                return parts[-1][1]
-
-            monkeypatch.setattr(certify, "_derivative_objective", patched)
             argv = ["check", "--entry", "m_kl", "--n", "2", "--k", "0", "--l", "1",
                     "--method", "part2", "--starts", "8"]
         code, out, _ = run(capsys, *argv)
@@ -591,7 +597,26 @@ class TestSecondTermOnTheElementPath:
         # an unconfirmed probe (part2's 8 starts) is discarded and all starts descend
         assert len(parts) == (1 if search == "scan" else 2) and len(found) == 1
         comm, term = parts[-1]
+        assert term > 1e-12
         assert found[0] == (repr(report["score"]), repr(1e-12), repr(comm + term))
+
+    def test_a_refuting_scan_point_brackets_once_per_term(self, capsys, monkeypatch):
+        # the element path re-checks [Z, W] and [X^h, Y^h], and builds no group element
+        counts = collections.Counter()
+        for name in ("bracket", "check_unitary"):
+            real = getattr(algebra, name)
+
+            def counted(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            for module in (algebra, catalog, certify, cli_module, flatness, triple_module):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+        code, out, _ = run(capsys, "scan", "--entry", "t1s3_product", "--s-values", "0",
+                           "--starts", "4")
+        assert code == 1 and json.loads(out)[0]["verdict"] == "REFUTED"
+        assert (counts["bracket"], counts["check_unitary"]) == (2, 0)
 
 
 class TestDegenerateReports:

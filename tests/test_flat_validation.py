@@ -22,11 +22,17 @@ from curvcert.algebra import (  # noqa: E402
     N_COMPONENTS,
     FieldTag,
     InvalidElement,
+    _upper_pairs,
     check_skew,
     check_unitary,
     conj_transpose,
 )
-from curvcert.triple import _normalized_rows, _orthonormalize  # noqa: E402
+from curvcert.triple import (  # noqa: E402
+    SCHEMA_TRIPLE,
+    _normalized_rows,
+    _orthonormalize,
+    triple_from_dict,
+)
 
 from helpers import (  # noqa: E402
     bit_equal,
@@ -137,6 +143,13 @@ class TestCheckSkew:
         for field in FieldTag:
             check_skew(field, np.zeros(shape))
             reference_check_skew(field, np.zeros(shape))
+
+    def test_an_empty_basis_builds_no_pairs_whatever_n(self):
+        # a document of empty bases has a few bytes at any n; the n(n + 1)/2 pairs do not
+        _upper_pairs.cache_clear()
+        doc = {"schema": SCHEMA_TRIPLE, "field": "real", "n": 3000, "bases": {"g": [], "h": [], "k": []}}
+        assert triple_from_dict(doc).n == 3000
+        assert _upper_pairs.cache_info().currsize == 0
 
     def test_non_finite_is_named_before_the_other_defects(self):
         comp = np.zeros((2, 2, 2, 4))

@@ -6,23 +6,21 @@ import pytest
 from curvcert.algebra import (
     AlgElement,
     FieldTag,
-    adjoint,
     bracket,
     group_exp,
 )
 from curvcert.catalog import m_kl, t1s3_product
-from curvcert.flatness import (
-    FlatPairWitness,
-    PlaneInputError,
-    horizontal_flat_residual,
-)
+from curvcert.flatness import FlatPairWitness
 
 from helpers import (
     DeformParam,
     Part,
+    PlaneInputError,
     Quaternion,
+    adjoint,
     basis_element,
     eschenburg_residual,
+    horizontal_flat_residual,
     identity,
     phi,
     project,

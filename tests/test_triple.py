@@ -15,7 +15,6 @@ from curvcert.algebra import (
     comp_adjoint,
     from_flat,
     group_exp,
-    inner,
     pair_bracket_coords,
     random_skew,
 )
@@ -51,6 +50,7 @@ from helpers import (
     elements,
     from_spanning,
     full_algebra_basis,
+    inner,
     make_triple,
     phi,
     project,
