@@ -281,8 +281,6 @@ class _PairTensor:
 
 def _runs(point: np.ndarray) -> list[tuple[int, int, int]]:
     """(p, i, j) for each point p of a non-decreasing array of the rows' points, with rows i:j."""
-    if len(point) and point[0] == point[-1]:  # one point, as in every fat and part2 search
-        return [(int(point[0]), 0, len(point))]
     cuts = [0, *(np.flatnonzero(point[1:] != point[:-1]) + 1).tolist(), len(point)]
     return [(int(point[i]), i, j) for i, j in zip(cuts, cuts[1:]) if j > i]
 
@@ -295,8 +293,6 @@ def _by_point(x: np.ndarray, runs, mats: np.ndarray) -> np.ndarray:
     where the row sits, so each point's rows keep the bits of a search at
     that point alone.
     """
-    if len(runs) == 1:
-        return x @ (mats if mats.ndim == 2 else mats[runs[0][0]])
     out = np.empty((len(x), mats.shape[-1]))
     for p, i, j in runs:
         np.matmul(x[i:j], mats if mats.ndim == 2 else mats[p], out=out[i:j])
@@ -314,21 +310,15 @@ def _min_eig_vectors(q: np.ndarray, u: Optional[np.ndarray]):
     nrm = np.zeros(len(q)) if u is None else np.linalg.norm(u, axis=1)
     free = nrm <= 1e-12
     if free.any():
-        f = _rows(free)
-        lam, vec = np.linalg.eigh(q[f])
-        vecs[f], vals[f] = vec[:, :, 0], lam[:, 0]
+        lam, vec = np.linalg.eigh(q[free])
+        vecs[free], vals[free] = vec[:, :, 0], lam[:, 0]
     if not free.all():
-        c = _rows(~free)
+        c = ~free
         _, _, vh = np.linalg.svd((u[c] / nrm[c, None])[:, None, :], full_matrices=True)
         basis = vh[:, 1:].swapaxes(1, 2)  # orthonormal complements of the u_s
         lam, sub = np.linalg.eigh(basis.swapaxes(1, 2) @ q[c] @ basis)
         vecs[c], vals[c] = (basis @ sub[:, :, :1])[:, :, 0], lam[:, 0]
     return vecs, vals
-
-
-def _rows(mask: np.ndarray):
-    """Index of the rows where mask holds: a slice when it holds for all, which copies nothing."""
-    return slice(None) if mask.all() else mask
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
@@ -398,7 +388,7 @@ def _sweeps(tensor: _PairTensor, gmat, z: np.ndarray, w: np.ndarray, point: np.n
             found = val < limit[act]
             if probe:  # every start of a point with a witness leaves
                 found = np.isin(point[act], point[act[found]])
-            act = act[_rows(~found)]
+            act = act[~found]
 
 
 def _levenberg_marquardt(tensor: _PairTensor, gmat, z: np.ndarray, w: np.ndarray,

@@ -70,11 +70,9 @@ def _orthonormalize(mat: np.ndarray) -> np.ndarray:
 
 
 def _normalized_rows(mat: np.ndarray) -> np.ndarray:
-    """The Gram-Schmidt loop on rows with disjoint supports: keep each row above the drop rule, unit length."""
+    """The Gram-Schmidt loop on rows with disjoint supports: the rows above its drop rule, each divided by its norm."""
     norms = np.sqrt(row_dots(mat, mat))  # the loop's norm of each 1-D row
     keep = norms > _DROP_TOL * np.maximum(1.0, norms)
-    if keep.all():  # no masked copy: the same quotients
-        return mat / norms[:, None]
     return mat[keep] / norms[keep, None]
 
 
@@ -188,18 +186,16 @@ def _nested_triple(
 def _nested_complement(name: str, sub: Subspace, sup: Subspace) -> Subspace:
     """sup minus sub: the sup rows the sub names drop out by index, the sub's own rows by projection.
 
-    Each sub row gets one candidate, the (last) sup row whose largest |entry|
-    has the same position and value, and one bitwise compare says whether
-    the sub names it.  The sub's other rows, its own rows, must lie in
-    span(sup) (else NotInSpan) and are projected off the sup rows left by
-    one product.  The rows left, in sup's order, are the complement:
-    Gram-Schmidt when there are own rows, else the loop's closed form for
-    disjoint rows.
+    The sub names a sup row when one of its rows equals that row bit for bit,
+    found by one lookup of each sub row's bytes among sup's rows.  The sub's
+    other rows, its own rows, must lie in span(sup) (else NotInSpan) and are
+    projected off the sup rows left by one product.  The rows left, in sup's
+    order, are the complement: Gram-Schmidt when there are own rows, else
+    the loop's closed form for disjoint rows.
     """
-    peak_row = dict(zip(_peaks(sup.mat), range(sup.dim)))
-    rows = np.array([peak_row.get(peak, -1) for peak in _peaks(sub.mat)], dtype=np.intp)
-    named = rows >= 0  # the sub rows with a candidate, then those that equal it
-    named[named] = (sub.mat[named].view(np.uint64) == sup.mat[rows[named]].view(np.uint64)).all(axis=1)
+    sup_row = {row.tobytes(): i for i, row in enumerate(sup.mat)}
+    rows = np.array([sup_row.get(row.tobytes(), -1) for row in sub.mat], dtype=np.intp)
+    named = rows >= 0
     own, rest = sub.mat[~named], np.delete(sup.mat, rows[named], axis=0)
     if not len(own):
         return Subspace(sup.field, sup.n, _normalized_rows(rest))
@@ -207,12 +203,6 @@ def _nested_complement(name: str, sub: Subspace, sup: Subspace) -> Subspace:
     if resid.max() > _ORTHO_TOL:
         raise NotInSpan(f"{name}-basis vector leaves its ambient span (residual {resid.max():.2e})")
     return Subspace(sup.field, sup.n, _orthonormalize(rest - (rest @ own.T) @ own))
-
-
-def _peaks(mat: np.ndarray):
-    """(position, value) of the largest |entry| of each row, the first such entry on a tie."""
-    pos = np.abs(mat).argmax(axis=1)
-    return zip(pos.tolist(), mat[np.arange(len(mat)), pos].tolist())
 
 
 def project(triple: Triple, comps: np.ndarray) -> np.ndarray:

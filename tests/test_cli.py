@@ -555,6 +555,47 @@ class TestUnconfirmedRefutation:
         assert math.isclose(got, element, rel_tol=1e-12)
 
 
+class TestVerdictBands:
+    """Runs whose score lies between a CERTIFIED and a REFUTED threshold: each is INCONCLUSIVE, exit 2.
+
+    A verdict rule whose threshold moves turns one of them: part3 certifies
+    at sigma_min > tol and refutes below tol/10, a search certifies above tol
+    and refutes below refute_tol.  A refutation moved past the score shows
+    as an "unconfirmed refutation" note, since the element path keeps its
+    own threshold.  The convergence counts are not pinned: capped starts
+    move with the BLAS kernel.
+    """
+
+    def test_part3_between_tol_over_10_and_tol(self, capsys):
+        code, out, _ = run(capsys, "check", "--entry", "t1_sphere", "--n", "3", "--method", "part3",
+                           "--tol", "1")
+        report = json.loads(out)
+        assert (code, report["verdict"]) == (2, "INCONCLUSIVE")
+        assert 0.1 < report["score"] <= 1.0
+        assert math.isclose(report["score"], 1 / SQ2, rel_tol=1e-10)
+        assert report["notes"] == [certify._RANK_ONE_NOTE]
+
+    def test_search_between_tol_over_100_and_tol(self, capsys):
+        code, out, _ = run(capsys, "scan", "--entry", "m_kl", "--n", "2", "--k", "1", "--l", "1",
+                           "--s-values", "0.002", "--starts", "16")
+        [report] = json.loads(out)
+        assert (code, report["verdict"]) == (2, "INCONCLUSIVE")
+        assert 1e-8 < report["score"] <= 1e-6
+        assert math.isclose(report["score"], 8.58e-8, rel_tol=1e-2)
+        assert not [note for note in report["notes"]
+                    if note.startswith(("heuristic certificate", "unconfirmed"))]
+
+    def test_search_between_refute_tol_and_100_refute_tol(self, capsys):
+        # s = 4.4429 is pi sqrt(2) rounded: half the period of exp(-sA) on t1_sphere(3)
+        code, out, _ = run(capsys, "scan", "--entry", "t1_sphere", "--n", "3", "--s-values", "4.4429",
+                           "--starts", "16")
+        [report] = json.loads(out)
+        assert (code, report["verdict"]) == (2, "INCONCLUSIVE")
+        assert 1e-12 <= report["score"] < 1e-10
+        assert math.isclose(report["score"], 7.28e-11, rel_tol=1e-2)
+        assert not [note for note in report["notes"] if note.startswith("unconfirmed")]
+
+
 class TestSecondTermOnTheElementPath:
     """A scan's and part2's refutation stands only once |[Z, W]|^2 + |[X^h, Y^h]|^2 meets it on the element path.
 

@@ -3,8 +3,9 @@
 `algebra.check_skew` reads each matrix as one flat row and the skew
 residual on the upper triangle of the active components only (its
 component tests open `check_unitary` too);
-and `triple._normalized_rows` divides without a masked copy when every row
-is kept.  The oracles in tests/helpers.py keep the previous expressions.
+the oracles in tests/helpers.py keep the previous expressions.
+`triple._normalized_rows` takes the kept rows by a boolean mask and divides
+them by their norms from one stacked product, as its oracle does.
 On rows with disjoint supports, `_normalized_rows` gives the bits of the
 Gram-Schmidt loop `triple._orthonormalize`: a pair nested by index and one
 nested by projection then agree.

@@ -709,6 +709,19 @@ class TestNestingRule:
         projector = triple.m_basis.mat.T @ triple.m_basis.mat
         assert np.abs(projector - by_projection.mat.T @ by_projection.mat).max() <= 1e-12
 
+    def test_rows_that_share_their_largest_entry_nest_by_index(self, monkeypatch):
+        # so(3) with r1 = (E01 + E12)/2, r2 = (E01 - E12)/2, r3 = E02/sqrt(2): r1 and r2 have
+        # their largest |entry| at the same position with the same value, so a lookup keyed by
+        # that entry alone finds r2 for r1; k = {r1} names r1 by its exact bytes
+        field = FieldTag.REAL
+        e01, e12, e02 = (basis_element(field, 3, i, j, 0).flat for i, j in ((0, 1), (1, 2), (0, 2)))
+        h = Subspace(field, 3, np.array([(e01 + e12) / 2, (e01 - e12) / 2, e02 / math.sqrt(2.0)]))
+        k = Subspace(field, 3, h.mat[:1])
+        rows = count_loop_rows(monkeypatch)
+        triple = _nested_triple(h, h, k, "shared peak", None)
+        assert rows == []
+        assert bit_equal(triple.m_basis.mat, triple_module._normalized_rows(h.mat[1:]))
+        assert triple.dims == {"g": 3, "h": 3, "k": 1, "m": 2, "p": 0}
 
     def test_rows_over_an_empty_sup_leave_its_span(self):
         # no sup row is a candidate: every sub row is an own row, with residual 1
